@@ -27,12 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import MixingOverflowError, PositivityError
+from .errors import MixingOverflowError
 from .exact import (
     DEFAULT_ENUM_CAP,
     DEFAULT_MATRIX_CAP,
+    _require_positive,
     build_transition_matrix,
-    min_joint_posterior,
     min_transition_probability,
 )
 from .network import BeliefNetwork, Evidence, check_evidence
@@ -40,20 +40,15 @@ from .network import BeliefNetwork, Evidence, check_evidence
 
 @dataclass(frozen=True)
 class ErrorTolerances:
-    """Convergence targets: interval error alpha, failure probability delta,
-    pointwise-distance target gamma, and relative error epsilon (epsilon is
-    carried for reporting only; no trial formula for it is implemented)."""
+    """Convergence targets: interval error alpha, failure probability delta
+    and pointwise-distance target gamma."""
 
     alpha: float
     delta: float
     gamma: float
-    epsilon: float = 0.1
 
     def __post_init__(self):
-        for field_name in ("alpha", "delta", "gamma", "epsilon"):
-            value = getattr(self, field_name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{field_name} must lie in (0, 1), got {value!r}")
+        _check_unit_interval(alpha=self.alpha, delta=self.delta, gamma=self.gamma)
 
 
 @dataclass(frozen=True)
@@ -125,11 +120,7 @@ def factored_lower_bounds(net: BeliefNetwork, ev: Evidence) -> tuple[float, floa
     selection factor of the lazy kernel.
     """
     check_evidence(net, ev)
-    if not all(nd.cpt.positive for nd in net.nodes):
-        raise PositivityError(
-            "factored bounds require every table entry strictly inside (0, 1); "
-            "0/1 entries (deterministic relationships) void the mixing analysis"
-        )
+    _require_positive(net)
     free = [nd for nd in net.nodes if nd.name not in ev]
     if not free:
         raise ValueError("no free nodes: every node is clamped by evidence")
@@ -168,18 +159,15 @@ def report_bounds(
 ) -> BoundsReport:
     """Assemble the full requirement table for a network and evidence.
 
-    ``exact`` mode reads Pi and p0 off the enumeration oracle (subject to
-    its caps); ``factored`` mode uses the certified lower bounds, which can
-    only make the transition requirements larger.
+    ``exact`` mode reads Pi and p0 off one transition matrix, built from a
+    single enumeration that must fit under both caps; ``factored`` mode uses
+    the certified lower bounds, which can only make the transition
+    requirements larger.
     """
     if mode == "exact":
-        if not all(nd.cpt.positive for nd in net.nodes):
-            raise PositivityError(
-                "bounds require every table entry strictly inside (0, 1); "
-                "0/1 entries (deterministic relationships) void the mixing analysis"
-            )
-        pi_min = min_joint_posterior(net, ev, cap=enum_cap)
-        p0 = min_transition_probability(build_transition_matrix(net, ev, cap=matrix_cap))
+        tm = build_transition_matrix(net, ev, cap=min(enum_cap, matrix_cap))
+        pi_min = float(tm.stationary.min())
+        p0 = min_transition_probability(tm)
     elif mode == "factored":
         pi_min, p0 = factored_lower_bounds(net, ev)
     else:

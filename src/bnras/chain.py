@@ -33,14 +33,14 @@ from .rng import RandomStream
 
 @dataclass
 class ChainState:
-    """One walker: a full joint assignment plus clamping and scan metadata.
+    """One walker: a full joint assignment plus its free nodes and scan
+    cursor.
 
     Owned by a single worker; the transition functions mutate ``state`` in
     place. ``cursor`` is only advanced by the cyclic-scan kernel.
     """
 
     state: list[int]
-    evidence: Evidence
     free: tuple[int, ...]
     cursor: int = 0
 
@@ -96,7 +96,8 @@ def _resample(tab: _Tables, state: list[int], i: int, rand) -> None:
     if total <= 0.0:
         raise DeterministicConflictError(
             f"all conditional weights of node index {i} are zero; "
-            "the 0/1 table entries conflict with the current state"
+            "the 0/1 table entries conflict with the current state",
+            node=i,
         )
     r = rand() * total
     acc = 0.0
@@ -108,6 +109,16 @@ def _resample(tab: _Tables, state: list[int], i: int, rand) -> None:
             if r < acc:
                 break
     state[i] = chosen
+
+
+def _located(net: BeliefNetwork, exc: DeterministicConflictError, where: str):
+    """Restate a conflict raised by :func:`_resample` with the node's name
+    and where in a run it happened."""
+    return DeterministicConflictError(
+        f"all conditional weights of node {net.nodes[exc.node].name} are zero "
+        f"{where}; the 0/1 table entries conflict with the current state",
+        node=exc.node,
+    )
 
 
 def _run_lazy(tab: _Tables, free: tuple[int, ...], state: list[int], steps: int, rand) -> None:
@@ -144,7 +155,7 @@ def init_random_state(net: BeliefNetwork, ev: Evidence, rng: RandomStream) -> Ch
     rand = rng.random
     for i in free:
         state[i] = int(rand() * tab.k[i])
-    return ChainState(state=state, evidence=ev, free=free, cursor=0)
+    return ChainState(state=state, free=free, cursor=0)
 
 
 def do_transition(net: BeliefNetwork, cs: ChainState, rng: RandomStream) -> ChainState:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 
 from . import exact as exact_mod
 from .bounds import ErrorTolerances, report_bounds
@@ -29,10 +29,10 @@ from .errors import (
     NetworkValidationError,
     PositivityError,
 )
-from .estimate import PosteriorEstimate, error_metrics, bnras_estimate, straight_estimate
+from .estimate import bnras_estimate, error_metrics, straight_estimate
 from .exact import enumerate_posteriors
 from .model_io import builtin_networks, format_evidence, parse_document, parse_evidence
-from .network import BeliefNetwork, Evidence, validate_network
+from .network import BeliefNetwork, validate_network
 from .rng import RandomStream
 
 CSV_HEADER = (
@@ -124,60 +124,6 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-@dataclass
-class _Run:
-    run_id: str
-    seed: int
-    algorithm: str
-    net: BeliefNetwork
-    evidence_str: str
-    estimate: PosteriorEstimate
-
-
-def _rows_for_run(run: _Run, oracle) -> list[str]:
-    """Checkpoint rows (if any) followed by the summary row."""
-    rows = []
-    est = run.estimate
-    trials = est.trials
-    tpt = "" if est.transitions_per_trial is None else est.transitions_per_trial
-    common = (
-        f"{run.run_id},{run.seed},{run.algorithm},{run.net.name},"
-        f"{run.evidence_str},{trials},{tpt},{est.total_transitions}"
-    )
-    for ck in est.checkpoints:
-        snap = PosteriorEstimate(
-            nodes=est.nodes,
-            outcome_labels=est.outcome_labels,
-            probs=ck.probs,
-            tallies=est.tallies,
-            trials=ck.scored,
-            transitions_per_trial=est.transitions_per_trial,
-            total_transitions=ck.transitions,
-            cpu_seconds=0.0,
-            wall_seconds=0.0,
-        )
-        err = error_metrics(snap, oracle)
-        rows.append(
-            f"{common},{ck.transitions},{err.avg_error:.9g},{err.max_error:.9g},"
-            f"{err.worst_node},,"
-        )
-    err = error_metrics(est, oracle)
-    rows.append(
-        f"{common},,{err.avg_error:.9g},{err.max_error:.9g},{err.worst_node},"
-        f"{est.cpu_seconds:.6f},{est.wall_seconds:.6f}"
-    )
-    return rows
-
-
-def _write_csv(lines: list[str], out: str) -> None:
-    text = "\n".join([CSV_HEADER] + lines) + "\n"
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
 def cmd_validate(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as handle:
@@ -214,21 +160,49 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
-def _run_one(net, ev, ev_str, algorithm, trials, transitions, total, seed, stride):
-    rng = RandomStream(seed)
-    if algorithm == "bnras":
-        est = bnras_estimate(net, ev, trials, transitions, rng, checkpoint_stride=stride)
-        run_id = f"bnras-{net.name}-N{trials}-t{transitions}-s{seed}"
+def _write_runs(net, ev, runs, stride: int, out: str) -> int:
+    """Run each (algorithm, trials, transitions, total, seed) in order, score
+    it against one oracle, and write its checkpoint rows and then its
+    summary row as CSV to ``out`` (``-`` for stdout)."""
+    oracle = enumerate_posteriors(net, ev, cap=_enum_cap())
+    ev_str = format_evidence(ev, net)
+    lines = [CSV_HEADER]
+    for algorithm, trials, transitions, total, seed in runs:
+        rng = RandomStream(seed)
+        if algorithm == "bnras":
+            est = bnras_estimate(net, ev, trials, transitions, rng, checkpoint_stride=stride)
+            run_id = f"bnras-{net.name}-N{trials}-t{transitions}-s{seed}"
+        else:
+            est = straight_estimate(net, ev, total, rng, checkpoint_stride=stride)
+            run_id = f"straight-{net.name}-T{total}-s{seed}"
+        tpt = "" if est.transitions_per_trial is None else est.transitions_per_trial
+        common = (
+            f"{run_id},{seed},{algorithm},{net.name},"
+            f"{ev_str},{est.trials},{tpt},{est.total_transitions}"
+        )
+        for ck in est.checkpoints:
+            err = error_metrics(replace(est, probs=ck.probs), oracle)
+            lines.append(
+                f"{common},{ck.transitions},{err.avg_error:.9g},{err.max_error:.9g},"
+                f"{err.worst_node},,"
+            )
+        err = error_metrics(est, oracle)
+        lines.append(
+            f"{common},,{err.avg_error:.9g},{err.max_error:.9g},{err.worst_node},"
+            f"{est.cpu_seconds:.6f},{est.wall_seconds:.6f}"
+        )
+    text = "\n".join(lines) + "\n"
+    if out == "-":
+        sys.stdout.write(text)
     else:
-        est = straight_estimate(net, ev, total, rng, checkpoint_stride=stride)
-        run_id = f"straight-{net.name}-T{total}-s{seed}"
-    return _Run(run_id, seed, algorithm, net, ev_str, est)
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    return EXIT_OK
 
 
 def cmd_run(args) -> int:
     net = _load_network(args.network)
     ev = parse_evidence(args.evidence, net)
-    ev_str = format_evidence(ev, net)
     if args.algorithm == "bnras":
         if args.trials is None or args.transitions is None:
             raise UsageError("bnras needs --trials and --transitions")
@@ -241,13 +215,8 @@ def cmd_run(args) -> int:
             raise UsageError("straight needs --total")
         if args.total < 1:
             raise UsageError("--total must be >= 1")
-    oracle = enumerate_posteriors(net, ev, cap=_enum_cap())
-    run = _run_one(
-        net, ev, ev_str, args.algorithm, args.trials, args.transitions,
-        args.total, args.seed, args.stride,
-    )
-    _write_csv(_rows_for_run(run, oracle), "-")
-    return EXIT_OK
+    run = (args.algorithm, args.trials, args.transitions, args.total, args.seed)
+    return _write_runs(net, ev, [run], args.stride, "-")
 
 
 def cmd_bounds(args) -> int:
@@ -278,10 +247,7 @@ def cmd_bounds(args) -> int:
 def cmd_sweep(args) -> int:
     net = _load_network(args.network)
     ev = parse_evidence(args.evidence, net)
-    ev_str = format_evidence(ev, net)
     seeds = _parse_seeds(args.seeds)
-    oracle = enumerate_posteriors(net, ev, cap=_enum_cap())
-    lines: list[str] = []
     if args.algorithm == "bnras":
         if args.trials is None or args.transitions is None:
             raise UsageError("bnras sweeps need --trials and --transitions grids")
@@ -289,31 +255,21 @@ def cmd_sweep(args) -> int:
         trans_grid = _parse_int_list(args.transitions, "--transitions")
         if any(n < 1 for n in trials_grid) or any(t < 0 for t in trans_grid):
             raise UsageError("grid values out of range")
-        for trials in trials_grid:
-            for transitions in trans_grid:
-                for seed in seeds:
-                    run = _run_one(net, ev, ev_str, "bnras", trials, transitions,
-                                   None, seed, args.stride)
-                    lines.extend(_rows_for_run(run, oracle))
+        runs = [("bnras", trials, transitions, None, seed)
+                for trials in trials_grid for transitions in trans_grid for seed in seeds]
     else:
         if args.total is None:
             raise UsageError("straight sweeps need a --total grid")
         total_grid = _parse_int_list(args.total, "--total")
         if any(t < 1 for t in total_grid):
             raise UsageError("--total values must be >= 1")
-        for total in total_grid:
-            for seed in seeds:
-                run = _run_one(net, ev, ev_str, "straight", None, None,
-                               total, seed, args.stride)
-                lines.extend(_rows_for_run(run, oracle))
-    _write_csv(lines, args.out)
-    return EXIT_OK
+        runs = [("straight", None, None, total, seed) for total in total_grid for seed in seeds]
+    return _write_runs(net, ev, runs, args.stride, args.out)
 
 
 def cmd_compare(args) -> int:
     net = _load_network(args.network)
     ev = parse_evidence(args.evidence, net)
-    ev_str = format_evidence(ev, net)
     seeds = _parse_seeds(args.seeds)
     if args.total is None or args.total < 1:
         raise UsageError("--total budget must be >= 1")
@@ -323,17 +279,11 @@ def cmd_compare(args) -> int:
     trials = args.total // transitions
     if trials < 1:
         raise UsageError("budget smaller than one trial")
-    oracle = enumerate_posteriors(net, ev, cap=_enum_cap())
-    lines: list[str] = []
-    for seed in seeds:
-        run = _run_one(net, ev, ev_str, "bnras", trials, transitions,
-                       None, seed, args.stride)
-        lines.extend(_rows_for_run(run, oracle))
-        run = _run_one(net, ev, ev_str, "straight", None, None,
-                       args.total, seed, args.stride)
-        lines.extend(_rows_for_run(run, oracle))
-    _write_csv(lines, args.out)
-    return EXIT_OK
+    runs = [run for seed in seeds for run in (
+        ("bnras", trials, transitions, None, seed),
+        ("straight", None, None, args.total, seed),
+    )]
+    return _write_runs(net, ev, runs, args.stride, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -38,8 +38,13 @@ class ImpossibleEvidenceError(BnrasError):
 class DeterministicConflictError(BnrasError):
     """Every candidate outcome of a node has zero conditional weight.
 
-    Only possible when the network contains hard 0/1 table entries.
+    Only possible when the network contains hard 0/1 table entries. ``node``
+    is the node's index when a sampler step raised it.
     """
+
+    def __init__(self, message: str, node: int | None = None):
+        self.node = node
+        super().__init__(message)
 
 
 class PositivityError(BnrasError):

@@ -17,7 +17,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from .chain import _prepare, _resample, _trial
+from .chain import _located, _prepare, _resample, _trial
+from .errors import DeterministicConflictError
 from .exact import PosteriorTable
 from .network import BeliefNetwork, Evidence
 from .rng import RandomStream, derive_stream_seed
@@ -93,16 +94,19 @@ def bnras_estimate(
     master = rng.seed_value
     child = random.Random()  # reseeded per trial; same draws as rng.spawn(j)
     cpu0, wall0 = time.process_time(), time.perf_counter()
-    for j in range(trials):
-        child.seed(derive_stream_seed(master, j))
-        state = _trial(tab, free, template, transitions, child)
-        for slot, i in enumerate(free):
-            tally[slot][state[i]] += 1
-        if checkpoint_stride > 0 and transitions > 0:
-            cum += transitions
-            while mark <= cum:
-                checkpoints.append(Checkpoint(mark, j + 1, _snapshot(tally, j + 1)))
-                mark += checkpoint_stride
+    try:
+        for j in range(trials):
+            child.seed(derive_stream_seed(master, j))
+            state = _trial(tab, free, template, transitions, child)
+            for slot, i in enumerate(free):
+                tally[slot][state[i]] += 1
+            if checkpoint_stride > 0 and transitions > 0:
+                cum += transitions
+                while mark <= cum:
+                    checkpoints.append(Checkpoint(mark, j + 1, _snapshot(tally, j + 1)))
+                    mark += checkpoint_stride
+    except DeterministicConflictError as exc:
+        raise _located(net, exc, f"in trial {j} of seed {master}") from None
     cpu1, wall1 = time.process_time(), time.perf_counter()
     return PosteriorEstimate(
         nodes=names,
@@ -149,17 +153,20 @@ def straight_estimate(
     cursor = 0
     nfree = len(free)
     scored = 0
-    for step in range(1, total_transitions + 1):
-        _resample(tab, state, free[cursor], rand)
-        cursor += 1
-        if cursor == nfree:
-            cursor = 0
-        if step > burn_in:
-            scored += 1
-            for slot, i in enumerate(free):
-                tally[slot][state[i]] += 1
-        if checkpoint_stride > 0 and scored > 0 and step % checkpoint_stride == 0:
-            checkpoints.append(Checkpoint(step, scored, _snapshot(tally, scored)))
+    try:
+        for step in range(1, total_transitions + 1):
+            _resample(tab, state, free[cursor], rand)
+            cursor += 1
+            if cursor == nfree:
+                cursor = 0
+            if step > burn_in:
+                scored += 1
+                for slot, i in enumerate(free):
+                    tally[slot][state[i]] += 1
+            if checkpoint_stride > 0 and scored > 0 and step % checkpoint_stride == 0:
+                checkpoints.append(Checkpoint(step, scored, _snapshot(tally, scored)))
+    except DeterministicConflictError as exc:
+        raise _located(net, exc, f"at step {step} of seed {rng.seed_value}") from None
     cpu1, wall1 = time.process_time(), time.perf_counter()
     return PosteriorEstimate(
         nodes=names,

@@ -3,21 +3,29 @@ one-step transition matrix of the lazy random-scan chain, and the mixing
 quantities (minimum stationary probability, minimum transition probability,
 relative pointwise distance) computed from it.
 
+The posteriors, the least joint posterior and the matrix each walk one
+enumeration of the evidence-consistent joint states. It checks the evidence
+and the cap once, visits free-node assignments with the last free node
+varying fastest, weighs each with the network's joint product, and sums the
+weights with ``+=`` in that order. So the posteriors and the matrix's
+stationary vector share one normalizer, and results are reproducible to the
+bit.
+
 Everything here is exact up to 64-bit float rounding and is only meant for
 networks small enough to enumerate; the caps below are refusals, not
-truncations. Summations run in a fixed order (free-node assignments
-enumerated with the last free node varying fastest), so results are
-reproducible to the bit.
+truncations. The transition matrix, like the bounds built on it, refuses
+tables with 0/1 entries.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ImpossibleEvidenceError
+from .errors import CapacityError, ImpossibleEvidenceError, PositivityError
 from .network import BeliefNetwork, Evidence
 from .chain import _conditional_weights, _prepare
 
@@ -63,30 +71,46 @@ class MixingReport:
     rpd: dict[int, float]  # transition count -> relative pointwise distance
 
 
-def _state_space_size(net: BeliefNetwork, free: tuple[int, ...]) -> int:
-    m = 1
-    for i in free:
-        m *= len(net.nodes[i].outcomes)
-    return m
+class _Joint:
+    """One enumeration of the evidence-consistent joint states.
+
+    Checks the evidence and the state count against the cap once, then
+    iterates (free assignment, joint weight) with the last free node varying
+    fastest, holding one state buffer. ``normalizer()`` is the sequential
+    sum of the weights the last iteration yielded.
+    """
+
+    def __init__(self, net: BeliefNetwork, ev: Evidence, cap: int, what: str):
+        self.tab, self.free, self.template = _prepare(net, ev)
+        self.size = math.prod(self.tab.k[i] for i in self.free)
+        if self.size > cap:
+            raise CapacityError(f"{self.size} free joint states exceed the {what} cap {cap}")
+        self._total = 0.0
+
+    def __iter__(self):
+        free, weight = self.free, self.tab.joint_weight
+        state = self.template.copy()
+        total = 0.0
+        for assignment in itertools.product(*(range(self.tab.k[i]) for i in free)):
+            for slot, i in enumerate(free):
+                state[i] = assignment[slot]
+            p = weight(state)
+            total += p
+            yield assignment, p
+        self._total = total
+
+    def normalizer(self) -> float:
+        if self._total <= 0.0:
+            raise ImpossibleEvidenceError("evidence has probability zero")
+        return self._total
 
 
-def _iter_joint(net, ev):
-    """Yield (free_assignment, joint_probability) over evidence-consistent
-    states, last free node fastest. The state buffer is reused internally."""
-    tab, free, template = _prepare(net, ev)
-    state = template.copy()
-    flat, k, parents, strides = tab.flat, tab.k, tab.parents, tab.strides
-    n = tab.n
-    for assignment in itertools.product(*(range(k[i]) for i in free)):
-        for slot, i in enumerate(free):
-            state[i] = assignment[slot]
-        p = 1.0
-        for i in range(n):
-            row = 0
-            for q, s in zip(parents[i], strides[i]):
-                row += state[q] * s
-            p *= flat[i][row * k[i] + state[i]]
-        yield assignment, p
+def _require_positive(net: BeliefNetwork) -> None:
+    if not all(nd.cpt.positive for nd in net.nodes):
+        raise PositivityError(
+            "the mixing analysis requires every table entry strictly inside "
+            "(0, 1); 0/1 entries (deterministic relationships) void it"
+        )
 
 
 def enumerate_posteriors(
@@ -95,18 +119,13 @@ def enumerate_posteriors(
     """Exact posterior of every free node outcome given the evidence, by
     summation over all evidence-consistent joint states; also returns the
     evidence probability."""
-    tab, free, _ = _prepare(net, ev)
-    m = _state_space_size(net, free)
-    if m > cap:
-        raise CapacityError(f"{m} free joint states exceed the enumeration cap {cap}")
-    sums = [[0.0] * tab.k[i] for i in free]
-    total = 0.0
-    for assignment, p in _iter_joint(net, ev):
-        total += p
+    joint = _Joint(net, ev, cap, "enumeration")
+    free = joint.free
+    sums = [[0.0] * joint.tab.k[i] for i in free]
+    for assignment, p in joint:
         for slot, v in enumerate(assignment):
             sums[slot][v] += p
-    if total <= 0.0:
-        raise ImpossibleEvidenceError("evidence has probability zero")
+    total = joint.normalizer()
     names = tuple(net.nodes[i].name for i in free)
     labels = tuple(net.nodes[i].outcomes for i in free)
     probs = tuple(tuple(s / total for s in row) for row in sums)
@@ -118,19 +137,9 @@ def min_joint_posterior(
 ) -> float:
     """The smallest posterior probability of any evidence-consistent joint
     state of the free nodes."""
-    tab, free, _ = _prepare(net, ev)
-    m = _state_space_size(net, free)
-    if m > cap:
-        raise CapacityError(f"{m} free joint states exceed the enumeration cap {cap}")
-    total = 0.0
-    smallest = None
-    for _, p in _iter_joint(net, ev):
-        total += p
-        if smallest is None or p < smallest:
-            smallest = p
-    if total <= 0.0 or smallest is None:
-        raise ImpossibleEvidenceError("evidence has probability zero")
-    return smallest / total
+    joint = _Joint(net, ev, cap, "enumeration")
+    smallest = min(p for _, p in joint)
+    return smallest / joint.normalizer()
 
 
 def build_transition_matrix(
@@ -142,47 +151,41 @@ def build_transition_matrix(
     node i, with value (1/(2n)) q_i(new value | state) for n free nodes and
     q the full conditional; the diagonal keeps the remaining mass, which is
     at least 1/2. The stationary vector is the exact posterior over states,
-    taken from the same joint sums as :func:`enumerate_posteriors`.
+    taken from the same joint sums as :func:`enumerate_posteriors`. Like the
+    bounds, it refuses tables with 0/1 entries, whose chains may be
+    reducible.
     """
-    tab, free, template = _prepare(net, ev)
+    _require_positive(net)
+    joint = _Joint(net, ev, cap, "matrix")
+    tab, free = joint.tab, joint.free
     if not free:
         raise ValueError("no free nodes: every node is clamped by evidence")
-    m = _state_space_size(net, free)
-    if m > cap:
-        raise CapacityError(f"{m} chain states exceed the matrix cap {cap}")
-
-    states = []
-    joint = np.empty(m)
-    for idx, (assignment, p) in enumerate(_iter_joint(net, ev)):
-        states.append(assignment)
-        joint[idx] = p
-    total = float(joint.sum())
-    if total <= 0.0:
-        raise ImpossibleEvidenceError("evidence has probability zero")
-    stationary = joint / total
 
     # mixed-radix strides of each free slot in the enumeration order
-    sizes = [tab.k[i] for i in free]
     place = [0] * len(free)
     acc = 1
     for slot in range(len(free) - 1, -1, -1):
         place[slot] = acc
-        acc *= sizes[slot]
+        acc *= tab.k[free[slot]]
 
-    n = len(free)
-    half_over_n = 0.5 / n
+    m = joint.size
+    half_over_n = 0.5 / len(free)
+    states = []
+    weights = np.empty(m)
     matrix = np.zeros((m, m))
-    state = template.copy()
-    for idx, assignment in enumerate(states):
+    state = joint.template.copy()
+    for idx, (assignment, p) in enumerate(joint):
+        states.append(assignment)
+        weights[idx] = p
         for slot, i in enumerate(free):
             state[i] = assignment[slot]
         diagonal = 0.5
         for slot, i in enumerate(free):
-            weights, wtotal = _conditional_weights(tab, state, i)
+            cond, ctotal = _conditional_weights(tab, state, i)
             cur = assignment[slot]
             base = idx - cur * place[slot]
-            for v, w in enumerate(weights):
-                q = w / wtotal
+            for v, w in enumerate(cond):
+                q = w / ctotal
                 if v == cur:
                     diagonal += half_over_n * q
                 else:
@@ -192,7 +195,7 @@ def build_transition_matrix(
         free_nodes=tuple(net.nodes[i].name for i in free),
         states=tuple(states),
         matrix=matrix,
-        stationary=stationary,
+        stationary=weights / joint.normalizer(),
     )
 
 

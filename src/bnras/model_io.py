@@ -76,10 +76,9 @@ class Diagnostic:
 
 @dataclass
 class NetworkDocument:
-    """Parse result: the source, the resolved network (if any), and
-    location-tagged diagnostics."""
+    """Parse result: the resolved network (if any) and location-tagged
+    diagnostics."""
 
-    source: str
     network: BeliefNetwork | None
     diagnostics: list[Diagnostic]
 
@@ -266,11 +265,10 @@ def parse_document(text: str) -> NetworkDocument:
         net = parse_network(text)
     except NetworkFormatError as exc:
         return NetworkDocument(
-            source=text,
             network=None,
             diagnostics=[Diagnostic(exc.line or 1, exc.column or 1, str(exc))],
         )
-    return NetworkDocument(source=text, network=net, diagnostics=[])
+    return NetworkDocument(network=net, diagnostics=[])
 
 
 def _fmt(p: float) -> str:

@@ -14,6 +14,7 @@ network whose report says ``ok``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -72,9 +73,24 @@ class Node:
 
 @dataclass(frozen=True)
 class Evidence:
-    """Partial assignment clamping observed nodes to outcome indices."""
+    """Partial assignment clamping observed nodes to outcome indices.
+
+    Integer indices of any type (numpy's included) are stored as Python
+    ints; booleans and other values are kept for :func:`check_evidence` to
+    reject.
+    """
 
     assignments: Mapping[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        clean = {
+            name: int(v) if isinstance(v, numbers.Integral) and not isinstance(v, bool) else v
+            for name, v in self.assignments.items()
+        }
+        object.__setattr__(self, "assignments", clean)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.assignments.items()))
 
     @classmethod
     def empty(cls) -> "Evidence":
@@ -139,11 +155,16 @@ class _Tables:
         self.children = [tuple(cs) for cs in children]
         self.child_strides = [tuple(cs) for cs in child_strides]
 
-    def row_index(self, node: int, state: JointState) -> int:
-        row = 0
-        for p, s in zip(self.parents[node], self.strides[node]):
-            row += state[p] * s
-        return row
+    def joint_weight(self, state: JointState) -> float:
+        """Product over all nodes of their table entry in a full state."""
+        flat, k, parents, strides = self.flat, self.k, self.parents, self.strides
+        p = 1.0
+        for i in range(self.n):
+            row = 0
+            for q, s in zip(parents[i], strides[i]):
+                row += state[q] * s
+            p *= flat[i][row * k[i] + state[i]]
+        return p
 
 
 @dataclass(frozen=True)
@@ -304,17 +325,13 @@ def conditional_probability(
     """P(node = value | parents as assigned in state), a plain table lookup."""
     tab = net.tables
     i = net.node_index[node]
-    k = tab.k[i]
-    return tab.flat[i][tab.row_index(i, state) * k + value]
+    row = sum(state[p] * s for p, s in zip(tab.parents[i], tab.strides[i]))
+    return tab.flat[i][row * tab.k[i] + value]
 
 
 def joint_probability(net: BeliefNetwork, state: JointState) -> float:
     """Product over all nodes of their conditional probability in state."""
-    tab = net.tables
-    p = 1.0
-    for i in range(tab.n):
-        p *= tab.flat[i][tab.row_index(i, state) * tab.k[i] + state[i]]
-    return p
+    return net.tables.joint_weight(state)
 
 
 def markov_blanket(net: BeliefNetwork, node: str) -> set[str]:
@@ -341,7 +358,7 @@ def check_evidence(net: BeliefNetwork, ev: Evidence) -> None:
         if name not in net.node_index:
             raise ValueError(f"evidence names unknown node {name!r}")
         k = len(net.node(name).outcomes)
-        if not isinstance(value, int) or not 0 <= value < k:
+        if type(value) is not int or not 0 <= value < k:
             raise ValueError(f"evidence for node {name}: outcome index {value!r} invalid")
 
 

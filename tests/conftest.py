@@ -44,6 +44,25 @@ def empty():
     return bnras.Evidence.empty()
 
 
+@pytest.fixture(scope="session")
+def and_gate():
+    """A and C uniform, B = A and C as 0/1 rows: a valid network whose
+    uniform restarts can land on states of probability zero."""
+    return bnras.parse_network(
+        "network AND\n"
+        "node A { outcomes: t, f }\ncpt A:\n 0.5 0.5\n"
+        "node C { outcomes: t, f }\ncpt C:\n 0.5 0.5\n"
+        "node B { outcomes: t, f }\nparents B: A, C\n"
+        "cpt B:\n 1 0\n 0 1\n 0 1\n 0 1\n"
+    )
+
+
+def evidence_sets(net):
+    """Empty evidence plus one single-node clamp per network."""
+    last = net.nodes[-1].name
+    return [bnras.Evidence.empty(), bnras.Evidence({last: 0})]
+
+
 def _joint_weight(net, assignment):
     """Product of raw table entries at a full joint assignment {name: index},
     with row indices accumulated Horner-style over the parent list."""

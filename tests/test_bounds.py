@@ -5,6 +5,8 @@ import pytest
 import bnras
 from bnras import ErrorTolerances, Evidence
 
+from conftest import evidence_sets
+
 
 def test_trials_bound_frozen_values():
     # independent evaluation: 1/(4*0.1*0.01) = 250, 1/(4*0.05*0.0025) = 2000
@@ -107,10 +109,7 @@ def test_error_tolerances_domain():
         ErrorTolerances(alpha=0.0, delta=0.1, gamma=0.1)
     with pytest.raises(ValueError):
         ErrorTolerances(alpha=0.1, delta=1.0, gamma=0.1)
-    with pytest.raises(ValueError):
-        ErrorTolerances(alpha=0.1, delta=0.1, gamma=0.1, epsilon=2.0)
-    tol = ErrorTolerances(alpha=0.1, delta=0.1, gamma=0.1)
-    assert tol.epsilon == 0.1  # carried for reporting
+    ErrorTolerances(alpha=0.1, delta=0.1, gamma=0.1)
 
 
 def test_factored_lower_bounds_ab(ab, empty):
@@ -181,9 +180,15 @@ def test_report_bounds_factored_dominates_exact(nets):
         assert factored.t_per_trial >= exact.t_per_trial
         assert factored.trials == exact.trials
         assert not factored.exact_inputs
+        # Pi and p0 of exact mode come off the one matrix, bit for bit
+        for ev in evidence_sets(net):
+            exact = bnras.report_bounds(net, ev, tol, mode="exact")
+            tm = bnras.build_transition_matrix(net, ev)
+            assert exact.pi_min == bnras.min_joint_posterior(net, ev) == tm.stationary.min()
+            assert exact.p0 == bnras.min_transition_probability(tm)
 
 
-def test_report_bounds_rejects_zero_entries():
+def test_report_bounds_rejects_zero_entries(and_gate):
     doc = (
         "network D\nnode A { outcomes: t, f }\ncpt A:\n 0.5 0.5\n"
         "node B { outcomes: t, f }\nparents B: A\ncpt B:\n 1 0\n 0 1\n"
@@ -193,6 +198,12 @@ def test_report_bounds_rejects_zero_entries():
     for mode in ("exact", "factored"):
         with pytest.raises(bnras.PositivityError, match="deterministic"):
             bnras.report_bounds(net, Evidence.empty(), tol, mode=mode)
+    # the matrix and the mixing report refuse the same tables
+    for refused in (net, and_gate):
+        with pytest.raises(bnras.PositivityError, match="deterministic"):
+            bnras.build_transition_matrix(refused, Evidence.empty())
+        with pytest.raises(bnras.PositivityError, match="deterministic"):
+            bnras.mixing_report(refused, Evidence.empty(), t_values=(1,))
 
 
 def test_report_bounds_bad_mode(ab, empty):

@@ -182,6 +182,25 @@ def test_input_validation(ab, empty):
         bnras.straight_estimate(ab, Evidence({"A": 0, "B": 0}), 10, RandomStream(0))
 
 
+def test_deterministic_conflict_names_node_and_position(and_gate, empty):
+    with pytest.raises(bnras.DeterministicConflictError,
+                       match=r"node [AC] are zero in trial \d+ of seed 7;"):
+        bnras.bnras_estimate(and_gate, empty, 100, 10, RandomStream(7))
+    # cyclic scan conflicts only from some restart states; find one
+    failed = []
+    for seed in range(20):
+        try:
+            bnras.straight_estimate(and_gate, empty, 10, RandomStream(seed))
+        except bnras.DeterministicConflictError as exc:
+            assert exc.node in (0, 1)
+            assert str(exc).startswith(
+                f"all conditional weights of node {and_gate.nodes[exc.node].name} "
+                f"are zero at step 1 of seed {seed};"
+            )
+            failed.append(seed)
+    assert failed
+
+
 def test_error_metrics_zero_for_oracle_itself(ab, empty):
     oracle = bnras.enumerate_posteriors(ab, empty)
     est = bnras.PosteriorEstimate(

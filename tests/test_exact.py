@@ -6,13 +6,7 @@ import pytest
 import bnras
 from bnras import Evidence
 
-from conftest import brute_posteriors
-
-
-def evidence_sets(net):
-    """Empty evidence plus one single-node clamp per network."""
-    last = net.nodes[-1].name
-    return [Evidence.empty(), Evidence({last: 0})]
+from conftest import brute_posteriors, evidence_sets
 
 
 def test_ab_posterior_given_b(ab):

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import bnras
@@ -214,7 +215,18 @@ def test_check_evidence_rejects_bad_entries(ab):
         bnras.check_evidence(ab, Evidence({"Q": 0}))
     with pytest.raises(ValueError):
         bnras.check_evidence(ab, Evidence({"A": 2}))
+    with pytest.raises(ValueError, match="outcome index True"):
+        bnras.check_evidence(ab, Evidence({"A": True}))
     bnras.check_evidence(ab, Evidence({"A": 1}))
+    bnras.check_evidence(ab, Evidence({"A": np.int64(1)}))
+
+
+def test_evidence_is_hashable_and_stores_python_ints():
+    ev = Evidence({"A": np.int64(0)})
+    assert type(ev.get("A")) is int
+    assert ev == Evidence({"A": 0})
+    assert hash(ev) == hash(Evidence({"A": 0}))
+    assert len({ev, Evidence({"A": 0}), Evidence({"A": 1})}) == 2
 
 
 def test_check_state(ab):
