@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .chain import _prepare, _require_free
 from .errors import MixingOverflowError
 from .exact import (
     DEFAULT_ENUM_CAP,
@@ -35,7 +36,7 @@ from .exact import (
     build_transition_matrix,
     min_transition_probability,
 )
-from .network import BeliefNetwork, Evidence, check_evidence
+from .network import BeliefNetwork, Evidence
 
 
 @dataclass(frozen=True)
@@ -119,30 +120,23 @@ def factored_lower_bounds(net: BeliefNetwork, ev: Evidence) -> tuple[float, floa
     children and k is the node's outcome count, then applies the 1/(2n)
     selection factor of the lazy kernel.
     """
-    check_evidence(net, ev)
+    tab, free, _ = _prepare(net, ev)
     _require_positive(net)
-    free = [nd for nd in net.nodes if nd.name not in ev]
-    if not free:
-        raise ValueError("no free nodes: every node is clamped by evidence")
+    _require_free(free)
 
     pi_lb = 1.0
     for nd in net.nodes:
         pi_lb *= nd.cpt.min_entry
 
-    children: dict[str, list[str]] = {nd.name: [] for nd in net.nodes}
-    for nd in net.nodes:
-        for p in nd.parents:
-            children[p].append(nd.name)
-
     worst = None
-    for nd in free:
-        group = [nd] + [net.node(c) for c in children[nd.name]]
+    for i in free:
         m = 1.0
         big = 1.0
-        for member in group:
-            m *= member.cpt.min_entry
-            big *= member.cpt.max_entry
-        ratio = m / (len(nd.outcomes) * big)
+        for member in (i, *tab.children[i]):
+            cpt = net.nodes[member].cpt
+            m *= cpt.min_entry
+            big *= cpt.max_entry
+        ratio = m / (tab.k[i] * big)
         if worst is None or ratio < worst:
             worst = ratio
     p0_lb = worst / (2.0 * len(free))

@@ -60,6 +60,20 @@ def _prepare(net: BeliefNetwork, ev: Evidence) -> tuple[_Tables, tuple[int, ...]
     return tab, tuple(free), template
 
 
+def _require_free(free: tuple[int, ...]) -> None:
+    if not free:
+        raise ValueError("no free nodes: every node is clamped by evidence")
+
+
+def _uniform_state(tab: _Tables, free: tuple[int, ...], template: list[int], rand) -> list[int]:
+    """The template with each free node drawn uniformly over its outcomes,
+    one draw per free node in declaration order."""
+    state = template.copy()
+    for i in free:
+        state[i] = int(rand() * tab.k[i])
+    return state
+
+
 def _conditional_weights(tab: _Tables, state: JointState, i: int) -> tuple[list[float], float]:
     """Unnormalized full-conditional weights of node i given the rest.
 
@@ -90,15 +104,21 @@ def _conditional_weights(tab: _Tables, state: JointState, i: int) -> tuple[list[
     return weights, total
 
 
+def _zero_weights(i: int) -> DeterministicConflictError:
+    """The refusal of node i when all its conditional weights are zero;
+    callers that hold the network restate it with :func:`_located`."""
+    return DeterministicConflictError(
+        f"all conditional weights of node index {i} are zero; "
+        "the 0/1 table entries conflict with the current state",
+        node=i,
+    )
+
+
 def _resample(tab: _Tables, state: list[int], i: int, rand) -> None:
     """Redraw node i from its full conditional using one uniform draw."""
     weights, total = _conditional_weights(tab, state, i)
     if total <= 0.0:
-        raise DeterministicConflictError(
-            f"all conditional weights of node index {i} are zero; "
-            "the 0/1 table entries conflict with the current state",
-            node=i,
-        )
+        raise _zero_weights(i)
     r = rand() * total
     acc = 0.0
     chosen = -1
@@ -112,8 +132,8 @@ def _resample(tab: _Tables, state: list[int], i: int, rand) -> None:
 
 
 def _located(net: BeliefNetwork, exc: DeterministicConflictError, where: str):
-    """Restate a conflict raised by :func:`_resample` with the node's name
-    and where in a run it happened."""
+    """Restate a :func:`_zero_weights` refusal with the node's name and
+    where it happened."""
     return DeterministicConflictError(
         f"all conditional weights of node {net.nodes[exc.node].name} are zero "
         f"{where}; the 0/1 table entries conflict with the current state",
@@ -137,13 +157,10 @@ def full_conditional(net: BeliefNetwork, state: JointState, node: str) -> list[f
     node's Markov blanket.
     """
     check_state(net, state)
-    tab = net.tables
     i = net.node_index[node]
-    weights, total = _conditional_weights(tab, state, i)
+    weights, total = _conditional_weights(net.tables, state, i)
     if total <= 0.0:
-        raise DeterministicConflictError(
-            f"all conditional weights of node {node} are zero"
-        )
+        raise _located(net, _zero_weights(i), "in the given state")
     return [w / total for w in weights]
 
 
@@ -151,18 +168,16 @@ def init_random_state(net: BeliefNetwork, ev: Evidence, rng: RandomStream) -> Ch
     """Fresh walker: evidence clamped, each free node independently uniform
     over its outcomes (one draw per free node, in declaration order)."""
     tab, free, template = _prepare(net, ev)
-    state = template.copy()
-    rand = rng.random
-    for i in free:
-        state[i] = int(rand() * tab.k[i])
-    return ChainState(state=state, free=free, cursor=0)
+    return ChainState(state=_uniform_state(tab, free, template, rng.random), free=free)
 
 
 def do_transition(net: BeliefNetwork, cs: ChainState, rng: RandomStream) -> ChainState:
     """One lazy random-scan transition, mutating and returning ``cs``."""
-    if not cs.free:
-        raise ValueError("no free nodes: every node is clamped by evidence")
-    _run_lazy(net.tables, cs.free, cs.state, 1, rng.random)
+    _require_free(cs.free)
+    try:
+        _run_lazy(net.tables, cs.free, cs.state, 1, rng.random)
+    except DeterministicConflictError as exc:
+        raise _located(net, exc, f"in a lazy transition of seed {rng.seed_value}") from None
     return cs
 
 
@@ -172,14 +187,15 @@ def next_trial(net: BeliefNetwork, ev: Evidence, t: int, rng: RandomStream) -> t
     if t < 0:
         raise ValueError("transition count must be >= 0")
     tab, free, template = _prepare(net, ev)
-    return tuple(_trial(tab, free, template, t, rng))
+    try:
+        return tuple(_trial(tab, free, template, t, rng))
+    except DeterministicConflictError as exc:
+        raise _located(net, exc, f"in a trial of seed {rng.seed_value}") from None
 
 
 def _trial(tab: _Tables, free: tuple[int, ...], template: list[int], t: int, rng) -> list[int]:
-    state = template.copy()
     rand = rng.random
-    for i in free:
-        state[i] = int(rand() * tab.k[i])
+    state = _uniform_state(tab, free, template, rand)
     if t:
         _run_lazy(tab, free, state, t, rand)
     return state
@@ -188,8 +204,10 @@ def _trial(tab: _Tables, free: tuple[int, ...], template: list[int], t: int, rng
 def straight_step(net: BeliefNetwork, cs: ChainState, rng: RandomStream) -> ChainState:
     """One cyclic-scan step: resample the cursor's node from its full
     conditional and advance the cursor over the free nodes."""
-    if not cs.free:
-        raise ValueError("no free nodes: every node is clamped by evidence")
-    _resample(net.tables, cs.state, cs.free[cs.cursor], rng.random)
+    _require_free(cs.free)
+    try:
+        _resample(net.tables, cs.state, cs.free[cs.cursor], rng.random)
+    except DeterministicConflictError as exc:
+        raise _located(net, exc, f"in a cyclic-scan step of seed {rng.seed_value}") from None
     cs.cursor = (cs.cursor + 1) % len(cs.free)
     return cs

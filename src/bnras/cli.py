@@ -32,7 +32,7 @@ from .errors import (
 from .estimate import bnras_estimate, error_metrics, straight_estimate
 from .exact import enumerate_posteriors
 from .model_io import builtin_networks, format_evidence, parse_document, parse_evidence
-from .network import BeliefNetwork, validate_network
+from .network import BeliefNetwork
 from .rng import RandomStream
 
 CSV_HEADER = (
@@ -72,24 +72,22 @@ def _enum_cap() -> int:
     return cap
 
 
+def _read_network(path: str) -> BeliefNetwork:
+    """Parse (and so validate) a network file, printing each diagnostic to
+    stderr prefixed with the path."""
+    with open(path, "r", encoding="utf-8") as handle:
+        doc = parse_document(handle.read())
+    if doc.network is None:
+        for diag in doc.diagnostics:
+            print(f"{path}: {diag}", file=sys.stderr)
+        raise NetworkFormatError(f"{path}: could not parse network")
+    return doc.network
+
+
 def _load_network(ref: str) -> BeliefNetwork:
     """Resolve a builtin name or parse a file path."""
     catalog = builtin_networks()
-    if ref in catalog:
-        return catalog[ref]
-    with open(ref, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    doc = parse_document(text)
-    if doc.network is None:
-        for diag in doc.diagnostics:
-            print(f"{ref}: {diag}", file=sys.stderr)
-        raise NetworkFormatError(f"{ref}: could not parse network")
-    report = validate_network(doc.network)
-    if not report.ok:
-        for issue in report.issues:
-            print(f"{ref}: {issue}", file=sys.stderr)
-        raise NetworkValidationError(f"{ref}: network failed validation")
-    return doc.network
+    return catalog[ref] if ref in catalog else _read_network(ref)
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -125,26 +123,10 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    doc = parse_document(text)
-    if doc.network is None:
-        for diag in doc.diagnostics:
-            print(f"{args.path}: {diag}", file=sys.stderr)
-        return EXIT_VALIDATION
-    report = validate_network(doc.network)
-    for issue in report.issues:
-        print(f"{args.path}: {issue}", file=sys.stderr)
-    if not report.ok:
-        return EXIT_VALIDATION
-    positivity = "strictly positive" if report.positive else "contains 0/1 entries"
-    print(
-        f"{doc.network.name}: ok ({len(doc.network.nodes)} nodes, {positivity})"
-    )
+    net = _read_network(args.path)
+    positive = all(nd.cpt.positive for nd in net.nodes)
+    positivity = "strictly positive" if positive else "contains 0/1 entries"
+    print(f"{net.name}: ok ({len(net.nodes)} nodes, {positivity})")
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .chain import _located, _prepare, _resample, _trial
+from .chain import _located, _prepare, _require_free, _resample, _trial, _uniform_state
 from .errors import DeterministicConflictError
 from .exact import PosteriorTable
 from .network import BeliefNetwork, Evidence
@@ -140,16 +140,13 @@ def straight_estimate(
     if not 0 <= burn_in < total_transitions:
         raise ValueError("burn_in must be in [0, total_transitions)")
     tab, free, template = _prepare(net, ev)
-    if not free:
-        raise ValueError("no free nodes: every node is clamped by evidence")
+    _require_free(free)
     names, labels = _labels(net, free)
     tally = [[0] * tab.k[i] for i in free]
     checkpoints: list[Checkpoint] = []
     rand = rng.random
     cpu0, wall0 = time.process_time(), time.perf_counter()
-    state = template.copy()
-    for i in free:
-        state[i] = int(rand() * tab.k[i])
+    state = _uniform_state(tab, free, template, rand)
     cursor = 0
     nfree = len(free)
     scored = 0

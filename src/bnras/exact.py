@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CapacityError, ImpossibleEvidenceError, PositivityError
 from .network import BeliefNetwork, Evidence
-from .chain import _conditional_weights, _prepare
+from .chain import _conditional_weights, _prepare, _require_free
 
 #: Largest number of free joint states enumerate_posteriors will visit.
 DEFAULT_ENUM_CAP = 1 << 22
@@ -158,8 +158,7 @@ def build_transition_matrix(
     _require_positive(net)
     joint = _Joint(net, ev, cap, "matrix")
     tab, free = joint.tab, joint.free
-    if not free:
-        raise ValueError("no free nodes: every node is clamped by evidence")
+    _require_free(free)
 
     # mixed-radix strides of each free slot in the enumeration order
     place = [0] * len(free)

@@ -11,9 +11,17 @@ Network documents (extension ``.bn``) are token streams:
 ``#`` starts a comment running to end of line; whitespace only separates
 tokens. A cpt block's numbers are reshaped into rows of one entry per
 outcome, with one row per combination of parent outcomes, the last declared
-parent varying fastest. Rows must sum to 1 within 1e-9 and are renormalized
-on load (see :func:`bnras.network.normalize_rows`). Probabilities may use
-scientific notation and are read as 64-bit floats.
+parent varying fastest. Probabilities may use scientific notation and are
+read as 64-bit floats.
+
+The parser checks only what needs the document: blocks naming undeclared
+nodes, unknown parent names, repeated ``parents``/``cpt`` blocks, a node
+without a cpt, and each cpt's count of numbers. The network it builds is
+then judged by :func:`bnras.network.validate_network` (outcome counts and
+labels, duplicate nodes, repeated parents, entry range, row sums, cycles),
+whose first issue is raised at the block it names. Rows must sum to 1
+within 1e-9 and are renormalized on load (see
+:func:`bnras.network.normalize_rows`).
 
 Evidence strings are ``Name=outcome`` pairs separated by commas; the empty
 string means no evidence.
@@ -21,21 +29,14 @@ string means no evidence.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 
-from .errors import CycleError, NetworkFormatError
-from .network import (
-    BeliefNetwork,
-    Cpt,
-    Evidence,
-    Node,
-    normalize_rows,
-    topological_order,
-    validate_network,
-)
+from .errors import NetworkFormatError
+from .network import BeliefNetwork, Cpt, Evidence, Node, normalize_rows, validate_network
 
 _BUILTIN_FILES = {
     "AB": "ab.bn",
@@ -170,8 +171,6 @@ class _Parser:
                     self.take()
                     outcomes.append(self.expect_ident("outcome label").text)
                 self.expect_punct("}")
-                if len(outcomes) < 2:
-                    self.fail(f"node {name_tok.text}: needs at least 2 outcomes", name_tok)
                 node_decls.append((name_tok, name_tok.text, outcomes))
             elif tok.text == "parents":
                 name_tok = self.expect_ident("node name")
@@ -198,24 +197,15 @@ class _Parser:
         return self.resolve(name, node_decls, parent_decls, cpt_decls)
 
     def resolve(self, name, node_decls, parent_decls, cpt_decls) -> BeliefNetwork:
-        declared: dict[str, tuple[Token, list[str]]] = {}
-        for name_tok, node_name, outcomes in node_decls:
-            if node_name in declared:
-                self.fail(f"duplicate node {node_name}", name_tok)
-            if len(set(outcomes)) != len(outcomes):
-                self.fail(f"node {node_name}: duplicate outcome labels", name_tok)
-            declared[node_name] = (name_tok, outcomes)
-
+        outcomes_of = {node_name: outcomes for _, node_name, outcomes in node_decls}
         for node_name, (tok, plist) in parent_decls.items():
-            if node_name not in declared:
+            if node_name not in outcomes_of:
                 self.fail(f"parents declared for unknown node {node_name}", tok)
             for p in plist:
-                if p not in declared:
-                    self.fail(f"node {node_name}: unknown parent {p}", tok)
-            if len(set(plist)) != len(plist):
-                self.fail(f"node {node_name}: repeated parent", tok)
+                if p not in outcomes_of:
+                    self.fail(f"parents {node_name}: unknown parent {p}", tok)
         for node_name, (tok, _) in cpt_decls.items():
-            if node_name not in declared:
+            if node_name not in outcomes_of:
                 self.fail(f"cpt declared for unknown node {node_name}", tok)
 
         nodes = []
@@ -225,36 +215,36 @@ class _Parser:
                 self.fail(f"node {node_name}: no cpt declared", name_tok)
             cpt_tok, numbers = cpt_decls[node_name]
             k = len(outcomes)
-            expected_rows = 1
-            for p in plist:
-                expected_rows *= len(declared[p][1])
+            expected_rows = math.prod(len(outcomes_of[p]) for p in plist)
             if len(numbers) != expected_rows * k:
                 self.fail(
                     f"cpt {node_name}: {len(numbers)} probabilities, "
                     f"expected {expected_rows} rows of {k}",
                     cpt_tok,
                 )
-            if any(not (0.0 <= x <= 1.0) for x in numbers):
-                self.fail(f"cpt {node_name}: probability outside [0, 1]", cpt_tok)
-            raw_rows = [numbers[r * k : (r + 1) * k] for r in range(expected_rows)]
-            try:
-                rows = normalize_rows(raw_rows)
-            except ValueError as exc:
-                self.fail(f"cpt {node_name}: {exc}", cpt_tok)
-            nodes.append(Node(node_name, tuple(outcomes), tuple(plist), Cpt(rows)))
+            rows = [numbers[r * k : (r + 1) * k] for r in range(expected_rows)]
+            nodes.append(Node(node_name, tuple(outcomes), tuple(plist), Cpt.from_rows(rows)))
 
         net = BeliefNetwork(name, tuple(nodes))
-        try:
-            topological_order(net)
-        except CycleError:
+        issues = validate_network(net).issues
+        if issues:
+            # "kind X: ..." lands on X's kind block (a repeated node name on
+            # its last node block); network-wide issues, such as the cycle,
+            # on the first parents block
+            blocks = {("node", n): tok for tok, n, _ in node_decls}
+            blocks.update({("parents", n): tok for n, (tok, _) in parent_decls.items()})
+            blocks.update({("cpt", n): tok for n, (tok, _) in cpt_decls.items()})
+            kind, _, rest = issues[0].partition(" ")
             first = next(iter(parent_decls.values()))[0] if parent_decls else self.tokens[0]
-            self.fail("parent relation contains a cycle", first)
-        return net
+            self.fail(issues[0], blocks.get((kind, rest.partition(":")[0]), first))
+        return replace(
+            net, nodes=tuple(replace(nd, cpt=Cpt(normalize_rows(nd.cpt.rows))) for nd in nodes)
+        )
 
 
 def parse_network(text: str) -> BeliefNetwork:
     """Parse a network document; raises NetworkFormatError with a location
-    on the first syntactic or semantic problem."""
+    on the first syntactic problem or validation issue."""
     return _Parser(text).parse()
 
 
@@ -338,9 +328,5 @@ def builtin_networks() -> dict[str, BeliefNetwork]:
     catalog: dict[str, BeliefNetwork] = {}
     for name, filename in _BUILTIN_FILES.items():
         text = resources.files(__package__).joinpath(f"data/{filename}").read_text()
-        net = parse_network(text)
-        report = validate_network(net)
-        if not report.ok:
-            raise RuntimeError(f"bundled network {name} is invalid: {report.issues}")
-        catalog[name] = net
+        catalog[name] = parse_network(text)
     return catalog

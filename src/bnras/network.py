@@ -7,8 +7,10 @@ fastest, which fixes a bit-exact file layout.
 
 Construction is permissive: a structurally broken network can be built and
 then inspected with :func:`validate_network`, which reports problems instead
-of raising. All downstream machinery (samplers, enumeration) assumes a
-network whose report says ``ok``.
+of raising. :func:`validate_network` is the one definition of a valid
+network; :attr:`BeliefNetwork.tables`, which every sampler, the oracle and
+the bounds compile through, raises :class:`NetworkValidationError` with its
+issues unless the report says ``ok``.
 """
 
 from __future__ import annotations
@@ -113,7 +115,8 @@ class _Tables:
     """Index-based lookup structure compiled once per network.
 
     Everything the samplers and the enumeration oracle touch per step lives
-    here as flat Python lists, keyed by node index.
+    here as flat Python lists, keyed by node index. Built only for networks
+    that :func:`validate_network` accepts.
     """
 
     __slots__ = ("n", "k", "parents", "strides", "flat", "children", "child_strides")
@@ -127,22 +130,12 @@ class _Tables:
         self.strides: list[tuple[int, ...]] = []
         self.flat: list[list[float]] = []
         for nd in nodes:
-            try:
-                pix = tuple(index[p] for p in nd.parents)
-            except KeyError as exc:
-                raise NetworkValidationError(
-                    f"node {nd.name}: unknown parent {exc.args[0]!r}"
-                ) from None
-            sizes = [self.k[p] for p in pix]
+            pix = tuple(index[p] for p in nd.parents)
             strides = [0] * len(pix)
             acc = 1
             for j in range(len(pix) - 1, -1, -1):  # last parent varies fastest
                 strides[j] = acc
-                acc *= sizes[j]
-            if len(nd.cpt.rows) != acc:
-                raise NetworkValidationError(
-                    f"node {nd.name}: {len(nd.cpt.rows)} CPT rows, expected {acc}"
-                )
+                acc *= self.k[pix[j]]
             self.parents.append(pix)
             self.strides.append(tuple(strides))
             self.flat.append([p for row in nd.cpt.rows for p in row])
@@ -184,7 +177,11 @@ class BeliefNetwork:
 
     @cached_property
     def tables(self) -> _Tables:
-        """Compiled lookup tables; raises if the structure is broken."""
+        """Compiled lookup tables; raises NetworkValidationError with the
+        issues of :func:`validate_network` unless its report is ``ok``."""
+        issues = validate_network(self).issues
+        if issues:
+            raise NetworkValidationError(f"network {self.name} is invalid: " + "; ".join(issues))
         return _Tables(self)
 
     def __repr__(self) -> str:
@@ -193,6 +190,15 @@ class BeliefNetwork:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Findings of :func:`validate_network`.
+
+    ``issues`` holds one line per problem, in the order checked. A problem
+    with one node starts with the block of a network document that states
+    it: ``node X: ...`` (name and outcomes), ``parents X: ...`` (parent
+    list) or ``cpt X: ...`` (table rows). Network-wide problems, such as a
+    cycle, name no block.
+    """
+
     acyclic: bool
     resolved: bool
     normalized: bool
@@ -236,7 +242,7 @@ def validate_network(net: BeliefNetwork) -> ValidationReport:
     seen: set[str] = set()
     for nd in net.nodes:
         if nd.name in seen:
-            issues.append(f"duplicate node name {nd.name}")
+            issues.append(f"node {nd.name}: duplicate node name")
             resolved = False
         seen.add(nd.name)
 
@@ -249,31 +255,29 @@ def validate_network(net: BeliefNetwork) -> ValidationReport:
             resolved = False
         unknown = [p for p in nd.parents if p not in net.node_index]
         for p in unknown:
-            issues.append(f"node {nd.name}: unknown parent {p}")
+            issues.append(f"parents {nd.name}: unknown parent {p}")
             resolved = False
         if len(set(nd.parents)) != len(nd.parents):
-            issues.append(f"node {nd.name}: repeated parent reference")
+            issues.append(f"parents {nd.name}: repeated parent reference")
             resolved = False
         if not unknown:
-            expected = 1
-            for p in nd.parents:
-                expected *= len(net.node(p).outcomes)
+            expected = math.prod(len(net.node(p).outcomes) for p in nd.parents)
             if len(nd.cpt.rows) != expected:
-                issues.append(
-                    f"node {nd.name}: {len(nd.cpt.rows)} CPT rows, expected {expected}"
-                )
+                issues.append(f"cpt {nd.name}: {len(nd.cpt.rows)} rows, expected {expected}")
                 normalized = False
         for r, row in enumerate(nd.cpt.rows):
             if len(row) != len(nd.outcomes):
-                issues.append(f"node {nd.name}: CPT row {r} has {len(row)} entries")
+                issues.append(
+                    f"cpt {nd.name}: row {r} has {len(row)} entries, expected {len(nd.outcomes)}"
+                )
                 normalized = False
                 continue
             if any(not (0.0 <= p <= 1.0) for p in row):
-                issues.append(f"node {nd.name}: CPT row {r} has entries outside [0, 1]")
+                issues.append(f"cpt {nd.name}: row {r} has entries outside [0, 1]")
                 normalized = False
             s = math.fsum(row)
             if abs(s - 1.0) > ROW_SUM_TOL:
-                issues.append(f"node {nd.name}: CPT row {r} sums to {s:.12g}")
+                issues.append(f"cpt {nd.name}: row {r} sums to {s:.12g}")
                 normalized = False
 
     acyclic = True

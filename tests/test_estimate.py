@@ -199,6 +199,18 @@ def test_deterministic_conflict_names_node_and_position(and_gate, empty):
             )
             failed.append(seed)
     assert failed
+    # so does the single-step API
+    failed = []
+    for seed in range(20):
+        try:
+            bnras.next_trial(and_gate, empty, 10, RandomStream(seed))
+        except bnras.DeterministicConflictError as exc:
+            assert str(exc).startswith(
+                f"all conditional weights of node {and_gate.nodes[exc.node].name} "
+                f"are zero in a trial of seed {seed};"
+            )
+            failed.append(seed)
+    assert failed
 
 
 def test_error_metrics_zero_for_oracle_itself(ab, empty):

@@ -53,6 +53,36 @@ def test_errors_carry_line_numbers():
         bnras.parse_network(doc)
     assert info.value.line == 3  # the cpt declaration
     assert "line 3" in str(info.value)
+    # validation issues name their block and land on its line
+    head = "network X\nnode A { outcomes: t, f }\ncpt A:\n 0.5 0.5\n"  # lines 1-4
+    cases = [
+        (
+            head + "node B { outcomes: t, f }\nparents B: A, A\ncpt B:\n" + " 0.5 0.5\n" * 4,
+            "parents B: repeated parent",
+            6,
+        ),
+        (
+            head + "node B { outcomes: t, t }\ncpt B:\n 0.5 0.5\n",
+            "node B: duplicate outcome labels",
+            5,
+        ),
+        (head + "node A { outcomes: t, f }\n", "node A: duplicate node", 5),
+        (
+            head + "node B { outcomes: t, f }\ncpt B:\n 1.5 -0.5\n",
+            "cpt B: row 0 has entries outside",
+            6,
+        ),
+        (
+            "network X\nnode A { outcomes: t, f }\nnode B { outcomes: t, f }\n"
+            "parents A: B\nparents B: A\n"  # lines 4-5
+            "cpt A:\n 0.5 0.5\n 0.5 0.5\ncpt B:\n 0.5 0.5\n 0.5 0.5\n",
+            "parent relation contains a cycle",
+            4,
+        ),
+    ]
+    for text, message, line in cases:
+        with pytest.raises(bnras.NetworkFormatError, match=f"line {line}, column \\d+: {message}"):
+            bnras.parse_network(text)
 
 
 def test_bad_row_sum_names_node_and_row():

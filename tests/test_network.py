@@ -76,6 +76,35 @@ def test_repeated_parent_reported():
     assert any("repeated parent" in issue for issue in report.issues)
 
 
+@pytest.mark.parametrize(
+    "specs, issue",
+    [
+        (
+            [
+                ("A", "tf", ["B"], [(0.5, 0.5), (0.5, 0.5)]),
+                ("B", "tf", ["A"], [(0.5, 0.5), (0.5, 0.5)]),
+            ],
+            "parent relation contains a cycle",
+        ),
+        ([("A", "tf", [], [(0.6, 0.5)])], "cpt A: row 0 sums to 1.1"),
+        ([("A", "tf", [], [(0.2, 0.3, 0.5)])], "cpt A: row 0 has 3 entries, expected 2"),
+    ],
+)
+def test_invalid_network_refused_at_compile(specs, issue):
+    net = build("BROKEN", specs)
+    assert not bnras.validate_network(net).ok
+    empty = Evidence.empty()
+    calls = [
+        lambda: bnras.bnras_estimate(net, empty, 10, 5, bnras.RandomStream(0)),
+        lambda: bnras.straight_estimate(net, empty, 10, bnras.RandomStream(0)),
+        lambda: bnras.enumerate_posteriors(net, empty),
+        lambda: bnras.factored_lower_bounds(net, empty),
+    ]
+    for call in calls:
+        with pytest.raises(bnras.NetworkValidationError, match=f"BROKEN is invalid: .*{issue}"):
+            call()
+
+
 def test_zero_one_entries_flagged_not_failed():
     net = build("DET", [("A", "tf", [], [(1.0, 0.0)])])
     report = bnras.validate_network(net)
