@@ -8,10 +8,12 @@ class BnrasError(Exception):
 class NetworkFormatError(BnrasError):
     """A network document or evidence string could not be parsed.
 
-    Carries the 1-based line and column of the offending token when known.
+    Carries the 1-based line and column of the offending token when known,
+    and ``message``, the text without that location.
     """
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        self.message = message
         self.line = line
         self.column = column
         if line is not None:

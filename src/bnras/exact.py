@@ -3,37 +3,50 @@ one-step transition matrix of the lazy random-scan chain, and the mixing
 quantities (minimum stationary probability, minimum transition probability,
 relative pointwise distance) computed from it.
 
-The posteriors, the least joint posterior and the matrix each walk one
-enumeration of the evidence-consistent joint states. It checks the evidence
-and the cap once, visits free-node assignments with the last free node
-varying fastest, weighs each with the network's joint product, and sums the
-weights with ``+=`` in that order. So the posteriors and the matrix's
-stationary vector share one normalizer, and results are reproducible to the
-bit.
+The posteriors, the least joint posterior and the matrix read one joint-weight
+tensor with an axis per free node, in declaration order, so that its C order
+is the enumeration order (last free node fastest). Each node's table becomes
+an array over the free axes with the evidence axes sliced out, and the tensor
+starts at ones and multiplies them in node by node: the same sequence of
+products as ``_Tables.joint_weight``. Every total is a sequential ``cumsum``
+in enumeration order, the same additions as a running ``+=``, never numpy's
+pairwise ``sum``. So the posteriors and the matrix's stationary vector share
+one normalizer, and results are reproducible to the bit.
+
+The matrix is built one free axis at a time: node i's conditional weights
+are its own table times its children's, in ``_Tables.children`` order, as
+``chain._conditional_weights`` multiplies them. The relative pointwise
+distance at several t takes every P^t from one chain of squarings, making
+the products ``np.linalg.matrix_power`` makes, so each P^t has its bits.
 
 Everything here is exact up to 64-bit float rounding and is only meant for
 networks small enough to enumerate; the caps below are refusals, not
-truncations. The transition matrix, like the bounds built on it, refuses
-tables with 0/1 entries.
+truncations. At the enumeration cap the tensor takes 32 MB. The transition
+matrix, like the bounds built on it, refuses tables with 0/1 entries.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import CapacityError, ImpossibleEvidenceError, PositivityError
 from .network import BeliefNetwork, Evidence
-from .chain import _conditional_weights, _prepare, _require_free
+from .chain import _prepare, _require_free
 
 #: Largest number of free joint states enumerate_posteriors will visit.
 DEFAULT_ENUM_CAP = 1 << 22
 
 #: Largest state count for which the explicit transition matrix is built.
 DEFAULT_MATRIX_CAP = 4096
+
+#: Elements per row block when reducing |P^t - pi| / pi.
+_RPD_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,37 +85,50 @@ class MixingReport:
 
 
 class _Joint:
-    """One enumeration of the evidence-consistent joint states.
+    """The evidence-consistent joint states as one weight tensor.
 
     Checks the evidence and the state count against the cap once, then
-    iterates (free assignment, joint weight) with the last free node varying
-    fastest, holding one state buffer. ``normalizer()`` is the sequential
-    sum of the weights the last iteration yielded.
+    builds ``weights``, whose axis ``slot`` is free node ``free[slot]``.
     """
 
     def __init__(self, net: BeliefNetwork, ev: Evidence, cap: int, what: str):
         self.tab, self.free, self.template = _prepare(net, ev)
-        self.size = math.prod(self.tab.k[i] for i in self.free)
+        self.dims = tuple(self.tab.k[i] for i in self.free)
+        self.size = math.prod(self.dims)
         if self.size > cap:
             raise CapacityError(f"{self.size} free joint states exceed the {what} cap {cap}")
-        self._total = 0.0
+        self._slot = {i: slot for slot, i in enumerate(self.free)}
+        self.weights = np.ones(self.dims)
+        for j in range(self.tab.n):
+            self.weights *= self.factor(j)
 
-    def __iter__(self):
-        free, weight = self.free, self.tab.joint_weight
-        state = self.template.copy()
-        total = 0.0
-        for assignment in itertools.product(*(range(self.tab.k[i]) for i in free)):
-            for slot, i in enumerate(free):
-                state[i] = assignment[slot]
-            p = weight(state)
-            total += p
-            yield assignment, p
-        self._total = total
+    def factor(self, j: int) -> np.ndarray:
+        """Node j's table entries as an array that broadcasts over the free
+        axes: evidence axes sliced out, size 1 on axes j does not read."""
+        tab, slot = self.tab, self._slot
+        axes = tab.parents[j] + (j,)
+        table = np.array(tab.flat[j]).reshape([tab.k[a] for a in axes])
+        clamp = tuple(slice(None) if a in slot else self.template[a] for a in axes)
+        table = np.asarray(table[clamp])
+        kept = [slot[a] for a in axes if a in slot]
+        shape = [1] * len(self.free)
+        for s in kept:
+            shape[s] = tab.k[self.free[s]]
+        # a Python sort, not np.argsort, whose first call alone pages in
+        # 256 kB of numpy and so raises a small session's peak RSS
+        order = sorted(range(len(kept)), key=kept.__getitem__)
+        return table.transpose(order).reshape(shape)
 
     def normalizer(self) -> float:
-        if self._total <= 0.0:
+        total = _sequential_sum(self.weights)
+        if total <= 0.0:
             raise ImpossibleEvidenceError("evidence has probability zero")
-        return self._total
+        return total
+
+
+def _sequential_sum(a: np.ndarray) -> float:
+    """Sum in C order with one running total, as a ``+=`` loop adds."""
+    return float(np.cumsum(a)[-1])
 
 
 def _require_positive(net: BeliefNetwork) -> None:
@@ -120,14 +146,13 @@ def enumerate_posteriors(
     summation over all evidence-consistent joint states; also returns the
     evidence probability."""
     joint = _Joint(net, ev, cap, "enumeration")
-    free = joint.free
-    sums = [[0.0] * joint.tab.k[i] for i in free]
-    for assignment, p in joint:
-        for slot, v in enumerate(assignment):
-            sums[slot][v] += p
+    sums = [
+        [_sequential_sum(np.take(joint.weights, v, axis=slot)) for v in range(k)]
+        for slot, k in enumerate(joint.dims)
+    ]
     total = joint.normalizer()
-    names = tuple(net.nodes[i].name for i in free)
-    labels = tuple(net.nodes[i].outcomes for i in free)
+    names = tuple(net.nodes[i].name for i in joint.free)
+    labels = tuple(net.nodes[i].outcomes for i in joint.free)
     probs = tuple(tuple(s / total for s in row) for row in sums)
     return PosteriorTable(names, labels, probs, total)
 
@@ -138,7 +163,7 @@ def min_joint_posterior(
     """The smallest posterior probability of any evidence-consistent joint
     state of the free nodes."""
     joint = _Joint(net, ev, cap, "enumeration")
-    smallest = min(p for _, p in joint)
+    smallest = float(joint.weights.min())
     return smallest / joint.normalizer()
 
 
@@ -157,44 +182,31 @@ def build_transition_matrix(
     """
     _require_positive(net)
     joint = _Joint(net, ev, cap, "matrix")
-    tab, free = joint.tab, joint.free
+    tab, free, dims = joint.tab, joint.free, joint.dims
     _require_free(free)
-
-    # mixed-radix strides of each free slot in the enumeration order
-    place = [0] * len(free)
-    acc = 1
-    for slot in range(len(free) - 1, -1, -1):
-        place[slot] = acc
-        acc *= tab.k[free[slot]]
 
     m = joint.size
     half_over_n = 0.5 / len(free)
-    states = []
-    weights = np.empty(m)
+    index = np.arange(m).reshape(dims)
     matrix = np.zeros((m, m))
-    state = joint.template.copy()
-    for idx, (assignment, p) in enumerate(joint):
-        states.append(assignment)
-        weights[idx] = p
-        for slot, i in enumerate(free):
-            state[i] = assignment[slot]
-        diagonal = 0.5
-        for slot, i in enumerate(free):
-            cond, ctotal = _conditional_weights(tab, state, i)
-            cur = assignment[slot]
-            base = idx - cur * place[slot]
-            for v, w in enumerate(cond):
-                q = w / ctotal
-                if v == cur:
-                    diagonal += half_over_n * q
-                else:
-                    matrix[idx, base + v * place[slot]] = half_over_n * q
-        matrix[idx, idx] = diagonal
+    diagonal = np.full(dims, 0.5)
+    for slot, i in enumerate(free):
+        # axis `slot` of cond is node i's candidate value, not its current one
+        cond = joint.factor(i)
+        for c in tab.children[i]:
+            cond = cond * joint.factor(c)
+        total = np.cumsum(cond, axis=slot).take([-1], axis=slot)
+        q = np.broadcast_to(half_over_n * (cond / total), dims)
+        diagonal += q
+        rows, values = np.moveaxis(index, slot, 0), np.moveaxis(q, slot, 0)
+        for cur, v in itertools.permutations(range(dims[slot]), 2):
+            matrix[rows[cur], rows[v]] = values[v]
+    np.fill_diagonal(matrix, diagonal)
     return TransitionMatrix(
         free_nodes=tuple(net.nodes[i].name for i in free),
-        states=tuple(states),
+        states=tuple(itertools.product(*map(range, dims))),
         matrix=matrix,
-        stationary=weights / joint.normalizer(),
+        stationary=joint.weights.ravel() / joint.normalizer(),
     )
 
 
@@ -208,13 +220,75 @@ def min_transition_probability(tm: TransitionMatrix) -> float:
     return float(positive.min())
 
 
+def _transition_counts(t_values: Iterable[int]) -> list[int]:
+    """Each t as a Python int, refusing negative and non-integral ones."""
+    counts = []
+    for t in t_values:
+        if t < 0:
+            raise ValueError("transition count must be >= 0")
+        try:
+            counts.append(operator.index(t))
+        except TypeError as exc:
+            raise TypeError("exponent must be an integer") from exc
+    return counts
+
+
+def _powers(a: np.ndarray, counts: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (t, a^t) for each distinct t, from one chain of squarings
+    z_j = a^(2^j).
+
+    The products are those of ``np.linalg.matrix_power``, so each a^t has
+    its bits: a^2 = a @ a, a^3 = (a @ a) @ a, and above 3 the z_j of t's set
+    bits are multiplied in from the lowest bit up. A square is dropped once
+    no larger t needs it.
+    """
+    wanted = sorted(set(counts))
+    if 0 in wanted:
+        yield 0, np.eye(len(a))
+    if 1 in wanted:
+        yield 1, a
+    partial = {t: (a if t & 1 else None) for t in wanted if t >= 4}
+    if not (partial or 2 in wanted or 3 in wanted):
+        return
+    z = a @ a
+    if 2 in wanted:
+        yield 2, z
+    if 3 in wanted:
+        yield 3, z @ a
+    bit = 1
+    while partial:
+        if bit > 1:
+            z = z @ z
+        for t in list(partial):
+            if t >> bit & 1:
+                partial[t] = z if partial[t] is None else partial[t] @ z
+            if t >> (bit + 1) == 0:
+                yield t, partial.pop(t)
+        bit += 1
+
+
+def _rpd_by_count(tm: TransitionMatrix, counts: Iterable[int]) -> dict[int, float]:
+    """max over (i, j) of |P^t[i, j] - pi[j]| / pi[j] for each t, reduced in
+    row blocks so that no full-size temporary is made."""
+    pi = tm.stationary
+    rows = max(1, _RPD_BLOCK // len(pi))
+    found = {}
+    for t, pt in _powers(tm.matrix, counts):
+        peaks = []
+        for start in range(0, len(pt), rows):
+            block = pt[start : start + rows] - pi
+            np.abs(block, out=block)
+            block /= pi
+            peaks.append(block.max())
+        found[t] = float(np.max(peaks))
+        del pt  # else it outlives the next squaring
+    return found
+
+
 def relative_pointwise_distance(tm: TransitionMatrix, t: int) -> float:
     """max over (i, j) of |P^t[i, j] - pi[j]| / pi[j]."""
-    if t < 0:
-        raise ValueError("transition count must be >= 0")
-    pt = np.linalg.matrix_power(tm.matrix, t)
-    pi = tm.stationary
-    return float(np.max(np.abs(pt - pi[None, :]) / pi[None, :]))
+    (count,) = _transition_counts((t,))
+    return _rpd_by_count(tm, (count,))[count]
 
 
 def mixing_report(
@@ -223,10 +297,15 @@ def mixing_report(
     t_values: tuple[int, ...] = (),
     cap: int = DEFAULT_MATRIX_CAP,
 ) -> MixingReport:
-    """Bundle the exactly computed mixing quantities for small chains."""
+    """Bundle the exactly computed mixing quantities for small chains; the
+    rpd keys are the transition counts in the order of ``t_values``."""
+    counts = _transition_counts(t_values)
     tm = build_transition_matrix(net, ev, cap=cap)
+    pi_min = float(tm.stationary.min())
+    p0 = min_transition_probability(tm)
+    rpd = _rpd_by_count(tm, counts)
     return MixingReport(
-        pi_min=float(tm.stationary.min()),
-        p0=min_transition_probability(tm),
-        rpd={t: relative_pointwise_distance(tm, t) for t in t_values},
+        pi_min=pi_min,
+        p0=p0,
+        rpd={count: rpd[count] for count in counts},
     )

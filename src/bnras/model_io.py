@@ -256,7 +256,7 @@ def parse_document(text: str) -> NetworkDocument:
     except NetworkFormatError as exc:
         return NetworkDocument(
             network=None,
-            diagnostics=[Diagnostic(exc.line or 1, exc.column or 1, str(exc))],
+            diagnostics=[Diagnostic(exc.line or 1, exc.column or 1, exc.message)],
         )
     return NetworkDocument(network=net, diagnostics=[])
 

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import bnras
 
@@ -96,6 +97,68 @@ def brute_posteriors(net, ev):
         for name in free:
             sums[name][assignment[name]] += p
     return {name: [s / total for s in sums[name]] for name in free}, total
+
+
+def scalar_transition_matrix(net, ev):
+    """Test-side twin of the lazy random-scan matrix, entry by entry from the
+    public full_conditional.
+
+    States enumerate the free nodes' outcomes with the last free node
+    fastest. A change of free node i to v gets (0.5/n) q_i(v); the diagonal
+    starts at 0.5 and adds (0.5/n) q_i(current value) for each free node in
+    declaration order. Returns (states, matrix).
+    """
+    free = [nd for nd in net.nodes if nd.name not in ev]
+    states = list(itertools.product(*(range(len(nd.outcomes)) for nd in free)))
+    index = {s: j for j, s in enumerate(states)}
+    half_over_n = 0.5 / len(free)
+    matrix = np.zeros((len(states), len(states)))
+    for j, s in enumerate(states):
+        values = dict(zip((nd.name for nd in free), s))
+        full = [ev.get(nd.name) if nd.name in ev else values[nd.name] for nd in net.nodes]
+        diagonal = 0.5
+        for slot, nd in enumerate(free):
+            for v, q in enumerate(bnras.full_conditional(net, full, nd.name)):
+                if v == s[slot]:
+                    diagonal += half_over_n * q
+                else:
+                    matrix[j, index[s[:slot] + (v,) + s[slot + 1:]]] = half_over_n * q
+        matrix[j, j] = diagonal
+    return states, matrix
+
+
+@st.composite
+def positive_networks(draw):
+    """A small random network with every table entry inside (0, 1), and
+    evidence clamping some but not all of its nodes.
+
+    2-6 nodes of 2 or 3 outcomes; each node takes up to three parents among
+    the nodes drawn before it, and the nodes are then declared in a random
+    order, so declaration order need not be topological.
+    """
+    n = draw(st.integers(2, 6))
+    arity = [draw(st.integers(2, 3)) for _ in range(n)]
+    parents = [
+        draw(st.lists(st.integers(0, i - 1), unique=True, max_size=3)) if i else []
+        for i in range(n)
+    ]
+    nodes = []
+    for i in range(n):
+        rows = []
+        for _ in range(int(np.prod([arity[p] for p in parents[i]]))):
+            raw = draw(st.lists(st.floats(0.05, 1.0), min_size=arity[i], max_size=arity[i]))
+            rows.append([w / sum(raw) for w in raw])
+        nodes.append(bnras.Node(
+            f"N{i}",
+            tuple(f"o{v}" for v in range(arity[i])),
+            tuple(f"N{p}" for p in parents[i]),
+            bnras.Cpt.from_rows(rows),
+        ))
+    order = draw(st.permutations(range(n)))
+    net = bnras.BeliefNetwork("RANDOM", tuple(nodes[i] for i in order))
+    clamped = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 1))
+    ev = bnras.Evidence({f"N{i}": draw(st.integers(0, arity[i] - 1)) for i in clamped})
+    return net, ev
 
 
 def _cyclic_scan_kernels(net, ev):

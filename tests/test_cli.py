@@ -38,6 +38,19 @@ def test_validate_bad_row_sum_names_node_and_row(tmp_path, capsys):
     assert "cpt B" in err and "row 1" in err
 
 
+def test_validate_prints_location_once(tmp_path, capsys):
+    bad = tmp_path / "bad.bn"
+    bad.write_text(
+        "network BAD\nnode A { outcomes: t, f }\ncpt A:\n 0.5 0.5\n"
+        "node B { outcomes: t, f }\nparents B: A\ncpt B:\n 0.9 0.1\n 0.7 0.5\n"
+    )
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    first = err.splitlines()[0]
+    assert first == f"{bad}: line 7, column 5: cpt B: row 1 sums to 1.2"
+    assert err.count("line 7, column 5") == 1
+
+
 def test_validate_missing_file(capsys):
     code, out, err = run_cli(capsys, "validate", "no/such/file.bn")
     assert code == 3

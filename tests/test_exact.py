@@ -2,11 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import bnras
 from bnras import Evidence
 
-from conftest import brute_posteriors, evidence_sets
+from conftest import brute_posteriors, evidence_sets, positive_networks, scalar_transition_matrix
 
 
 def test_ab_posterior_given_b(ab):
@@ -207,3 +208,46 @@ def test_enumeration_with_all_nodes_clamped(ab):
     table = bnras.enumerate_posteriors(ab, ev)
     assert table.nodes == ()
     assert table.evidence_probability == pytest.approx(0.45, abs=1e-12)
+
+
+def test_matrix_equals_scalar_twin(nets):
+    for net in nets.values():
+        for ev in evidence_sets(net):
+            tm = bnras.build_transition_matrix(net, ev)
+            states, matrix = scalar_transition_matrix(net, ev)
+            assert tm.states == tuple(states)
+            assert np.array_equal(tm.matrix, matrix)
+
+
+@pytest.mark.parametrize("name", ["CHAIN5", "MINIALARM"])
+def test_rpd_has_the_bits_of_matrix_power(nets, empty, name):
+    ts = (0, 1, 2, 3, 4, 5, 13, 16)
+    report = bnras.mixing_report(nets[name], empty, t_values=ts)
+    tm = bnras.build_transition_matrix(nets[name], empty)
+    pi = tm.stationary
+    for t in ts:
+        expected = float(np.max(np.abs(np.linalg.matrix_power(tm.matrix, t) - pi) / pi))
+        assert report.rpd[t] == bnras.relative_pointwise_distance(tm, t) == expected
+
+
+def test_mixing_report_refuses_negative_t_before_the_matrix(minialarm, ab, empty):
+    # a cap of 1 would refuse the matrix; the bad t must be reported first
+    with pytest.raises(ValueError, match="transition count"):
+        bnras.mixing_report(minialarm, empty, t_values=(4, -1), cap=1)
+    report = bnras.mixing_report(ab, empty, t_values=(16, 0, 4, 1))
+    assert list(report.rpd) == [16, 0, 4, 1]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(positive_networks())
+def test_tensor_and_matrix_on_random_networks(case):
+    net, ev = case
+    table = bnras.enumerate_posteriors(net, ev)
+    expected, p_e = brute_posteriors(net, ev)
+    assert table.evidence_probability == pytest.approx(p_e, abs=1e-12)
+    for name in table.nodes:
+        assert table.marginal(name) == pytest.approx(expected[name], abs=1e-12)
+    tm = bnras.build_transition_matrix(net, ev)
+    states, matrix = scalar_transition_matrix(net, ev)
+    assert tm.states == tuple(states)
+    assert np.array_equal(tm.matrix, matrix)

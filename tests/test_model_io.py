@@ -185,6 +185,17 @@ def test_parse_document_collects_diagnostics():
     assert not doc.ok
 
 
+def test_diagnostic_carries_bare_message():
+    doc = bnras.parse_document(AB_DOC.replace("0.2 0.8", "0.2 0.9"))
+    (diag,) = doc.diagnostics
+    assert not diag.message.startswith("line")
+    assert str(diag) == f"line {diag.line}, column {diag.column}: {diag.message}"
+    with pytest.raises(bnras.NetworkFormatError) as info:
+        bnras.parse_network(AB_DOC.replace("0.2 0.8", "0.2 0.9"))
+    assert info.value.message == diag.message
+    assert str(info.value) == str(diag)
+
+
 def test_parse_document_ok():
     doc = bnras.parse_document(AB_DOC)
     assert doc.ok
