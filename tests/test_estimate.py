@@ -1,9 +1,12 @@
 import statistics
 
+import numpy as np
 import pytest
 
 import bnras
 from bnras import Evidence, RandomStream
+
+from conftest import scalar_transition_matrix
 
 
 def test_single_trial_zero_transitions_is_indicator(ab, empty):
@@ -70,17 +73,68 @@ def test_ab_estimate_close_to_posterior_panel(ab):
     assert hits >= 9
 
 
-def test_path2_estimate_panel():
-    # fixed seed panel; nine of these ten runs land inside 0.05
-    nets = bnras.builtin_networks()
-    path2 = nets["PATH2"]
-    oracle = bnras.enumerate_posteriors(path2, Evidence.empty())
+def _path2_panel_sum_law(path2, oracle, trials, transitions, panel_size, shift=0.0):
+    """Exact law of the panel's summed max_error, on the grid of 1/trials.
+
+    A trial ends in a state drawn from u P^t, u the uniform restart and P
+    the test-side lazy matrix, so each run's (A, B) counts of outcome t are
+    a multinomial convolution over the four states. Each count's error is
+    taken with error_metrics' float arithmetic, after moving the estimated
+    first outcome by `shift` away from the oracle (0 for the sampler
+    itself). Returns pmf[s] = P(sum of the panel's max_error = s / trials).
+    """
+    states, matrix = scalar_transition_matrix(path2, Evidence.empty())
+    end = np.full(len(states), 1.0 / len(states)) @ np.linalg.matrix_power(matrix, transitions)
+    counts = np.zeros((trials + 1, trials + 1))  # counts[a, b]: A=t a times, B=t b times
+    counts[0, 0] = 1.0
+    for _ in range(trials):
+        step = np.zeros_like(counts)
+        for (a, b), p in zip(states, end):
+            da, db = int(a == 0), int(b == 0)
+            step[da:, db:] += p * counts[: trials + 1 - da, : trials + 1 - db]
+        counts = step
+    c = np.arange(trials + 1)
+    node_errors = []
+    for exact in oracle.probs:
+        sign = np.where(c / trials >= exact[0], 1.0, -1.0)
+        first = c / trials + sign * shift
+        node_errors.append(np.maximum(np.abs(first - exact[0]), np.abs(1.0 - first - exact[1])))
+    grid = np.rint(np.maximum.outer(*node_errors) * trials).astype(int)
+    per_run = np.bincount(grid.ravel(), weights=counts.ravel())
+    law = per_run
+    for _ in range(panel_size - 1):
+        law = np.convolve(law, per_run)
+    return law
+
+
+def test_path2_estimate_panel(path2, empty):
+    # The panel's summed max_error must fall in a band fixed beforehand from
+    # its exact law (_path2_panel_sum_law). A count of runs within 0.05
+    # cannot serve: a correct sampler meets 0.05 with probability 0.797 per
+    # run, so nine of ten pass with probability 0.367.
+    trials, transitions = 200, 500
     panel = (0, 1, 2, 3, 4, 5, 6, 7, 9, 10)
-    hits = 0
-    for seed in panel:
-        est = bnras.bnras_estimate(path2, Evidence.empty(), 200, 500, RandomStream(seed))
-        hits += bnras.error_metrics(est, oracle).max_error <= 0.05
-    assert hits >= 9
+    oracle = bnras.enumerate_posteriors(path2, empty)
+    cdf = np.cumsum(_path2_panel_sum_law(path2, oracle, trials, transitions, len(panel)))
+    lo, hi = np.searchsorted(cdf, [5e-6, 1.0 - 5e-6])
+    false_alarm = cdf[lo - 1] + (1.0 - cdf[hi])
+    assert false_alarm <= 1e-5
+    # edges half a grid step outside, so float rounding cannot cross them
+    lower, upper = (lo - 0.5) / trials, (hi + 0.5) / trials
+    errors = [
+        bnras.error_metrics(
+            bnras.bnras_estimate(path2, empty, trials, transitions, RandomStream(seed)), oracle
+        ).max_error
+        for seed in panel
+    ]
+    assert lower <= sum(errors) <= upper, (sum(errors), lower, upper)
+    # the band rejects estimates moved 0.05 away from the oracle (they pass
+    # with probability below 0.01) and the oracle itself (summed error 0)
+    doctored = np.cumsum(_path2_panel_sum_law(path2, oracle, trials, transitions,
+                                              len(panel), shift=0.05))
+    assert doctored[hi] - doctored[lo - 1] < 0.01
+    assert not lower <= sum(e + 0.05 for e in errors) <= upper
+    assert lower > 0.0
 
 
 def test_straight_estimate_ab_converges(ab):
