@@ -13,11 +13,23 @@ exactly one uniform draw; a resampling transition consumes three, in order
 (hold coin, node choice, outcome threshold); a cyclic step consumes one.
 Outcomes are selected by inverse CDF over the unnormalized conditional
 weights in outcome-declaration order.
+
+Trials run one at a time (:func:`_trial`) or as lock-step walkers
+(:func:`_trial_blocks`): numpy moves a block of trials together, each on its
+own counter-based stream (see :mod:`bnras.rng`) with its own draw count, and
+chooses outcomes from each node's conditional weights tabulated over its
+free Markov blanket. Both execute the same definition and give the same
+states, bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
 
 from .errors import DeterministicConflictError
 from .network import (
@@ -28,7 +40,19 @@ from .network import (
     check_state,
     _Tables,
 )
-from .rng import RandomStream
+from .rng import CounterStream, RandomStream, counter_draws, derive_stream_seeds
+
+#: Trials per block of lock-step walkers.
+_BLOCK = 4096
+
+#: Fewest trials a block needs to run in lock step. A lock-step transition
+#: costs about 40 us whatever the walker count, so smaller blocks run the
+#: per-trial loop.
+_LOCKSTEP_MIN = 50
+
+#: Most rows a node's blanket table may have; past it every block runs the
+#: per-trial loop.
+_BLANKET_CAP = 4096
 
 
 @dataclass
@@ -187,6 +211,8 @@ def next_trial(net: BeliefNetwork, ev: Evidence, t: int, rng: RandomStream) -> t
     if t < 0:
         raise ValueError("transition count must be >= 0")
     tab, free, template = _prepare(net, ev)
+    if t:
+        _require_free(free)
     try:
         return tuple(_trial(tab, free, template, t, rng))
     except DeterministicConflictError as exc:
@@ -199,6 +225,131 @@ def _trial(tab: _Tables, free: tuple[int, ...], template: list[int], t: int, rng
     if t:
         _run_lazy(tab, free, state, t, rand)
     return state
+
+
+@dataclass(frozen=True)
+class _BlanketTables:
+    """Every free node's outcome choice, tabulated over the configurations
+    of the free members of its Markov blanket (evidence is fixed).
+
+    Free node ``s`` (its slot in ``free``) with free-node values ``x`` reads
+    row ``offsets[s] + strides[s] @ x``. The row holds the total of the
+    node's conditional weights and their running sums, both as
+    :func:`_conditional_weights` and :func:`_resample` add them, with the
+    sum at the last positive weight replaced by +inf. The first v with
+    ``u * total < thresholds[row, v]`` is then the outcome ``_resample``
+    chooses with draw u.
+    """
+
+    outcomes: np.ndarray  # outcome count of each free node
+    strides: np.ndarray
+    offsets: np.ndarray
+    totals: np.ndarray
+    thresholds: np.ndarray
+
+    @classmethod
+    def fill(cls, tab: _Tables, free: tuple[int, ...], template: list[int]):
+        """The tables, filled row by row by :func:`_conditional_weights`;
+        None if some node's table would have more than ``_BLANKET_CAP``
+        rows."""
+        slot = {i: s for s, i in enumerate(free)}
+        width = max(tab.k[i] for i in free)
+        strides = np.zeros((len(free), len(free)), dtype=np.intp)
+        offsets = np.zeros(len(free), dtype=np.intp)
+        totals: list[float] = []
+        thresholds: list[list[float]] = []
+        state = template.copy()
+        for s, i in enumerate(free):
+            blanket = {*tab.parents[i], *tab.children[i]}
+            for c in tab.children[i]:
+                blanket.update(tab.parents[c])
+            members = sorted(m for m in blanket if m in slot and m != i)
+            if math.prod(tab.k[m] for m in members) > _BLANKET_CAP:
+                return None
+            step = 1
+            for m in reversed(members):  # last member varies fastest
+                strides[s, slot[m]] = step
+                step *= tab.k[m]
+            offsets[s] = len(totals)
+            for values in itertools.product(*(range(tab.k[m]) for m in members)):
+                for m, v in zip(members, values):
+                    state[m] = v
+                weights, total = _conditional_weights(tab, state, i)
+                row = [math.inf] * width
+                acc = 0.0
+                for v, w in enumerate(weights):
+                    if w > 0.0:
+                        acc += w
+                        last = v
+                    row[v] = acc
+                if total > 0.0:
+                    row[last] = math.inf
+                totals.append(total)
+                thresholds.append(row)
+        outcomes = np.array([tab.k[i] for i in free])
+        return cls(outcomes, strides, offsets, np.array(totals), np.array(thresholds))
+
+    def walk(self, t: int, seeds: np.ndarray) -> np.ndarray | None:
+        """Final free-node values of the trials on the streams seeded
+        ``seeds``, all moved together, draw for draw as :func:`_trial`
+        moves each; None if some trial meets a row whose weights are all
+        zero."""
+        nfree = len(self.outcomes)
+        drawn = np.full(len(seeds), nfree, dtype=np.uint64)
+        restart = counter_draws(seeds[:, None], np.arange(1, nfree + 1, dtype=np.uint64))
+        values = (restart * self.outcomes).astype(np.intp)
+        dead = (self.totals <= 0.0).any()
+        next_two = np.array([1, 2], dtype=np.uint64)
+        for _ in range(t):
+            drawn += np.uint64(1)
+            move = np.flatnonzero(counter_draws(seeds, drawn) > 0.5)
+            if not move.size:
+                continue
+            u = counter_draws(seeds[move, None], drawn[move, None] + next_two)
+            drawn[move] += np.uint64(2)
+            node = (u[:, 0] * nfree).astype(np.intp)
+            rows = self.offsets[node] + np.einsum("ij,ij->i", values[move], self.strides[node])
+            totals = self.totals[rows]
+            if dead and (totals <= 0.0).any():
+                return None
+            chosen = (u[:, 1] * totals)[:, None] < self.thresholds[rows]
+            values[move, node] = chosen.argmax(axis=1)
+        return values
+
+
+def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], template: list[int],
+                  t: int, seed: int, trials: int) -> Iterator[np.ndarray]:
+    """Final free-node values of trials 0, 1, ..., trials - 1, trial j being
+    ``next_trial(net, ev, t, RandomStream(seed).spawn(j))``. Yields one
+    int array of shape (block trials, free nodes) per block of ``_BLOCK``
+    trials, in trial order.
+
+    A block of at least ``_LOCKSTEP_MIN`` trials runs as lock-step walkers
+    unless some blanket table would pass ``_BLANKET_CAP``; other blocks, and
+    a block in which some trial conflicts, run the per-trial loop, which
+    raises for the lowest conflicting trial. Either way the values are the
+    same.
+    """
+    if t:
+        _require_free(free)
+    tables = None  # filled for the first lock-step block; False over the cap
+    for first in range(0, trials, _BLOCK):
+        seeds = derive_stream_seeds(seed, first, min(first + _BLOCK, trials))
+        values = None
+        if len(seeds) >= _LOCKSTEP_MIN and free:
+            if tables is None:
+                tables = _BlanketTables.fill(tab, free, template) or False
+            if tables:
+                values = tables.walk(t, seeds)
+        if values is None:
+            values = np.empty((len(seeds), len(free)), dtype=np.intp)
+            for b, s in enumerate(seeds.tolist()):
+                try:
+                    state = _trial(tab, free, template, t, CounterStream(s))
+                except DeterministicConflictError as exc:
+                    raise _located(net, exc, f"in trial {first + b} of seed {seed}") from None
+                values[b] = [state[i] for i in free]
+        yield values
 
 
 def straight_step(net: BeliefNetwork, cs: ChainState, rng: RandomStream) -> ChainState:

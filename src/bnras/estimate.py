@@ -2,10 +2,14 @@
 
 ``bnras_estimate`` runs N independent trials (random restart, t lazy
 transitions each) and tallies the final state of every free node, so the
-estimate for a node outcome is the exact rational tally/N. Trial j consumes
-a stream seeded with ``derive_stream_seed(rng.seed_value, j)``, exactly the
-stream ``rng.spawn(j)`` produces, which makes the merged tallies independent
-of any parallel scheduling of trials; the caller's stream state is unused.
+estimate for a node outcome is the exact rational tally/N. Trial j draws
+from the counter-based stream ``rng.spawn(j)`` (see :mod:`bnras.rng`), so
+its final state is ``next_trial(net, ev, t, rng.spawn(j))`` whatever runs
+it; the caller's stream state is unused. The trials run in blocks of
+``chain._BLOCK``: a block of at least ``chain._LOCKSTEP_MIN`` trials moves
+as numpy walkers in lock step, a smaller one trial by trial
+(``chain._trial_blocks``). This module only tallies the blocks and takes
+the checkpoints.
 
 ``straight_estimate`` runs one cyclic-scan chain without restarts and
 scores the full state after every transition.
@@ -13,15 +17,16 @@ scores the full state after every transition.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 
-from .chain import _located, _prepare, _require_free, _resample, _trial, _uniform_state
+import numpy as np
+
+from .chain import _located, _prepare, _require_free, _resample, _trial_blocks, _uniform_state
 from .errors import DeterministicConflictError
 from .exact import PosteriorTable
 from .network import BeliefNetwork, Evidence
-from .rng import RandomStream, derive_stream_seed
+from .rng import RandomStream
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,13 @@ def _snapshot(tally, scored):
     return tuple(tuple(c / scored for c in row) for row in tally)
 
 
+def _add(tally: list[list[int]], values: np.ndarray) -> None:
+    """Count each free node's final values of some trials into the tally."""
+    for row, column in zip(tally, values.T):
+        for v, c in enumerate(np.bincount(column, minlength=len(row)).tolist()):
+            row[v] += c
+
+
 def bnras_estimate(
     net: BeliefNetwork,
     ev: Evidence,
@@ -89,24 +101,20 @@ def bnras_estimate(
     names, labels = _labels(net, free)
     tally = [[0] * tab.k[i] for i in free]
     checkpoints: list[Checkpoint] = []
-    mark = checkpoint_stride
-    cum = 0
-    master = rng.seed_value
-    child = random.Random()  # reseeded per trial; same draws as rng.spawn(j)
+    mark = checkpoint_stride if transitions > 0 else 0
+    done = 0
     cpu0, wall0 = time.process_time(), time.perf_counter()
-    try:
-        for j in range(trials):
-            child.seed(derive_stream_seed(master, j))
-            state = _trial(tab, free, template, transitions, child)
-            for slot, i in enumerate(free):
-                tally[slot][state[i]] += 1
-            if checkpoint_stride > 0 and transitions > 0:
-                cum += transitions
-                while mark <= cum:
-                    checkpoints.append(Checkpoint(mark, j + 1, _snapshot(tally, j + 1)))
-                    mark += checkpoint_stride
-    except DeterministicConflictError as exc:
-        raise _located(net, exc, f"in trial {j} of seed {master}") from None
+    for block in _trial_blocks(net, tab, free, template, transitions, rng.seed_value, trials):
+        first = done
+        stop = first + len(block)
+        while 0 < mark <= stop * transitions:
+            scored = -(-mark // transitions)  # the trial that crosses the mark
+            _add(tally, block[done - first : scored - first])
+            done = scored
+            checkpoints.append(Checkpoint(mark, scored, _snapshot(tally, scored)))
+            mark += checkpoint_stride
+        _add(tally, block[done - first :])
+        done = stop
     cpu1, wall1 = time.process_time(), time.perf_counter()
     return PosteriorEstimate(
         nodes=names,

@@ -45,7 +45,7 @@ DEFAULT_ENUM_CAP = 1 << 22
 #: Largest state count for which the explicit transition matrix is built.
 DEFAULT_MATRIX_CAP = 4096
 
-#: Elements per row block when reducing |P^t - pi| / pi.
+#: Elements per row block when reducing a matrix: |P^t - pi| / pi and p0.
 _RPD_BLOCK = 1 << 16
 
 
@@ -211,13 +211,20 @@ def build_transition_matrix(
 
 
 def min_transition_probability(tm: TransitionMatrix) -> float:
-    """Smallest strictly positive off-diagonal one-step probability."""
-    off = tm.matrix.copy()
-    np.fill_diagonal(off, 0.0)
-    positive = off[off > 0.0]
-    if positive.size == 0:
+    """Smallest strictly positive off-diagonal one-step probability, reduced
+    in row blocks so that no full-size temporary is made."""
+    rows = max(1, _RPD_BLOCK // tm.size)
+    least = math.inf
+    for start in range(0, tm.size, rows):
+        block = tm.matrix[start : start + rows].copy()
+        local = np.arange(len(block))
+        block[local, start + local] = 0.0
+        positive = block[block > 0.0]
+        if positive.size:
+            least = min(least, float(positive.min()))
+    if least == math.inf:
         raise ValueError("chain has no positive off-diagonal transitions")
-    return float(positive.min())
+    return least
 
 
 def _transition_counts(t_values: Iterable[int]) -> list[int]:

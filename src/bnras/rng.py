@@ -1,30 +1,96 @@
 """Seeded deterministic random streams.
 
 A :class:`RandomStream` is a Mersenne Twister generator with a fixed 64-bit
-seed. Child streams for parallel workers or independent trials are derived
-with :meth:`RandomStream.spawn`, which mixes (seed, index) through the
-SplitMix64 finalizer so that distinct indices give statistically independent
-streams and the derivation is reproducible across runs.
+seed; the single-step API and straight simulation draw from it. Trials of the
+randomized-restart sampler draw from counter-based child streams instead
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
+Trial j of a stream seeded ``seed`` has the seed
+``s_j = derive_stream_seed(seed, j)``, and its draw k (k = 1, 2, ...) is
+
+    (splitmix64((s_j + k * 0x9E3779B97F4A7C15) mod 2^64) >> 11) * 2^-53,
+
+the output sequence of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) started
+at s_j. Every draw is a pure function of (s_j, k), so :func:`counter_draws`
+computes any draws of any trials at once on numpy ``uint64`` arrays, and
+:meth:`RandomStream.spawn` returns a :class:`CounterStream` that yields the
+same draws one at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def _splitmix64(x: int) -> int:
     x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
     return (x ^ (x >> 31)) & _MASK64
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer on a ``uint64`` array, in place."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX2)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def derive_stream_seed(master_seed: int, index: int) -> int:
     """Seed of the index-th child stream of a stream seeded with master_seed."""
     return _splitmix64((master_seed + (index + 1) * _GOLDEN) & _MASK64)
+
+
+def derive_stream_seeds(master_seed: int, first: int, stop: int) -> np.ndarray:
+    """``derive_stream_seed(master_seed, j)`` for j in [first, stop), as
+    ``uint64``."""
+    steps = np.arange(first + 1, stop + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return _mix(steps + np.uint64(master_seed & _MASK64))
+
+
+def counter_draws(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Draw number ``counters`` of the child streams seeded ``seeds``
+    (broadcast together, both ``uint64``), as floats in [0, 1)."""
+    x = _mix(seeds + counters * np.uint64(_GOLDEN))
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+class CounterStream:
+    """The draws of one child stream, in order: a ``random()`` that yields
+    draw 1, 2, ... of the SplitMix64 sequence started at ``seed_value``.
+
+    Draws are made by :func:`counter_draws` in blocks that double from 16
+    to 4096, so a long trial pays numpy's call overhead rarely and a short
+    one makes few draws it does not use.
+    """
+
+    __slots__ = ("seed_value", "random")
+
+    def __init__(self, seed: int):
+        self.seed_value = int(seed) & _MASK64
+        self.random = itertools.chain.from_iterable(self._blocks()).__next__
+
+    def _blocks(self):
+        seed = np.array([self.seed_value], dtype=np.uint64)
+        first, size = 1, 16
+        while True:
+            counters = np.arange(first, first + size, dtype=np.uint64)
+            yield memoryview(counter_draws(seed, counters))  # yields Python floats
+            first += size
+            size = min(2 * size, 4096)
+
+    def __repr__(self) -> str:
+        return f"CounterStream(seed={self.seed_value})"
 
 
 class RandomStream(random.Random):
@@ -39,9 +105,10 @@ class RandomStream(random.Random):
         self.seed_value = int(seed) & _MASK64
         super().__init__(self.seed_value)
 
-    def spawn(self, index: int) -> "RandomStream":
-        """Derive the index-th child stream, deterministic in (seed, index)."""
-        return RandomStream(derive_stream_seed(self.seed_value, index))
+    def spawn(self, index: int) -> CounterStream:
+        """The index-th child stream, deterministic in (seed, index) and
+        independent of this stream's position."""
+        return CounterStream(derive_stream_seed(self.seed_value, index))
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed_value})"

@@ -291,17 +291,28 @@ def _r_squared(xs, ys):
 
 
 def test_acceptance_10_linear_time_scaling(ab):
+    # This machine's speed drifts by up to a factor of two over seconds. So
+    # each reading is divided by the mean of two speed probes (a fixed small
+    # run of the same estimator) taken just before and after it, and each
+    # grid point takes the median of `repeats` such ratios, measured in
+    # rounds that sweep the whole grid.
     ev = bnras.parse_evidence("B=t", ab)
     trial_grid = [2000, 4000, 6000, 8000, 10000]
-    cpu_by_trials = [
-        bnras.bnras_estimate(ab, ev, n, 50, RandomStream(0)).cpu_seconds
-        for n in trial_grid
-    ]
     transition_grid = [40, 80, 120, 160, 200]
-    cpu_by_transitions = [
-        bnras.bnras_estimate(ab, ev, 2000, t, RandomStream(0)).cpu_seconds
-        for t in transition_grid
-    ]
+    points = [(n, 50) for n in trial_grid] + [(2000, t) for t in transition_grid]
+
+    def probe():
+        return bnras.bnras_estimate(ab, ev, 2000, 20, RandomStream(1)).cpu_seconds
+
+    repeats = 5
+    ratios = [[] for _ in points]
+    for _ in range(repeats):
+        for p, (n, t) in enumerate(points):
+            before = probe()
+            cpu = bnras.bnras_estimate(ab, ev, n, t, RandomStream(0)).cpu_seconds
+            ratios[p].append(2.0 * cpu / (before + probe()))
+    scaled = [statistics.median(r) for r in ratios]
+    cpu_by_trials, cpu_by_transitions = scaled[: len(trial_grid)], scaled[len(trial_grid) :]
     slope_n, r2_n = _r_squared(trial_grid, cpu_by_trials)
     slope_t, r2_t = _r_squared(transition_grid, cpu_by_transitions)
     ok = r2_n >= 0.95 and r2_t >= 0.95 and slope_n > 0 and slope_t > 0

@@ -109,6 +109,19 @@ def test_min_transition_probability_at_most_half(nets, empty):
         assert bnras.min_transition_probability(tm) <= 0.5
 
 
+@pytest.mark.parametrize("block", [1, 5, 1 << 16])
+def test_min_transition_probability_blocks_match_whole_matrix(monkeypatch, nets, block):
+    # row blocks of one row, of a few, and the whole matrix in one block
+    monkeypatch.setattr(bnras.exact, "_RPD_BLOCK", block)
+    for net in nets.values():
+        for ev in evidence_sets(net):
+            _, matrix = scalar_transition_matrix(net, ev)
+            off = matrix[~np.eye(len(matrix), dtype=bool)]
+            expected = float(off[off > 0.0].min())
+            tm = bnras.build_transition_matrix(net, ev)
+            assert bnras.min_transition_probability(tm) == expected
+
+
 def test_rpd_at_zero(ab, empty):
     tm = bnras.build_transition_matrix(ab, empty)
     pi = tm.stationary
