@@ -54,6 +54,9 @@ _LOCKSTEP_MIN = 50
 #: per-trial loop.
 _BLANKET_CAP = 4096
 
+#: Most draws the per-trial loop makes in one call.
+_DRAWS = 1 << 12
+
 
 @dataclass
 class ChainState:
@@ -214,13 +217,12 @@ def next_trial(net: BeliefNetwork, ev: Evidence, t: int, rng: RandomStream) -> t
     if t:
         _require_free(free)
     try:
-        return tuple(_trial(tab, free, template, t, rng))
+        return tuple(_trial(tab, free, template, t, rng.random))
     except DeterministicConflictError as exc:
         raise _located(net, exc, f"in a trial of seed {rng.seed_value}") from None
 
 
-def _trial(tab: _Tables, free: tuple[int, ...], template: list[int], t: int, rng) -> list[int]:
-    rand = rng.random
+def _trial(tab: _Tables, free: tuple[int, ...], template: list[int], t: int, rand) -> list[int]:
     state = _uniform_state(tab, free, template, rand)
     if t:
         _run_lazy(tab, free, state, t, rand)
@@ -317,6 +319,24 @@ class _BlanketTables:
         return values
 
 
+def _one_by_one(tab: _Tables, free: tuple[int, ...], template: list[int], t: int,
+                seeds: np.ndarray) -> Iterator[list[int]]:
+    """The final states of the trials on the streams seeded ``seeds``, each
+    run by :func:`_trial`. One numpy call makes the draws of as many trials
+    as ``_DRAWS`` draws cover; a longer trial draws from a
+    :class:`CounterStream`."""
+    most = len(free) + 3 * t  # the most draws a trial can make
+    if most > _DRAWS:
+        for seed in seeds.tolist():
+            yield _trial(tab, free, template, t, CounterStream(seed).random)
+        return
+    counters = np.arange(1, most + 1, dtype=np.uint64)
+    group = _DRAWS // max(most, 1)
+    for start in range(0, len(seeds), group):
+        for row in counter_draws(seeds[start : start + group, None], counters):
+            yield _trial(tab, free, template, t, iter(memoryview(row)).__next__)
+
+
 def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], template: list[int],
                   t: int, seed: int, trials: int) -> Iterator[np.ndarray]:
     """Final free-node values of trials 0, 1, ..., trials - 1, trial j being
@@ -343,9 +363,10 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
                 values = tables.walk(t, seeds)
         if values is None:
             values = np.empty((len(seeds), len(free)), dtype=np.intp)
-            for b, s in enumerate(seeds.tolist()):
+            states = _one_by_one(tab, free, template, t, seeds)
+            for b in range(len(seeds)):
                 try:
-                    state = _trial(tab, free, template, t, CounterStream(s))
+                    state = next(states)
                 except DeterministicConflictError as exc:
                     raise _located(net, exc, f"in trial {first + b} of seed {seed}") from None
                 values[b] = [state[i] for i in free]

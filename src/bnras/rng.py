@@ -69,9 +69,9 @@ class CounterStream:
     """The draws of one child stream, in order: a ``random()`` that yields
     draw 1, 2, ... of the SplitMix64 sequence started at ``seed_value``.
 
-    Draws are made by :func:`counter_draws` in blocks that double from 16
-    to 4096, so a long trial pays numpy's call overhead rarely and a short
-    one makes few draws it does not use.
+    Draws are made by :func:`counter_draws`, 256 at first and then 4096 at
+    a time: up to 256 a call costs about the same whatever its size, and a
+    long trial pays numpy's call overhead rarely.
     """
 
     __slots__ = ("seed_value", "random")
@@ -82,12 +82,12 @@ class CounterStream:
 
     def _blocks(self):
         seed = np.array([self.seed_value], dtype=np.uint64)
-        first, size = 1, 16
+        first, size = 1, 256
         while True:
             counters = np.arange(first, first + size, dtype=np.uint64)
             yield memoryview(counter_draws(seed, counters))  # yields Python floats
             first += size
-            size = min(2 * size, 4096)
+            size = 4096
 
     def __repr__(self) -> str:
         return f"CounterStream(seed={self.seed_value})"

@@ -73,7 +73,7 @@ def copy_net():
 
 
 def test_counter_draws_match_splitmix64_sequence():
-    # draws cross the stream's block edges (16, 48, 112, ... draws)
+    # draws cross the stream's block edges (after 256, 4352, ... draws)
     for seed in (0, 1, 12345, 2**63 + 11, MASK - 2, MASK):
         expected = splitmix64_sequence(seed, 5000)
         counters = np.arange(1, 5001, dtype=np.uint64)
@@ -109,6 +109,7 @@ def test_just_past_one_block(minialarm, empty):
 @pytest.mark.parametrize("setting", [
     {"_LOCKSTEP_MIN": 1},  # every block in lock step
     {"_LOCKSTEP_MIN": 10**9},  # every block in the per-trial loop
+    {"_LOCKSTEP_MIN": 10**9, "_DRAWS": 1},  # ... each trial on a CounterStream
     {"_BLANKET_CAP": 1},  # every table over the cap
     {"_BLOCK": 7, "_LOCKSTEP_MIN": 4},  # mixed blocks, the last one scalar
     {"_BLOCK": 64, "_LOCKSTEP_MIN": 1},
