@@ -40,7 +40,7 @@ from .network import (
     check_state,
     _Tables,
 )
-from .rng import CounterStream, RandomStream, counter_draws, derive_stream_seeds
+from .rng import RandomStream, counter_draws, counter_streams, derive_stream_seeds
 
 #: Trials per block of lock-step walkers.
 _BLOCK = 4096
@@ -54,8 +54,9 @@ _LOCKSTEP_MIN = 50
 #: per-trial loop.
 _BLANKET_CAP = 4096
 
-#: Most draws the per-trial loop makes in one call.
-_DRAWS = 1 << 12
+#: Most draws the per-trial loop makes ahead, for all of a block's trials in
+#: one numpy call (see :func:`bnras.rng.counter_streams`).
+_AHEAD = 1 << 16
 
 
 @dataclass
@@ -113,15 +114,10 @@ def _conditional_weights(tab: _Tables, state: JointState, i: int) -> tuple[list[
         row += state[p] * s
     base = row * k
     weights = tab.flat[i][base : base + k]
-    for c, stride_i in zip(tab.children[i], tab.child_strides[i]):
-        kc = tab.k[c]
-        rowc = 0
-        for p, s in zip(tab.parents[c], tab.strides[c]):
-            if p != i:
-                rowc += state[p] * s
-        flat_c = tab.flat[c]
-        idx = rowc * kc + state[c]
-        step = stride_i * kc
+    for c, flat_c, step, others in tab.child_lookups[i]:
+        idx = state[c]
+        for p, m in others:
+            idx += state[p] * m
         for v in range(k):
             weights[v] *= flat_c[idx]
             idx += step
@@ -235,16 +231,18 @@ class _BlanketTables:
     of the free members of its Markov blanket (evidence is fixed).
 
     Free node ``s`` (its slot in ``free``) with free-node values ``x`` reads
-    row ``offsets[s] + strides[s] @ x``. The row holds the total of the
-    node's conditional weights and their running sums, both as
-    :func:`_conditional_weights` and :func:`_resample` add them, with the
-    sum at the last positive weight replaced by +inf. The first v with
-    ``u * total < thresholds[row, v]`` is then the outcome ``_resample``
-    chooses with draw u.
+    row ``offsets[s] + sum(x[members[s]] * multipliers[s])``; ``members``
+    and ``multipliers`` are padded to the widest blanket with slot 0 and
+    multiplier 0. The row holds the total of the node's conditional weights
+    and their running sums, both as :func:`_conditional_weights` and
+    :func:`_resample` add them, with the sum at the last positive weight
+    replaced by +inf. The first v with ``u * total < thresholds[row, v]`` is
+    then the outcome ``_resample`` chooses with draw u.
     """
 
     outcomes: np.ndarray  # outcome count of each free node
-    strides: np.ndarray
+    members: np.ndarray
+    multipliers: np.ndarray
     offsets: np.ndarray
     totals: np.ndarray
     thresholds: np.ndarray
@@ -256,22 +254,28 @@ class _BlanketTables:
         rows."""
         slot = {i: s for s, i in enumerate(free)}
         width = max(tab.k[i] for i in free)
-        strides = np.zeros((len(free), len(free)), dtype=np.intp)
-        offsets = np.zeros(len(free), dtype=np.intp)
-        totals: list[float] = []
-        thresholds: list[list[float]] = []
-        state = template.copy()
-        for s, i in enumerate(free):
+        blankets = []
+        for i in free:
             blanket = {*tab.parents[i], *tab.children[i]}
             for c in tab.children[i]:
                 blanket.update(tab.parents[c])
             members = sorted(m for m in blanket if m in slot and m != i)
             if math.prod(tab.k[m] for m in members) > _BLANKET_CAP:
                 return None
+            blankets.append(members)
+        widest = max(map(len, blankets))
+        member_slots = np.zeros((len(free), widest), dtype=np.intp)
+        multipliers = np.zeros((len(free), widest), dtype=np.intp)
+        offsets = np.zeros(len(free), dtype=np.intp)
+        totals: list[float] = []
+        thresholds: list[list[float]] = []
+        state = template.copy()
+        for s, (i, members) in enumerate(zip(free, blankets)):
             step = 1
-            for m in reversed(members):  # last member varies fastest
-                strides[s, slot[m]] = step
-                step *= tab.k[m]
+            for b in reversed(range(len(members))):  # last member varies fastest
+                member_slots[s, b] = slot[members[b]]
+                multipliers[s, b] = step
+                step *= tab.k[members[b]]
             offsets[s] = len(totals)
             for values in itertools.product(*(range(tab.k[m]) for m in members)):
                 for m, v in zip(members, values):
@@ -289,7 +293,8 @@ class _BlanketTables:
                 totals.append(total)
                 thresholds.append(row)
         outcomes = np.array([tab.k[i] for i in free])
-        return cls(outcomes, strides, offsets, np.array(totals), np.array(thresholds))
+        return cls(outcomes, member_slots, multipliers, offsets, np.array(totals),
+                   np.array(thresholds))
 
     def walk(self, t: int, seeds: np.ndarray) -> np.ndarray | None:
         """Final free-node values of the trials on the streams seeded
@@ -310,31 +315,14 @@ class _BlanketTables:
             u = counter_draws(seeds[move, None], drawn[move, None] + next_two)
             drawn[move] += np.uint64(2)
             node = (u[:, 0] * nfree).astype(np.intp)
-            rows = self.offsets[node] + np.einsum("ij,ij->i", values[move], self.strides[node])
+            blanket = values[move[:, None], self.members[node]]
+            rows = self.offsets[node] + (blanket * self.multipliers[node]).sum(axis=1)
             totals = self.totals[rows]
             if dead and (totals <= 0.0).any():
                 return None
             chosen = (u[:, 1] * totals)[:, None] < self.thresholds[rows]
             values[move, node] = chosen.argmax(axis=1)
         return values
-
-
-def _one_by_one(tab: _Tables, free: tuple[int, ...], template: list[int], t: int,
-                seeds: np.ndarray) -> Iterator[list[int]]:
-    """The final states of the trials on the streams seeded ``seeds``, each
-    run by :func:`_trial`. One numpy call makes the draws of as many trials
-    as ``_DRAWS`` draws cover; a longer trial draws from a
-    :class:`CounterStream`."""
-    most = len(free) + 3 * t  # the most draws a trial can make
-    if most > _DRAWS:
-        for seed in seeds.tolist():
-            yield _trial(tab, free, template, t, CounterStream(seed).random)
-        return
-    counters = np.arange(1, most + 1, dtype=np.uint64)
-    group = _DRAWS // max(most, 1)
-    for start in range(0, len(seeds), group):
-        for row in counter_draws(seeds[start : start + group, None], counters):
-            yield _trial(tab, free, template, t, iter(memoryview(row)).__next__)
 
 
 def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], template: list[int],
@@ -347,8 +335,9 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
     A block of at least ``_LOCKSTEP_MIN`` trials runs as lock-step walkers
     unless some blanket table would pass ``_BLANKET_CAP``; other blocks, and
     a block in which some trial conflicts, run the per-trial loop, which
-    raises for the lowest conflicting trial. Either way the values are the
-    same.
+    raises for the lowest conflicting trial. That loop runs :func:`_trial`
+    on the streams of :func:`counter_streams`, each trial's draws made ahead
+    up to the most it can make. Either way the values are the same.
     """
     if t:
         _require_free(free)
@@ -363,10 +352,10 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
                 values = tables.walk(t, seeds)
         if values is None:
             values = np.empty((len(seeds), len(free)), dtype=np.intp)
-            states = _one_by_one(tab, free, template, t, seeds)
-            for b in range(len(seeds)):
+            ahead = min(len(free) + 3 * t, _AHEAD // len(seeds))  # a trial's most draws
+            for b, rand in enumerate(counter_streams(seeds, ahead)):
                 try:
-                    state = next(states)
+                    state = _trial(tab, free, template, t, rand)
                 except DeterministicConflictError as exc:
                     raise _located(net, exc, f"in trial {first + b} of seed {seed}") from None
                 values[b] = [state[i] for i in free]

@@ -119,7 +119,7 @@ class _Tables:
     that :func:`validate_network` accepts.
     """
 
-    __slots__ = ("n", "k", "parents", "strides", "flat", "children", "child_strides")
+    __slots__ = ("n", "k", "parents", "strides", "flat", "children", "child_lookups")
 
     def __init__(self, net: "BeliefNetwork"):
         index = net.node_index
@@ -139,14 +139,19 @@ class _Tables:
             self.parents.append(pix)
             self.strides.append(tuple(strides))
             self.flat.append([p for row in nd.cpt.rows for p in row])
-        children: list[list[int]] = [[] for _ in nodes]
-        child_strides: list[list[int]] = [[] for _ in nodes]
+        # child_lookups[i]: per child c of i, in declaration order, where c's
+        # entry sits in flat[c] as i's value varies: (c, flat[c], step,
+        # others), the entry for i = v being flat[c][state[c] + step * v +
+        # sum(state[p] * m for p, m in others)] over c's other parents.
+        lookups: list[list[tuple]] = [[] for _ in nodes]
         for c, nd in enumerate(nodes):
-            for pos, p in enumerate(self.parents[c]):
-                children[p].append(c)
-                child_strides[p].append(self.strides[c][pos])
-        self.children = [tuple(cs) for cs in children]
-        self.child_strides = [tuple(cs) for cs in child_strides]
+            kc = self.k[c]
+            for p, stride in zip(self.parents[c], self.strides[c]):
+                others = tuple((q, s * kc) for q, s in zip(self.parents[c], self.strides[c])
+                               if q != p)
+                lookups[p].append((c, self.flat[c], stride * kc, others))
+        self.child_lookups = [tuple(ls) for ls in lookups]
+        self.children = [tuple(c for c, *_ in ls) for ls in lookups]
 
     def joint_weight(self, state: JointState) -> float:
         """Product over all nodes of their table entry in a full state."""

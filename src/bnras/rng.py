@@ -11,9 +11,10 @@ Trial j of a stream seeded ``seed`` has the seed
 
 the output sequence of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) started
 at s_j. Every draw is a pure function of (s_j, k), so :func:`counter_draws`
-computes any draws of any trials at once on numpy ``uint64`` arrays, and
+computes any draws of any trials at once on numpy ``uint64`` arrays.
 :meth:`RandomStream.spawn` returns a :class:`CounterStream` that yields the
-same draws one at a time.
+same draws one at a time, and :func:`counter_streams` yields them for many
+trials, the first draws of all of them made in one call.
 """
 
 from __future__ import annotations
@@ -36,13 +37,25 @@ def _splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+# The constants as numpy scalars, made once: on a block of a few hundred
+# draws, making them per call cost a third of the call.
+_GOLDEN_U = np.uint64(_GOLDEN)
+_MIX1_U = np.uint64(_MIX1)
+_MIX2_U = np.uint64(_MIX2)
+_U11, _U27, _U30, _U31 = (np.uint64(s) for s in (11, 27, 30, 31))
+
+#: Size of a :class:`CounterStream`'s first and largest blocks of draws.
+_FIRST_DRAWS = 256
+_MOST_DRAWS = 4096
+
+
 def _mix(x: np.ndarray) -> np.ndarray:
     """The SplitMix64 finalizer on a ``uint64`` array, in place."""
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_MIX1)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
+    x ^= x >> _U30
+    x *= _MIX1_U
+    x ^= x >> _U27
+    x *= _MIX2_U
+    x ^= x >> _U31
     return x
 
 
@@ -54,40 +67,60 @@ def derive_stream_seed(master_seed: int, index: int) -> int:
 def derive_stream_seeds(master_seed: int, first: int, stop: int) -> np.ndarray:
     """``derive_stream_seed(master_seed, j)`` for j in [first, stop), as
     ``uint64``."""
-    steps = np.arange(first + 1, stop + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    steps = np.arange(first + 1, stop + 1, dtype=np.uint64) * _GOLDEN_U
     return _mix(steps + np.uint64(master_seed & _MASK64))
 
 
 def counter_draws(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Draw number ``counters`` of the child streams seeded ``seeds``
     (broadcast together, both ``uint64``), as floats in [0, 1)."""
-    x = _mix(seeds + counters * np.uint64(_GOLDEN))
-    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    x = _mix(seeds + counters * _GOLDEN_U)
+    x >>= _U11
+    return x * 2.0**-53  # exact: x < 2^53
+
+
+def _blocks(seed: np.uint64, first: int, size: int):
+    """Draws first, first + 1, ... of the child stream seeded ``seed``, in
+    blocks whose size doubles from ``size`` to ``_MOST_DRAWS``."""
+    while True:
+        counters = np.arange(first, first + size, dtype=np.uint64)
+        yield memoryview(counter_draws(seed, counters))  # yields Python floats
+        first += size
+        size = min(2 * size, _MOST_DRAWS)
+
+
+def counter_streams(seeds: np.ndarray, ahead: int):
+    """The ``random`` of each child stream seeded ``seeds`` (``uint64``), in
+    order, each yielding the draws :class:`CounterStream` yields. The first
+    ``ahead`` draws of all of them (at most ``_MOST_DRAWS`` each) are made
+    in one numpy call, which for short trials costs less than a call per
+    stream."""
+    ahead = min(ahead, _MOST_DRAWS)
+    rows = counter_draws(seeds[:, None], np.arange(1, ahead + 1, dtype=np.uint64))
+    size = min(max(2 * ahead, _FIRST_DRAWS), _MOST_DRAWS)  # doubling on from the first block
+    for seed, row in zip(seeds, rows):
+        blocks = itertools.chain((memoryview(row),), _blocks(seed, ahead + 1, size))
+        yield itertools.chain.from_iterable(blocks).__next__
 
 
 class CounterStream:
     """The draws of one child stream, in order: a ``random()`` that yields
     draw 1, 2, ... of the SplitMix64 sequence started at ``seed_value``.
 
-    Draws are made by :func:`counter_draws`, 256 at first and then 4096 at
-    a time: up to 256 a call costs about the same whatever its size, and a
-    long trial pays numpy's call overhead rarely.
+    Draws are made by :func:`counter_draws` in blocks whose size doubles
+    from ``_FIRST_DRAWS`` to ``_MOST_DRAWS``. Up to a few hundred draws a
+    call costs about the same whatever its size, so the first block covers
+    a trial of up to about 100 transitions in one call; doubling keeps the
+    draws made and not used below those used, and a long trial pays numpy's
+    call overhead rarely.
     """
 
     __slots__ = ("seed_value", "random")
 
     def __init__(self, seed: int):
         self.seed_value = int(seed) & _MASK64
-        self.random = itertools.chain.from_iterable(self._blocks()).__next__
-
-    def _blocks(self):
-        seed = np.array([self.seed_value], dtype=np.uint64)
-        first, size = 1, 256
-        while True:
-            counters = np.arange(first, first + size, dtype=np.uint64)
-            yield memoryview(counter_draws(seed, counters))  # yields Python floats
-            first += size
-            size = 4096
+        blocks = _blocks(np.uint64(self.seed_value), 1, _FIRST_DRAWS)
+        self.random = itertools.chain.from_iterable(blocks).__next__
 
     def __repr__(self) -> str:
         return f"CounterStream(seed={self.seed_value})"

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 import bnras
 from bnras import Evidence, RandomStream, chain
-from bnras.rng import CounterStream, counter_draws, derive_stream_seeds
+from bnras.rng import CounterStream, counter_draws, counter_streams, derive_stream_seeds
 
 from conftest import evidence_sets, positive_networks
 
@@ -73,13 +73,22 @@ def copy_net():
 
 
 def test_counter_draws_match_splitmix64_sequence():
-    # draws cross the stream's block edges (after 256, 4352, ... draws)
+    # draws cross the stream's block edges (after 256, 768, ..., 7936 draws)
     for seed in (0, 1, 12345, 2**63 + 11, MASK - 2, MASK):
-        expected = splitmix64_sequence(seed, 5000)
-        counters = np.arange(1, 5001, dtype=np.uint64)
+        expected = splitmix64_sequence(seed, 9000)
+        counters = np.arange(1, 9001, dtype=np.uint64)
         assert counter_draws(np.array([seed], dtype=np.uint64), counters).tolist() == expected
+        assert counter_draws(np.uint64(seed), counters).tolist() == expected
         stream = CounterStream(seed)
-        assert [stream.random() for _ in range(5000)] == expected
+        assert [stream.random() for _ in range(9000)] == expected
+
+
+def test_streams_made_ahead_are_the_counter_sequence():
+    seeds = np.array([3, 2**63 + 11, MASK], dtype=np.uint64)
+    expected = [splitmix64_sequence(seed, 9000) for seed in seeds.tolist()]
+    for ahead in (0, 5, 16, 100, 10**4):
+        streams = counter_streams(seeds, ahead)
+        assert [[rand() for _ in range(9000)] for rand in streams] == expected
 
 
 def test_spawned_stream_is_the_counter_sequence():
@@ -109,7 +118,8 @@ def test_just_past_one_block(minialarm, empty):
 @pytest.mark.parametrize("setting", [
     {"_LOCKSTEP_MIN": 1},  # every block in lock step
     {"_LOCKSTEP_MIN": 10**9},  # every block in the per-trial loop
-    {"_LOCKSTEP_MIN": 10**9, "_DRAWS": 1},  # ... each trial on a CounterStream
+    {"_LOCKSTEP_MIN": 10**9, "_AHEAD": 0},  # ... each trial's draws made on its own
+    {"_LOCKSTEP_MIN": 10**9, "_AHEAD": 750},  # ... 5 made ahead, the rest on its own
     {"_BLANKET_CAP": 1},  # every table over the cap
     {"_BLOCK": 7, "_LOCKSTEP_MIN": 4},  # mixed blocks, the last one scalar
     {"_BLOCK": 64, "_LOCKSTEP_MIN": 1},
