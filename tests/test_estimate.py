@@ -73,19 +73,14 @@ def test_ab_estimate_close_to_posterior_panel(ab):
     assert hits >= 9
 
 
-def _path2_panel_sum_law(path2, oracle, trials, transitions, panel_size, shift=0.0):
-    """Exact law of the panel's summed max_error, on the grid of 1/trials.
-
-    A trial ends in a state drawn from u P^t, u the uniform restart and P
-    the test-side lazy matrix, so each run's (A, B) counts of outcome t are
-    a multinomial convolution over the four states. Each count's error is
-    taken with error_metrics' float arithmetic, after moving the estimated
-    first outcome by `shift` away from the oracle (0 for the sampler
-    itself). Returns pmf[s] = P(sum of the panel's max_error = s / trials).
-    """
+def _path2_run_counts(path2, trials, transitions):
+    """Exact law of one run's counts of outcome t: counts[a, b] = P(A=t in a
+    trials and B=t in b). A trial ends in a state drawn from u P^t, u the
+    uniform restart and P the test-side lazy matrix, so the counts are a
+    multinomial convolution over the four states."""
     states, matrix = scalar_transition_matrix(path2, Evidence.empty())
     end = np.full(len(states), 1.0 / len(states)) @ np.linalg.matrix_power(matrix, transitions)
-    counts = np.zeros((trials + 1, trials + 1))  # counts[a, b]: A=t a times, B=t b times
+    counts = np.zeros((trials + 1, trials + 1))
     counts[0, 0] = 1.0
     for _ in range(trials):
         step = np.zeros_like(counts)
@@ -93,6 +88,22 @@ def _path2_panel_sum_law(path2, oracle, trials, transitions, panel_size, shift=0
             da, db = int(a == 0), int(b == 0)
             step[da:, db:] += p * counts[: trials + 1 - da, : trials + 1 - db]
         counts = step
+    return counts
+
+
+def _panel_law(per_run, panel_size):
+    law = per_run
+    for _ in range(panel_size - 1):
+        law = np.convolve(law, per_run)
+    return law
+
+
+def _path2_panel_sum_law(counts, oracle, trials, panel_size, shift=0.0):
+    """Exact law of the panel's summed max_error, on the grid of 1/trials:
+    pmf[s] = P(sum of the panel's max_error = s / trials). Each count's
+    error is taken with error_metrics' float arithmetic, after moving the
+    estimated first outcome by `shift` away from the oracle (0 for the
+    sampler itself)."""
     c = np.arange(trials + 1)
     node_errors = []
     for exact in oracle.probs:
@@ -100,39 +111,58 @@ def _path2_panel_sum_law(path2, oracle, trials, transitions, panel_size, shift=0
         first = c / trials + sign * shift
         node_errors.append(np.maximum(np.abs(first - exact[0]), np.abs(1.0 - first - exact[1])))
     grid = np.rint(np.maximum.outer(*node_errors) * trials).astype(int)
-    per_run = np.bincount(grid.ravel(), weights=counts.ravel())
-    law = per_run
-    for _ in range(panel_size - 1):
-        law = np.convolve(law, per_run)
-    return law
+    return _panel_law(np.bincount(grid.ravel(), weights=counts.ravel()), panel_size)
+
+
+def _band(law, false_alarm):
+    """The narrowest index band [lo, hi] leaving at most false_alarm / 2 of
+    the law's mass on either side, and the mass it leaves."""
+    cdf = np.cumsum(law)
+    lo, hi = np.searchsorted(cdf, [false_alarm / 2, 1.0 - false_alarm / 2])
+    return lo, hi, (cdf[lo - 1] if lo else 0.0) + (1.0 - cdf[hi])
 
 
 def test_path2_estimate_panel(path2, empty):
-    # The panel's summed max_error must fall in a band fixed beforehand from
-    # its exact law (_path2_panel_sum_law). A count of runs within 0.05
+    # Two statistics must fall in bands fixed beforehand from their exact
+    # laws: the panel's summed max_error, and each node's count of outcome t
+    # pooled over the panel's 2000 trials. A count of runs within 0.05
     # cannot serve: a correct sampler meets 0.05 with probability 0.797 per
     # run, so nine of ten pass with probability 0.367.
     trials, transitions = 200, 500
     panel = (0, 1, 2, 3, 4, 5, 6, 7, 9, 10)
     oracle = bnras.enumerate_posteriors(path2, empty)
-    cdf = np.cumsum(_path2_panel_sum_law(path2, oracle, trials, transitions, len(panel)))
-    lo, hi = np.searchsorted(cdf, [5e-6, 1.0 - 5e-6])
-    false_alarm = cdf[lo - 1] + (1.0 - cdf[hi])
+    counts = _path2_run_counts(path2, trials, transitions)
+    lo, hi, false_alarm = _band(_path2_panel_sum_law(counts, oracle, trials, len(panel)), 5e-6)
+    pooled = [np.cumsum(_panel_law(counts.sum(axis=1 - node), len(panel))) for node in (0, 1)]
+    count_bands = [_band(np.diff(cdf, prepend=0.0), 2.5e-6) for cdf in pooled]
+    false_alarm += sum(band[2] for band in count_bands)
     assert false_alarm <= 1e-5
     # edges half a grid step outside, so float rounding cannot cross them
     lower, upper = (lo - 0.5) / trials, (hi + 0.5) / trials
-    errors = [
-        bnras.error_metrics(
-            bnras.bnras_estimate(path2, empty, trials, transitions, RandomStream(seed)), oracle
-        ).max_error
-        for seed in panel
-    ]
+    estimates = [bnras.bnras_estimate(path2, empty, trials, transitions, RandomStream(seed))
+                 for seed in panel]
+    errors = [bnras.error_metrics(est, oracle).max_error for est in estimates]
     assert lower <= sum(errors) <= upper, (sum(errors), lower, upper)
-    # the band rejects estimates moved 0.05 away from the oracle (they pass
-    # with probability below 0.01) and the oracle itself (summed error 0)
-    doctored = np.cumsum(_path2_panel_sum_law(path2, oracle, trials, transitions,
-                                              len(panel), shift=0.05))
-    assert doctored[hi] - doctored[lo - 1] < 0.01
+    for node, (count_lo, count_hi, _) in enumerate(count_bands):
+        pooled_count = sum(est.tallies[node][0] for est in estimates)
+        assert count_lo <= pooled_count <= count_hi, (node, pooled_count, count_lo, count_hi)
+
+    # Marginals shifted by a fixed amount pass a node's count band with the
+    # probabilities below: 2000 trials at this false-alarm rate cannot
+    # resolve a 0.05 shift (it passes with probability 0.597), while a 0.08
+    # shift passes with probability 0.007.
+    def shifted_pass(cdf, band, shift):
+        moved = round(shift * trials * len(panel))
+        return cdf[band[1] - moved] - cdf[band[0] - 1 - moved]
+
+    for cdf, band in zip(pooled, count_bands):
+        assert shifted_pass(cdf, band, 0.05) < 0.6
+        assert shifted_pass(cdf, band, -0.05) < 0.6
+        assert shifted_pass(cdf, band, 0.08) < 0.01
+    # the summed band rejects estimates moved 0.05 away from the oracle (they
+    # pass with probability 0.018) and the oracle itself (summed error 0)
+    doctored = np.cumsum(_path2_panel_sum_law(counts, oracle, trials, len(panel), shift=0.05))
+    assert doctored[hi] - doctored[lo - 1] < 0.02
     assert not lower <= sum(e + 0.05 for e in errors) <= upper
     assert lower > 0.0
 
