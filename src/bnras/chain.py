@@ -20,6 +20,13 @@ own counter-based stream (see :mod:`bnras.rng`) with its own draw count, and
 chooses outcomes from each node's conditional weights tabulated over its
 free Markov blanket. Both execute the same definition and give the same
 states, bit for bit.
+
+Cyclic-scan chains on many streams run one at a time or together
+(:meth:`_BlanketTables.scan`): at each step every chain redraws the same
+node, from the same tables, with the next draw of its own Mersenne Twister
+(see :class:`bnras.rng.TwisterBatch`). The tables are kept on the compiled
+network for the last evidence they were filled for (:func:`_blanket_tables`),
+so both samplers' runs over one network and evidence fill them once.
 """
 
 from __future__ import annotations
@@ -324,6 +331,44 @@ class _BlanketTables:
             values[move, node] = chosen.argmax(axis=1)
         return values
 
+    def scan(self, values: np.ndarray, first: int, draws: np.ndarray) -> np.ndarray | None:
+        """Cyclic-scan steps first + 1, ..., first + n of chains with
+        free-node values ``values`` ((chains, free nodes), moved in place):
+        step first + i + 1 redraws slot (first + i) mod nfree of every chain
+        with its draw ``draws[:, i]``, as :func:`_resample` redraws it.
+        Returns the values after each step, (n, chains, free nodes); None if
+        some chain meets a row whose weights are all zero."""
+        nfree = len(self.outcomes)
+        dead = (self.totals <= 0.0).any()
+        stops = [*self.offsets[1:], len(self.totals)]
+        slots = [(members[:width], multipliers[:width], self.totals[start:stop],
+                  self.thresholds[start:stop])
+                 for members, multipliers, width, start, stop in
+                 zip(self.members, self.multipliers, (self.multipliers > 0).sum(1),
+                     self.offsets, stops)]
+        states = np.empty((draws.shape[1], *values.shape), dtype=values.dtype)
+        for i, u in enumerate(draws.T):
+            s = (first + i) % nfree
+            members, multipliers, totals, thresholds = slots[s]
+            rows = values.take(members, axis=1).dot(multipliers)
+            totals = totals.take(rows)
+            if dead and (totals <= 0.0).any():
+                return None
+            scaled = (u * totals)[:, None]
+            values[:, s] = (scaled < thresholds.take(rows, axis=0)).argmax(axis=1)
+            states[i] = values
+        return states
+
+
+def _blanket_tables(tab: _Tables, free: tuple[int, ...], template: list[int]):
+    """``_BlanketTables.fill(tab, free, template)``, kept on ``tab`` for the
+    last evidence asked for, so that runs over one network and evidence fill
+    the tables once. The key holds the cap, under which alone they exist."""
+    key = (free, tuple(template), _BLANKET_CAP)
+    if tab.blankets is None or tab.blankets[0] != key:
+        tab.blankets = (key, _BlanketTables.fill(tab, free, template))
+    return tab.blankets[1]
+
 
 def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], template: list[int],
                   t: int, seed: int, trials: int) -> Iterator[np.ndarray]:
@@ -341,14 +386,12 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
     """
     if t:
         _require_free(free)
-    tables = None  # filled for the first lock-step block; False over the cap
     for first in range(0, trials, _BLOCK):
         seeds = derive_stream_seeds(seed, first, min(first + _BLOCK, trials))
         values = None
         if len(seeds) >= _LOCKSTEP_MIN and free:
-            if tables is None:
-                tables = _BlanketTables.fill(tab, free, template) or False
-            if tables:
+            tables = _blanket_tables(tab, free, template)
+            if tables is not None:
                 values = tables.walk(t, seeds)
         if values is None:
             values = np.empty((len(seeds), len(free)), dtype=np.intp)

@@ -7,8 +7,12 @@ capacity error (I/O failures, enumeration caps, impossible evidence).
 
 All result output shares one flat CSV schema (header below); checkpoint
 rows carry the cumulative transition count in the ``checkpoint`` column,
-summary rows leave it empty. The ``BNRAS_ENUM_CAP`` environment variable
-overrides the enumeration cap used for oracle computations.
+summary rows leave it empty. The straight-simulation runs of one total
+(every seed of a ``sweep`` grid point, or of a ``compare``) run as one
+lock-step batch, and each row's ``cpu_seconds`` and ``wall_seconds`` are
+its equal share of the batch's time, so that the rows sum to it. The
+``BNRAS_ENUM_CAP`` environment variable overrides the enumeration cap used
+for oracle computations.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     NetworkValidationError,
     PositivityError,
 )
-from .estimate import bnras_estimate, error_metrics, straight_estimate
+from .estimate import bnras_estimate, error_metrics, straight_estimates
 from .exact import enumerate_posteriors
 from .model_io import builtin_networks, format_evidence, parse_document, parse_evidence
 from .network import BeliefNetwork
@@ -142,20 +146,47 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
+def _estimates(net, ev, runs, stride: int, batched: bool):
+    """The estimate of each (algorithm, trials, transitions, total, seed),
+    in order. Batched, the straight runs of each total run together, when
+    the first of them is due; otherwise each runs on its own."""
+    straight = {}
+    for algorithm, trials, transitions, total, seed in runs:
+        if algorithm == "bnras":
+            yield bnras_estimate(net, ev, trials, transitions, RandomStream(seed),
+                                 checkpoint_stride=stride)
+            continue
+        if (total, seed) not in straight:
+            seeds = [s for a, _, _, t, s in runs if a == "straight" and t == total] \
+                if batched else [seed]
+            batch = straight_estimates(net, ev, total, [RandomStream(s) for s in seeds],
+                                       checkpoint_stride=stride)
+            straight.update(((total, s), est) for s, est in zip(seeds, batch))
+        yield straight.pop((total, seed))
+
+
 def _write_runs(net, ev, runs, stride: int, out: str) -> int:
-    """Run each (algorithm, trials, transitions, total, seed) in order, score
-    it against one oracle, and write its checkpoint rows and then its
-    summary row as CSV to ``out`` (``-`` for stdout)."""
+    """Run each (algorithm, trials, transitions, total, seed), score it
+    against one oracle, and write its checkpoint rows and then its summary
+    row as CSV to ``out`` (``-`` for stdout), in the order of ``runs``.
+
+    The straight runs of one total run as one batch (see
+    :func:`bnras.estimate.straight_estimates`), and each reports an equal
+    share of the batch's processor and wall seconds. If the batch meets a
+    deterministic conflict, the runs are made again one at a time in order,
+    so that the error reported is the one that order meets first.
+    """
     oracle = enumerate_posteriors(net, ev, cap=_enum_cap())
+    try:
+        estimates = list(_estimates(net, ev, runs, stride, batched=True))
+    except DeterministicConflictError:
+        estimates = list(_estimates(net, ev, runs, stride, batched=False))
     ev_str = format_evidence(ev, net)
     lines = [CSV_HEADER]
-    for algorithm, trials, transitions, total, seed in runs:
-        rng = RandomStream(seed)
+    for (algorithm, trials, transitions, total, seed), est in zip(runs, estimates):
         if algorithm == "bnras":
-            est = bnras_estimate(net, ev, trials, transitions, rng, checkpoint_stride=stride)
             run_id = f"bnras-{net.name}-N{trials}-t{transitions}-s{seed}"
         else:
-            est = straight_estimate(net, ev, total, rng, checkpoint_stride=stride)
             run_id = f"straight-{net.name}-T{total}-s{seed}"
         tpt = "" if est.transitions_per_trial is None else est.transitions_per_trial
         common = (

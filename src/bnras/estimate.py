@@ -12,21 +12,45 @@ as numpy walkers in lock step, a smaller one trial by trial
 the checkpoints.
 
 ``straight_estimate`` runs one cyclic-scan chain without restarts and
-scores the full state after every transition.
+scores the full state after every transition. ``straight_estimates`` runs
+one such chain on each of many streams: one chain is sequential, but at
+least ``_STRAIGHT_MIN`` chains move together in lock step, each on its own
+Mersenne Twister stream, in chunks tallied by numpy. The tallies,
+checkpoints and final stream states are those of the chains run one by
+one, bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .chain import _located, _prepare, _require_free, _resample, _trial_blocks, _uniform_state
+from .chain import (
+    _blanket_tables,
+    _located,
+    _prepare,
+    _require_free,
+    _resample,
+    _trial_blocks,
+    _uniform_state,
+)
 from .errors import DeterministicConflictError
 from .exact import PosteriorTable
 from .network import BeliefNetwork, Evidence
-from .rng import RandomStream
+from .rng import RandomStream, TwisterBatch
+
+#: Fewest chains :func:`straight_estimates` moves in lock step. A lock-step
+#: step costs 5-9 us however few chains it moves, a scalar step 2-3 us per
+#: chain, so fewer chains run one by one (crossover table in ROADMAP.md).
+_STRAIGHT_MIN = 4
+
+#: Most per-step states (steps x chains x free nodes) a lock-step chunk of
+#: straight simulation holds.
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -130,6 +154,139 @@ def bnras_estimate(
     )
 
 
+def _cyclic_chain(net: BeliefNetwork, tab, free, template, total: int, rng: RandomStream,
+                  stride: int, burn_in: int):
+    """One cyclic-scan chain, step by step: its tally, its checkpoints, and
+    the processor and wall seconds it took."""
+    tally = [[0] * tab.k[i] for i in free]
+    checkpoints: list[Checkpoint] = []
+    rand = rng.random
+    cpu0, wall0 = time.process_time(), time.perf_counter()
+    state = _uniform_state(tab, free, template, rand)
+    cursor = 0
+    nfree = len(free)
+    scored = 0
+    try:
+        for step in range(1, total + 1):
+            _resample(tab, state, free[cursor], rand)
+            cursor += 1
+            if cursor == nfree:
+                cursor = 0
+            if step > burn_in:
+                scored += 1
+                for slot, i in enumerate(free):
+                    tally[slot][state[i]] += 1
+            if stride > 0 and scored > 0 and step % stride == 0:
+                checkpoints.append(Checkpoint(step, scored, _snapshot(tally, scored)))
+    except DeterministicConflictError as exc:
+        raise _located(net, exc, f"at step {step} of seed {rng.seed_value}") from None
+    return tally, checkpoints, time.process_time() - cpu0, time.perf_counter() - wall0
+
+
+def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStream],
+                     stride: int, burn_in: int):
+    """The chains on ``rngs``, moved together by ``_BlanketTables.scan`` on
+    a :class:`TwisterBatch` of their streams: each chain's tally and
+    checkpoints, as :func:`_cyclic_chain` gives them, and the streams moved
+    as far as it moves them. None, with the streams not moved, if some
+    blanket table is over the cap, the streams stand at different
+    positions, or some chain meets a row whose weights are all zero.
+
+    The steps run in chunks of at most ``_CHUNK`` per-step states, cut at
+    every checkpoint and at the end of the burn-in; each scored chunk is
+    tallied by one ``bincount``.
+    """
+    tables = _blanket_tables(tab, free, template)
+    twister = TwisterBatch.of(rngs)
+    if tables is None or twister is None:
+        return None
+    chains, nfree = len(rngs), len(free)
+    values = (twister.random(nfree) * tables.outcomes).astype(np.intp)
+    edges = [0, *itertools.accumulate(tab.k[i] for i in free)]  # each node's outcome columns
+    width = edges[-1]
+    codes = np.array(edges[:-1]) + width * np.arange(chains)[:, None]
+    counts = np.zeros(chains * width, dtype=np.int64)
+    checkpoints: list[list[Checkpoint]] = [[] for _ in rngs]
+
+    def tallies():
+        return [[row[a:b] for a, b in zip(edges, edges[1:])]
+                for row in counts.reshape(chains, width).tolist()]
+
+    marks = range(stride, total + 1, stride) if stride > 0 else ()
+    most = max(1, _CHUNK // (chains * nfree))
+    done = 0
+    for cut in sorted({burn_in, total, *marks}):
+        while done < cut:
+            states = tables.scan(values, done, twister.random(min(cut - done, most)))
+            if states is None:
+                return None
+            if done >= burn_in:
+                counts += np.bincount((states + codes).ravel(), minlength=len(counts))
+            done += len(states)
+        if stride > 0 and done % stride == 0 and done > burn_in:
+            for tally, points in zip(tallies(), checkpoints):
+                points.append(Checkpoint(done, done - burn_in, _snapshot(tally, done - burn_in)))
+    twister.store(rngs)
+    return tallies(), checkpoints
+
+
+def straight_estimates(
+    net: BeliefNetwork,
+    ev: Evidence,
+    total_transitions: int,
+    rngs: Sequence[RandomStream],
+    checkpoint_stride: int = 0,
+    burn_in: int = 0,
+) -> list[PosteriorEstimate]:
+    """``straight_estimate`` of one chain on each stream of ``rngs``, in
+    order, each stream moved as that call moves it.
+
+    At least ``_STRAIGHT_MIN`` chains move together in lock step (see
+    :func:`_cyclic_lockstep`), and each estimate's ``cpu_seconds`` and
+    ``wall_seconds`` are an equal share of the batch's. Fewer chains, a
+    network whose blanket tables are over the cap, streams at different
+    positions, and a batch in which some chain meets a zero-weight row run
+    chain by chain, each timed on its own; a conflict then raises for the
+    first conflicting chain, as the calls one by one would. The estimates
+    are the same either way.
+    """
+    if total_transitions < 1:
+        raise ValueError("total_transitions must be >= 1")
+    if not 0 <= burn_in < total_transitions:
+        raise ValueError("burn_in must be in [0, total_transitions)")
+    tab, free, template = _prepare(net, ev)
+    _require_free(free)
+    names, labels = _labels(net, free)
+    runs = None
+    if len(rngs) >= _STRAIGHT_MIN:
+        cpu0, wall0 = time.process_time(), time.perf_counter()
+        batch = _cyclic_lockstep(tab, free, template, total_transitions, rngs,
+                                 checkpoint_stride, burn_in)
+        if batch is not None:
+            cpu = (time.process_time() - cpu0) / len(rngs)
+            wall = (time.perf_counter() - wall0) / len(rngs)
+            runs = [(tally, points, cpu, wall) for tally, points in zip(*batch)]
+    if runs is None:
+        runs = [_cyclic_chain(net, tab, free, template, total_transitions, rng,
+                              checkpoint_stride, burn_in) for rng in rngs]
+    scored = total_transitions - burn_in
+    return [
+        PosteriorEstimate(
+            nodes=names,
+            outcome_labels=labels,
+            probs=_snapshot(tally, scored),
+            tallies=tuple(tuple(row) for row in tally),
+            trials=scored,
+            transitions_per_trial=None,
+            total_transitions=total_transitions,
+            cpu_seconds=cpu,
+            wall_seconds=wall,
+            checkpoints=tuple(points),
+        )
+        for tally, points, cpu, wall in runs
+    ]
+
+
 def straight_estimate(
     net: BeliefNetwork,
     ev: Evidence,
@@ -143,48 +300,7 @@ def straight_estimate(
     One uniform random initialization, never re-initialized; the full state
     is scored after every step (after the first `burn_in` steps, default 0).
     """
-    if total_transitions < 1:
-        raise ValueError("total_transitions must be >= 1")
-    if not 0 <= burn_in < total_transitions:
-        raise ValueError("burn_in must be in [0, total_transitions)")
-    tab, free, template = _prepare(net, ev)
-    _require_free(free)
-    names, labels = _labels(net, free)
-    tally = [[0] * tab.k[i] for i in free]
-    checkpoints: list[Checkpoint] = []
-    rand = rng.random
-    cpu0, wall0 = time.process_time(), time.perf_counter()
-    state = _uniform_state(tab, free, template, rand)
-    cursor = 0
-    nfree = len(free)
-    scored = 0
-    try:
-        for step in range(1, total_transitions + 1):
-            _resample(tab, state, free[cursor], rand)
-            cursor += 1
-            if cursor == nfree:
-                cursor = 0
-            if step > burn_in:
-                scored += 1
-                for slot, i in enumerate(free):
-                    tally[slot][state[i]] += 1
-            if checkpoint_stride > 0 and scored > 0 and step % checkpoint_stride == 0:
-                checkpoints.append(Checkpoint(step, scored, _snapshot(tally, scored)))
-    except DeterministicConflictError as exc:
-        raise _located(net, exc, f"at step {step} of seed {rng.seed_value}") from None
-    cpu1, wall1 = time.process_time(), time.perf_counter()
-    return PosteriorEstimate(
-        nodes=names,
-        outcome_labels=labels,
-        probs=_snapshot(tally, scored),
-        tallies=tuple(tuple(row) for row in tally),
-        trials=scored,
-        transitions_per_trial=None,
-        total_transitions=total_transitions,
-        cpu_seconds=cpu1 - cpu0,
-        wall_seconds=wall1 - wall0,
-        checkpoints=tuple(checkpoints),
-    )
+    return straight_estimates(net, ev, total_transitions, [rng], checkpoint_stride, burn_in)[0]
 
 
 def error_metrics(est: PosteriorEstimate, oracle: PosteriorTable) -> ErrorReport:

@@ -119,7 +119,7 @@ class _Tables:
     that :func:`validate_network` accepts.
     """
 
-    __slots__ = ("n", "k", "parents", "strides", "flat", "children", "child_lookups")
+    __slots__ = ("n", "k", "parents", "strides", "flat", "children", "child_lookups", "blankets")
 
     def __init__(self, net: "BeliefNetwork"):
         index = net.node_index
@@ -152,6 +152,9 @@ class _Tables:
                 lookups[p].append((c, self.flat[c], stride * kc, others))
         self.child_lookups = [tuple(ls) for ls in lookups]
         self.children = [tuple(c for c, *_ in ls) for ls in lookups]
+        # the samplers' blanket tables for the evidence they last ran on,
+        # with its key (see chain._blanket_tables)
+        self.blankets: tuple | None = None
 
     def joint_weight(self, state: JointState) -> float:
         """Product over all nodes of their table entry in a full state."""

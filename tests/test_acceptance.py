@@ -256,11 +256,10 @@ def test_acceptance_08_pathological_straight_simulation(path2):
 def test_acceptance_09_well_mixing_parity(chain5):
     oracle = bnras.enumerate_posteriors(chain5, Evidence.empty())
     straight = [
-        bnras.error_metrics(
-            bnras.straight_estimate(chain5, Evidence.empty(), 100_000, RandomStream(s)),
-            oracle,
-        ).avg_error
-        for s in range(30)
+        bnras.error_metrics(est, oracle).avg_error
+        for est in bnras.straight_estimates(
+            chain5, Evidence.empty(), 100_000, [RandomStream(s) for s in range(30)]
+        )
     ]
     randomized = [
         bnras.error_metrics(

@@ -253,6 +253,63 @@ def test_sweep_straight_grid(tmp_path, capsys):
     assert len(rows) == 6
 
 
+def test_straight_batches_match_single_runs(tmp_path, capsys):
+    # a sweep runs the seeds of each total as one batch; the rows are the
+    # single runs' rows in the same order, and each summary row's timing is
+    # an equal share of its batch
+    code, _, _ = run_cli(
+        capsys, "sweep", "--network", "MINIALARM", "--algorithm", "straight",
+        "--total", "300,500", "--seeds", "0:6", "--stride", "70",
+        "--out", str(tmp_path / "s.csv"),
+    )
+    assert code == 0
+    lines = (tmp_path / "s.csv").read_text().splitlines()
+    single = [CSV_HEADER]
+    for total in ("300", "500"):
+        for seed in range(6):
+            code, out, _ = run_cli(
+                capsys, "run", "--network", "MINIALARM", "--algorithm", "straight",
+                "--total", total, "--seed", str(seed), "--stride", "70",
+            )
+            assert code == 0
+            single += out.splitlines()[1:]
+    assert [line.rsplit(",", 2)[0] for line in lines] == \
+        [line.rsplit(",", 2)[0] for line in single]
+    rows = parse_csv("\n".join(lines))
+    for total in ("300", "500"):
+        shares = {(r["cpu_seconds"], r["wall_seconds"]) for r in rows
+                  if r["checkpoint"] == "" and r["total_transitions"] == total}
+        assert len(shares) == 1
+
+
+AND_GATE = (
+    "network AND\n"
+    "node A { outcomes: t, f }\ncpt A:\n 0.5 0.5\n"
+    "node C { outcomes: t, f }\ncpt C:\n 0.5 0.5\n"
+    "node B { outcomes: t, f }\nparents B: A, C\n"
+    "cpt B:\n 1 0\n 0 1\n 0 1\n 0 1\n"
+)
+CONFLICT = ("error: all conditional weights of node A are zero {}; "
+            "the 0/1 table entries conflict with the current state\n")
+
+
+def test_conflict_reported_in_run_order(tmp_path, capsys):
+    path = tmp_path / "and.bn"
+    path.write_text(AND_GATE)
+    # seed 0's straight chain conflicts, and the straight batch of all four
+    # seeds meets it; but in the run order seed 1's trials conflict first
+    code, out, err = run_cli(
+        capsys, "compare", "--network", str(path), "--total", "6", "--transitions", "3",
+        "--seeds", "4,5,1,0", "--out", str(tmp_path / "c.csv"),
+    )
+    assert (code, err) == (3, CONFLICT.format("in trial 0 of seed 1"))
+    code, out, err = run_cli(
+        capsys, "sweep", "--network", str(path), "--algorithm", "straight",
+        "--total", "6", "--seeds", "4,5,7,2,3", "--out", str(tmp_path / "s.csv"),
+    )
+    assert (code, err) == (3, CONFLICT.format("at step 1 of seed 2"))
+
+
 def test_sweep_usage_errors(capsys, tmp_path):
     code, _, _ = run_cli(
         capsys, "sweep", "--network", "AB", "--algorithm", "bnras",

@@ -171,8 +171,7 @@ def test_straight_estimate_ab_converges(ab):
     ev = bnras.parse_evidence("B=t", ab)
     oracle = bnras.enumerate_posteriors(ab, ev)
     hits = 0
-    for seed in range(10):
-        est = bnras.straight_estimate(ab, ev, 100_000, RandomStream(seed))
+    for est in bnras.straight_estimates(ab, ev, 100_000, [RandomStream(s) for s in range(10)]):
         hits += abs(est.marginal("A")[0] - 9 / 11) <= 0.02
     assert hits >= 9
     assert bnras.error_metrics(est, oracle).max_error <= 0.05
