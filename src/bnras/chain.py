@@ -365,9 +365,10 @@ def _blanket_tables(tab: _Tables, free: tuple[int, ...], template: list[int]):
     last evidence asked for, so that runs over one network and evidence fill
     the tables once. The key holds the cap, under which alone they exist."""
     key = (free, tuple(template), _BLANKET_CAP)
-    if tab.blankets is None or tab.blankets[0] != key:
-        tab.blankets = (key, _BlanketTables.fill(tab, free, template))
-    return tab.blankets[1]
+    kept = tab.blankets  # read once: another thread may replace it
+    if kept is None or kept[0] != key:
+        kept = tab.blankets = (key, _BlanketTables.fill(tab, free, template))
+    return kept[1]
 
 
 def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], template: list[int],

@@ -157,8 +157,9 @@ def _estimates(net, ev, runs, stride: int, batched: bool):
                                  checkpoint_stride=stride)
             continue
         if (total, seed) not in straight:
-            seeds = [s for a, _, _, t, s in runs if a == "straight" and t == total] \
-                if batched else [seed]
+            seeds = [seed]
+            if batched:
+                seeds = [s for a, _, _, t, s in runs if a == "straight" and t == total]
             batch = straight_estimates(net, ev, total, [RandomStream(s) for s in seeds],
                                        checkpoint_stride=stride)
             straight.update(((total, s), est) for s, est in zip(seeds, batch))

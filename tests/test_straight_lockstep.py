@@ -8,6 +8,9 @@ whichever side of the chain-count selection and of the blanket-table cap it
 runs on, and however its steps are chunked.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -60,7 +63,8 @@ def assert_matches_scalar(net, ev, total, seeds, stride=0, burn_in=0):
 
 
 def test_twister_batch_matches_python_draws():
-    # 1 + 311 + 313 draws cross the first twist (624 words), 1500 more two more
+    # a twist makes 312 draws: the second call ends on the first twist's last
+    # word, the fourth starts a twist and ends past another, 2125 draws take 7
     expected = [python_draws(s, 2125) for s in SEEDS]
     streams = [RandomStream(s) for s in SEEDS]
     batch = TwisterBatch.of(streams)
@@ -188,6 +192,19 @@ def test_conflict_names_first_conflicting_seed(monkeypatch, and_gate, empty):
         with pytest.raises(bnras.DeterministicConflictError) as info:
             bnras.straight_estimates(and_gate, empty, 30, [RandomStream(s) for s in seeds])
         assert (info.value.node, str(info.value)) == expected
+
+
+def test_numpy_random_never_imported():
+    # importing numpy.random costs about 6 MB of resident memory
+    code = (
+        "import os, sys, bnras.cli\n"
+        "bnras.cli.main(['compare', '--network', 'MINIALARM', '--total', '200',"
+        " '--seeds', '0:6', '--out', os.devnull])\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
