@@ -24,9 +24,17 @@ states, bit for bit.
 Cyclic-scan chains on many streams run one at a time or together
 (:meth:`_BlanketTables.scan`): at each step every chain redraws the same
 node, from the same tables, with the next draw of its own Mersenne Twister
-(see :class:`bnras.rng.TwisterBatch`). The tables are kept on the compiled
-network for the last evidence they were filled for (:func:`_blanket_tables`),
-so both samplers' runs over one network and evidence fill them once.
+(see :class:`bnras.rng.TwisterBatch`). Together, the chains are held as
+their sequence of outcomes, whose last nfree entries are their current
+values, so a step reads the node's blanket with one dot and appends one
+outcome. The tables are kept on the compiled network for the last evidence
+they were filled for (:func:`_blanket_tables`), so both samplers' runs over
+one network and evidence fill them once.
+
+Both lock-step kernels choose outcomes through exact draw cutoffs
+(:func:`_draw_cutoffs`): the outcome :func:`_resample` picks with draw u is
+the count of the row's cutoffs at or below u, found once per table row by
+bisection over the doubles, so neither multiplies a draw by a total.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -232,6 +241,54 @@ def _trial(tab: _Tables, free: tuple[int, ...], template: list[int], t: int, ran
     return state
 
 
+#: Bits of the double 1.0; non-negative doubles order as their bits do.
+_ONE_BITS = int(np.float64(1.0).view(np.int64))
+
+
+def _draw_cutoffs(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The draw cutoffs of rows of conditional weights ((rows, width),
+    zero-padded), and the mask of dead rows, whose total is not positive.
+
+    Row r's threshold v is the running sum of its weights to v, as
+    :func:`_resample` adds them, and +inf from its last positive weight on;
+    its cutoff v is the least double ``u >= 0`` with ``fl(u * total) >=
+    threshold``. ``fl(u * total)`` never decreases as u grows, so ``u *
+    total < threshold[v]`` exactly when ``u < cutoff[v]``, and the outcome
+    ``_resample`` picks with draw u is the count of cutoffs ``<= u``. Dead
+    rows' cutoffs are +inf.
+    """
+    running = np.cumsum(weights, axis=1)
+    totals = running[:, -1:]
+    dead = totals[:, 0] <= 0.0
+    width = weights.shape[1]
+    last = width - 1 - (weights > 0.0)[:, ::-1].argmax(axis=1)  # the last positive weight
+    finite = (np.arange(width) < last[:, None]) & ~dead[:, None]
+    th = running[finite]
+    total = np.broadcast_to(totals, weights.shape)[finite]
+
+    def reaches(bits, at=slice(None)):
+        return bits.view(np.float64) * total[at] >= th[at]
+
+    # Bisect over the bits between lo, which does not reach (-1 stands
+    # below 0.0), and hi, which does. Two doubles above th / total exceed
+    # it, so they reach; two below need not fail when the total is
+    # subnormal, and fl(u * total) coarse.
+    guess = (th / total).view(np.int64)
+    hi = np.minimum(guess + 2, _ONE_BITS)
+    lo = guess - 2
+    lo[(lo < 0) | reaches(np.maximum(lo, 0))] = -1
+    todo = np.flatnonzero(hi - lo > 1)
+    while todo.size:
+        mid = lo[todo] + (hi[todo] - lo[todo]) // 2
+        up = reaches(mid, todo)
+        hi[todo[up]] = mid[up]
+        lo[todo[~up]] = mid[~up]
+        todo = todo[hi[todo] - lo[todo] > 1]
+    cutoffs = np.full(weights.shape, np.inf)
+    cutoffs[finite] = hi.view(np.float64)
+    return cutoffs, dead
+
+
 @dataclass(frozen=True)
 class _BlanketTables:
     """Every free node's outcome choice, tabulated over the configurations
@@ -240,19 +297,19 @@ class _BlanketTables:
     Free node ``s`` (its slot in ``free``) with free-node values ``x`` reads
     row ``offsets[s] + sum(x[members[s]] * multipliers[s])``; ``members``
     and ``multipliers`` are padded to the widest blanket with slot 0 and
-    multiplier 0. The row holds the total of the node's conditional weights
-    and their running sums, both as :func:`_conditional_weights` and
-    :func:`_resample` add them, with the sum at the last positive weight
-    replaced by +inf. The first v with ``u * total < thresholds[row, v]`` is
-    then the outcome ``_resample`` chooses with draw u.
+    multiplier 0. The row holds the draw cutoffs of the node's conditional
+    weights (:func:`_draw_cutoffs`): a row ascends and ends in +inf, and
+    the outcome :func:`_resample` chooses with draw u is the first v with
+    ``u < cutoffs[row, v]``, which is the count of cutoffs ``<= u``.
+    ``dead`` marks the rows whose weights are all zero.
     """
 
     outcomes: np.ndarray  # outcome count of each free node
     members: np.ndarray
     multipliers: np.ndarray
     offsets: np.ndarray
-    totals: np.ndarray
-    thresholds: np.ndarray
+    cutoffs: np.ndarray
+    dead: np.ndarray
 
     @classmethod
     def fill(cls, tab: _Tables, free: tuple[int, ...], template: list[int]):
@@ -274,8 +331,7 @@ class _BlanketTables:
         member_slots = np.zeros((len(free), widest), dtype=np.intp)
         multipliers = np.zeros((len(free), widest), dtype=np.intp)
         offsets = np.zeros(len(free), dtype=np.intp)
-        totals: list[float] = []
-        thresholds: list[list[float]] = []
+        rows: list[list[float]] = []
         state = template.copy()
         for s, (i, members) in enumerate(zip(free, blankets)):
             step = 1
@@ -283,25 +339,14 @@ class _BlanketTables:
                 member_slots[s, b] = slot[members[b]]
                 multipliers[s, b] = step
                 step *= tab.k[members[b]]
-            offsets[s] = len(totals)
+            offsets[s] = len(rows)
+            padding = [0.0] * (width - tab.k[i])
             for values in itertools.product(*(range(tab.k[m]) for m in members)):
                 for m, v in zip(members, values):
                     state[m] = v
-                weights, total = _conditional_weights(tab, state, i)
-                row = [math.inf] * width
-                acc = 0.0
-                for v, w in enumerate(weights):
-                    if w > 0.0:
-                        acc += w
-                        last = v
-                    row[v] = acc
-                if total > 0.0:
-                    row[last] = math.inf
-                totals.append(total)
-                thresholds.append(row)
+                rows.append(_conditional_weights(tab, state, i)[0] + padding)
         outcomes = np.array([tab.k[i] for i in free])
-        return cls(outcomes, member_slots, multipliers, offsets, np.array(totals),
-                   np.array(thresholds))
+        return cls(outcomes, member_slots, multipliers, offsets, *_draw_cutoffs(np.array(rows)))
 
     def walk(self, t: int, seeds: np.ndarray) -> np.ndarray | None:
         """Final free-node values of the trials on the streams seeded
@@ -312,7 +357,7 @@ class _BlanketTables:
         drawn = np.full(len(seeds), nfree, dtype=np.uint64)
         restart = counter_draws(seeds[:, None], np.arange(1, nfree + 1, dtype=np.uint64))
         values = (restart * self.outcomes).astype(np.intp)
-        dead = (self.totals <= 0.0).any()
+        dead = self.dead.any()
         next_two = np.array([1, 2], dtype=np.uint64)
         for _ in range(t):
             drawn += np.uint64(1)
@@ -324,40 +369,59 @@ class _BlanketTables:
             node = (u[:, 0] * nfree).astype(np.intp)
             blanket = values[move[:, None], self.members[node]]
             rows = self.offsets[node] + (blanket * self.multipliers[node]).sum(axis=1)
-            totals = self.totals[rows]
-            if dead and (totals <= 0.0).any():
+            if dead and self.dead[rows].any():
                 return None
-            chosen = (u[:, 1] * totals)[:, None] < self.thresholds[rows]
-            values[move, node] = chosen.argmax(axis=1)
+            values[move, node] = (u[:, 1:] < self.cutoffs[rows]).argmax(axis=1)
         return values
 
-    def scan(self, values: np.ndarray, first: int, draws: np.ndarray) -> np.ndarray | None:
-        """Cyclic-scan steps first + 1, ..., first + n of chains with
-        free-node values ``values`` ((chains, free nodes), moved in place):
-        step first + i + 1 redraws slot (first + i) mod nfree of every chain
-        with its draw ``draws[:, i]``, as :func:`_resample` redraws it.
-        Returns the values after each step, (n, chains, free nodes); None if
-        some chain meets a row whose weights are all zero."""
+    @cached_property
+    def _scan_slots(self) -> list[tuple]:
+        """What :meth:`scan` reads for each slot: the rows lo, ..., hi - 1,
+        counted from a step's first row, that hold the node's members among
+        the last nfree outcomes; the multipliers of those rows; the cutoff
+        columns that can be finite (one column as a vector); and the mask
+        of dead rows, None if no row is dead."""
         nfree = len(self.outcomes)
-        dead = (self.totals <= 0.0).any()
-        stops = [*self.offsets[1:], len(self.totals)]
-        slots = [(members[:width], multipliers[:width], self.totals[start:stop],
-                  self.thresholds[start:stop])
-                 for members, multipliers, width, start, stop in
-                 zip(self.members, self.multipliers, (self.multipliers > 0).sum(1),
-                     self.offsets, stops)]
-        states = np.empty((draws.shape[1], *values.shape), dtype=values.dtype)
-        for i, u in enumerate(draws.T):
-            s = (first + i) % nfree
-            members, multipliers, totals, thresholds = slots[s]
-            rows = values.take(members, axis=1).dot(multipliers)
-            totals = totals.take(rows)
-            if dead and (totals <= 0.0).any():
-                return None
-            scaled = (u * totals)[:, None]
-            values[:, s] = (scaled < thresholds.take(rows, axis=0)).argmax(axis=1)
-            states[i] = values
-        return states
+        stops = [*self.offsets[1:], len(self.cutoffs)]
+        slots = []
+        for s, (members, multipliers, start, stop) in enumerate(
+                zip(self.members, self.multipliers, self.offsets, stops)):
+            width = (multipliers > 0).sum()
+            at = (members[:width] - s) % nfree
+            lo, hi = (at.min(), at.max() + 1) if width else (0, 0)
+            window = np.zeros(hi - lo, dtype=np.intp)
+            window[at - lo] = multipliers[:width]
+            cutoffs = self.cutoffs[start:stop]
+            columns = max(1, np.isfinite(cutoffs).any(axis=0).sum())
+            cutoffs = cutoffs[:, 0].copy() if columns == 1 else cutoffs[:, :columns].copy()
+            dead = self.dead[start:stop]
+            slots.append((lo, hi, window, cutoffs, dead if dead.any() else None))
+        return slots
+
+    def scan(self, outcomes: np.ndarray, first: int, draws: np.ndarray) -> bool:
+        """Cyclic-scan steps first + 1, ..., first + L of chains, on their
+        sequence of outcomes. The first nfree rows of ``outcomes`` ((nfree
+        + L, chains)) hold the chains' last nfree outcomes, which are their
+        current values: row j holds slot (first + j) mod nfree. Step first
+        + i + 1 redraws slot (first + i) mod nfree with the chains' draws
+        ``draws[:, i]``, as :func:`_resample` redraws it, and writes row
+        nfree + i. The node's blanket row is one dot of rows i, ..., i +
+        nfree - 1 with its multipliers placed where its members stand among
+        them. False, with the rows partly written, if some chain meets a
+        row whose weights are all zero."""
+        nfree = len(self.outcomes)
+        slots = self._scan_slots
+        u = np.ascontiguousarray(draws.T)
+        for i in range(len(u)):
+            lo, hi, window, cutoffs, dead = slots[(first + i) % nfree]
+            rows = window.dot(outcomes[i + lo : i + hi])
+            if dead is not None and dead.take(rows).any():
+                return False
+            if cutoffs.ndim == 1:
+                outcomes[nfree + i] = u[i] >= cutoffs.take(rows)
+            else:
+                outcomes[nfree + i] = (cutoffs.take(rows, axis=0) <= u[i, :, None]).sum(axis=1)
+        return True
 
 
 def _blanket_tables(tab: _Tables, free: tuple[int, ...], template: list[int]):

@@ -44,12 +44,12 @@ from .network import BeliefNetwork, Evidence
 from .rng import RandomStream, TwisterBatch
 
 #: Fewest chains :func:`straight_estimates` moves in lock step. A lock-step
-#: step costs 5-9 us however few chains it moves, a scalar step 2-3 us per
-#: chain, so fewer chains run one by one (crossover table in ROADMAP.md).
-_STRAIGHT_MIN = 4
+#: step costs 3-5 us however few chains it moves, a scalar step 2-3 us per
+#: chain, so one chain runs on its own (crossover table in ROADMAP.md).
+_STRAIGHT_MIN = 2
 
-#: Most per-step states (steps x chains x free nodes) a lock-step chunk of
-#: straight simulation holds.
+#: Most outcomes (steps x chains) a lock-step chunk of straight simulation
+#: holds.
 _CHUNK = 1 << 13
 
 
@@ -192,19 +192,24 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
     blanket table is over the cap, the streams stand at different
     positions, or some chain meets a row whose weights are all zero.
 
-    The steps run in chunks of at most ``_CHUNK`` per-step states, cut at
-    every checkpoint and at the end of the burn-in; each scored chunk is
-    tallied by one ``bincount``.
+    The steps run in chunks of at most ``_CHUNK`` outcomes, cut at every
+    checkpoint and at the end of the burn-in. A chunk's outcome buffer
+    starts with the last nfree outcomes, the chains' current values, and
+    its last nfree rows start the next chunk's. Each scored chunk is
+    tallied by one ``bincount``: an outcome counts once for each of the
+    chunk's steps after which it is still among the last nfree.
     """
     tables = _blanket_tables(tab, free, template)
     twister = TwisterBatch.of(rngs)
     if tables is None or twister is None:
         return None
     chains, nfree = len(rngs), len(free)
-    values = (twister.random(nfree) * tables.outcomes).astype(np.intp)
-    edges = [0, *itertools.accumulate(tab.k[i] for i in free)]  # each node's outcome columns
+    most = max(1, _CHUNK // chains)
+    outcomes = np.empty((nfree + most, chains), dtype=np.intp)
+    outcomes[:nfree] = (twister.random(nfree) * tables.outcomes).astype(np.intp).T
+    edges = np.array([0, *itertools.accumulate(tab.k[i] for i in free)])  # each node's outcome columns
     width = edges[-1]
-    codes = np.array(edges[:-1]) + width * np.arange(chains)[:, None]
+    bases = width * np.arange(chains)  # each chain's first code
     counts = np.zeros(chains * width, dtype=np.int64)
     checkpoints: list[list[Checkpoint]] = [[] for _ in rngs]
 
@@ -213,16 +218,21 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
                 for row in counts.reshape(chains, width).tolist()]
 
     marks = range(stride, total + 1, stride) if stride > 0 else ()
-    most = max(1, _CHUNK // (chains * nfree))
     done = 0
     for cut in sorted({burn_in, total, *marks}):
         while done < cut:
-            states = tables.scan(values, done, twister.random(min(cut - done, most)))
-            if states is None:
+            steps = min(cut - done, most)
+            chunk = outcomes[: nfree + steps]
+            if not tables.scan(chunk, done, twister.random(steps)):
                 return None
             if done >= burn_in:
-                counts += np.bincount((states + codes).ravel(), minlength=len(counts))
-            done += len(states)
+                j = np.arange(nfree + steps)
+                live = np.minimum(j, steps) - np.maximum(j - nfree, 0)
+                codes = chunk + edges.take((done + j) % nfree)[:, None] + bases
+                counts += np.bincount(codes.ravel(), np.repeat(live, chains),
+                                      len(counts)).astype(np.int64)
+            chunk[:nfree] = chunk[steps:]
+            done += steps
         if stride > 0 and done % stride == 0 and done > burn_in:
             for tally, points in zip(tallies(), checkpoints):
                 points.append(Checkpoint(done, done - burn_in, _snapshot(tally, done - burn_in)))

@@ -73,6 +73,12 @@ class Node:
             raise KeyError(f"node {self.name} has no outcome {label!r}") from None
 
 
+def _is_index(value) -> bool:
+    """Whether value can be an outcome index: an integer of any type,
+    numpy's included, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Evidence:
     """Partial assignment clamping observed nodes to outcome indices.
@@ -85,10 +91,7 @@ class Evidence:
     assignments: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {
-            name: int(v) if isinstance(v, numbers.Integral) and not isinstance(v, bool) else v
-            for name, v in self.assignments.items()
-        }
+        clean = {name: int(v) if _is_index(v) else v for name, v in self.assignments.items()}
         object.__setattr__(self, "assignments", clean)
 
     def __hash__(self) -> int:
@@ -375,9 +378,11 @@ def check_evidence(net: BeliefNetwork, ev: Evidence) -> None:
 
 
 def check_state(net: BeliefNetwork, state: JointState) -> None:
-    """Raise ValueError unless state assigns a valid outcome to every node."""
+    """Raise ValueError unless state assigns a valid outcome to every node:
+    an integer index (numpy's too, booleans not) within its outcomes."""
     if len(state) != len(net.nodes):
         raise ValueError(f"state has {len(state)} entries for {len(net.nodes)} nodes")
     for i, nd in enumerate(net.nodes):
-        if not 0 <= state[i] < len(nd.outcomes):
-            raise ValueError(f"state[{i}] = {state[i]} invalid for node {nd.name}")
+        value = state[i]
+        if not _is_index(value) or not 0 <= value < len(nd.outcomes):
+            raise ValueError(f"state[{i}] = {value!r} invalid for node {nd.name}")

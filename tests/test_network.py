@@ -266,6 +266,19 @@ def test_check_state(ab):
     bnras.check_state(ab, [1, 0])
 
 
+def test_check_state_takes_integer_indices_only(ab):
+    # the rule of Evidence: integers of any type, numpy's too, but no bool
+    for state, node in (([0.0, 1], "A"), ([True, 0], "A"), ([0, np.float64(1.0)], "B"),
+                        ([1, None], "B"), ([0, np.True_], "B")):
+        with pytest.raises(ValueError, match=f"invalid for node {node}$"):
+            bnras.check_state(ab, state)
+    with pytest.raises(ValueError, match="invalid for node A$"):  # not a TypeError from slicing
+        bnras.full_conditional(ab, [0.0, 1], "B")
+    bnras.check_state(ab, [np.int64(1), np.int8(0)])
+    assert bnras.full_conditional(ab, [np.int64(1), np.uint8(0)], "B") == \
+        bnras.full_conditional(ab, [1, 0], "B")
+
+
 def test_normalize_rows_renormalizes_within_tolerance():
     rows = bnras.normalize_rows([(0.5, 0.5000000001)])
     assert math.fsum(rows[0]) == pytest.approx(1.0, abs=1e-15)

@@ -131,14 +131,21 @@ def test_builtins_match_scalar_chain(nets, seeds):
     (estimate, {"_CHUNK": 1}),  # one step per chunk
     (estimate, {"_CHUNK": 100}),
     (chain, {"_BLANKET_CAP": 1}),  # every table over the cap
+    # a chunk's steps one fewer than, equal to and one more than the free
+    # nodes, so that its outcome buffer's head is carried across chunks
+    (estimate, {"_CHUNK": lambda nfree: len(PANEL) * (nfree - 1)}),
+    (estimate, {"_CHUNK": lambda nfree: len(PANEL) * nfree}),
+    (estimate, {"_CHUNK": lambda nfree: len(PANEL) * (nfree + 1)}),
 ])
 def test_selection_and_chunks_do_not_change_bits(monkeypatch, nets, module, setting):
-    for name, value in setting.items():
-        monkeypatch.setattr(module, name, value)
-    for name in ("PATH2", "MINIALARM"):
+    # CHAIN5's burn-in ends inside a chunk of each of the sizes above
+    for name, burn_in in (("PATH2", 9), ("MINIALARM", 9), ("CHAIN5", 13)):
         net = nets[name]
         for ev in evidence_sets(net):
-            assert_matches_scalar(net, ev, 250, PANEL, stride=40, burn_in=9)
+            nfree = len(net.nodes) - len(ev)
+            for attr, value in setting.items():
+                monkeypatch.setattr(module, attr, value(nfree) if callable(value) else value)
+            assert_matches_scalar(net, ev, 250, PANEL, stride=40, burn_in=burn_in)
 
 
 def test_batch_shares_its_time(nets, empty):
