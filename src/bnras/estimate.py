@@ -190,7 +190,8 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
     checkpoints, as :func:`_cyclic_chain` gives them, and the streams moved
     as far as it moves them. None, with the streams not moved, if some
     blanket table is over the cap, the streams stand at different
-    positions, or some chain meets a row whose weights are all zero.
+    positions or one is given twice, or some chain meets a row whose
+    weights are all zero.
 
     The steps run in chunks of at most ``_CHUNK`` outcomes, cut at every
     checkpoint and at the end of the burn-in. A chunk's outcome buffer
@@ -255,7 +256,8 @@ def straight_estimates(
     :func:`_cyclic_lockstep`), and each estimate's ``cpu_seconds`` and
     ``wall_seconds`` are an equal share of the batch's. Fewer chains, a
     network whose blanket tables are over the cap, streams at different
-    positions, and a batch in which some chain meets a zero-weight row run
+    positions or given twice, and a batch in which some chain meets a
+    zero-weight row run
     chain by chain, each timed on its own; a conflict then raises for the
     first conflicting chain, as the calls one by one would. The estimates
     are the same either way.

@@ -182,7 +182,11 @@ class TwisterBatch:
     @classmethod
     def of(cls, streams: Sequence[random.Random]) -> TwisterBatch | None:
         """The batch of ``streams``; None if they stand at different
-        positions (fresh streams all stand at 624)."""
+        positions (fresh streams all stand at 624), or if one stream is
+        given twice: its draws then run on from one use to the next, which
+        rows moved side by side cannot do."""
+        if len(set(map(id, streams))) < len(streams):
+            return None
         words = np.empty((len(streams), _N), dtype=np.uint32)
         positions = set()
         for c, stream in enumerate(streams):

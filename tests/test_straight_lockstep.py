@@ -116,6 +116,21 @@ def test_streams_at_different_positions(nets, empty):
         assert stream.getstate() == copy.getstate()
 
 
+def test_stream_given_twice(nets, empty):
+    # its second chain runs on from where the first leaves the stream, as
+    # the calls one by one run it, so such a batch runs chain by chain
+    net = nets["MINIALARM"]
+    shared, alone = RandomStream(5), RandomStream(5)
+    ests = bnras.straight_estimates(net, empty, 300, [shared, RandomStream(6), shared],
+                                    checkpoint_stride=70)
+    expected = [bnras.straight_estimate(net, empty, 300, rng, 70)
+                for rng in (alone, RandomStream(6), alone)]
+    assert [e.tallies for e in ests] == [e.tallies for e in expected]
+    assert [e.checkpoints for e in ests] == [e.checkpoints for e in expected]
+    assert shared.getstate() == alone.getstate()
+    assert TwisterBatch.of([shared, shared]) is None
+
+
 @pytest.mark.parametrize("seeds", [PANEL, PANEL[:1]])
 def test_builtins_match_scalar_chain(nets, seeds):
     for net in nets.values():
