@@ -29,13 +29,7 @@ from dataclasses import dataclass
 
 from .chain import _prepare, _require_free
 from .errors import MixingOverflowError
-from .exact import (
-    DEFAULT_ENUM_CAP,
-    DEFAULT_MATRIX_CAP,
-    _require_positive,
-    build_transition_matrix,
-    min_transition_probability,
-)
+from .exact import DEFAULT_ENUM_CAP, _chain_joint, _require_positive
 from .network import BeliefNetwork, Evidence
 
 
@@ -149,19 +143,17 @@ def report_bounds(
     tol: ErrorTolerances,
     mode: str = "exact",
     enum_cap: int = DEFAULT_ENUM_CAP,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
 ) -> BoundsReport:
     """Assemble the full requirement table for a network and evidence.
 
-    ``exact`` mode reads Pi and p0 off one transition matrix, built from a
-    single enumeration that must fit under both caps; ``factored`` mode uses
-    the certified lower bounds, which can only make the transition
-    requirements larger.
+    ``exact`` mode reads Pi and p0 off one enumeration of the joint states,
+    which must fit under the enumeration cap, and builds no transition
+    matrix; ``factored`` mode uses the certified lower bounds, which can
+    only make the transition requirements larger.
     """
     if mode == "exact":
-        tm = build_transition_matrix(net, ev, cap=min(enum_cap, matrix_cap))
-        pi_min = float(tm.stationary.min())
-        p0 = min_transition_probability(tm)
+        joint = _chain_joint(net, ev, enum_cap, "enumeration")
+        pi_min, p0 = joint.least_posterior(), joint.least_move()
     elif mode == "factored":
         pi_min, p0 = factored_lower_bounds(net, ev)
     else:

@@ -54,6 +54,7 @@ from .network import (
     JointState,
     check_evidence,
     check_state,
+    _is_index,
     _Tables,
 )
 from .rng import RandomStream, counter_draws, counter_streams, derive_stream_seeds
@@ -107,6 +108,14 @@ def _prepare(net: BeliefNetwork, ev: Evidence) -> tuple[_Tables, tuple[int, ...]
 def _require_free(free: tuple[int, ...]) -> None:
     if not free:
         raise ValueError("no free nodes: every node is clamped by evidence")
+
+
+def _require_count(name: str, value, least: int | None = None) -> None:
+    """Refuse a count that is not an integer (a bool is not) or is below least."""
+    if not _is_index(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def _uniform_state(tab: _Tables, free: tuple[int, ...], template: list[int], rand) -> list[int]:
@@ -196,7 +205,9 @@ def full_conditional(net: BeliefNetwork, state: JointState, node: str) -> list[f
     node's Markov blanket.
     """
     check_state(net, state)
-    i = net.node_index[node]
+    i = net.node_index.get(node)
+    if i is None:
+        raise ValueError(f"network {net.name} has no node {node!r}")
     weights, total = _conditional_weights(net.tables, state, i)
     if total <= 0.0:
         raise _located(net, _zero_weights(i), "in the given state")
@@ -223,8 +234,7 @@ def do_transition(net: BeliefNetwork, cs: ChainState, rng: RandomStream) -> Chai
 def next_trial(net: BeliefNetwork, ev: Evidence, t: int, rng: RandomStream) -> tuple[int, ...]:
     """One trial: initialize uniformly at random, run t lazy transitions,
     return the resulting joint state."""
-    if t < 0:
-        raise ValueError("transition count must be >= 0")
+    _require_count("t", t, 0)
     tab, free, template = _prepare(net, ev)
     if t:
         _require_free(free)

@@ -12,7 +12,7 @@ summary rows leave it empty. The straight-simulation runs of one total
 lock-step batch, and each row's ``cpu_seconds`` and ``wall_seconds`` are
 its equal share of the batch's time, so that the rows sum to it. The
 ``BNRAS_ENUM_CAP`` environment variable overrides the enumeration cap used
-for oracle computations.
+for oracle computations and exact-mode bounds.
 """
 
 from __future__ import annotations
@@ -237,10 +237,7 @@ def cmd_bounds(args) -> int:
     net = _load_network(args.network)
     ev = parse_evidence(args.evidence, net)
     tol = ErrorTolerances(alpha=args.alpha, delta=args.delta, gamma=args.gamma)
-    report = report_bounds(
-        net, ev, tol, mode=args.mode,
-        enum_cap=_enum_cap(), matrix_cap=exact_mod.DEFAULT_MATRIX_CAP,
-    )
+    report = report_bounds(net, ev, tol, mode=args.mode, enum_cap=_enum_cap())
     ev_str = format_evidence(ev, net) or "(none)"
     inputs = "exact inputs" if report.exact_inputs else "lower-bound inputs"
     print(f"network {net.name}  evidence {ev_str}  mode {report.mode} ({inputs})")

@@ -33,6 +33,7 @@ from .chain import (
     _blanket_tables,
     _located,
     _prepare,
+    _require_count,
     _require_free,
     _resample,
     _trial_blocks,
@@ -117,10 +118,9 @@ def bnras_estimate(
     With checkpoint_stride > 0, a running snapshot is recorded each time the
     cumulative transition count crosses a multiple of the stride.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if transitions < 0:
-        raise ValueError("transitions must be >= 0")
+    _require_count("trials", trials, 1)
+    _require_count("transitions", transitions, 0)
+    _require_count("checkpoint_stride", checkpoint_stride)
     tab, free, template = _prepare(net, ev)
     names, labels = _labels(net, free)
     tally = [[0] * tab.k[i] for i in free]
@@ -262,8 +262,9 @@ def straight_estimates(
     first conflicting chain, as the calls one by one would. The estimates
     are the same either way.
     """
-    if total_transitions < 1:
-        raise ValueError("total_transitions must be >= 1")
+    _require_count("total_transitions", total_transitions, 1)
+    _require_count("checkpoint_stride", checkpoint_stride)
+    _require_count("burn_in", burn_in)
     if not 0 <= burn_in < total_transitions:
         raise ValueError("burn_in must be in [0, total_transitions)")
     tab, free, template = _prepare(net, ev)

@@ -3,7 +3,7 @@ one-step transition matrix of the lazy random-scan chain, and the mixing
 quantities (minimum stationary probability, minimum transition probability,
 relative pointwise distance) computed from it.
 
-The posteriors, the least joint posterior and the matrix read one joint-weight
+The posteriors, the mixing minima and the matrix read one joint-weight
 tensor with an axis per free node, in declaration order, so that its C order
 is the enumeration order (last free node fastest). Each node's table becomes
 an array over the free axes with the evidence axes sliced out, and the tensor
@@ -13,23 +13,24 @@ in enumeration order, the same additions as a running ``+=``, never numpy's
 pairwise ``sum``. So the posteriors and the matrix's stationary vector share
 one normalizer, and results are reproducible to the bit.
 
-The matrix is built one free axis at a time: node i's conditional weights
-are its own table times its children's, in ``_Tables.children`` order, as
-``chain._conditional_weights`` multiplies them. The relative pointwise
-distance at several t takes every P^t from one chain of squarings, making
-the products ``np.linalg.matrix_power`` makes, so each P^t has its bits.
+The lazy chain's moves are computed once, one free axis at a time, in
+``_Joint.moves``: node i's conditional weights are its own table times its
+children's, in ``_Tables.children`` order, as ``chain._conditional_weights``
+multiplies them. The matrix places the moves; p0, their least value, needs
+no matrix. The relative pointwise distance at several t takes every P^t
+from one chain of squarings, making the products ``np.linalg.matrix_power``
+makes, so each P^t has its bits.
 
 Everything here is exact up to 64-bit float rounding and is only meant for
 networks small enough to enumerate; the caps below are refusals, not
 truncations. At the enumeration cap the tensor takes 32 MB. The transition
-matrix, like the bounds built on it, refuses tables with 0/1 entries.
+matrix, p0 and the bounds built on them refuse tables with 0/1 entries.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import CapacityError, ImpossibleEvidenceError, PositivityError
 from .network import BeliefNetwork, Evidence
-from .chain import _prepare, _require_free
+from .chain import _prepare, _require_count, _require_free
 
 #: Largest number of free joint states enumerate_posteriors will visit.
 DEFAULT_ENUM_CAP = 1 << 22
@@ -45,7 +46,7 @@ DEFAULT_ENUM_CAP = 1 << 22
 #: Largest state count for which the explicit transition matrix is built.
 DEFAULT_MATRIX_CAP = 4096
 
-#: Elements per row block when reducing a matrix: |P^t - pi| / pi and p0.
+#: Elements per row block when reducing |P^t - pi| / pi over a matrix power.
 _RPD_BLOCK = 1 << 16
 
 
@@ -125,6 +126,30 @@ class _Joint:
             raise ImpossibleEvidenceError("evidence has probability zero")
         return total
 
+    def least_posterior(self) -> float:
+        """Pi, the least entry of the stationary vector."""
+        return float(self.weights.min()) / self.normalizer()
+
+    def moves(self) -> Iterator[np.ndarray]:
+        """Per free axis ``slot``, the probability of a move of node
+        ``free[slot]`` to each value, broadcasting over the free axes; axis
+        ``slot`` is the candidate value, not the current one."""
+        half_over_n = 0.5 / len(self.free)
+        for slot, i in enumerate(self.free):
+            cond = self.factor(i)
+            for c in self.tab.children[i]:
+                cond = cond * self.factor(c)
+            total = np.cumsum(cond, axis=slot).take([-1], axis=slot)
+            yield half_over_n * (cond / total)
+
+    def least_move(self) -> float:
+        """p0, the least positive off-diagonal matrix entry: every node has
+        two outcomes or more, so each value of a move lies off the diagonal."""
+        least = min(float(q.min(initial=math.inf, where=q > 0.0)) for q in self.moves())
+        if least == math.inf:
+            raise ValueError("chain has no positive off-diagonal transitions")
+        return least
+
 
 def _sequential_sum(a: np.ndarray) -> float:
     """Sum in C order with one running total, as a ``+=`` loop adds."""
@@ -137,6 +162,14 @@ def _require_positive(net: BeliefNetwork) -> None:
             "the mixing analysis requires every table entry strictly inside "
             "(0, 1); 0/1 entries (deterministic relationships) void it"
         )
+
+
+def _chain_joint(net: BeliefNetwork, ev: Evidence, cap: int, what: str) -> _Joint:
+    """Refuse 0/1 tables, then the evidence and the cap, then no free nodes."""
+    _require_positive(net)
+    joint = _Joint(net, ev, cap, what)
+    _require_free(joint.free)
+    return joint
 
 
 def enumerate_posteriors(
@@ -157,14 +190,10 @@ def enumerate_posteriors(
     return PosteriorTable(names, labels, probs, total)
 
 
-def min_joint_posterior(
-    net: BeliefNetwork, ev: Evidence, cap: int = DEFAULT_ENUM_CAP
-) -> float:
+def min_joint_posterior(net: BeliefNetwork, ev: Evidence, cap: int = DEFAULT_ENUM_CAP) -> float:
     """The smallest posterior probability of any evidence-consistent joint
     state of the free nodes."""
-    joint = _Joint(net, ev, cap, "enumeration")
-    smallest = float(joint.weights.min())
-    return smallest / joint.normalizer()
+    return _Joint(net, ev, cap, "enumeration").least_posterior()
 
 
 def build_transition_matrix(
@@ -174,70 +203,44 @@ def build_transition_matrix(
 
     Off-diagonal mass only connects states differing at exactly one free
     node i, with value (1/(2n)) q_i(new value | state) for n free nodes and
-    q the full conditional; the diagonal keeps the remaining mass, which is
-    at least 1/2. The stationary vector is the exact posterior over states,
-    taken from the same joint sums as :func:`enumerate_posteriors`. Like the
-    bounds, it refuses tables with 0/1 entries, whose chains may be
-    reducible.
+    q the full conditional (``_Joint.moves``); the diagonal keeps the
+    remaining mass, which is at least 1/2. The stationary vector is the
+    exact posterior over states, taken from the same joint sums as
+    :func:`enumerate_posteriors`. Like the bounds, it refuses tables with
+    0/1 entries, whose chains may be reducible.
     """
-    _require_positive(net)
-    joint = _Joint(net, ev, cap, "matrix")
-    tab, free, dims = joint.tab, joint.free, joint.dims
-    _require_free(free)
-
-    m = joint.size
-    half_over_n = 0.5 / len(free)
+    joint = _chain_joint(net, ev, cap, "matrix")
+    dims, m = joint.dims, joint.size
     index = np.arange(m).reshape(dims)
     matrix = np.zeros((m, m))
     diagonal = np.full(dims, 0.5)
-    for slot, i in enumerate(free):
-        # axis `slot` of cond is node i's candidate value, not its current one
-        cond = joint.factor(i)
-        for c in tab.children[i]:
-            cond = cond * joint.factor(c)
-        total = np.cumsum(cond, axis=slot).take([-1], axis=slot)
-        q = np.broadcast_to(half_over_n * (cond / total), dims)
+    for slot, q in enumerate(joint.moves()):
         diagonal += q
         rows, values = np.moveaxis(index, slot, 0), np.moveaxis(q, slot, 0)
         for cur, v in itertools.permutations(range(dims[slot]), 2):
             matrix[rows[cur], rows[v]] = values[v]
     np.fill_diagonal(matrix, diagonal)
     return TransitionMatrix(
-        free_nodes=tuple(net.nodes[i].name for i in free),
+        free_nodes=tuple(net.nodes[i].name for i in joint.free),
         states=tuple(itertools.product(*map(range, dims))),
         matrix=matrix,
         stationary=joint.weights.ravel() / joint.normalizer(),
     )
 
 
-def min_transition_probability(tm: TransitionMatrix) -> float:
-    """Smallest strictly positive off-diagonal one-step probability, reduced
-    in row blocks so that no full-size temporary is made."""
-    rows = max(1, _RPD_BLOCK // tm.size)
-    least = math.inf
-    for start in range(0, tm.size, rows):
-        block = tm.matrix[start : start + rows].copy()
-        local = np.arange(len(block))
-        block[local, start + local] = 0.0
-        positive = block[block > 0.0]
-        if positive.size:
-            least = min(least, float(positive.min()))
-    if least == math.inf:
-        raise ValueError("chain has no positive off-diagonal transitions")
-    return least
+def min_transition_probability(net: BeliefNetwork, ev: Evidence,
+                               cap: int = DEFAULT_ENUM_CAP) -> float:
+    """p0, the smallest positive off-diagonal one-step probability, off the
+    joint with no matrix. Refuses tables with 0/1 entries, as the matrix does."""
+    return _chain_joint(net, ev, cap, "enumeration").least_move()
 
 
 def _transition_counts(t_values: Iterable[int]) -> list[int]:
     """Each t as a Python int, refusing negative and non-integral ones."""
-    counts = []
-    for t in t_values:
-        if t < 0:
-            raise ValueError("transition count must be >= 0")
-        try:
-            counts.append(operator.index(t))
-        except TypeError as exc:
-            raise TypeError("exponent must be an integer") from exc
-    return counts
+    counts = list(t_values)
+    for t in counts:
+        _require_count("transition count", t, 0)
+    return [int(t) for t in counts]
 
 
 def _powers(a: np.ndarray, counts: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
@@ -274,9 +277,10 @@ def _powers(a: np.ndarray, counts: Iterable[int]) -> Iterator[tuple[int, np.ndar
         bit += 1
 
 
-def _rpd_by_count(tm: TransitionMatrix, counts: Iterable[int]) -> dict[int, float]:
-    """max over (i, j) of |P^t[i, j] - pi[j]| / pi[j] for each t, reduced in
-    row blocks so that no full-size temporary is made."""
+def _rpd_by_count(tm: TransitionMatrix, counts: list[int]) -> dict[int, float]:
+    """max over (i, j) of |P^t[i, j] - pi[j]| / pi[j] for each t, in the
+    order of ``counts``, reduced in row blocks so that no full-size
+    temporary is made."""
     pi = tm.stationary
     rows = max(1, _RPD_BLOCK // len(pi))
     found = {}
@@ -289,13 +293,13 @@ def _rpd_by_count(tm: TransitionMatrix, counts: Iterable[int]) -> dict[int, floa
             peaks.append(block.max())
         found[t] = float(np.max(peaks))
         del pt  # else it outlives the next squaring
-    return found
+    return {t: found[t] for t in counts}
 
 
 def relative_pointwise_distance(tm: TransitionMatrix, t: int) -> float:
     """max over (i, j) of |P^t[i, j] - pi[j]| / pi[j]."""
     (count,) = _transition_counts((t,))
-    return _rpd_by_count(tm, (count,))[count]
+    return _rpd_by_count(tm, [count])[count]
 
 
 def mixing_report(
@@ -308,11 +312,5 @@ def mixing_report(
     rpd keys are the transition counts in the order of ``t_values``."""
     counts = _transition_counts(t_values)
     tm = build_transition_matrix(net, ev, cap=cap)
-    pi_min = float(tm.stationary.min())
-    p0 = min_transition_probability(tm)
-    rpd = _rpd_by_count(tm, counts)
-    return MixingReport(
-        pi_min=pi_min,
-        p0=p0,
-        rpd={count: rpd[count] for count in counts},
-    )
+    p0 = min_transition_probability(net, ev, cap=cap)
+    return MixingReport(pi_min=float(tm.stationary.min()), p0=p0, rpd=_rpd_by_count(tm, counts))

@@ -104,7 +104,7 @@ def test_acceptance_04_mixing_bound_soundness(nets, uninode):
         tm = bnras.build_transition_matrix(net, Evidence.empty())
         assert tm.size <= 256
         pi_min = float(tm.stationary.min())
-        p0 = bnras.min_transition_probability(tm)
+        p0 = bnras.min_transition_probability(net, Evidence.empty())
         t_mix = bnras.mixing_bound(0.1, pi_min, p0)
         delta = bnras.relative_pointwise_distance(tm, t_mix)
         results.append((name, t_mix, delta))

@@ -5,6 +5,8 @@ import pytest
 import bnras
 from bnras import ErrorTolerances, Evidence
 
+from bnras.cli import main
+
 from conftest import evidence_sets
 
 
@@ -120,7 +122,7 @@ def test_factored_lower_bounds_ab(ab, empty):
     assert p0_lb == pytest.approx(1 / 72, abs=1e-15)
     # certified: never above the exact quantities
     assert pi_lb <= bnras.min_joint_posterior(ab, empty) + 1e-15
-    exact_p0 = bnras.min_transition_probability(bnras.build_transition_matrix(ab, empty))
+    exact_p0 = bnras.min_transition_probability(ab, empty)
     assert p0_lb <= exact_p0 + 1e-15
 
 
@@ -139,9 +141,7 @@ def test_factored_never_exceeds_exact(nets):
     for net in nets.values():
         pi_lb, p0_lb = bnras.factored_lower_bounds(net, Evidence.empty())
         pi_exact = bnras.min_joint_posterior(net, Evidence.empty())
-        p0_exact = bnras.min_transition_probability(
-            bnras.build_transition_matrix(net, Evidence.empty())
-        )
+        p0_exact = bnras.min_transition_probability(net, Evidence.empty())
         assert pi_lb <= pi_exact + 1e-15
         assert p0_lb <= p0_exact + 1e-15
 
@@ -180,12 +180,36 @@ def test_report_bounds_factored_dominates_exact(nets):
         assert factored.t_per_trial >= exact.t_per_trial
         assert factored.trials == exact.trials
         assert not factored.exact_inputs
-        # Pi and p0 of exact mode come off the one matrix, bit for bit
+        # Pi and p0 of exact mode are the oracle functions', bit for bit
         for ev in evidence_sets(net):
             exact = bnras.report_bounds(net, ev, tol, mode="exact")
             tm = bnras.build_transition_matrix(net, ev)
             assert exact.pi_min == bnras.min_joint_posterior(net, ev) == tm.stationary.min()
-            assert exact.p0 == bnras.min_transition_probability(tm)
+            assert exact.p0 == bnras.min_transition_probability(net, ev)
+
+
+def test_exact_bounds_past_the_matrix_cap(tmp_path, capsys, monkeypatch):
+    # 13 free binary nodes with no edges: 8192 states, twice the matrix cap,
+    # where each move's probability is (0.5/13) times the entry moved to
+    rows = [(0.05 + 0.03 * i, 0.95 - 0.03 * i) for i in range(13)]
+    doc = "network WIDE13\n" + "".join(
+        f"node N{i} {{ outcomes: t, f }}\ncpt N{i}:\n {p} {q}\n" for i, (p, q) in enumerate(rows)
+    )
+    net = bnras.parse_network(doc)
+    tol = ErrorTolerances(alpha=0.1, delta=0.1, gamma=0.1)
+    exact = bnras.report_bounds(net, Evidence.empty(), tol, mode="exact")
+    assert exact.p0 == pytest.approx(0.5 / 13 * 0.05, abs=1e-15)
+    factored = bnras.report_bounds(net, Evidence.empty(), tol, mode="factored")
+    assert factored.t_mix >= exact.t_mix
+    assert factored.t_per_trial >= exact.t_per_trial
+    assert factored.trials == exact.trials
+    path = tmp_path / "wide13.bn"
+    path.write_text(doc)
+    assert main(["bounds", "--network", str(path), "--mode", "exact"]) == 0
+    monkeypatch.setenv("BNRAS_ENUM_CAP", "4096")
+    capsys.readouterr()
+    assert main(["bounds", "--network", str(path), "--mode", "exact"]) == 3
+    assert "exceed the enumeration cap 4096" in capsys.readouterr().err
 
 
 def test_report_bounds_rejects_zero_entries(and_gate):

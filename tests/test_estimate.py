@@ -265,6 +265,33 @@ def test_input_validation(ab, empty):
         bnras.straight_estimate(ab, Evidence({"A": 0, "B": 0}), 10, RandomStream(0))
 
 
+_TWO = (RandomStream(1), RandomStream(2))
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param("trials", lambda net, ev: bnras.bnras_estimate(net, ev, True, 10, RandomStream(1)),
+                 id="bnras_estimate-trials"),
+    pytest.param("transitions", lambda net, ev: bnras.bnras_estimate(
+        net, ev, 10, 2.5, RandomStream(1)), id="bnras_estimate-transitions"),
+    pytest.param("checkpoint_stride", lambda net, ev: bnras.bnras_estimate(
+        net, ev, 10, 2, RandomStream(1), checkpoint_stride=5.0), id="bnras_estimate-stride"),
+    pytest.param("total_transitions", lambda net, ev: bnras.straight_estimates(net, ev, 10.5, _TWO),
+                 id="straight_estimates-total"),
+    pytest.param("checkpoint_stride", lambda net, ev: bnras.straight_estimates(
+        net, ev, 10, _TWO, checkpoint_stride=None), id="straight_estimates-stride"),
+    pytest.param("total_transitions", lambda net, ev: bnras.straight_estimate(
+        net, ev, True, RandomStream(1)), id="straight_estimate-total"),
+    pytest.param("burn_in", lambda net, ev: bnras.straight_estimate(
+        net, ev, 10, RandomStream(1), burn_in=np.float64(2.0)), id="straight_estimate-burn_in"),
+    pytest.param("t", lambda net, ev: bnras.next_trial(net, ev, 3.0, RandomStream(1)),
+                 id="next_trial-t"),
+])
+def test_counts_must_be_integers(ab, empty, name, call):
+    # the rule of check_state: integers of any type, numpy's too, but no bool
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call(ab, empty)
+
+
 def test_deterministic_conflict_names_node_and_position(and_gate, empty):
     with pytest.raises(bnras.DeterministicConflictError,
                        match=r"node [AC] are zero in trial \d+ of seed 7;"):

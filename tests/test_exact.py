@@ -97,29 +97,22 @@ def test_matrix_cap_and_no_free_nodes(minialarm, ab):
 
 
 def test_min_transition_probability(ab, uninode, empty):
-    tm = bnras.build_transition_matrix(ab, empty)
-    assert bnras.min_transition_probability(tm) == pytest.approx(0.025, abs=1e-15)
-    tmu = bnras.build_transition_matrix(uninode, empty)
-    assert bnras.min_transition_probability(tmu) == pytest.approx(0.25, abs=0)
+    assert bnras.min_transition_probability(ab, empty) == pytest.approx(0.025, abs=1e-15)
+    assert bnras.min_transition_probability(uninode, empty) == pytest.approx(0.25, abs=0)
 
 
 def test_min_transition_probability_at_most_half(nets, empty):
     for net in nets.values():
-        tm = bnras.build_transition_matrix(net, empty)
-        assert bnras.min_transition_probability(tm) <= 0.5
+        assert bnras.min_transition_probability(net, empty) <= 0.5
 
 
-@pytest.mark.parametrize("block", [1, 5, 1 << 16])
-def test_min_transition_probability_blocks_match_whole_matrix(monkeypatch, nets, block):
-    # row blocks of one row, of a few, and the whole matrix in one block
-    monkeypatch.setattr(bnras.exact, "_RPD_BLOCK", block)
+def test_min_transition_probability_matches_whole_matrix(nets):
     for net in nets.values():
         for ev in evidence_sets(net):
             _, matrix = scalar_transition_matrix(net, ev)
             off = matrix[~np.eye(len(matrix), dtype=bool)]
             expected = float(off[off > 0.0].min())
-            tm = bnras.build_transition_matrix(net, ev)
-            assert bnras.min_transition_probability(tm) == expected
+            assert bnras.min_transition_probability(net, ev) == expected
 
 
 def test_rpd_at_zero(ab, empty):
@@ -264,3 +257,6 @@ def test_tensor_and_matrix_on_random_networks(case):
     states, matrix = scalar_transition_matrix(net, ev)
     assert tm.states == tuple(states)
     assert np.array_equal(tm.matrix, matrix)
+    off = matrix[~np.eye(len(matrix), dtype=bool)]
+    assert bnras.min_transition_probability(net, ev) == float(off[off > 0.0].min())
+    assert bnras.min_joint_posterior(net, ev) == tm.stationary.min()

@@ -274,6 +274,8 @@ def test_check_state_takes_integer_indices_only(ab):
             bnras.check_state(ab, state)
     with pytest.raises(ValueError, match="invalid for node A$"):  # not a TypeError from slicing
         bnras.full_conditional(ab, [0.0, 1], "B")
+    with pytest.raises(ValueError, match="network AB has no node 'Z'$"):  # not a bare KeyError
+        bnras.full_conditional(ab, [0, 1], "Z")
     bnras.check_state(ab, [np.int64(1), np.int8(0)])
     assert bnras.full_conditional(ab, [np.int64(1), np.uint8(0)], "B") == \
         bnras.full_conditional(ab, [1, 0], "B")
