@@ -16,10 +16,10 @@ one normalizer, and results are reproducible to the bit.
 The lazy chain's moves are computed once, one free axis at a time, in
 ``_Joint.moves``: node i's conditional weights are its own table times its
 children's, in ``_Tables.children`` order, as ``chain._conditional_weights``
-multiplies them. The matrix places the moves; p0, their least value, needs
-no matrix. The relative pointwise distance at several t takes every P^t
-from one chain of squarings, making the products ``np.linalg.matrix_power``
-makes, so each P^t has its bits.
+multiplies them. The matrix places the moves; p0, their least positive
+value, needs no matrix. The relative pointwise distance at several t takes
+every P^t from one chain of squarings, making the products
+``np.linalg.matrix_power`` makes, so each P^t has its bits.
 
 Everything here is exact up to 64-bit float rounding and is only meant for
 networks small enough to enumerate; the caps below are refusals, not
