@@ -106,13 +106,24 @@ def test_min_transition_probability_at_most_half(nets, empty):
         assert bnras.min_transition_probability(net, empty) <= 0.5
 
 
-def test_min_transition_probability_matches_whole_matrix(nets):
+@pytest.mark.parametrize("block", [1, 5, 1 << 16])
+def test_min_transition_probability_blocks_match_whole_matrix(monkeypatch, nets, block):
+    # p0 comes off the joint, not the matrix: whatever the row blocks of the
+    # rpd scan (one row, a few, the whole matrix), the mixing report's p0 and
+    # rpd are those of the whole matrix
+    monkeypatch.setattr(bnras.exact, "_RPD_BLOCK", block)
     for net in nets.values():
         for ev in evidence_sets(net):
             _, matrix = scalar_transition_matrix(net, ev)
             off = matrix[~np.eye(len(matrix), dtype=bool)]
             expected = float(off[off > 0.0].min())
             assert bnras.min_transition_probability(net, ev) == expected
+            report = bnras.mixing_report(net, ev, t_values=(2,))
+            assert report.p0 == expected
+            tm = bnras.build_transition_matrix(net, ev)
+            pi = tm.stationary
+            rpd = float(np.max(np.abs(tm.matrix @ tm.matrix - pi) / pi))
+            assert report.rpd[2] == rpd
 
 
 def test_rpd_at_zero(ab, empty):
