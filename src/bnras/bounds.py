@@ -104,8 +104,8 @@ def transitions_per_trial(tol: ErrorTolerances, pi_min: float, p0: float) -> int
 
 
 def factored_lower_bounds(net: BeliefNetwork, ev: Evidence) -> tuple[float, float]:
-    """Certified lower bounds (Pi_lb, p0_lb) computed from table entries
-    alone, with no enumeration.
+    """Certified lower bounds (Pi_lb, p0_lb), up to float rounding, computed
+    from table entries alone, with no enumeration.
 
     Pi_lb multiplies each node's smallest table entry: any posterior joint
     probability is at least the full joint, which is at least this product.

@@ -24,7 +24,7 @@ states, bit for bit.
 Cyclic-scan chains on many streams run one at a time or together
 (:meth:`_BlanketTables.scan`): at each step every chain redraws the same
 node, from the same tables, with the next draw of its own Mersenne Twister
-(see :class:`bnras.rng.TwisterBatch`). Together, the chains are held as
+(see :func:`bnras.rng.twister_draws`). Together, the chains are held as
 their sequence of outcomes, whose last nfree entries are their current
 values, so a step reads the node's blanket with one dot and appends one
 outcome. The tables are kept on the compiled network for the last evidence

@@ -14,15 +14,17 @@ the checkpoints.
 ``straight_estimate`` runs one cyclic-scan chain without restarts and
 scores the full state after every transition. ``straight_estimates`` runs
 one such chain on each of many streams: one chain is sequential, but at
-least ``_STRAIGHT_MIN`` chains move together in lock step, each on its own
-Mersenne Twister stream, in chunks tallied by numpy. The tallies,
-checkpoints and final stream states are those of the chains run one by
-one, bit for bit.
+least ``_STRAIGHT_MIN`` chains move together in lock step, in chunks
+tallied by numpy; each chain draws a chunk's steps from its own Mersenne
+Twister stream in one ``getrandbits`` call (:func:`bnras.rng.twister_draws`).
+The tallies, checkpoints and final stream states are those of the chains
+run one by one, bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,7 +44,7 @@ from .chain import (
 from .errors import DeterministicConflictError
 from .exact import PosteriorTable
 from .network import BeliefNetwork, Evidence
-from .rng import RandomStream, TwisterBatch
+from .rng import RandomStream, twister_draws
 
 #: Fewest chains :func:`straight_estimates` moves in lock step. A lock-step
 #: step costs 3-5 us however few chains it moves, a scalar step 2-3 us per
@@ -186,12 +188,15 @@ def _cyclic_chain(net: BeliefNetwork, tab, free, template, total: int, rng: Rand
 def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStream],
                      stride: int, burn_in: int):
     """The chains on ``rngs``, moved together by ``_BlanketTables.scan`` on
-    a :class:`TwisterBatch` of their streams: each chain's tally and
-    checkpoints, as :func:`_cyclic_chain` gives them, and the streams moved
-    as far as it moves them. None, with the streams not moved, if some
-    blanket table is over the cap, the streams stand at different
-    positions or one is given twice, or some chain meets a row whose
-    weights are all zero.
+    the draws :func:`twister_draws` makes from their streams: each chain's
+    tally and checkpoints, as :func:`_cyclic_chain` gives them, and the
+    streams moved as far as it moves them. None, with the streams where
+    they stood, if some blanket table is over the cap, some stream is not a
+    ``random.Random`` or one is given twice (its draws then run on from one
+    chain to the next, which chains moved side by side cannot do), or some
+    chain meets a row whose weights are all zero. Only tables with such a
+    row can fail, so only then are the streams' states saved, to be put
+    back on failure.
 
     The steps run in chunks of at most ``_CHUNK`` outcomes, cut at every
     checkpoint and at the end of the burn-in. A chunk's outcome buffer
@@ -201,13 +206,14 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
     chunk's steps after which it is still among the last nfree.
     """
     tables = _blanket_tables(tab, free, template)
-    twister = TwisterBatch.of(rngs)
-    if tables is None or twister is None:
+    if (tables is None or not all(isinstance(rng, random.Random) for rng in rngs)
+            or len(set(map(id, rngs))) < len(rngs)):
         return None
+    saved = [rng.getstate() for rng in rngs] if tables.dead.any() else None
     chains, nfree = len(rngs), len(free)
     most = max(1, _CHUNK // chains)
     outcomes = np.empty((nfree + most, chains), dtype=np.intp)
-    outcomes[:nfree] = (twister.random(nfree) * tables.outcomes).astype(np.intp).T
+    outcomes[:nfree] = (twister_draws(rngs, nfree) * tables.outcomes).astype(np.intp).T
     edges = np.array([0, *itertools.accumulate(tab.k[i] for i in free)])  # each node's outcome columns
     width = edges[-1]
     bases = width * np.arange(chains)  # each chain's first code
@@ -224,7 +230,9 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
         while done < cut:
             steps = min(cut - done, most)
             chunk = outcomes[: nfree + steps]
-            if not tables.scan(chunk, done, twister.random(steps)):
+            if not tables.scan(chunk, done, twister_draws(rngs, steps)):
+                for rng, state in zip(rngs, saved):
+                    rng.setstate(state)
                 return None
             if done >= burn_in:
                 j = np.arange(nfree + steps)
@@ -237,7 +245,6 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
         if stride > 0 and done % stride == 0 and done > burn_in:
             for tally, points in zip(tallies(), checkpoints):
                 points.append(Checkpoint(done, done - burn_in, _snapshot(tally, done - burn_in)))
-    twister.store(rngs)
     return tallies(), checkpoints
 
 
@@ -254,10 +261,10 @@ def straight_estimates(
 
     At least ``_STRAIGHT_MIN`` chains move together in lock step (see
     :func:`_cyclic_lockstep`), and each estimate's ``cpu_seconds`` and
-    ``wall_seconds`` are an equal share of the batch's. Fewer chains, a
-    network whose blanket tables are over the cap, streams at different
-    positions or given twice, and a batch in which some chain meets a
-    zero-weight row run
+    ``wall_seconds`` are an equal share of the batch's. Streams may stand
+    at different positions. Fewer chains, a network whose blanket tables
+    are over the cap, streams that are not ``random.Random`` or one given
+    twice, and a batch in which some chain meets a zero-weight row run
     chain by chain, each timed on its own; a conflict then raises for the
     first conflicting chain, as the calls one by one would. The estimates
     are the same either way.

@@ -16,10 +16,9 @@ computes any draws of any trials at once on numpy ``uint64`` arrays.
 same draws one at a time, and :func:`counter_streams` yields them for many
 trials, the first draws of all of them made in one call.
 
-:class:`TwisterBatch` runs the Mersenne Twisters of many streams at once on
-numpy arrays, from each stream's ``getstate()``, and makes the same
-``random()`` draws each of them makes (Matsumoto & Nishimura, ACM
-TOMACS 1998, as CPython's ``_randommodule.c`` implements it).
+:func:`twister_draws` makes the next ``random()`` draws of many Mersenne
+Twister streams as one numpy array, from the words each stream's own
+``getrandbits`` returns.
 """
 
 from __future__ import annotations
@@ -132,101 +131,22 @@ class CounterStream:
         return f"CounterStream(seed={self.seed_value})"
 
 
-#: The Mersenne Twister's word count and shift, and the masks and constants
-#: of its twist and tempering.
-_N, _M = 624, 397
-_UPPER = np.uint32(0x80000000)
-_LOWER = np.uint32(0x7FFFFFFF)
-_MATRIX_A = np.uint32(0x9908B0DF)
-_TEMPER_B = np.uint32(0x9D2C5680)
-_TEMPER_C = np.uint32(0xEFC60000)
+def twister_draws(streams: Sequence[random.Random], count: int) -> np.ndarray:
+    """The next ``count`` ``random()`` draws of each of ``streams``, as
+    (streams, count) floats, each stream moved as those calls move it.
 
-
-def _twist(words: np.ndarray) -> np.ndarray:
-    """The next 624 words of each row of ``words`` ((streams, 624)
-    ``uint32``). Word kk mixes words kk and kk + 1 with word kk + 397 mod
-    624; past 227 that word is already new, so the words are made in four
-    slices, each reading only words made before it."""
-    new = np.empty_like(words)
-    for lo, hi in ((0, _N - _M), (_N - _M, 2 * (_N - _M)), (2 * (_N - _M), _N - 1)):
-        y = (words[:, lo:hi] & _UPPER) | (words[:, lo + 1 : hi + 1] & _LOWER)
-        ahead = words[:, lo + _M : hi + _M] if lo == 0 else new[:, lo + _M - _N : hi + _M - _N]
-        new[:, lo:hi] = ahead ^ (y >> 1) ^ ((y & 1) * _MATRIX_A)
-    y = (words[:, _N - 1] & _UPPER) | (new[:, 0] & _LOWER)
-    new[:, _N - 1] = new[:, _M - 1] ^ (y >> 1) ^ ((y & 1) * _MATRIX_A)
-    return new
-
-
-def _temper(y: np.ndarray) -> np.ndarray:
-    y = y ^ (y >> 11)
-    y ^= (y << 7) & _TEMPER_B
-    y ^= (y << 15) & _TEMPER_C
-    y ^= y >> 18
-    return y
-
-
-class TwisterBatch:
-    """The Mersenne Twisters of some ``random.Random`` streams that stand at
-    one position, moved together: row c of :meth:`random` holds the next
-    draws of stream c, as its own ``random()`` would make them.
-
-    The state is each stream's 624 words and the common position, read from
-    its ``getstate()`` one stream at a time; the streams themselves do not
-    move until :meth:`store` writes the state back.
-    """
-
-    def __init__(self, words: np.ndarray, pos: int):
-        self.words = words
-        self.pos = pos
-
-    @classmethod
-    def of(cls, streams: Sequence[random.Random]) -> TwisterBatch | None:
-        """The batch of ``streams``; None if they stand at different
-        positions (fresh streams all stand at 624), or if one stream is
-        given twice: its draws then run on from one use to the next, which
-        rows moved side by side cannot do."""
-        if len(set(map(id, streams))) < len(streams):
-            return None
-        words = np.empty((len(streams), _N), dtype=np.uint32)
-        positions = set()
-        for c, stream in enumerate(streams):
-            internal = stream.getstate()[1]
-            words[c] = internal[:_N]
-            positions.add(internal[_N])
-        return cls(words, positions.pop()) if len(positions) == 1 else None
-
-    def _next_words(self, count: int) -> np.ndarray:
-        """The next ``count`` tempered 32-bit words of every stream, as
-        (streams, count) ``uint32``. As in CPython, the words twist only
-        when a word past the last one is needed."""
-        out = np.empty((len(self.words), count), dtype=np.uint32)
-        done = 0
-        while done < count:
-            if self.pos == _N:
-                self.words = _twist(self.words)
-                self.pos = 0
-            take = min(_N - self.pos, count - done)
-            out[:, done : done + take] = _temper(self.words[:, self.pos : self.pos + take])
-            self.pos += take
-            done += take
-        return out
-
-    def random(self, count: int) -> np.ndarray:
-        """The next ``count`` draws of every stream, as (streams, count)
-        floats: ``(a * 2^26 + b) / 2^53`` from two words' top 27 and 26
-        bits, as ``random.Random.random`` makes them."""
-        words = self._next_words(2 * count)
-        draws = (words[:, 0::2] >> 5).astype(np.float64)
-        draws *= 67108864.0
-        draws += words[:, 1::2] >> 6
-        draws *= 1.0 / 9007199254740992.0
-        return draws
-
-    def store(self, streams: Sequence[random.Random]) -> None:
-        """Move each stream to the batch's state of it."""
-        for c, stream in enumerate(streams):
-            internal = (*self.words[c].tolist(), self.pos)
-            stream.setstate((stream.VERSION, internal, stream.gauss_next))
+    ``getrandbits(64 * count)`` reads the 2 * count words that count calls
+    of ``random()`` read, first word least significant, and a draw is
+    ``(a * 2^26 + b) / 2^53`` from its two words' top 27 and 26 bits, as
+    ``random.Random.random`` makes it."""
+    data = b"".join(stream.getrandbits(64 * count).to_bytes(8 * count, "little")
+                    for stream in streams)
+    words = np.frombuffer(data, dtype="<u4").reshape(len(streams), 2 * count)
+    draws = (words[:, 0::2] >> 5).astype(np.float64)
+    draws *= 67108864.0
+    draws += words[:, 1::2] >> 6
+    draws *= 1.0 / 9007199254740992.0
+    return draws
 
 
 class RandomStream(random.Random):

@@ -1,13 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 import bnras
 from bnras import ErrorTolerances, Evidence
 
 from bnras.cli import main
 
-from conftest import evidence_sets
+from conftest import evidence_sets, positive_networks
 
 
 def test_trials_bound_frozen_values():
@@ -144,6 +145,22 @@ def test_factored_never_exceeds_exact(nets):
         p0_exact = bnras.min_transition_probability(net, Evidence.empty())
         assert pi_lb <= pi_exact + 1e-15
         assert p0_lb <= p0_exact + 1e-15
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(positive_networks())
+def test_factored_never_exceeds_exact_on_random_networks(case):
+    # up to float rounding: on five unlinked nodes of arities 2, 2, 2, 2, 3
+    # pi_lb = 0.020833333333333332 is one rounding above Pi = 0.02083333333333332
+    net, ev = case
+    pi_lb, p0_lb = bnras.factored_lower_bounds(net, ev)
+    assert pi_lb <= bnras.min_joint_posterior(net, ev) * (1 + 1e-12)
+    assert p0_lb <= bnras.min_transition_probability(net, ev) * (1 + 1e-12)
+    tol = ErrorTolerances(alpha=0.1, delta=0.1, gamma=0.1)
+    factored = bnras.report_bounds(net, ev, tol, mode="factored")
+    exact = bnras.report_bounds(net, ev, tol, mode="exact")
+    assert factored.t_mix >= exact.t_mix
+    assert factored.t_per_trial >= exact.t_per_trial
 
 
 def test_factored_requires_positivity():

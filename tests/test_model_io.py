@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 import bnras
 from bnras import Evidence
+
+from conftest import positive_networks
 
 AB_DOC = """\
 # Two-node demo
@@ -155,6 +158,13 @@ def test_near_one_row_renormalized_on_load():
 def test_round_trip_identity_on_bundled(nets):
     for net in nets.values():
         assert bnras.parse_network(bnras.serialize_network(net)) == net
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(positive_networks())
+def test_round_trip_identity_on_random_networks(case):
+    net, _ = case
+    assert bnras.parse_network(bnras.serialize_network(net)) == net
 
 
 def test_parse_serialize_parse_idempotent(nets):

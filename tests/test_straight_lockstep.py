@@ -19,7 +19,7 @@ from hypothesis import given, settings
 
 import bnras
 from bnras import Evidence, RandomStream, chain, estimate
-from bnras.rng import TwisterBatch
+from bnras.rng import twister_draws
 
 from conftest import evidence_sets, positive_networks
 
@@ -62,16 +62,13 @@ def assert_matches_scalar(net, ev, total, seeds, stride=0, burn_in=0):
     return ests
 
 
-def test_twister_batch_matches_python_draws():
+def test_twister_draws_match_python_draws():
     # a twist makes 312 draws: the second call ends on the first twist's last
     # word, the fourth starts a twist and ends past another, 2125 draws take 7
     expected = [python_draws(s, 2125) for s in SEEDS]
     streams = [RandomStream(s) for s in SEEDS]
-    batch = TwisterBatch.of(streams)
-    draws = np.concatenate([batch.random(n) for n in (1, 311, 0, 313, 1500)], axis=1)
+    draws = np.concatenate([twister_draws(streams, n) for n in (1, 311, 0, 313, 1500)], axis=1)
     assert draws.tolist() == expected
-    assert all(s.getstate() == RandomStream(seed).getstate() for s, seed in zip(streams, SEEDS))
-    batch.store(streams)
     for seed, stream in zip(SEEDS, streams):
         ahead = RandomStream(seed)
         for _ in range(2125):
@@ -79,26 +76,28 @@ def test_twister_batch_matches_python_draws():
         assert stream.getstate() == ahead.getstate()
 
 
-def test_twister_batch_needs_one_position():
+def test_twister_draws_from_different_positions():
     streams = [RandomStream(s) for s in SEEDS]
-    for stream in streams:  # 195 words, so draw 215 takes words 623 and 0 of the next twist
-        stream.getrandbits(32)
+    # stream k has read 195 + k words: from an odd position a draw takes
+    # words 623 and 0 of two twists, from an even one a twist starts a draw
+    for k, stream in enumerate(streams):
+        stream.getrandbits(32 * (k + 1))
         for _ in range(97):
             stream.random()
-    expected = []
+    expected, copies = [], []
     for stream in streams:
         copy = RandomStream(0)
         copy.setstate(stream.getstate())
         expected.append([copy.random() for _ in range(1000)])
-    batch = TwisterBatch.of(streams)
-    draws = [batch.random(n) for n in (7, 207, 1, 785)]
+        copies.append(copy)
+    draws = [twister_draws(streams, n) for n in (7, 207, 1, 785)]
     assert np.concatenate(draws, axis=1).tolist() == expected
-    streams[2].random()
-    assert TwisterBatch.of(streams) is None
+    assert [s.getstate() for s in streams] == [c.getstate() for c in copies]
 
 
-def test_streams_at_different_positions(nets, empty):
-    # such a batch runs chain by chain, from where each stream stands
+def test_streams_at_different_positions(monkeypatch, nets, empty):
+    # each stream makes its own draws from where it stands, so such a batch
+    # runs in lock step
     net = nets["MINIALARM"]
     streams, copies = [], []
     for k, seed in enumerate(PANEL):
@@ -109,11 +108,29 @@ def test_streams_at_different_positions(nets, empty):
         copy.setstate(stream.getstate())
         streams.append(stream)
         copies.append(copy)
-    ests = bnras.straight_estimates(net, empty, 300, streams, checkpoint_stride=70)
+
+    def alone(*args):
+        raise AssertionError("a chain ran on its own")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimate, "_cyclic_chain", alone)
+        ests = bnras.straight_estimates(net, empty, 300, streams, checkpoint_stride=70)
     for est, stream, copy in zip(ests, streams, copies):
         assert est == replace(bnras.straight_estimate(net, empty, 300, copy, 70),
                               cpu_seconds=est.cpu_seconds, wall_seconds=est.wall_seconds)
         assert stream.getstate() == copy.getstate()
+
+
+def test_streams_other_than_random_random(nets, empty):
+    # counter-based child streams have no getrandbits: a batch of them runs
+    # chain by chain
+    for net in (nets["AB"], nets["MINIALARM"]):
+        streams = [RandomStream(1).spawn(j) for j in range(3)]
+        ests = bnras.straight_estimates(net, empty, 300, streams, checkpoint_stride=70)
+        expected = [bnras.straight_estimate(net, empty, 300, RandomStream(1).spawn(j), 70)
+                    for j in range(3)]
+        assert [e.tallies for e in ests] == [e.tallies for e in expected]
+        assert [e.checkpoints for e in ests] == [e.checkpoints for e in expected]
 
 
 def test_stream_given_twice(nets, empty):
@@ -128,7 +145,6 @@ def test_stream_given_twice(nets, empty):
     assert [e.tallies for e in ests] == [e.tallies for e in expected]
     assert [e.checkpoints for e in ests] == [e.checkpoints for e in expected]
     assert shared.getstate() == alone.getstate()
-    assert TwisterBatch.of([shared, shared]) is None
 
 
 @pytest.mark.parametrize("seeds", [PANEL, PANEL[:1]])
