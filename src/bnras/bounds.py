@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 from .chain import _prepare, _require_free
 from .errors import MixingOverflowError
-from .exact import DEFAULT_ENUM_CAP, _chain_joint, _require_positive
+from .exact import (DEFAULT_ENUM_CAP, _require_positive, min_joint_posterior,
+                    min_transition_probability)
 from .network import BeliefNetwork, Evidence
 
 
@@ -146,14 +147,15 @@ def report_bounds(
 ) -> BoundsReport:
     """Assemble the full requirement table for a network and evidence.
 
-    ``exact`` mode reads Pi and p0 off one enumeration of the joint states,
-    which must fit under the enumeration cap, and builds no transition
-    matrix; ``factored`` mode uses the certified lower bounds, which can
-    only make the transition requirements larger.
+    ``exact`` mode takes p0 off the nodes' blanket conditionals, then Pi off
+    one enumeration of the joint states, which must fit under the
+    enumeration cap, and builds no transition matrix; ``factored`` mode uses
+    the certified lower bounds, which can only make the transition
+    requirements larger.
     """
     if mode == "exact":
-        joint = _chain_joint(net, ev, enum_cap, "enumeration")
-        pi_min, p0 = joint.least_posterior(), joint.least_move()
+        p0 = min_transition_probability(net, ev)
+        pi_min = min_joint_posterior(net, ev, enum_cap)
     elif mode == "factored":
         pi_min, p0 = factored_lower_bounds(net, ev)
     else:

@@ -14,12 +14,16 @@ exactly one uniform draw; a resampling transition consumes three, in order
 Outcomes are selected by inverse CDF over the unnormalized conditional
 weights in outcome-declaration order.
 
+Node i's conditional weights are its own table entry times each child's, in
+``_Tables.children`` order: :func:`_conditional_weights` makes the products
+at one state, :func:`_conditional` at every state of i's free Markov blanket
+at once, for the blanket tables below and :mod:`bnras.exact`'s moves and p0.
+
 Trials run one at a time (:func:`_trial`) or as lock-step walkers
 (:func:`_trial_blocks`): numpy moves a block of trials together, each on its
 own counter-based stream (see :mod:`bnras.rng`) with its own draw count, and
-chooses outcomes from each node's conditional weights tabulated over its
-free Markov blanket. Both execute the same definition and give the same
-states, bit for bit.
+chooses outcomes from each node's :func:`_conditional` rows. Both give the
+same states, bit for bit.
 
 Cyclic-scan chains on many streams run one at a time or together
 (:meth:`_BlanketTables.scan`): at each step every chain redraws the same
@@ -39,11 +43,10 @@ bisection over the doubles, so neither multiplies a draw by a total.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Container, Iterator
 
 import numpy as np
 
@@ -150,6 +153,33 @@ def _conditional_weights(tab: _Tables, state: JointState, i: int) -> tuple[list[
     for w in weights:
         total += w
     return weights, total
+
+
+def _factor(tab: _Tables, j: int, axes: tuple[int, ...], template: list[int]) -> np.ndarray:
+    """Node j's table entries as an array over the free nodes ``axes``
+    (ascending) that broadcasts over them: the members of j's family not in
+    ``axes`` are read at their ``template`` values, and the axes j does not
+    read have size 1."""
+    family = tab.parents[j] + (j,)
+    table = np.array(tab.flat[j]).reshape([tab.k[a] for a in family])
+    table = np.asarray(table[tuple(slice(None) if a in axes else template[a] for a in family)])
+    kept = [a for a in family if a in axes]
+    # a Python sort, not np.argsort, whose first call alone pages in
+    # 256 kB of numpy and so raises a small session's peak RSS
+    order = sorted(range(len(kept)), key=kept.__getitem__)
+    return table.transpose(order).reshape([tab.k[a] if a in kept else 1 for a in axes])
+
+
+def _conditional(tab: _Tables, free: Container[int], template: list[int], i: int):
+    """Node i and its free blanket members, ascending, and i's conditional
+    weights at each of their states, multiplied as :func:`_conditional_weights`
+    multiplies them; nodes not in ``free`` are read at their ``template``
+    values. The array has an axis per blanket member, not per free node."""
+    axes = tuple(sorted((i, *(m for m in tab.blanket(i) if m in free))))
+    cond = _factor(tab, i, axes, template)
+    for c in tab.children[i]:
+        cond = cond * _factor(tab, c, axes, template)
+    return axes, cond
 
 
 def _zero_weights(i: int) -> DeterministicConflictError:
@@ -323,40 +353,33 @@ class _BlanketTables:
 
     @classmethod
     def fill(cls, tab: _Tables, free: tuple[int, ...], template: list[int]):
-        """The tables, filled row by row by :func:`_conditional_weights`;
-        None if some node's table would have more than ``_BLANKET_CAP``
-        rows."""
+        """The tables, each node's rows read off :func:`_conditional` with
+        the node's own axis last; None if some node's table would have more
+        than ``_BLANKET_CAP`` rows."""
         slot = {i: s for s, i in enumerate(free)}
+        blankets = [[m for m in tab.blanket(i) if m in slot] for i in free]
+        if any(math.prod(tab.k[m] for m in members) > _BLANKET_CAP for members in blankets):
+            return None
         width = max(tab.k[i] for i in free)
-        blankets = []
-        for i in free:
-            blanket = {*tab.parents[i], *tab.children[i]}
-            for c in tab.children[i]:
-                blanket.update(tab.parents[c])
-            members = sorted(m for m in blanket if m in slot and m != i)
-            if math.prod(tab.k[m] for m in members) > _BLANKET_CAP:
-                return None
-            blankets.append(members)
         widest = max(map(len, blankets))
         member_slots = np.zeros((len(free), widest), dtype=np.intp)
         multipliers = np.zeros((len(free), widest), dtype=np.intp)
         offsets = np.zeros(len(free), dtype=np.intp)
-        rows: list[list[float]] = []
-        state = template.copy()
+        rows = []  # each node's block of rows
         for s, (i, members) in enumerate(zip(free, blankets)):
             step = 1
             for b in reversed(range(len(members))):  # last member varies fastest
                 member_slots[s, b] = slot[members[b]]
                 multipliers[s, b] = step
                 step *= tab.k[members[b]]
-            offsets[s] = len(rows)
-            padding = [0.0] * (width - tab.k[i])
-            for values in itertools.product(*(range(tab.k[m]) for m in members)):
-                for m, v in zip(members, values):
-                    state[m] = v
-                rows.append(_conditional_weights(tab, state, i)[0] + padding)
+            axes, cond = _conditional(tab, slot, template, i)
+            block = np.zeros((step, width))  # zero-padded to the widest node
+            block[:, : tab.k[i]] = np.moveaxis(cond, axes.index(i), -1).reshape(step, -1)
+            rows.append(block)
+        offsets[1:] = np.cumsum([len(block) for block in rows[:-1]])
         outcomes = np.array([tab.k[i] for i in free])
-        return cls(outcomes, member_slots, multipliers, offsets, *_draw_cutoffs(np.array(rows)))
+        return cls(outcomes, member_slots, multipliers, offsets,
+                   *_draw_cutoffs(np.concatenate(rows)))
 
     def walk(self, t: int, seeds: np.ndarray) -> np.ndarray | None:
         """Final free-node values of the trials on the streams seeded

@@ -191,12 +191,13 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
     the draws :func:`twister_draws` makes from their streams: each chain's
     tally and checkpoints, as :func:`_cyclic_chain` gives them, and the
     streams moved as far as it moves them. None, with the streams where
-    they stood, if some blanket table is over the cap, some stream is not a
-    ``random.Random`` or one is given twice (its draws then run on from one
-    chain to the next, which chains moved side by side cannot do), or some
-    chain meets a row whose weights are all zero. Only tables with such a
-    row can fail, so only then are the streams' states saved, to be put
-    back on failure.
+    they stood, if some blanket table is over the cap, some stream's type
+    does not keep ``random.Random``'s own ``random`` and ``getrandbits`` (its
+    ``random()`` then need not be made from its words), one is given twice
+    (its draws then run on from one chain to the next, which chains moved
+    side by side cannot do), or some chain meets a row whose weights are all
+    zero. Only tables with such a row can fail, so only then are the
+    streams' states saved, to be put back on failure.
 
     The steps run in chunks of at most ``_CHUNK`` outcomes, cut at every
     checkpoint and at the end of the burn-in. A chunk's outcome buffer
@@ -206,8 +207,9 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
     chunk's steps after which it is still among the last nfree.
     """
     tables = _blanket_tables(tab, free, template)
-    if (tables is None or not all(isinstance(rng, random.Random) for rng in rngs)
-            or len(set(map(id, rngs))) < len(rngs)):
+    if (tables is None or len(set(map(id, rngs))) < len(rngs) or not all(
+            type(rng).random is random.Random.random
+            and type(rng).getrandbits is random.Random.getrandbits for rng in rngs)):
         return None
     saved = [rng.getstate() for rng in rngs] if tables.dead.any() else None
     chains, nfree = len(rngs), len(free)
@@ -262,12 +264,10 @@ def straight_estimates(
     At least ``_STRAIGHT_MIN`` chains move together in lock step (see
     :func:`_cyclic_lockstep`), and each estimate's ``cpu_seconds`` and
     ``wall_seconds`` are an equal share of the batch's. Streams may stand
-    at different positions. Fewer chains, a network whose blanket tables
-    are over the cap, streams that are not ``random.Random`` or one given
-    twice, and a batch in which some chain meets a zero-weight row run
-    chain by chain, each timed on its own; a conflict then raises for the
-    first conflicting chain, as the calls one by one would. The estimates
-    are the same either way.
+    at different positions. Fewer chains, and batches that lock step
+    refuses, run chain by chain, each timed on its own; a conflict then
+    raises for the first conflicting chain, as the calls one by one would.
+    The estimates are the same either way.
     """
     _require_count("total_transitions", total_transitions, 1)
     _require_count("checkpoint_stride", checkpoint_stride)

@@ -3,28 +3,26 @@ one-step transition matrix of the lazy random-scan chain, and the mixing
 quantities (minimum stationary probability, minimum transition probability,
 relative pointwise distance) computed from it.
 
-The posteriors, the mixing minima and the matrix read one joint-weight
+The posteriors, Pi and the matrix's stationary vector read one joint-weight
 tensor with an axis per free node, in declaration order, so that its C order
-is the enumeration order (last free node fastest). Each node's table becomes
-an array over the free axes with the evidence axes sliced out, and the tensor
-starts at ones and multiplies them in node by node: the same sequence of
-products as ``_Tables.joint_weight``. Every total is a sequential ``cumsum``
-in enumeration order, the same additions as a running ``+=``, never numpy's
-pairwise ``sum``. So the posteriors and the matrix's stationary vector share
-one normalizer, and results are reproducible to the bit.
+is the enumeration order (last free node fastest). It starts at ones and
+multiplies in each node's table as a ``chain._factor`` array over the free
+axes: the same sequence of products as ``_Tables.joint_weight``. Every total
+is a sequential ``cumsum`` in enumeration order, the same additions as a
+running ``+=``, never numpy's pairwise ``sum``, so results are reproducible
+to the bit.
 
-The lazy chain's moves are computed once, one free axis at a time, in
-``_Joint.moves``: node i's conditional weights are its own table times its
-children's, in ``_Tables.children`` order, as ``chain._conditional_weights``
-multiplies them. The matrix places the moves; p0, their least positive
-value, needs no matrix. The relative pointwise distance at several t takes
-every P^t from one chain of squarings, making the products
-``np.linalg.matrix_power`` makes, so each P^t has its bits.
+The lazy chain's moves (:func:`_moves`) are read off each node's
+``chain._conditional`` array, over its free blanket only. The matrix places
+them; p0, their least positive value, needs no joint, so it runs past the
+enumeration cap. The relative pointwise distance at several t takes every
+P^t from one chain of squarings, making the products
+``np.linalg.matrix_power`` makes.
 
-Everything here is exact up to 64-bit float rounding and is only meant for
-networks small enough to enumerate; the caps below are refusals, not
-truncations. At the enumeration cap the tensor takes 32 MB. The transition
-matrix, p0 and the bounds built on them refuse tables with 0/1 entries.
+Everything here is exact up to 64-bit float rounding; the caps below are
+refusals, not truncations. At the enumeration cap the tensor takes 32 MB.
+The transition matrix, p0 and the bounds built on them refuse tables with
+0/1 entries.
 """
 
 from __future__ import annotations
@@ -37,8 +35,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import CapacityError, ImpossibleEvidenceError, PositivityError
-from .network import BeliefNetwork, Evidence
-from .chain import _prepare, _require_count, _require_free
+from .network import BeliefNetwork, Evidence, _Tables
+from .chain import _conditional, _factor, _prepare, _require_count, _require_free
 
 #: Largest number of free joint states enumerate_posteriors will visit.
 DEFAULT_ENUM_CAP = 1 << 22
@@ -86,39 +84,18 @@ class MixingReport:
 
 
 class _Joint:
-    """The evidence-consistent joint states as one weight tensor.
-
-    Checks the evidence and the state count against the cap once, then
-    builds ``weights``, whose axis ``slot`` is free node ``free[slot]``.
-    """
+    """The evidence-consistent joint states as one weight tensor, whose axis
+    ``slot`` is free node ``free[slot]``; refuses the evidence, then more
+    than ``cap`` states."""
 
     def __init__(self, net: BeliefNetwork, ev: Evidence, cap: int, what: str):
         self.tab, self.free, self.template = _prepare(net, ev)
         self.dims = tuple(self.tab.k[i] for i in self.free)
-        self.size = math.prod(self.dims)
-        if self.size > cap:
-            raise CapacityError(f"{self.size} free joint states exceed the {what} cap {cap}")
-        self._slot = {i: slot for slot, i in enumerate(self.free)}
+        if math.prod(self.dims) > cap:
+            raise CapacityError(f"{math.prod(self.dims)} free joint states exceed the {what} cap {cap}")
         self.weights = np.ones(self.dims)
         for j in range(self.tab.n):
-            self.weights *= self.factor(j)
-
-    def factor(self, j: int) -> np.ndarray:
-        """Node j's table entries as an array that broadcasts over the free
-        axes: evidence axes sliced out, size 1 on axes j does not read."""
-        tab, slot = self.tab, self._slot
-        axes = tab.parents[j] + (j,)
-        table = np.array(tab.flat[j]).reshape([tab.k[a] for a in axes])
-        clamp = tuple(slice(None) if a in slot else self.template[a] for a in axes)
-        table = np.asarray(table[clamp])
-        kept = [slot[a] for a in axes if a in slot]
-        shape = [1] * len(self.free)
-        for s in kept:
-            shape[s] = tab.k[self.free[s]]
-        # a Python sort, not np.argsort, whose first call alone pages in
-        # 256 kB of numpy and so raises a small session's peak RSS
-        order = sorted(range(len(kept)), key=kept.__getitem__)
-        return table.transpose(order).reshape(shape)
+            self.weights *= _factor(self.tab, j, self.free, self.template)
 
     def normalizer(self) -> float:
         total = _sequential_sum(self.weights)
@@ -126,29 +103,22 @@ class _Joint:
             raise ImpossibleEvidenceError("evidence has probability zero")
         return total
 
-    def least_posterior(self) -> float:
-        """Pi, the least entry of the stationary vector."""
-        return float(self.weights.min()) / self.normalizer()
 
-    def moves(self) -> Iterator[np.ndarray]:
-        """Per free axis ``slot``, the probability of a move of node
-        ``free[slot]`` to each value, broadcasting over the free axes; axis
-        ``slot`` is the candidate value, not the current one."""
-        half_over_n = 0.5 / len(self.free)
-        for slot, i in enumerate(self.free):
-            cond = self.factor(i)
-            for c in self.tab.children[i]:
-                cond = cond * self.factor(c)
-            total = np.cumsum(cond, axis=slot).take([-1], axis=slot)
-            yield half_over_n * (cond / total)
-
-    def least_move(self) -> float:
-        """p0, the least positive off-diagonal matrix entry: every node has
-        two outcomes or more, so each value of a move lies off the diagonal."""
-        least = min(float(q.min(initial=math.inf, where=q > 0.0)) for q in self.moves())
-        if least == math.inf:
-            raise ValueError("chain has no positive off-diagonal transitions")
-        return least
+def _moves(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], template: list[int]):
+    """Per free node i, the axes of its ``chain._conditional`` array cond
+    and the probability ``(0.5 / n) * cond / total`` of a move of i to each
+    value; i's axis is the candidate value, not the current one. A cond of
+    more than ``DEFAULT_ENUM_CAP`` entries is refused before it is made."""
+    half_over_n = 0.5 / len(free)
+    members = set(free)
+    for i in free:
+        size = math.prod(tab.k[m] for m in (i, *tab.blanket(i)) if m in members)
+        if size > DEFAULT_ENUM_CAP:
+            raise CapacityError(f"the conditional of node {net.nodes[i].name} has {size} "
+                                f"entries, over the enumeration cap {DEFAULT_ENUM_CAP}")
+        axes, cond = _conditional(tab, members, template, i)
+        at = axes.index(i)
+        yield axes, half_over_n * (cond / np.cumsum(cond, axis=at).take([-1], axis=at))
 
 
 def _sequential_sum(a: np.ndarray) -> float:
@@ -162,14 +132,6 @@ def _require_positive(net: BeliefNetwork) -> None:
             "the mixing analysis requires every table entry strictly inside "
             "(0, 1); 0/1 entries (deterministic relationships) void it"
         )
-
-
-def _chain_joint(net: BeliefNetwork, ev: Evidence, cap: int, what: str) -> _Joint:
-    """Refuse 0/1 tables, then the evidence and the cap, then no free nodes."""
-    _require_positive(net)
-    joint = _Joint(net, ev, cap, what)
-    _require_free(joint.free)
-    return joint
 
 
 def enumerate_posteriors(
@@ -193,7 +155,8 @@ def enumerate_posteriors(
 def min_joint_posterior(net: BeliefNetwork, ev: Evidence, cap: int = DEFAULT_ENUM_CAP) -> float:
     """The smallest posterior probability of any evidence-consistent joint
     state of the free nodes."""
-    return _Joint(net, ev, cap, "enumeration").least_posterior()
+    joint = _Joint(net, ev, cap, "enumeration")
+    return float(joint.weights.min()) / joint.normalizer()
 
 
 def build_transition_matrix(
@@ -203,18 +166,21 @@ def build_transition_matrix(
 
     Off-diagonal mass only connects states differing at exactly one free
     node i, with value (1/(2n)) q_i(new value | state) for n free nodes and
-    q the full conditional (``_Joint.moves``); the diagonal keeps the
+    q the full conditional (:func:`_moves`); the diagonal keeps the
     remaining mass, which is at least 1/2. The stationary vector is the
     exact posterior over states, taken from the same joint sums as
     :func:`enumerate_posteriors`. Like the bounds, it refuses tables with
     0/1 entries, whose chains may be reducible.
     """
-    joint = _chain_joint(net, ev, cap, "matrix")
-    dims, m = joint.dims, joint.size
+    _require_positive(net)
+    joint = _Joint(net, ev, cap, "matrix")
+    _require_free(joint.free)
+    dims, m = joint.dims, joint.weights.size
     index = np.arange(m).reshape(dims)
     matrix = np.zeros((m, m))
     diagonal = np.full(dims, 0.5)
-    for slot, q in enumerate(joint.moves()):
+    for slot, (axes, q) in enumerate(_moves(net, joint.tab, joint.free, joint.template)):
+        q = q.reshape([k if i in axes else 1 for i, k in zip(joint.free, dims)])
         diagonal += q
         rows, values = np.moveaxis(index, slot, 0), np.moveaxis(q, slot, 0)
         for cur, v in itertools.permutations(range(dims[slot]), 2):
@@ -228,11 +194,18 @@ def build_transition_matrix(
     )
 
 
-def min_transition_probability(net: BeliefNetwork, ev: Evidence,
-                               cap: int = DEFAULT_ENUM_CAP) -> float:
-    """p0, the smallest positive off-diagonal one-step probability, off the
-    joint with no matrix. Refuses tables with 0/1 entries, as the matrix does."""
-    return _chain_joint(net, ev, cap, "enumeration").least_move()
+def min_transition_probability(net: BeliefNetwork, ev: Evidence) -> float:
+    """p0, the smallest positive off-diagonal one-step probability: the least
+    positive move of :func:`_moves` (each node has two outcomes or more), with
+    no joint and no matrix. Refuses tables with 0/1 entries, as the matrix does."""
+    _require_positive(net)
+    tab, free, template = _prepare(net, ev)
+    _require_free(free)
+    moves = _moves(net, tab, free, template)
+    least = min(float(q.min(initial=math.inf, where=q > 0.0)) for _, q in moves)
+    if least == math.inf:
+        raise ValueError("chain has no positive off-diagonal transitions")
+    return least
 
 
 def _transition_counts(t_values: Iterable[int]) -> list[int]:
@@ -312,5 +285,5 @@ def mixing_report(
     rpd keys are the transition counts in the order of ``t_values``."""
     counts = _transition_counts(t_values)
     tm = build_transition_matrix(net, ev, cap=cap)
-    p0 = min_transition_probability(net, ev, cap=cap)
+    p0 = min_transition_probability(net, ev)
     return MixingReport(pi_min=float(tm.stationary.min()), p0=p0, rpd=_rpd_by_count(tm, counts))

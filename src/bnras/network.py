@@ -170,6 +170,15 @@ class _Tables:
             p *= flat[i][row * k[i] + state[i]]
         return p
 
+    def blanket(self, i: int) -> tuple[int, ...]:
+        """Node i's Markov blanket, ascending: its parents, its children and
+        their other parents."""
+        members = {*self.parents[i], *self.children[i]}
+        for c in self.children[i]:
+            members.update(self.parents[c])
+        members.discard(i)
+        return tuple(sorted(members))
+
 
 @dataclass(frozen=True)
 class BeliefNetwork:
@@ -351,14 +360,7 @@ def joint_probability(net: BeliefNetwork, state: JointState) -> float:
 
 def markov_blanket(net: BeliefNetwork, node: str) -> set[str]:
     """Parents, children, and children's other parents of the node."""
-    i = net.node_index[node]
-    tab = net.tables
-    blanket: set[int] = set(tab.parents[i])
-    for c in tab.children[i]:
-        blanket.add(c)
-        blanket.update(tab.parents[c])
-    blanket.discard(i)
-    return {net.nodes[j].name for j in blanket}
+    return {net.nodes[j].name for j in net.tables.blanket(net.node_index[node])}
 
 
 def free_nodes(net: BeliefNetwork, ev: Evidence) -> tuple[str, ...]:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -56,6 +57,28 @@ def and_gate():
         "node B { outcomes: t, f }\nparents B: A, C\n"
         "cpt B:\n 1 0\n 0 1\n 0 1\n 0 1\n"
     )
+
+
+def layered_network(size, seed=0):
+    """A binary network of `size` nodes X0, X1, ..., where node i has
+    parents i-3, i-2 and i-1 (those that exist): multiply connected, with
+    Markov blankets of at most six nodes however many nodes there are. Each
+    table row's first entry is drawn from [0.2, 0.8] by random.Random(seed),
+    so every table is strictly positive."""
+    rng = random.Random(seed)
+    nodes = []
+    for i in range(size):
+        parents = tuple(f"X{i - d}" for d in (3, 2, 1) if i >= d)
+        rows = [(p, 1.0 - p) for p in (rng.uniform(0.2, 0.8) for _ in range(2 ** len(parents)))]
+        nodes.append(bnras.Node(f"X{i}", ("t", "f"), parents, bnras.Cpt.from_rows(rows)))
+    return bnras.BeliefNetwork(f"LAYERED{size}", tuple(nodes))
+
+
+@pytest.fixture(scope="session")
+def layered300():
+    """300 free nodes: far past the enumeration cap, and past numpy's 64
+    axes for any array with an axis per free node."""
+    return layered_network(300)
 
 
 def evidence_sets(net):

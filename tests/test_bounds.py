@@ -268,3 +268,10 @@ def test_mixing_ratio_base_invariance():
     base10 = (math.log10(gamma) + math.log10(pi)) / math.log10(1 - p0 * p0 / 8)
     assert natural == pytest.approx(base10, rel=1e-12)
     assert bnras.mixing_bound(gamma, pi, p0) == math.ceil(natural)
+
+
+def test_exact_bounds_refuse_past_the_enumeration_cap(layered300, empty):
+    # p0 needs no joint, but Pi still comes off one enumeration
+    tol = ErrorTolerances(alpha=0.1, delta=0.1, gamma=0.1)
+    with pytest.raises(bnras.CapacityError, match="exceed the enumeration cap 4194304"):
+        bnras.report_bounds(layered300, empty, tol, mode="exact")

@@ -1,11 +1,19 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import bnras
-from bnras import Evidence, RandomStream
+from bnras import Evidence, RandomStream, chain
 
-from conftest import cyclic_scan_average_pmfs, cyclic_scan_flip_probability
+from conftest import (
+    cyclic_scan_average_pmfs,
+    cyclic_scan_flip_probability,
+    evidence_sets,
+    positive_networks,
+)
 
 
 class ScriptedStream(RandomStream):
@@ -325,3 +333,39 @@ def test_cyclic_scan_law_hand_computed_path2(path2, empty):
     # 2 * 0.99 * 0.01; B likewise
     flips = cyclic_scan_flip_probability(path2, empty)
     assert flips == pytest.approx({"A": 0.0198, "B": 0.0198}, abs=1e-15)
+
+
+def assert_conditional_rows_match_scalar(net, ev):
+    """Each free node's blanket, read off the node declarations, is
+    ``_Tables.blanket``; ``_conditional``'s axes are the node and its free
+    blanket members; and each of its rows is the scalar reference's weights
+    at that row's blanket state."""
+    tab, free, template = chain._prepare(net, ev)
+    for i in free:
+        name = net.nodes[i].name
+        children = [nd for nd in net.nodes if name in nd.parents]
+        blanket = {*net.nodes[i].parents, *(c.name for c in children),
+                   *(p for c in children for p in c.parents)} - {name}
+        assert tab.blanket(i) == tuple(sorted(net.node_index[b] for b in blanket))
+        axes, cond = chain._conditional(tab, set(free), template, i)
+        assert axes == tuple(sorted({i, *(net.node_index[b] for b in blanket if b not in ev)}))
+        members = [a for a in axes if a != i]
+        rows = np.moveaxis(cond, axes.index(i), -1)
+        for values in itertools.product(*(range(tab.k[m]) for m in members)):
+            state = template.copy()
+            for m, v in zip(members, values):
+                state[m] = v
+            assert rows[values].tolist() == chain._conditional_weights(tab, state, i)[0]
+
+
+def test_conditional_rows_match_scalar_reference(nets, and_gate):
+    # the AND gate's rows where B's value rules out every outcome are zero
+    for net in [*nets.values(), and_gate]:
+        for ev in evidence_sets(net):
+            assert_conditional_rows_match_scalar(net, ev)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(positive_networks())
+def test_conditional_rows_on_random_networks(case):
+    assert_conditional_rows_match_scalar(*case)

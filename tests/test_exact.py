@@ -1,11 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import bnras
-from bnras import Evidence
+from bnras import Evidence, chain
 
 from conftest import brute_posteriors, evidence_sets, positive_networks, scalar_transition_matrix
 
@@ -271,3 +272,50 @@ def test_tensor_and_matrix_on_random_networks(case):
     off = matrix[~np.eye(len(matrix), dtype=bool)]
     assert bnras.min_transition_probability(net, ev) == float(off[off > 0.0].min())
     assert bnras.min_joint_posterior(net, ev) == tm.stationary.min()
+
+
+def star_network():
+    """A binary hub H with 12 binary children C0..C11, each child with its
+    own extra parent P0..P11, declared last: H's blanket holds the 24 other
+    nodes, so its conditional has 2^25 entries, past the enumeration cap;
+    every other node's blanket has two."""
+    half = bnras.Cpt.from_rows([(0.5, 0.5)])
+    extra = [bnras.Node(f"P{j}", ("t", "f"), (), half) for j in range(12)]
+    rows = bnras.Cpt.from_rows([(0.9, 0.1), (0.4, 0.6), (0.3, 0.7), (0.2, 0.8)])
+    children = [bnras.Node(f"C{j}", ("t", "f"), ("H", f"P{j}"), rows) for j in range(12)]
+    hub = bnras.Node("H", ("t", "f"), (), bnras.Cpt.from_rows([(0.3, 0.7)]))
+    return bnras.BeliefNetwork("STAR", (*extra, *children, hub))
+
+
+def test_p0_refuses_an_oversized_blanket(monkeypatch, empty):
+    net = star_network()
+    made = []
+    conditional = bnras.exact._conditional
+    monkeypatch.setattr(bnras.exact, "_conditional",
+                        lambda tab, free, template, i: made.append(i) or
+                        conditional(tab, free, template, i))
+    with pytest.raises(bnras.CapacityError,
+                       match="node H has 33554432 entries, over the enumeration cap 4194304"):
+        bnras.min_transition_probability(net, empty)
+    assert made == list(range(24))  # the hub's conditional was never made
+    # with its children's extra parents clamped, the hub's has 2^13 entries
+    clamped = Evidence({f"P{j}": 0 for j in range(12)})
+    assert 0.0 < bnras.min_transition_probability(net, clamped) <= 0.5
+
+
+def test_p0_past_the_enumeration_cap(layered300, empty):
+    # 2^300 joint states: p0 reads the 300 blanket conditionals only, and
+    # is the least positive move of the scalar reference over their rows
+    p0 = bnras.min_transition_probability(layered300, empty)
+    tab, free, template = chain._prepare(layered300, empty)
+    least = math.inf
+    for i in free:
+        members = tab.blanket(i)
+        for values in itertools.product(*(range(tab.k[m]) for m in members)):
+            state = template.copy()
+            for m, v in zip(members, values):
+                state[m] = v
+            weights, total = chain._conditional_weights(tab, state, i)
+            least = min(least, *(0.5 / len(free) * (w / total) for w in weights if w > 0.0))
+    assert 0.0 < p0 <= 0.5
+    assert p0 == least

@@ -133,6 +133,22 @@ def test_streams_other_than_random_random(nets, empty):
         assert [e.checkpoints for e in ests] == [e.checkpoints for e in expected]
 
 
+class Half(RandomStream):
+    """A stream whose random() is not made from its getrandbits words."""
+
+    def random(self):
+        return 0.25
+
+
+def test_streams_that_override_random(nets, empty):
+    # lock step would draw from their words, not their random(), so such a
+    # batch runs chain by chain
+    ests = bnras.straight_estimates(nets["AB"], empty, 10, [Half(1), Half(2)])
+    expected = [bnras.straight_estimate(nets["AB"], empty, 10, Half(s)) for s in (1, 2)]
+    assert [e.tallies for e in ests] == [e.tallies for e in expected]
+    assert [e.tallies for e in ests] == [((10, 0), (10, 0))] * 2
+
+
 def test_stream_given_twice(nets, empty):
     # its second chain runs on from where the first leaves the stream, as
     # the calls one by one run it, so such a batch runs chain by chain
@@ -250,3 +266,11 @@ def test_numpy_random_never_imported():
 def test_positive_networks_match_scalar_chain(case):
     net, ev = case
     assert_matches_scalar(net, ev, 60, PANEL, stride=25, burn_in=3)
+
+
+@pytest.mark.parametrize("least", [1, 10**9])  # lock step, then chain by chain
+def test_past_64_free_nodes(monkeypatch, layered300, empty, least):
+    tab, free, template = chain._prepare(layered300, empty)
+    assert chain._blanket_tables(tab, free, template) is not None
+    monkeypatch.setattr(estimate, "_STRAIGHT_MIN", least)
+    assert_matches_scalar(layered300, empty, 700, PANEL[:3], stride=250, burn_in=100)

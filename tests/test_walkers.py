@@ -176,3 +176,11 @@ def test_no_free_nodes(ab):
 def test_positive_networks_match_scalar_loop(case):
     net, ev = case
     assert_matches_scalar(net, ev, 60, 6, 2**63 + 11, stride=50)
+
+
+@pytest.mark.parametrize("lockstep_min", [1, 10**9])  # lock step, then the per-trial loop
+def test_past_64_free_nodes(monkeypatch, layered300, empty, lockstep_min):
+    tab, free, template = chain._prepare(layered300, empty)
+    assert chain._blanket_tables(tab, free, template) is not None
+    monkeypatch.setattr(chain, "_LOCKSTEP_MIN", lockstep_min)
+    assert_matches_scalar(layered300, empty, 60, 40, 2**63 + 11, stride=1000)
