@@ -20,10 +20,10 @@ at one state, :func:`_conditional` at every state of i's free Markov blanket
 at once, for the blanket tables below and :mod:`bnras.exact`'s moves and p0.
 
 Trials run one at a time (:func:`_trial`) or as lock-step walkers
-(:func:`_trial_blocks`): numpy moves a block of trials together, each on its
-own counter-based stream (see :mod:`bnras.rng`) with its own draw count, and
-chooses outcomes from each node's :func:`_conditional` rows. Both give the
-same states, bit for bit.
+(:func:`_trial_blocks`): numpy moves a block of trials together, of one run
+or of several, each on its own counter-based stream (see :mod:`bnras.rng`)
+with its own draw count, and chooses outcomes from each node's
+:func:`_conditional` rows. Both give the same states, bit for bit.
 
 Cyclic-scan chains on many streams run one at a time or together
 (:meth:`_BlanketTables.scan`): at each step every chain redraws the same
@@ -43,10 +43,11 @@ bisection over the doubles, so neither multiplies a draw by a total.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterator
+from typing import Container, Iterator, Sequence
 
 import numpy as np
 
@@ -469,23 +470,33 @@ def _blanket_tables(tab: _Tables, free: tuple[int, ...], template: list[int]):
 
 
 def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], template: list[int],
-                  t: int, seed: int, trials: int) -> Iterator[np.ndarray]:
-    """Final free-node values of trials 0, 1, ..., trials - 1, trial j being
-    ``next_trial(net, ev, t, RandomStream(seed).spawn(j))``. Yields one
-    int array of shape (block trials, free nodes) per block of ``_BLOCK``
-    trials, in trial order.
+                  t: int, runs: Sequence[tuple[int, int]]) -> Iterator[np.ndarray]:
+    """Final free-node values of the trials of ``runs``, (seed, trials)
+    pairs: trials 0, 1, ..., trials - 1 of each run in turn, trial j of a
+    run being ``next_trial(net, ev, t, RandomStream(seed).spawn(j))``. The
+    trials of all runs are laid end to end and cut into blocks of
+    ``_BLOCK``, so a block may hold pieces of several runs; each block
+    derives the stream seeds of the trials it holds, and is yielded as one
+    int array of shape (block trials, free nodes), in order.
 
     A block of at least ``_LOCKSTEP_MIN`` trials runs as lock-step walkers
     unless some blanket table would pass ``_BLANKET_CAP``; other blocks, and
     a block in which some trial conflicts, run the per-trial loop, which
-    raises for the lowest conflicting trial. That loop runs :func:`_trial`
-    on the streams of :func:`counter_streams`, each trial's draws made ahead
-    up to the most it can make. Either way the values are the same.
+    raises for the block's first conflicting trial, named by its run ("in
+    trial j of seed s"). That loop runs :func:`_trial` on the streams of
+    :func:`counter_streams`, each trial's draws made ahead up to the most it
+    can make. Either way the values are the same.
     """
     if t:
         _require_free(free)
-    for first in range(0, trials, _BLOCK):
-        seeds = derive_stream_seeds(seed, first, min(first + _BLOCK, trials))
+    starts = list(itertools.accumulate((trials for _, trials in runs), initial=0))
+    for first in range(0, starts[-1], _BLOCK):
+        stop = min(first + _BLOCK, starts[-1])
+        pieces = [(seed, max(first - start, 0), min(stop - start, trials))  # (seed, lo, hi)
+                  for (seed, trials), start in zip(runs, starts)
+                  if start < stop and first < start + trials]
+        seeds = [derive_stream_seeds(seed, lo, hi) for seed, lo, hi in pieces]
+        seeds = seeds[0] if len(seeds) == 1 else np.concatenate(seeds)  # no copy for one run
         values = None
         if len(seeds) >= _LOCKSTEP_MIN and free:
             tables = _blanket_tables(tab, free, template)
@@ -494,11 +505,12 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
         if values is None:
             values = np.empty((len(seeds), len(free)), dtype=np.intp)
             ahead = min(len(free) + 3 * t, _AHEAD // len(seeds))  # a trial's most draws
-            for b, rand in enumerate(counter_streams(seeds, ahead)):
+            trials = ((seed, j) for seed, lo, hi in pieces for j in range(lo, hi))
+            for b, ((seed, j), rand) in enumerate(zip(trials, counter_streams(seeds, ahead))):
                 try:
                     state = _trial(tab, free, template, t, rand)
                 except DeterministicConflictError as exc:
-                    raise _located(net, exc, f"in trial {first + b} of seed {seed}") from None
+                    raise _located(net, exc, f"in trial {j} of seed {seed}") from None
                 values[b] = [state[i] for i in free]
         yield values
 

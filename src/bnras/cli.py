@@ -7,10 +7,11 @@ capacity error (I/O failures, enumeration caps, impossible evidence).
 
 All result output shares one flat CSV schema (header below); checkpoint
 rows carry the cumulative transition count in the ``checkpoint`` column,
-summary rows leave it empty. The straight-simulation runs of one total
-(every seed of a ``sweep`` grid point, or of a ``compare``) run as one
-lock-step batch, and each row's ``cpu_seconds`` and ``wall_seconds`` are
-its equal share of the batch's time, so that the rows sum to it. The
+summary rows leave it empty. The randomized-restart runs of one (trials,
+transitions) and the straight-simulation runs of one total (every seed of
+a ``sweep`` grid point, or of a ``compare``) each run as one lock-step
+batch, and each row's ``cpu_seconds`` and ``wall_seconds`` are its equal
+share of the batch's time, so that the rows sum to it. The
 ``BNRAS_ENUM_CAP`` environment variable overrides the enumeration cap used
 for oracle computations and exact-mode bounds.
 """
@@ -33,7 +34,7 @@ from .errors import (
     NetworkValidationError,
     PositivityError,
 )
-from .estimate import bnras_estimate, error_metrics, straight_estimates
+from .estimate import bnras_estimates, error_metrics, straight_estimates
 from .exact import enumerate_posteriors
 from .model_io import builtin_networks, format_evidence, parse_document, parse_evidence
 from .network import BeliefNetwork
@@ -148,22 +149,24 @@ def cmd_exact(args) -> int:
 
 def _estimates(net, ev, runs, stride: int, batched: bool):
     """The estimate of each (algorithm, trials, transitions, total, seed),
-    in order. Batched, the straight runs of each total run together, when
-    the first of them is due; otherwise each runs on its own."""
-    straight = {}
-    for algorithm, trials, transitions, total, seed in runs:
-        if algorithm == "bnras":
-            yield bnras_estimate(net, ev, trials, transitions, RandomStream(seed),
-                                 checkpoint_stride=stride)
-            continue
-        if (total, seed) not in straight:
-            seeds = [seed]
-            if batched:
-                seeds = [s for a, _, _, t, s in runs if a == "straight" and t == total]
-            batch = straight_estimates(net, ev, total, [RandomStream(s) for s in seeds],
-                                       checkpoint_stride=stride)
-            straight.update(((total, s), est) for s, est in zip(seeds, batch))
-        yield straight.pop((total, seed))
+    in order. Batched, the runs of each group, the bnras runs of one
+    (trials, transitions) or the straight runs of one total, run together
+    when the first of them is due; otherwise each runs on its own."""
+    made = {}  # (group, seed) -> estimates made and not yet yielded, in run order
+    for run in runs:
+        algorithm, trials, transitions, total, seed = run
+        group = run[:4]
+        if not made.get((group, seed)):
+            seeds = [r[4] for r in runs if r[:4] == group] if batched else [seed]
+            streams = [RandomStream(s) for s in seeds]
+            if algorithm == "bnras":
+                batch = bnras_estimates(net, ev, trials, transitions, streams,
+                                        checkpoint_stride=stride)
+            else:
+                batch = straight_estimates(net, ev, total, streams, checkpoint_stride=stride)
+            for s, est in zip(seeds, batch):
+                made.setdefault((group, s), []).append(est)
+        yield made[(group, seed)].pop(0)
 
 
 def _write_runs(net, ev, runs, stride: int, out: str) -> int:
@@ -171,12 +174,16 @@ def _write_runs(net, ev, runs, stride: int, out: str) -> int:
     against one oracle, and write its checkpoint rows and then its summary
     row as CSV to ``out`` (``-`` for stdout), in the order of ``runs``.
 
-    The straight runs of one total run as one batch (see
-    :func:`bnras.estimate.straight_estimates`), and each reports an equal
-    share of the batch's processor and wall seconds. If the batch meets a
-    deterministic conflict, the runs are made again one at a time in order,
-    so that the error reported is the one that order meets first.
+    The bnras runs of one (trials, transitions) run as one batch (see
+    :func:`bnras.estimate.bnras_estimates`), and so do the straight runs of
+    one total (:func:`bnras.estimate.straight_estimates`); each run reports
+    an equal share of its batch's processor and wall seconds. If a batch
+    meets a deterministic conflict, the runs are made again one at a time
+    in order, so that the error reported is the one that order meets first.
+    A negative stride is a usage error, refused before any run.
     """
+    if stride < 0:
+        raise UsageError("--stride must be >= 0")
     oracle = enumerate_posteriors(net, ev, cap=_enum_cap())
     try:
         estimates = list(_estimates(net, ev, runs, stride, batched=True))

@@ -5,11 +5,14 @@ transitions each) and tallies the final state of every free node, so the
 estimate for a node outcome is the exact rational tally/N. Trial j draws
 from the counter-based stream ``rng.spawn(j)`` (see :mod:`bnras.rng`), so
 its final state is ``next_trial(net, ev, t, rng.spawn(j))`` whatever runs
-it; the caller's stream state is unused. The trials run in blocks of
-``chain._BLOCK``: a block of at least ``chain._LOCKSTEP_MIN`` trials moves
+it, and the caller's stream state is unused. The trials of different
+streams are therefore interchangeable walkers: ``bnras_estimates`` lays
+the trials of many streams end to end and runs them in blocks of
+``chain._BLOCK``, which may straddle streams, and ``bnras_estimate`` is its
+one-stream case. A block of at least ``chain._LOCKSTEP_MIN`` trials moves
 as numpy walkers in lock step, a smaller one trial by trial
-(``chain._trial_blocks``). This module only tallies the blocks and takes
-the checkpoints.
+(``chain._trial_blocks``). This module only tallies each block's rows into
+the streams that own them and takes the checkpoints.
 
 ``straight_estimate`` runs one cyclic-scan chain without restarts and
 scores the full state after every transition. ``straight_estimates`` runs
@@ -96,14 +99,90 @@ def _labels(net: BeliefNetwork, free: tuple[int, ...]):
 
 
 def _snapshot(tally, scored):
-    return tuple(tuple(c / scored for c in row) for row in tally)
+    return tuple(tuple([c / scored for c in row]) for row in tally)
 
 
-def _add(tally: list[list[int]], values: np.ndarray) -> None:
-    """Count each free node's final values of some trials into the tally."""
-    for row, column in zip(tally, values.T):
-        for v, c in enumerate(np.bincount(column, minlength=len(row)).tolist()):
-            row[v] += c
+def _edges(tab, free: tuple[int, ...]) -> np.ndarray:
+    """Where each free node's outcome columns start in a flat tally row,
+    and the row's width last."""
+    return np.array([0, *itertools.accumulate(tab.k[i] for i in free)])
+
+
+def _rows(flat: list[int], edges: np.ndarray) -> list[list[int]]:
+    """A flat tally row cut into one row per free node."""
+    return [flat[a:b] for a, b in zip(edges, edges[1:])]
+
+
+def bnras_estimates(
+    net: BeliefNetwork,
+    ev: Evidence,
+    trials: int,
+    transitions: int,
+    rngs: Sequence[RandomStream],
+    checkpoint_stride: int = 0,
+) -> list[PosteriorEstimate]:
+    """``bnras_estimate`` on each stream of ``rngs``, in order.
+
+    The trials of all streams move through one sequence of blocks
+    (:func:`bnras.chain._trial_blocks`), so the streams' trials share lock
+    steps; each block's rows are tallied into the stream that owns them, and
+    no array holds more than one block. Each estimate's ``cpu_seconds`` and
+    ``wall_seconds`` are an equal share of the batch's. A conflict raises
+    for the first conflicting trial in stream order, named by its stream's
+    seed.
+    """
+    _require_count("trials", trials, 1)
+    _require_count("transitions", transitions, 0)
+    _require_count("checkpoint_stride", checkpoint_stride, 0)
+    tab, free, template = _prepare(net, ev)
+    names, labels = _labels(net, free)
+    edges = _edges(tab, free)
+    width = edges[-1]
+    counts = np.zeros((len(rngs), width), dtype=np.int64)  # each run's flat tally
+    checkpoints: list[list[Checkpoint]] = [[] for _ in rngs]
+    first_mark = checkpoint_stride if transitions > 0 else 0
+    run, done, mark = 0, 0, first_mark  # the run being tallied, its trials tallied, its next mark
+    cpu0, wall0 = time.process_time(), time.perf_counter()
+    runs = [(rng.seed_value, trials) for rng in rngs]
+    for block in _trial_blocks(net, tab, free, template, transitions, runs):
+        codes = block  # each value's column in the flat tally, made in place
+        codes += edges[:-1]
+        at = 0  # the block's rows tallied
+        while at < len(block):
+            stop = min(done + len(block) - at, trials)
+            while 0 < mark <= stop * transitions:
+                scored = -(-mark // transitions)  # the trial that crosses the mark
+                counts[run] += np.bincount(codes[at : at + scored - done].ravel(),
+                                           minlength=width)
+                at += scored - done
+                done = scored
+                tally = _rows(counts[run].tolist(), edges)
+                checkpoints[run].append(Checkpoint(mark, scored, _snapshot(tally, scored)))
+                mark += checkpoint_stride
+            counts[run] += np.bincount(codes[at : at + stop - done].ravel(), minlength=width)
+            at += stop - done
+            done = stop
+            if done == trials:
+                run, done, mark = run + 1, 0, first_mark
+    shares = max(len(rngs), 1)
+    cpu = (time.process_time() - cpu0) / shares
+    wall = (time.perf_counter() - wall0) / shares
+    tallies = [_rows(flat, edges) for flat in counts.tolist()]
+    return [
+        PosteriorEstimate(
+            nodes=names,
+            outcome_labels=labels,
+            probs=_snapshot(tally, trials),
+            tallies=tuple(tuple(row) for row in tally),
+            trials=trials,
+            transitions_per_trial=transitions,
+            total_transitions=trials * transitions,
+            cpu_seconds=cpu,
+            wall_seconds=wall,
+            checkpoints=tuple(points),
+        )
+        for tally, points in zip(tallies, checkpoints)
+    ]
 
 
 def bnras_estimate(
@@ -120,40 +199,7 @@ def bnras_estimate(
     With checkpoint_stride > 0, a running snapshot is recorded each time the
     cumulative transition count crosses a multiple of the stride.
     """
-    _require_count("trials", trials, 1)
-    _require_count("transitions", transitions, 0)
-    _require_count("checkpoint_stride", checkpoint_stride)
-    tab, free, template = _prepare(net, ev)
-    names, labels = _labels(net, free)
-    tally = [[0] * tab.k[i] for i in free]
-    checkpoints: list[Checkpoint] = []
-    mark = checkpoint_stride if transitions > 0 else 0
-    done = 0
-    cpu0, wall0 = time.process_time(), time.perf_counter()
-    for block in _trial_blocks(net, tab, free, template, transitions, rng.seed_value, trials):
-        first = done
-        stop = first + len(block)
-        while 0 < mark <= stop * transitions:
-            scored = -(-mark // transitions)  # the trial that crosses the mark
-            _add(tally, block[done - first : scored - first])
-            done = scored
-            checkpoints.append(Checkpoint(mark, scored, _snapshot(tally, scored)))
-            mark += checkpoint_stride
-        _add(tally, block[done - first :])
-        done = stop
-    cpu1, wall1 = time.process_time(), time.perf_counter()
-    return PosteriorEstimate(
-        nodes=names,
-        outcome_labels=labels,
-        probs=_snapshot(tally, trials),
-        tallies=tuple(tuple(row) for row in tally),
-        trials=trials,
-        transitions_per_trial=transitions,
-        total_transitions=trials * transitions,
-        cpu_seconds=cpu1 - cpu0,
-        wall_seconds=wall1 - wall0,
-        checkpoints=tuple(checkpoints),
-    )
+    return bnras_estimates(net, ev, trials, transitions, [rng], checkpoint_stride)[0]
 
 
 def _cyclic_chain(net: BeliefNetwork, tab, free, template, total: int, rng: RandomStream,
@@ -216,15 +262,14 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
     most = max(1, _CHUNK // chains)
     outcomes = np.empty((nfree + most, chains), dtype=np.intp)
     outcomes[:nfree] = (twister_draws(rngs, nfree) * tables.outcomes).astype(np.intp).T
-    edges = np.array([0, *itertools.accumulate(tab.k[i] for i in free)])  # each node's outcome columns
+    edges = _edges(tab, free)
     width = edges[-1]
     bases = width * np.arange(chains)  # each chain's first code
     counts = np.zeros(chains * width, dtype=np.int64)
     checkpoints: list[list[Checkpoint]] = [[] for _ in rngs]
 
     def tallies():
-        return [[row[a:b] for a, b in zip(edges, edges[1:])]
-                for row in counts.reshape(chains, width).tolist()]
+        return [_rows(row, edges) for row in counts.reshape(chains, width).tolist()]
 
     marks = range(stride, total + 1, stride) if stride > 0 else ()
     done = 0
@@ -270,7 +315,7 @@ def straight_estimates(
     The estimates are the same either way.
     """
     _require_count("total_transitions", total_transitions, 1)
-    _require_count("checkpoint_stride", checkpoint_stride)
+    _require_count("checkpoint_stride", checkpoint_stride, 0)
     _require_count("burn_in", burn_in)
     if not 0 <= burn_in < total_transitions:
         raise ValueError("burn_in must be in [0, total_transitions)")

@@ -282,6 +282,64 @@ def test_straight_batches_match_single_runs(tmp_path, capsys):
         assert len(shares) == 1
 
 
+def test_bnras_batches_match_single_runs(tmp_path, capsys):
+    # a sweep runs the seeds of each (trials, transitions) as one batch, the
+    # duplicated trial count's runs too; the rows are the single runs' rows
+    # in the same order, and within each (trials, transitions) the summary
+    # rows share one timing
+    code, _, _ = run_cli(
+        capsys, "sweep", "--network", "MINIALARM", "--algorithm", "bnras",
+        "--trials", "30,30,400", "--transitions", "0,7", "--seeds", "0:6", "--stride", "50",
+        "--out", str(tmp_path / "s.csv"),
+    )
+    assert code == 0
+    lines = (tmp_path / "s.csv").read_text().splitlines()
+    single = [CSV_HEADER]
+    for trials in ("30", "30", "400"):
+        for transitions in ("0", "7"):
+            for seed in range(6):
+                code, out, _ = run_cli(
+                    capsys, "run", "--network", "MINIALARM", "--algorithm", "bnras",
+                    "--trials", trials, "--transitions", transitions, "--seed", str(seed),
+                    "--stride", "50",
+                )
+                assert code == 0
+                single += out.splitlines()[1:]
+    assert [line.rsplit(",", 2)[0] for line in lines] == \
+        [line.rsplit(",", 2)[0] for line in single]
+    rows = parse_csv("\n".join(lines))
+    assert sum(r["checkpoint"] != "" for r in rows) > 0
+    for trials in ("30", "400"):
+        for transitions in ("0", "7"):
+            shares = {(r["cpu_seconds"], r["wall_seconds"]) for r in rows
+                      if r["checkpoint"] == "" and r["trials"] == trials
+                      and r["transitions_per_trial"] == transitions}
+            assert len(shares) == 1
+
+
+def test_negative_stride_is_usage_error(monkeypatch, tmp_path, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    for name in ("enumerate_posteriors", "bnras_estimates", "straight_estimates"):
+        monkeypatch.setattr(bnras.cli, name, unreachable)
+    out_path = tmp_path / "x.csv"
+    for argv in (
+        ("run", "--network", "AB", "--algorithm", "bnras", "--trials", "10",
+         "--transitions", "5"),
+        ("run", "--network", "AB", "--algorithm", "straight", "--total", "10"),
+        ("sweep", "--network", "AB", "--algorithm", "bnras", "--trials", "10",
+         "--transitions", "5", "--out", str(out_path)),
+        ("sweep", "--network", "AB", "--algorithm", "straight", "--total", "10",
+         "--out", str(out_path)),
+        ("compare", "--network", "AB", "--total", "100", "--transitions", "5",
+         "--out", str(out_path)),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--stride", "-3")
+        assert (code, out, err) == (1, "", "usage error: --stride must be >= 0\n")
+        assert not out_path.exists()
+
+
 AND_GATE = (
     "network AND\n"
     "node A { outcomes: t, f }\ncpt A:\n 0.5 0.5\n"
@@ -308,6 +366,14 @@ def test_conflict_reported_in_run_order(tmp_path, capsys):
         "--total", "6", "--seeds", "4,5,7,2,3", "--out", str(tmp_path / "s.csv"),
     )
     assert (code, err) == (3, CONFLICT.format("at step 1 of seed 2"))
+    # seeds 8, 5 and 1 all conflict in their three trials of two transitions;
+    # the run order meets seed 8 first, though its batch holds all five seeds
+    code, out, err = run_cli(
+        capsys, "sweep", "--network", str(path), "--algorithm", "bnras", "--trials", "3",
+        "--transitions", "2", "--seeds", "4,6,8,5,1", "--out", str(tmp_path / "b.csv"),
+    )
+    assert (code, err) == (3, "error: all conditional weights of node C are zero in trial 2 "
+                              "of seed 8; the 0/1 table entries conflict with the current state\n")
 
 
 def test_sweep_usage_errors(capsys, tmp_path):

@@ -292,6 +292,23 @@ def test_counts_must_be_integers(ab, empty, name, call):
         call(ab, empty)
 
 
+def _pair():
+    return [RandomStream(1), RandomStream(2)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda net, ev, stride: bnras.bnras_estimate(net, ev, 10, 5, RandomStream(1), stride),
+    lambda net, ev, stride: bnras.bnras_estimates(net, ev, 10, 5, _pair(), stride),
+    lambda net, ev, stride: bnras.straight_estimate(net, ev, 10, RandomStream(1), stride),
+    lambda net, ev, stride: bnras.straight_estimates(net, ev, 10, _pair(), stride),
+], ids=["bnras_estimate", "bnras_estimates", "straight_estimate", "straight_estimates"])
+def test_negative_checkpoint_stride_refused(ab, empty, call):
+    for stride in (-3, -1):
+        with pytest.raises(ValueError, match="^checkpoint_stride must be >= 0$"):
+            call(ab, empty, stride)
+    assert call(ab, empty, 0)  # no checkpoints, as before
+
+
 def test_deterministic_conflict_names_node_and_position(and_gate, empty):
     with pytest.raises(bnras.DeterministicConflictError,
                        match=r"node [AC] are zero in trial \d+ of seed 7;"):

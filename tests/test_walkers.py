@@ -3,7 +3,8 @@
 ``bnras_estimate`` must tally exactly what ``next_trial`` gives on the
 spawned streams, trial by trial, whichever side of the walker-count
 selection and of the blanket-table cap each block runs on, and whatever the
-block size.
+block size. ``bnras_estimates``, whose blocks may hold the trials of
+several streams, must give each stream what ``bnras_estimate`` gives it.
 """
 
 import numpy as np
@@ -184,3 +185,83 @@ def test_past_64_free_nodes(monkeypatch, layered300, empty, lockstep_min):
     assert chain._blanket_tables(tab, free, template) is not None
     monkeypatch.setattr(chain, "_LOCKSTEP_MIN", lockstep_min)
     assert_matches_scalar(layered300, empty, 60, 40, 2**63 + 11, stride=1000)
+
+
+def assert_batch_matches_single(net, ev, trials, t, seeds, stride=0):
+    """``bnras_estimates`` on the seeds' streams against ``bnras_estimate``
+    on each, stream by stream, and the first stream against the per-trial
+    loop."""
+    batch = bnras.bnras_estimates(net, ev, trials, t, [RandomStream(s) for s in seeds],
+                                  checkpoint_stride=stride)
+    assert len(batch) == len(seeds)
+    for seed, est in zip(seeds, batch):
+        one = bnras.bnras_estimate(net, ev, trials, t, RandomStream(seed), checkpoint_stride=stride)
+        assert (est.tallies, est.probs, est.checkpoints, est.trials, est.total_transitions) == \
+            (one.tallies, one.probs, one.checkpoints, one.trials, one.total_transitions)
+    assert (batch[0].tallies, batch[0].checkpoints) == \
+        scalar_estimate(net, ev, trials, t, seeds[0], stride)
+    return batch
+
+
+BATCH_SEEDS = (2**63 + 11, 0, 7, 0, 5)  # a seed twice: its runs are equal
+
+
+@pytest.mark.parametrize("setting", [
+    {},  # 20 trials a stream: the per-trial loop alone, lock step together (100 walkers)
+    {"_BLOCK": 7, "_LOCKSTEP_MIN": 1},  # 3 trials a stream: a block holds pieces of three runs
+    {"_BLOCK": 64, "_LOCKSTEP_MIN": 1},  # 20 trials a stream: pieces of four runs
+    {"_BLOCK": 7, "_LOCKSTEP_MIN": 5},  # mixed blocks
+    {"_LOCKSTEP_MIN": 10**9},  # every block in the per-trial loop
+    {"_BLANKET_CAP": 1},  # every table over the cap
+])
+def test_batches_match_single_streams(monkeypatch, nets, setting):
+    for name, value in setting.items():
+        monkeypatch.setattr(chain, name, value)
+    for net in nets.values():
+        for ev in evidence_sets(net):
+            # marks at 7, 14, ... transitions fall inside blocks that straddle runs
+            for trials, t, stride in ((3, 4, 7), (20, 3, 7), (20, 0, 5), (60, 1, 13)):
+                assert_batch_matches_single(net, ev, trials, t, BATCH_SEEDS, stride)
+            assert_batch_matches_single(net, ev, 9, 2, BATCH_SEEDS[:1], stride=3)
+
+
+def test_batch_of_one_and_of_none(minialarm, empty):
+    seed = 2**63 + 11
+    trials = chain._BLOCK + chain._LOCKSTEP_MIN
+    assert_batch_matches_single(minialarm, empty, trials, 2, (seed,), stride=4097)
+    assert bnras.bnras_estimates(minialarm, empty, 10, 2, []) == []
+
+
+def test_batch_timing_is_shared(minialarm, empty):
+    batch = bnras.bnras_estimates(minialarm, empty, 100, 5, [RandomStream(s) for s in range(4)])
+    assert len({(est.cpu_seconds, est.wall_seconds) for est in batch}) == 1
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(positive_networks())
+def test_positive_networks_batches_match_single_streams(case):
+    net, ev = case
+    assert_batch_matches_single(net, ev, 20, 6, BATCH_SEEDS, stride=50)
+
+
+@pytest.mark.parametrize("setting", [
+    {"_LOCKSTEP_MIN": 1}, {"_LOCKSTEP_MIN": 50}, {"_LOCKSTEP_MIN": 10**9},
+    {"_BLOCK": 7, "_LOCKSTEP_MIN": 1},
+])
+def test_batch_conflict_names_first_stream_in_order(monkeypatch, and_gate, empty, setting):
+    # three trials of two transitions: seeds 4 and 6 never conflict, 8, 5 and
+    # 1 do; the batch names seed 8, the first in stream order, not the least
+    for name, value in setting.items():
+        monkeypatch.setattr(chain, name, value)
+    seeds = (4, 6, 8, 5, 1)
+    expected = None
+    for seed in seeds:
+        try:
+            bnras.bnras_estimate(and_gate, empty, 3, 2, RandomStream(seed))
+        except bnras.DeterministicConflictError as exc:
+            expected = str(exc)
+            break
+    assert expected is not None and "in trial 2 of seed 8;" in expected
+    with pytest.raises(bnras.DeterministicConflictError) as info:
+        bnras.bnras_estimates(and_gate, empty, 3, 2, [RandomStream(s) for s in seeds])
+    assert str(info.value) == expected
