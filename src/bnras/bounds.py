@@ -54,12 +54,7 @@ class BoundsReport:
     t_per_trial: int
     pi_min: float
     p0: float
-    tolerances: ErrorTolerances
     mode: str  # "exact" | "factored"
-
-    @property
-    def exact_inputs(self) -> bool:
-        return self.mode == "exact"
 
 
 def _check_unit_interval(**values: float) -> None:
@@ -110,6 +105,7 @@ def factored_lower_bounds(net: BeliefNetwork, ev: Evidence) -> tuple[float, floa
 
     Pi_lb multiplies each node's smallest table entry: any posterior joint
     probability is at least the full joint, which is at least this product.
+    A product that underflows to 0.0 raises :class:`MixingOverflowError`.
     p0_lb bounds each full conditional from below by m/(k*M), where m and M
     multiply the smallest and largest entries over the node and its
     children and k is the node's outcome count, then applies the 1/(2n)
@@ -122,6 +118,9 @@ def factored_lower_bounds(net: BeliefNetwork, ev: Evidence) -> tuple[float, floa
     pi_lb = 1.0
     for nd in net.nodes:
         pi_lb *= nd.cpt.min_entry
+    if pi_lb == 0.0:
+        raise MixingOverflowError(f"the factored Pi of network {net.name} underflows to 0.0: "
+                                  "its least table entries multiply to below every double")
 
     worst = None
     for i in free:
@@ -166,6 +165,5 @@ def report_bounds(
         t_per_trial=transitions_per_trial(tol, pi_min, p0),
         pi_min=pi_min,
         p0=p0,
-        tolerances=tol,
         mode=mode,
     )

@@ -3,7 +3,7 @@ print requirement tables, and sweep parameter grids into CSV.
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 validation
 error (unparseable or invalid network, positivity refusals), 3 runtime or
-capacity error (I/O failures, enumeration caps, impossible evidence).
+capacity error (I/O failures, caps, impossible evidence, bound overflows).
 
 All result output shares one flat CSV schema (header below); checkpoint
 rows carry the cumulative transition count in the ``checkpoint`` column,
@@ -246,7 +246,7 @@ def cmd_bounds(args) -> int:
     tol = ErrorTolerances(alpha=args.alpha, delta=args.delta, gamma=args.gamma)
     report = report_bounds(net, ev, tol, mode=args.mode, enum_cap=_enum_cap())
     ev_str = format_evidence(ev, net) or "(none)"
-    inputs = "exact inputs" if report.exact_inputs else "lower-bound inputs"
+    inputs = "exact inputs" if report.mode == "exact" else "lower-bound inputs"
     print(f"network {net.name}  evidence {ev_str}  mode {report.mode} ({inputs})")
     print(f"alpha={tol.alpha:g} delta={tol.delta:g} gamma={tol.gamma:g}")
     print(f"pi_min={report.pi_min:.9g} p0={report.p0:.9g}")

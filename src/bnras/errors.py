@@ -55,5 +55,6 @@ class PositivityError(BnrasError):
 
 
 class MixingOverflowError(BnrasError):
-    """p0 is so small that 1 - p0^2/8 rounds to 1, so no finite transition
-    count satisfies the mixing bound at this precision."""
+    """A mixing-bound input leaves the range of 64-bit floats, so no finite
+    transition count can be stated at this precision: p0 is so small that
+    1 - p0^2/8 rounds to 1, or the factored Pi underflows to 0.0."""

@@ -51,7 +51,8 @@ from .rng import RandomStream, twister_draws
 
 #: Fewest chains :func:`straight_estimates` moves in lock step. A lock-step
 #: step costs 3-5 us however few chains it moves, a scalar step 2-3 us per
-#: chain, so one chain runs on its own (crossover table in ROADMAP.md).
+#: chain, so one chain runs on its own (timings in CHANGES.md, in the
+#: entries on straight simulation's lock step).
 _STRAIGHT_MIN = 2
 
 #: Most outcomes (steps x chains) a lock-step chunk of straight simulation
@@ -203,7 +204,7 @@ def bnras_estimate(
 
 
 def _cyclic_chain(net: BeliefNetwork, tab, free, template, total: int, rng: RandomStream,
-                  stride: int, burn_in: int):
+                  stride: int):
     """One cyclic-scan chain, step by step: its tally, its checkpoints, and
     the processor and wall seconds it took."""
     tally = [[0] * tab.k[i] for i in free]
@@ -213,26 +214,23 @@ def _cyclic_chain(net: BeliefNetwork, tab, free, template, total: int, rng: Rand
     state = _uniform_state(tab, free, template, rand)
     cursor = 0
     nfree = len(free)
-    scored = 0
     try:
         for step in range(1, total + 1):
             _resample(tab, state, free[cursor], rand)
             cursor += 1
             if cursor == nfree:
                 cursor = 0
-            if step > burn_in:
-                scored += 1
-                for slot, i in enumerate(free):
-                    tally[slot][state[i]] += 1
-            if stride > 0 and scored > 0 and step % stride == 0:
-                checkpoints.append(Checkpoint(step, scored, _snapshot(tally, scored)))
+            for slot, i in enumerate(free):
+                tally[slot][state[i]] += 1
+            if stride > 0 and step % stride == 0:
+                checkpoints.append(Checkpoint(step, step, _snapshot(tally, step)))
     except DeterministicConflictError as exc:
         raise _located(net, exc, f"at step {step} of seed {rng.seed_value}") from None
     return tally, checkpoints, time.process_time() - cpu0, time.perf_counter() - wall0
 
 
 def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStream],
-                     stride: int, burn_in: int):
+                     stride: int):
     """The chains on ``rngs``, moved together by ``_BlanketTables.scan`` on
     the draws :func:`twister_draws` makes from their streams: each chain's
     tally and checkpoints, as :func:`_cyclic_chain` gives them, and the
@@ -246,11 +244,11 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
     streams' states saved, to be put back on failure.
 
     The steps run in chunks of at most ``_CHUNK`` outcomes, cut at every
-    checkpoint and at the end of the burn-in. A chunk's outcome buffer
-    starts with the last nfree outcomes, the chains' current values, and
-    its last nfree rows start the next chunk's. Each scored chunk is
-    tallied by one ``bincount``: an outcome counts once for each of the
-    chunk's steps after which it is still among the last nfree.
+    checkpoint. A chunk's outcome buffer starts with the last nfree
+    outcomes, the chains' current values, and its last nfree rows start the
+    next chunk's. Each chunk is tallied by one ``bincount``: an outcome
+    counts once for each of the chunk's steps after which it is still among
+    the last nfree.
     """
     tables = _blanket_tables(tab, free, template)
     if (tables is None or len(set(map(id, rngs))) < len(rngs) or not all(
@@ -273,7 +271,7 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
 
     marks = range(stride, total + 1, stride) if stride > 0 else ()
     done = 0
-    for cut in sorted({burn_in, total, *marks}):
+    for cut in sorted({total, *marks}):
         while done < cut:
             steps = min(cut - done, most)
             chunk = outcomes[: nfree + steps]
@@ -281,17 +279,16 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
                 for rng, state in zip(rngs, saved):
                     rng.setstate(state)
                 return None
-            if done >= burn_in:
-                j = np.arange(nfree + steps)
-                live = np.minimum(j, steps) - np.maximum(j - nfree, 0)
-                codes = chunk + edges.take((done + j) % nfree)[:, None] + bases
-                counts += np.bincount(codes.ravel(), np.repeat(live, chains),
-                                      len(counts)).astype(np.int64)
+            j = np.arange(nfree + steps)
+            live = np.minimum(j, steps) - np.maximum(j - nfree, 0)
+            codes = chunk + edges.take((done + j) % nfree)[:, None] + bases
+            counts += np.bincount(codes.ravel(), np.repeat(live, chains),
+                                  len(counts)).astype(np.int64)
             chunk[:nfree] = chunk[steps:]
             done += steps
-        if stride > 0 and done % stride == 0 and done > burn_in:
+        if stride > 0 and done % stride == 0:
             for tally, points in zip(tallies(), checkpoints):
-                points.append(Checkpoint(done, done - burn_in, _snapshot(tally, done - burn_in)))
+                points.append(Checkpoint(done, done, _snapshot(tally, done)))
     return tallies(), checkpoints
 
 
@@ -301,7 +298,6 @@ def straight_estimates(
     total_transitions: int,
     rngs: Sequence[RandomStream],
     checkpoint_stride: int = 0,
-    burn_in: int = 0,
 ) -> list[PosteriorEstimate]:
     """``straight_estimate`` of one chain on each stream of ``rngs``, in
     order, each stream moved as that call moves it.
@@ -316,9 +312,6 @@ def straight_estimates(
     """
     _require_count("total_transitions", total_transitions, 1)
     _require_count("checkpoint_stride", checkpoint_stride, 0)
-    _require_count("burn_in", burn_in)
-    if not 0 <= burn_in < total_transitions:
-        raise ValueError("burn_in must be in [0, total_transitions)")
     tab, free, template = _prepare(net, ev)
     _require_free(free)
     names, labels = _labels(net, free)
@@ -326,22 +319,21 @@ def straight_estimates(
     if len(rngs) >= _STRAIGHT_MIN:
         cpu0, wall0 = time.process_time(), time.perf_counter()
         batch = _cyclic_lockstep(tab, free, template, total_transitions, rngs,
-                                 checkpoint_stride, burn_in)
+                                 checkpoint_stride)
         if batch is not None:
             cpu = (time.process_time() - cpu0) / len(rngs)
             wall = (time.perf_counter() - wall0) / len(rngs)
             runs = [(tally, points, cpu, wall) for tally, points in zip(*batch)]
     if runs is None:
         runs = [_cyclic_chain(net, tab, free, template, total_transitions, rng,
-                              checkpoint_stride, burn_in) for rng in rngs]
-    scored = total_transitions - burn_in
+                              checkpoint_stride) for rng in rngs]
     return [
         PosteriorEstimate(
             nodes=names,
             outcome_labels=labels,
-            probs=_snapshot(tally, scored),
+            probs=_snapshot(tally, total_transitions),
             tallies=tuple(tuple(row) for row in tally),
-            trials=scored,
+            trials=total_transitions,
             transitions_per_trial=None,
             total_transitions=total_transitions,
             cpu_seconds=cpu,
@@ -358,14 +350,13 @@ def straight_estimate(
     total_transitions: int,
     rng: RandomStream,
     checkpoint_stride: int = 0,
-    burn_in: int = 0,
 ) -> PosteriorEstimate:
     """Single-chain cyclic-scan estimate over `total_transitions` steps.
 
     One uniform random initialization, never re-initialized; the full state
-    is scored after every step (after the first `burn_in` steps, default 0).
+    is scored after every step.
     """
-    return straight_estimates(net, ev, total_transitions, [rng], checkpoint_stride, burn_in)[0]
+    return straight_estimates(net, ev, total_transitions, [rng], checkpoint_stride)[0]
 
 
 def error_metrics(est: PosteriorEstimate, oracle: PosteriorTable) -> ErrorReport:
@@ -393,21 +384,3 @@ def error_metrics(est: PosteriorEstimate, oracle: PosteriorTable) -> ErrorReport
         return ErrorReport(0.0, 0.0, worst)
     return ErrorReport(total / count, max_err, worst)
 
-
-def rank_outcomes(est: PosteriorEstimate, label: str) -> list[str]:
-    """Free nodes sorted by descending estimated probability of carrying
-    `label`; ties keep declaration order."""
-    probs = []
-    for name, labels, row in zip(est.nodes, est.outcome_labels, est.probs):
-        if label not in labels:
-            raise KeyError(f"node {name} has no outcome {label!r}")
-        probs.append((name, row[labels.index(label)]))
-    return [name for name, _ in sorted(probs, key=lambda item: -item[1])]
-
-
-def check_interval(true_p: float, est: float, gamma: float, alpha: float) -> bool:
-    """Whether an estimate lies inside the two-sided tolerance interval
-    [true/(1+gamma) - alpha, (1+gamma)*true + alpha]."""
-    if gamma < 0 or alpha < 0:
-        raise ValueError("gamma and alpha must be >= 0")
-    return true_p / (1.0 + gamma) - alpha <= est <= (1.0 + gamma) * true_p + alpha

@@ -71,10 +71,6 @@ class TransitionMatrix:
     matrix: np.ndarray  # (M, M) row-stochastic
     stationary: np.ndarray  # exact posterior over states
 
-    @property
-    def size(self) -> int:
-        return len(self.states)
-
 
 @dataclass(frozen=True)
 class MixingReport:
@@ -159,9 +155,7 @@ def min_joint_posterior(net: BeliefNetwork, ev: Evidence, cap: int = DEFAULT_ENU
     return float(joint.weights.min()) / joint.normalizer()
 
 
-def build_transition_matrix(
-    net: BeliefNetwork, ev: Evidence, cap: int = DEFAULT_MATRIX_CAP
-) -> TransitionMatrix:
+def build_transition_matrix(net: BeliefNetwork, ev: Evidence) -> TransitionMatrix:
     """The lazy random-scan kernel written out as an M-by-M matrix.
 
     Off-diagonal mass only connects states differing at exactly one free
@@ -170,10 +164,11 @@ def build_transition_matrix(
     remaining mass, which is at least 1/2. The stationary vector is the
     exact posterior over states, taken from the same joint sums as
     :func:`enumerate_posteriors`. Like the bounds, it refuses tables with
-    0/1 entries, whose chains may be reducible.
+    0/1 entries, whose chains may be reducible, and it refuses more than
+    ``DEFAULT_MATRIX_CAP`` states.
     """
     _require_positive(net)
-    joint = _Joint(net, ev, cap, "matrix")
+    joint = _Joint(net, ev, DEFAULT_MATRIX_CAP, "matrix")
     _require_free(joint.free)
     dims, m = joint.dims, joint.weights.size
     index = np.arange(m).reshape(dims)
@@ -276,14 +271,11 @@ def relative_pointwise_distance(tm: TransitionMatrix, t: int) -> float:
 
 
 def mixing_report(
-    net: BeliefNetwork,
-    ev: Evidence,
-    t_values: tuple[int, ...] = (),
-    cap: int = DEFAULT_MATRIX_CAP,
+    net: BeliefNetwork, ev: Evidence, t_values: tuple[int, ...] = ()
 ) -> MixingReport:
     """Bundle the exactly computed mixing quantities for small chains; the
     rpd keys are the transition counts in the order of ``t_values``."""
     counts = _transition_counts(t_values)
-    tm = build_transition_matrix(net, ev, cap=cap)
+    tm = build_transition_matrix(net, ev)
     p0 = min_transition_probability(net, ev)
     return MixingReport(pi_min=float(tm.stationary.min()), p0=p0, rpd=_rpd_by_count(tm, counts))

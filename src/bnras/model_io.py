@@ -83,10 +83,6 @@ class NetworkDocument:
     network: BeliefNetwork | None
     diagnostics: list[Diagnostic]
 
-    @property
-    def ok(self) -> bool:
-        return self.network is not None and not self.diagnostics
-
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []

@@ -219,34 +219,28 @@ class ValidationReport:
     cycle, name no block.
     """
 
-    acyclic: bool
-    resolved: bool
-    normalized: bool
-    positive: bool
     issues: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        """True iff the network is usable downstream. Positivity is a flag,
-        not a requirement; zero/one entries only void the bounds analysis."""
+        """True iff the network is usable downstream. Positivity is not
+        required; zero/one entries only void the bounds analysis."""
         return not self.issues
 
 
-def normalize_rows(
-    rows: Iterable[Iterable[float]], tol: float = ROW_SUM_TOL
-) -> tuple[tuple[float, ...], ...]:
+def normalize_rows(rows: Iterable[Iterable[float]]) -> tuple[tuple[float, ...], ...]:
     """Return rows rescaled to unit sum, for use when loading tables.
 
     Rows whose sum is within float round-off of 1 are returned unchanged,
     which makes the operation idempotent and keeps serialize/parse round
-    trips bit-exact. A row off by more than ``tol`` raises ValueError.
+    trips bit-exact. A row off by more than ``ROW_SUM_TOL`` raises ValueError.
     """
     out = []
     for r, row in enumerate(rows):
         row = tuple(float(p) for p in row)
         s = math.fsum(row)
-        if abs(s - 1.0) > tol:
-            raise ValueError(f"row {r} sums to {s!r}, beyond the {tol} tolerance")
+        if abs(s - 1.0) > ROW_SUM_TOL:
+            raise ValueError(f"row {r} sums to {s!r}, beyond the {ROW_SUM_TOL} tolerance")
         if abs(s - 1.0) > _ROUNDOFF_TOL:
             row = tuple(p / s for p in row)
         out.append(row)
@@ -256,65 +250,44 @@ def normalize_rows(
 def validate_network(net: BeliefNetwork) -> ValidationReport:
     """Check structure and tables; failures are reported, never raised."""
     issues: list[str] = []
-    resolved = True
-    normalized = True
 
     seen: set[str] = set()
     for nd in net.nodes:
         if nd.name in seen:
             issues.append(f"node {nd.name}: duplicate node name")
-            resolved = False
         seen.add(nd.name)
 
     for nd in net.nodes:
         if len(nd.outcomes) < 2:
             issues.append(f"node {nd.name}: fewer than 2 outcomes")
-            resolved = False
         if len(set(nd.outcomes)) != len(nd.outcomes):
             issues.append(f"node {nd.name}: duplicate outcome labels")
-            resolved = False
         unknown = [p for p in nd.parents if p not in net.node_index]
         for p in unknown:
             issues.append(f"parents {nd.name}: unknown parent {p}")
-            resolved = False
         if len(set(nd.parents)) != len(nd.parents):
             issues.append(f"parents {nd.name}: repeated parent reference")
-            resolved = False
         if not unknown:
             expected = math.prod(len(net.node(p).outcomes) for p in nd.parents)
             if len(nd.cpt.rows) != expected:
                 issues.append(f"cpt {nd.name}: {len(nd.cpt.rows)} rows, expected {expected}")
-                normalized = False
         for r, row in enumerate(nd.cpt.rows):
             if len(row) != len(nd.outcomes):
                 issues.append(
                     f"cpt {nd.name}: row {r} has {len(row)} entries, expected {len(nd.outcomes)}"
                 )
-                normalized = False
                 continue
             if any(not (0.0 <= p <= 1.0) for p in row):
                 issues.append(f"cpt {nd.name}: row {r} has entries outside [0, 1]")
-                normalized = False
             s = math.fsum(row)
             if abs(s - 1.0) > ROW_SUM_TOL:
                 issues.append(f"cpt {nd.name}: row {r} sums to {s:.12g}")
-                normalized = False
 
-    acyclic = True
     try:
         topological_order(net)
     except (CycleError, NetworkValidationError):
-        acyclic = False
         issues.append("parent relation contains a cycle")
-
-    positive = all(nd.cpt.positive for nd in net.nodes)
-    return ValidationReport(
-        acyclic=acyclic,
-        resolved=resolved,
-        normalized=normalized,
-        positive=positive,
-        issues=tuple(issues),
-    )
+    return ValidationReport(tuple(issues))
 
 
 def topological_order(net: BeliefNetwork) -> tuple[str, ...]:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from bnras import ErrorTolerances, Evidence
 
 from bnras.cli import main
 
-from conftest import evidence_sets, positive_networks
+from conftest import evidence_sets, layered_network, positive_networks
 
 
 def test_trials_bound_frozen_values():
@@ -176,6 +177,20 @@ def test_factored_requires_free_node(ab):
         bnras.factored_lower_bounds(ab, Evidence({"A": 0, "B": 0}))
 
 
+def test_factored_pi_underflow_refused(empty):
+    # the least table entries multiply to a subnormal (about 5e-319) at 500
+    # nodes and to 0.0 at 600
+    with pytest.raises(bnras.MixingOverflowError, match="LAYERED600 underflows to 0.0"):
+        bnras.factored_lower_bounds(layered_network(600), empty)
+    net = layered_network(500)
+    pi_lb, p0_lb = bnras.factored_lower_bounds(net, empty)
+    assert 0.0 < pi_lb < sys.float_info.min
+    tol = ErrorTolerances(alpha=0.1, delta=0.1, gamma=0.1)
+    report = bnras.report_bounds(net, empty, tol, mode="factored")
+    assert (report.pi_min, report.p0) == (pi_lb, p0_lb)
+    assert report.t_mix == bnras.mixing_bound(0.1, pi_lb, p0_lb)
+
+
 def test_report_bounds_ab_exact(ab, empty):
     tol = ErrorTolerances(alpha=0.1, delta=0.1, gamma=0.1)
     report = bnras.report_bounds(ab, empty, tol, mode="exact")
@@ -184,7 +199,7 @@ def test_report_bounds_ab_exact(ab, empty):
     assert report.p0 == pytest.approx(0.025, abs=1e-15)
     # (ln 0.1 + ln 0.05) / ln(1 - 0.025^2/8) = 67815.8..., ceiled
     assert report.t_mix == 67_816
-    assert report.exact_inputs
+    assert report.mode == "exact"
     assert report.t_per_trial >= report.t_mix
 
 
@@ -196,7 +211,7 @@ def test_report_bounds_factored_dominates_exact(nets):
         assert factored.t_mix >= exact.t_mix
         assert factored.t_per_trial >= exact.t_per_trial
         assert factored.trials == exact.trials
-        assert not factored.exact_inputs
+        assert factored.mode == "factored"
         # Pi and p0 of exact mode are the oracle functions', bit for bit
         for ev in evidence_sets(net):
             exact = bnras.report_bounds(net, ev, tol, mode="exact")

@@ -6,6 +6,8 @@ import pytest
 import bnras
 from bnras.cli import CSV_HEADER, main
 
+from conftest import layered_network
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -202,6 +204,15 @@ def test_bounds_refuses_zero_entries(tmp_path, capsys):
     code, out, err = run_cli(capsys, "bounds", "--network", str(det))
     assert code == 2
     assert "deterministic relationships" in err
+
+
+def test_bounds_factored_pi_underflow_is_runtime_error(tmp_path, capsys):
+    path = tmp_path / "layered600.bn"
+    path.write_text(bnras.serialize_network(layered_network(600)))
+    code, out, err = run_cli(capsys, "bounds", "--network", str(path), "--mode", "factored")
+    assert code == 3
+    assert "factored Pi of network LAYERED600 underflows to 0.0" in err
+    assert "usage error" not in err
 
 
 def test_bounds_rejects_bad_alpha(capsys):

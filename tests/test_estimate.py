@@ -247,13 +247,6 @@ def test_checkpoint_alignment_straight(chain5, empty):
     assert [c.scored for c in est.checkpoints] == [30, 60, 90]
 
 
-def test_burn_in_scores_remainder(chain5, empty):
-    est = bnras.straight_estimate(chain5, empty, 500, RandomStream(2), burn_in=100)
-    assert est.trials == 400
-    for tallies in est.tallies:
-        assert sum(tallies) == 400
-
-
 def test_input_validation(ab, empty):
     with pytest.raises(ValueError):
         bnras.bnras_estimate(ab, empty, 0, 10, RandomStream(0))
@@ -281,8 +274,6 @@ _TWO = (RandomStream(1), RandomStream(2))
         net, ev, 10, _TWO, checkpoint_stride=None), id="straight_estimates-stride"),
     pytest.param("total_transitions", lambda net, ev: bnras.straight_estimate(
         net, ev, True, RandomStream(1)), id="straight_estimate-total"),
-    pytest.param("burn_in", lambda net, ev: bnras.straight_estimate(
-        net, ev, 10, RandomStream(1), burn_in=np.float64(2.0)), id="straight_estimate-burn_in"),
     pytest.param("t", lambda net, ev: bnras.next_trial(net, ev, 3.0, RandomStream(1)),
                  id="next_trial-t"),
 ])
@@ -390,66 +381,6 @@ def test_error_metrics_shape_mismatch(ab, chain5, empty):
     est = bnras.bnras_estimate(ab, empty, 10, 1, RandomStream(0))
     with pytest.raises(ValueError):
         bnras.error_metrics(est, oracle)
-
-
-def _estimate_with_probs(assignments):
-    nodes = tuple(assignments)
-    return bnras.PosteriorEstimate(
-        nodes=nodes,
-        outcome_labels=tuple(("t", "f") for _ in nodes),
-        probs=tuple((p, 1 - p) for p in assignments.values()),
-        tallies=tuple((int(p * 1000), 1000 - int(p * 1000)) for p in assignments.values()),
-        trials=1000,
-        transitions_per_trial=1,
-        total_transitions=1000,
-        cpu_seconds=0.0,
-        wall_seconds=0.0,
-    )
-
-
-def test_rank_outcomes_sorts_descending():
-    est = _estimate_with_probs({"X": 0.9, "Y": 0.3, "Z": 0.6})
-    assert bnras.rank_outcomes(est, "t") == ["X", "Z", "Y"]
-
-
-def test_rank_outcomes_ties_keep_declaration_order():
-    est = _estimate_with_probs({"X": 0.4, "Y": 0.4, "Z": 0.4})
-    assert bnras.rank_outcomes(est, "t") == ["X", "Y", "Z"]
-
-
-def test_rank_outcomes_scale_invariant():
-    small = _estimate_with_probs({"X": 0.9, "Y": 0.3, "Z": 0.6})
-    scaled = bnras.PosteriorEstimate(
-        nodes=small.nodes,
-        outcome_labels=small.outcome_labels,
-        probs=small.probs,
-        tallies=tuple(tuple(c * 17 for c in row) for row in small.tallies),
-        trials=17_000,
-        transitions_per_trial=1,
-        total_transitions=17_000,
-        cpu_seconds=0.0,
-        wall_seconds=0.0,
-    )
-    assert bnras.rank_outcomes(small, "t") == bnras.rank_outcomes(scaled, "t")
-
-
-def test_rank_outcomes_unknown_label():
-    est = _estimate_with_probs({"X": 0.9})
-    with pytest.raises(KeyError):
-        bnras.rank_outcomes(est, "q")
-
-
-def test_check_interval():
-    assert bnras.check_interval(0.5, 0.5, 0.1, 0.1)
-    # interval is [0.35454..., 0.65]
-    assert bnras.check_interval(0.5, 0.355, 0.1, 0.1)
-    assert bnras.check_interval(0.5, 0.65, 0.1, 0.1)
-    assert not bnras.check_interval(0.5, 0.7, 0.1, 0.1)
-    assert not bnras.check_interval(0.5, 0.35, 0.1, 0.1)
-    assert bnras.check_interval(0.3, 0.3, 0.0, 0.0)
-    assert not bnras.check_interval(0.3, 0.3000001, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        bnras.check_interval(0.5, 0.5, -0.1, 0.1)
 
 
 def test_estimate_rows_sum_to_one(chain5, empty):

@@ -77,7 +77,7 @@ def test_impossible_evidence():
 
 def test_transition_matrix_ab(ab, empty):
     tm = bnras.build_transition_matrix(ab, empty)
-    assert tm.size == 4
+    assert len(tm.states) == 4
     # states enumerate (A, B) with B varying fastest: tt, tf, ft, ff
     assert tm.states == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert tm.matrix[0, 2] == pytest.approx(1 / 22, abs=1e-15)
@@ -90,9 +90,10 @@ def test_transition_matrix_single_uniform_node(uninode, empty):
     np.testing.assert_allclose(tm.matrix, [[0.75, 0.25], [0.25, 0.75]], atol=0)
 
 
-def test_matrix_cap_and_no_free_nodes(minialarm, ab):
-    with pytest.raises(bnras.CapacityError):
-        bnras.build_transition_matrix(minialarm, Evidence.empty(), cap=16)
+def test_matrix_cap_and_no_free_nodes(monkeypatch, minialarm, ab):
+    monkeypatch.setattr(bnras.exact, "DEFAULT_MATRIX_CAP", 16)
+    with pytest.raises(bnras.CapacityError, match="exceed the matrix cap 16"):
+        bnras.build_transition_matrix(minialarm, Evidence.empty())
     with pytest.raises(ValueError, match="no free nodes"):
         bnras.build_transition_matrix(ab, Evidence({"A": 0, "B": 0}))
 
@@ -248,10 +249,14 @@ def test_rpd_has_the_bits_of_matrix_power(nets, empty, name):
         assert report.rpd[t] == bnras.relative_pointwise_distance(tm, t) == expected
 
 
-def test_mixing_report_refuses_negative_t_before_the_matrix(minialarm, ab, empty):
-    # a cap of 1 would refuse the matrix; the bad t must be reported first
+def test_mixing_report_refuses_negative_t_before_the_matrix(monkeypatch, minialarm, ab, empty):
+    # a cap of 1 refuses the matrix; the bad t must be reported first
+    monkeypatch.setattr(bnras.exact, "DEFAULT_MATRIX_CAP", 1)
     with pytest.raises(ValueError, match="transition count"):
-        bnras.mixing_report(minialarm, empty, t_values=(4, -1), cap=1)
+        bnras.mixing_report(minialarm, empty, t_values=(4, -1))
+    with pytest.raises(bnras.CapacityError, match="exceed the matrix cap 1"):
+        bnras.mixing_report(minialarm, empty, t_values=(4,))
+    monkeypatch.undo()
     report = bnras.mixing_report(ab, empty, t_values=(16, 0, 4, 1))
     assert list(report.rpd) == [16, 0, 4, 1]
 

@@ -192,7 +192,6 @@ def test_parse_document_collects_diagnostics():
     assert doc.network is None
     assert doc.diagnostics
     assert doc.diagnostics[0].line >= 1
-    assert not doc.ok
 
 
 def test_diagnostic_carries_bare_message():
@@ -208,8 +207,8 @@ def test_diagnostic_carries_bare_message():
 
 def test_parse_document_ok():
     doc = bnras.parse_document(AB_DOC)
-    assert doc.ok
-    assert doc.network is not None and doc.network.name == "AB"
+    assert doc.network is not None and doc.diagnostics == []
+    assert doc.network.name == "AB"
 
 
 def test_fuzz_never_crashes():
@@ -255,7 +254,7 @@ def test_builtin_catalog(nets):
     assert bnras.conditional_probability(path2, "B", 0, [0, 0]) == 0.99
     for net in nets.values():
         report = bnras.validate_network(net)
-        assert report.ok and report.positive
+        assert report.ok and all(nd.cpt.positive for nd in net.nodes)
 
 
 def test_minialarm_shape(minialarm):

@@ -19,9 +19,8 @@ def build(name, specs):
 def test_ab_validates_positive(ab):
     report = bnras.validate_network(ab)
     assert report.ok
-    assert report.acyclic and report.resolved and report.normalized
-    assert report.positive
     assert report.issues == ()
+    assert all(nd.cpt.positive for nd in ab.nodes)
 
 
 def test_two_cycle_fails_acyclicity():
@@ -34,21 +33,21 @@ def test_two_cycle_fails_acyclicity():
     )
     report = bnras.validate_network(net)
     assert not report.ok
-    assert not report.acyclic
+    assert report.issues == ("parent relation contains a cycle",)
 
 
 def test_bad_row_sum_reported():
     net = build("BAD", [("A", "tf", [], [(0.6, 0.5)])])
     report = bnras.validate_network(net)
     assert not report.ok
-    assert not report.normalized
-    assert any("sums to" in issue for issue in report.issues)
+    assert report.issues == ("cpt A: row 0 sums to 1.1",)
 
 
 def test_unknown_parent_reported():
     net = build("MISS", [("A", "tf", ["Q"], [(0.5, 0.5), (0.5, 0.5)])])
     report = bnras.validate_network(net)
-    assert not report.ok and not report.resolved
+    assert not report.ok
+    assert report.issues == ("parents A: unknown parent Q",)
 
 
 def test_wrong_row_count_reported():
@@ -108,8 +107,8 @@ def test_invalid_network_refused_at_compile(specs, issue):
 def test_zero_one_entries_flagged_not_failed():
     net = build("DET", [("A", "tf", [], [(1.0, 0.0)])])
     report = bnras.validate_network(net)
-    assert report.ok
-    assert not report.positive
+    assert report.ok and report.issues == ()
+    assert not net.nodes[0].cpt.positive
 
 
 def test_topological_order_ab(ab):

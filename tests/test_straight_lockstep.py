@@ -32,7 +32,7 @@ def python_draws(seed, count):
     return [stream.random() for _ in range(count)]
 
 
-def scalar_chain(net, ev, total, seed, stride=0, burn_in=0):
+def scalar_chain(net, ev, total, seed, stride=0):
     """Tallies, checkpoints and final stream state of one chain stepped by
     the public single-step API."""
     rng = RandomStream(seed)
@@ -41,24 +41,21 @@ def scalar_chain(net, ev, total, seed, stride=0, burn_in=0):
     checkpoints = []
     for step in range(1, total + 1):
         bnras.straight_step(net, cs, rng)
-        if step > burn_in:
-            for row, i in zip(tally, cs.free):
-                row[cs.state[i]] += 1
-            if stride > 0 and step % stride == 0:
-                scored = step - burn_in
-                probs = tuple(tuple(c / scored for c in row) for row in tally)
-                checkpoints.append(bnras.Checkpoint(step, scored, probs))
+        for row, i in zip(tally, cs.free):
+            row[cs.state[i]] += 1
+        if stride > 0 and step % stride == 0:
+            probs = tuple(tuple(c / step for c in row) for row in tally)
+            checkpoints.append(bnras.Checkpoint(step, step, probs))
     return tuple(tuple(row) for row in tally), tuple(checkpoints), rng.getstate()
 
 
-def assert_matches_scalar(net, ev, total, seeds, stride=0, burn_in=0):
+def assert_matches_scalar(net, ev, total, seeds, stride=0):
     rngs = [RandomStream(s) for s in seeds]
-    ests = bnras.straight_estimates(net, ev, total, rngs, checkpoint_stride=stride,
-                                    burn_in=burn_in)
+    ests = bnras.straight_estimates(net, ev, total, rngs, checkpoint_stride=stride)
     got = [(e.tallies, e.checkpoints, r.getstate()) for e, r in zip(ests, rngs)]
-    assert got == [scalar_chain(net, ev, total, s, stride, burn_in) for s in seeds]
+    assert got == [scalar_chain(net, ev, total, s, stride) for s in seeds]
     for est in ests:
-        assert est.trials == total - burn_in and est.total_transitions == total
+        assert est.trials == total and est.total_transitions == total
     return ests
 
 
@@ -169,7 +166,6 @@ def test_builtins_match_scalar_chain(nets, seeds):
         for ev in evidence_sets(net):
             assert_matches_scalar(net, ev, 400, seeds, stride=70)  # stride not dividing
             assert_matches_scalar(net, ev, 300, seeds, stride=5000)  # stride past the total
-            assert_matches_scalar(net, ev, 350, seeds, stride=50, burn_in=137)
 
 
 @pytest.mark.parametrize("module, setting", [
@@ -185,14 +181,13 @@ def test_builtins_match_scalar_chain(nets, seeds):
     (estimate, {"_CHUNK": lambda nfree: len(PANEL) * (nfree + 1)}),
 ])
 def test_selection_and_chunks_do_not_change_bits(monkeypatch, nets, module, setting):
-    # CHAIN5's burn-in ends inside a chunk of each of the sizes above
-    for name, burn_in in (("PATH2", 9), ("MINIALARM", 9), ("CHAIN5", 13)):
+    for name in ("PATH2", "MINIALARM", "CHAIN5"):
         net = nets[name]
         for ev in evidence_sets(net):
             nfree = len(net.nodes) - len(ev)
             for attr, value in setting.items():
                 monkeypatch.setattr(module, attr, value(nfree) if callable(value) else value)
-            assert_matches_scalar(net, ev, 250, PANEL, stride=40, burn_in=burn_in)
+            assert_matches_scalar(net, ev, 250, PANEL, stride=40)
 
 
 def test_batch_shares_its_time(nets, empty):
@@ -265,7 +260,7 @@ def test_numpy_random_never_imported():
 @given(positive_networks())
 def test_positive_networks_match_scalar_chain(case):
     net, ev = case
-    assert_matches_scalar(net, ev, 60, PANEL, stride=25, burn_in=3)
+    assert_matches_scalar(net, ev, 60, PANEL, stride=25)
 
 
 @pytest.mark.parametrize("least", [1, 10**9])  # lock step, then chain by chain
@@ -273,4 +268,4 @@ def test_past_64_free_nodes(monkeypatch, layered300, empty, least):
     tab, free, template = chain._prepare(layered300, empty)
     assert chain._blanket_tables(tab, free, template) is not None
     monkeypatch.setattr(estimate, "_STRAIGHT_MIN", least)
-    assert_matches_scalar(layered300, empty, 700, PANEL[:3], stride=250, burn_in=100)
+    assert_matches_scalar(layered300, empty, 700, PANEL[:3], stride=250)
