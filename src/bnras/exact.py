@@ -14,10 +14,15 @@ to the bit.
 
 The lazy chain's moves (:func:`_moves`) are read off each node's
 ``chain._conditional`` array, over its free blanket only. The matrix places
-them; p0, their least positive value, needs no joint, so it runs past the
-enumeration cap. The relative pointwise distance at several t takes every
-P^t from one chain of squarings, making the products
-``np.linalg.matrix_power`` makes.
+them and keeps p0, their least positive value; p0 alone needs no joint, so
+it runs past the enumeration cap. The lazy chain is reversible with respect
+to the stationary vector pi, so P^t / pi (column j divided by pi[j]) is
+symmetric and P^(2s) / pi is the Gram matrix of the rows of
+B_s = P^s / sqrt(pi). The relative pointwise distance at several t takes
+every B_s from one chain of symmetric squarings (BLAS ``syrk``): even t
+reads the diagonal of the Gram matrix, where Cauchy-Schwarz puts its
+largest deviation from 1, and odd t = 2s + 1 multiplies B_s by B_(s+1).
+t = 0 and 1 read I and P directly.
 
 Everything here is exact up to 64-bit float rounding; the caps below are
 refusals, not truncations. At the enumeration cap the tensor takes 32 MB.
@@ -64,12 +69,18 @@ class PosteriorTable:
 @dataclass(eq=False)
 class TransitionMatrix:
     """Explicit one-step matrix of the lazy random-scan chain over the
-    evidence-consistent joint states of the free nodes."""
+    evidence-consistent joint states of the free nodes.
+
+    As :func:`build_transition_matrix` returns it, the chain is reversible
+    with respect to ``stationary``: stationary[i] matrix[i, j] =
+    stationary[j] matrix[j, i]. :func:`relative_pointwise_distance` relies
+    on that identity."""
 
     free_nodes: tuple[str, ...]
     states: tuple[tuple[int, ...], ...]  # free-node assignments, enumeration order
     matrix: np.ndarray  # (M, M) row-stochastic
     stationary: np.ndarray  # exact posterior over states
+    p0: float  # least positive off-diagonal entry, read off the same moves
 
 
 @dataclass(frozen=True)
@@ -163,9 +174,10 @@ def build_transition_matrix(net: BeliefNetwork, ev: Evidence) -> TransitionMatri
     q the full conditional (:func:`_moves`); the diagonal keeps the
     remaining mass, which is at least 1/2. The stationary vector is the
     exact posterior over states, taken from the same joint sums as
-    :func:`enumerate_posteriors`. Like the bounds, it refuses tables with
-    0/1 entries, whose chains may be reducible, and it refuses more than
-    ``DEFAULT_MATRIX_CAP`` states.
+    :func:`enumerate_posteriors`; ``p0`` is the least positive move, as
+    :func:`min_transition_probability` finds it. Like the bounds, it
+    refuses tables with 0/1 entries, whose chains may be reducible, and it
+    refuses more than ``DEFAULT_MATRIX_CAP`` states.
     """
     _require_positive(net)
     joint = _Joint(net, ev, DEFAULT_MATRIX_CAP, "matrix")
@@ -174,7 +186,9 @@ def build_transition_matrix(net: BeliefNetwork, ev: Evidence) -> TransitionMatri
     index = np.arange(m).reshape(dims)
     matrix = np.zeros((m, m))
     diagonal = np.full(dims, 0.5)
+    p0 = math.inf
     for slot, (axes, q) in enumerate(_moves(net, joint.tab, joint.free, joint.template)):
+        p0 = min(p0, float(q.min(initial=math.inf, where=q > 0.0)))
         q = q.reshape([k if i in axes else 1 for i, k in zip(joint.free, dims)])
         diagonal += q
         rows, values = np.moveaxis(index, slot, 0), np.moveaxis(q, slot, 0)
@@ -186,6 +200,7 @@ def build_transition_matrix(net: BeliefNetwork, ev: Evidence) -> TransitionMatri
         states=tuple(itertools.product(*map(range, dims))),
         matrix=matrix,
         stationary=joint.weights.ravel() / joint.normalizer(),
+        p0=p0,
     )
 
 
@@ -197,10 +212,13 @@ def min_transition_probability(net: BeliefNetwork, ev: Evidence) -> float:
     tab, free, template = _prepare(net, ev)
     _require_free(free)
     moves = _moves(net, tab, free, template)
-    least = min(float(q.min(initial=math.inf, where=q > 0.0)) for _, q in moves)
-    if least == math.inf:
+    return _require_move(min(float(q.min(initial=math.inf, where=q > 0.0)) for _, q in moves))
+
+
+def _require_move(p0: float) -> float:
+    if p0 == math.inf:
         raise ValueError("chain has no positive off-diagonal transitions")
-    return least
+    return p0
 
 
 def _transition_counts(t_values: Iterable[int]) -> list[int]:
@@ -211,61 +229,82 @@ def _transition_counts(t_values: Iterable[int]) -> list[int]:
     return [int(t) for t in counts]
 
 
-def _powers(a: np.ndarray, counts: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (t, a^t) for each distinct t, from one chain of squarings
-    z_j = a^(2^j).
+def _gram(a: np.ndarray, b: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """B_(s+u) = (B_s @ B_u.T) * sqrt(pi) from a = B_s and b = B_u: for a
+    reversible P with stationary pi, B_s @ B_u.T = P^(s+u) / pi. numpy
+    sends ``a @ a.T`` to BLAS ``syrk``."""
+    product = a @ b.T
+    product *= root
+    return product
 
-    The products are those of ``np.linalg.matrix_power``, so each a^t has
-    its bits: a^2 = a @ a, a^3 = (a @ a) @ a, and above 3 the z_j of t's set
-    bits are multiplied in from the lowest bit up. A square is dropped once
-    no larger t needs it.
+
+def _half_powers(z: np.ndarray, root: np.ndarray, halves: set[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (h, B_h) for each h >= 1 in ``halves``, in increasing order, where
+    B_h = P^h / sqrt(pi) (column j of P^h divided by sqrt(pi[j])) and z is B_1.
+
+    One chain of squarings z_j = B_(2^j) = _gram(z_(j-1), z_(j-1)) is made,
+    and each B_h multiplies in the z_j of h's set bits from the lowest bit
+    up, so its bits depend on h alone. A square is dropped once no larger h
+    needs it.
     """
-    wanted = sorted(set(counts))
-    if 0 in wanted:
-        yield 0, np.eye(len(a))
-    if 1 in wanted:
-        yield 1, a
-    partial = {t: (a if t & 1 else None) for t in wanted if t >= 4}
-    if not (partial or 2 in wanted or 3 in wanted):
-        return
-    z = a @ a
-    if 2 in wanted:
-        yield 2, z
-    if 3 in wanted:
-        yield 3, z @ a
-    bit = 1
+    partial = dict.fromkeys(sorted(halves))
+    bit = 0
     while partial:
-        if bit > 1:
-            z = z @ z
-        for t in list(partial):
-            if t >> bit & 1:
-                partial[t] = z if partial[t] is None else partial[t] @ z
-            if t >> (bit + 1) == 0:
-                yield t, partial.pop(t)
+        if bit:
+            z = _gram(z, z, root)
+        for h in list(partial):
+            if h >> bit & 1:
+                partial[h] = z if partial[h] is None else _gram(partial[h], z, root)
+            if h >> (bit + 1) == 0:
+                yield h, partial.pop(h)
         bit += 1
 
 
 def _rpd_by_count(tm: TransitionMatrix, counts: list[int]) -> dict[int, float]:
-    """max over (i, j) of |P^t[i, j] - pi[j]| / pi[j] for each t, in the
-    order of ``counts``, reduced in row blocks so that no full-size
-    temporary is made."""
+    """max over (i, j) of |P^t[i, j] / pi[j] - 1| for each t, in the order
+    of ``counts``.
+
+    t = 0 and 1 read I and P. Above, the half powers B_s = P^s / sqrt(pi)
+    of :func:`_half_powers` give P^t / pi as a Gram product: even t = 2s is
+    B_s @ B_s.T, whose largest deviation from 1 lies on its diagonal by
+    Cauchy-Schwarz, max_i ||B_s[i] - sqrt(pi)||^2, read with no
+    cancellation; odd t = 2s + 1 is B_s @ B_(s+1).T. Rows are reduced in
+    blocks, so that no full-size temporary is made but the odd product.
+    """
     pi = tm.stationary
-    rows = max(1, _RPD_BLOCK // len(pi))
+    m, root = len(pi), np.sqrt(pi)
+    rows = max(1, _RPD_BLOCK // m)
+
+    def peak(block_of) -> float:
+        return float(max(block_of(start, min(start + rows, m)).max() for start in range(0, m, rows)))
+
     found = {}
-    for t, pt in _powers(tm.matrix, counts):
-        peaks = []
-        for start in range(0, len(pt), rows):
-            block = pt[start : start + rows] - pi
-            np.abs(block, out=block)
-            block /= pi
-            peaks.append(block.max())
-        found[t] = float(np.max(peaks))
-        del pt  # else it outlives the next squaring
+    if 0 in counts:
+        found[0] = peak(lambda i, j: np.abs(np.eye(j - i, m, i) - pi) / pi)
+    if 1 in counts:
+        found[1] = peak(lambda i, j: np.abs(tm.matrix[i:j] - pi) / pi)
+    halves = {h for t in counts if t >= 2 for h in range(t // 2, (t + 1) // 2 + 1)}
+    previous = None  # B_(h-1), kept only while an odd t needs it
+    for h, bh in _half_powers(tm.matrix / root, root, halves):
+        if 2 * h in counts:
+            found[2 * h] = peak(lambda i, j: np.square(bh[i:j] - root).sum(axis=1))
+        if previous is not None:
+            product = previous @ bh.T
+            found[2 * h - 1] = peak(lambda i, j: np.abs(product[i:j] - 1.0))
+            del product
+        previous = bh if 2 * h + 1 in counts else None
+        del bh  # else it outlives the next squaring
     return {t: found[t] for t in counts}
 
 
 def relative_pointwise_distance(tm: TransitionMatrix, t: int) -> float:
-    """max over (i, j) of |P^t[i, j] - pi[j]| / pi[j]."""
+    """max over (i, j) of |P^t[i, j] - pi[j]| / pi[j].
+
+    t = 0 and 1 are read off I and P. Above, P^t / pi is taken as a Gram
+    product of half powers, which needs the reversible lazy chain and its
+    stationary vector pi as :func:`build_transition_matrix` returns them;
+    the value is within rounding of ``np.linalg.matrix_power``'s, and its
+    bits do not depend on the other t asked for."""
     (count,) = _transition_counts((t,))
     return _rpd_by_count(tm, [count])[count]
 
@@ -273,9 +312,11 @@ def relative_pointwise_distance(tm: TransitionMatrix, t: int) -> float:
 def mixing_report(
     net: BeliefNetwork, ev: Evidence, t_values: tuple[int, ...] = ()
 ) -> MixingReport:
-    """Bundle the exactly computed mixing quantities for small chains; the
-    rpd keys are the transition counts in the order of ``t_values``."""
+    """Bundle the exactly computed mixing quantities for small chains: pi_min,
+    p0 from the moves that fill the matrix, and the rpd of
+    :func:`relative_pointwise_distance` on the reversible lazy chain, whose
+    keys are the transition counts in the order of ``t_values``."""
     counts = _transition_counts(t_values)
     tm = build_transition_matrix(net, ev)
-    p0 = min_transition_probability(net, ev)
+    p0 = _require_move(tm.p0)
     return MixingReport(pi_min=float(tm.stationary.min()), p0=p0, rpd=_rpd_by_count(tm, counts))

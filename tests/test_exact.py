@@ -108,11 +108,25 @@ def test_min_transition_probability_at_most_half(nets, empty):
         assert bnras.min_transition_probability(net, empty) <= 0.5
 
 
+def assert_rpd_near(got, expected):
+    # P^t / pi against matrix_power: 1e-12 relative, or 16 ulps of 1.0. The
+    # entries of P^t / pi are numbers near 1 known to a few ulps, and rpd is
+    # their largest distance from 1, so when rpd is small no double
+    # computation pins it closer: matrix_power gives 4.5 * 2^-16 (AB with B
+    # clamped, t = 16) 2e-12 relative off
+    assert abs(got - expected) <= 1e-12 * expected + 16 * np.finfo(float).eps
+
+
+def matrix_power_rpd(tm, t):
+    pi = tm.stationary
+    return float(np.max(np.abs(np.linalg.matrix_power(tm.matrix, t) - pi) / pi))
+
+
 @pytest.mark.parametrize("block", [1, 5, 1 << 16])
 def test_min_transition_probability_blocks_match_whole_matrix(monkeypatch, nets, block):
-    # p0 comes off the joint, not the matrix: whatever the row blocks of the
-    # rpd scan (one row, a few, the whole matrix), the mixing report's p0 and
-    # rpd are those of the whole matrix
+    # p0 comes off the moves, not the matrix: whatever the row blocks of the
+    # rpd scan (one row, a few, the whole matrix), the mixing report's p0 is
+    # that of the whole matrix and its rpd that of P @ P
     monkeypatch.setattr(bnras.exact, "_RPD_BLOCK", block)
     for net in nets.values():
         for ev in evidence_sets(net):
@@ -123,9 +137,10 @@ def test_min_transition_probability_blocks_match_whole_matrix(monkeypatch, nets,
             report = bnras.mixing_report(net, ev, t_values=(2,))
             assert report.p0 == expected
             tm = bnras.build_transition_matrix(net, ev)
+            assert tm.p0 == expected
+            assert report.rpd[2] == bnras.relative_pointwise_distance(tm, 2)
             pi = tm.stationary
-            rpd = float(np.max(np.abs(tm.matrix @ tm.matrix - pi) / pi))
-            assert report.rpd[2] == rpd
+            assert_rpd_near(report.rpd[2], float(np.max(np.abs(tm.matrix @ tm.matrix - pi) / pi)))
 
 
 def test_rpd_at_zero(ab, empty):
@@ -239,14 +254,24 @@ def test_matrix_equals_scalar_twin(nets):
 
 
 @pytest.mark.parametrize("name", ["CHAIN5", "MINIALARM"])
-def test_rpd_has_the_bits_of_matrix_power(nets, empty, name):
+def test_rpd_matches_matrix_power(monkeypatch, nets, empty, name):
+    # t = 0 and 1 have matrix_power's bits; above, the Gram products are
+    # near it. Each value has the same bits whether t is asked alone or
+    # with others, and whatever the row blocks of the scan
     ts = (0, 1, 2, 3, 4, 5, 13, 16)
     report = bnras.mixing_report(nets[name], empty, t_values=ts)
     tm = bnras.build_transition_matrix(nets[name], empty)
-    pi = tm.stationary
     for t in ts:
-        expected = float(np.max(np.abs(np.linalg.matrix_power(tm.matrix, t) - pi) / pi))
-        assert report.rpd[t] == bnras.relative_pointwise_distance(tm, t) == expected
+        expected = matrix_power_rpd(tm, t)
+        if t <= 1:
+            assert report.rpd[t] == expected
+        else:
+            assert_rpd_near(report.rpd[t], expected)
+    for block in (1, 5, 1 << 16):
+        monkeypatch.setattr(bnras.exact, "_RPD_BLOCK", block)
+        assert bnras.mixing_report(nets[name], empty, t_values=ts).rpd == report.rpd
+        for t in ts:
+            assert bnras.relative_pointwise_distance(tm, t) == report.rpd[t]
 
 
 def test_mixing_report_refuses_negative_t_before_the_matrix(monkeypatch, minialarm, ab, empty):
@@ -259,6 +284,28 @@ def test_mixing_report_refuses_negative_t_before_the_matrix(monkeypatch, miniala
     monkeypatch.undo()
     report = bnras.mixing_report(ab, empty, t_values=(16, 0, 4, 1))
     assert list(report.rpd) == [16, 0, 4, 1]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(positive_networks())
+def test_rpd_on_random_networks(case):
+    net, ev = case
+    ts = (2, 3, 4, 5, 13, 16)
+    report = bnras.mixing_report(net, ev, t_values=ts)
+    tm = bnras.build_transition_matrix(net, ev)
+    for t in ts:
+        assert_rpd_near(report.rpd[t], matrix_power_rpd(tm, t))
+
+
+def test_even_rpd_peaks_on_the_diagonal(nets):
+    # P^2s / pi is a Gram matrix for the reversible chain, so by
+    # Cauchy-Schwarz its largest distance from 1 lies on its diagonal
+    for net in nets.values():
+        for ev in evidence_sets(net):
+            tm = bnras.build_transition_matrix(net, ev)
+            for t in (2, 4, 8, 16):
+                gap = np.abs(np.linalg.matrix_power(tm.matrix, t) / tm.stationary - 1.0)
+                assert_rpd_near(float(gap.diagonal().max()), float(gap.max()))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
