@@ -109,11 +109,11 @@ def test_min_transition_probability_at_most_half(nets, empty):
 
 
 def assert_rpd_near(got, expected):
-    # P^t / pi against matrix_power: 1e-12 relative, or 16 ulps of 1.0. The
+    # rpd against matrix_power: 1e-12 relative, or 16 ulps of 1.0. The
     # entries of P^t / pi are numbers near 1 known to a few ulps, and rpd is
     # their largest distance from 1, so when rpd is small no double
-    # computation pins it closer: matrix_power gives 4.5 * 2^-16 (AB with B
-    # clamped, t = 16) 2e-12 relative off
+    # computation pins it closer: on AB with B clamped, matrix_power's rpd
+    # at t = 16 is 2e-12 relative off its exact value 4.5 * 2^-16
     assert abs(got - expected) <= 1e-12 * expected + 16 * np.finfo(float).eps
 
 
@@ -126,7 +126,7 @@ def matrix_power_rpd(tm, t):
 def test_min_transition_probability_blocks_match_whole_matrix(monkeypatch, nets, block):
     # p0 comes off the moves, not the matrix: whatever the row blocks of the
     # rpd scan (one row, a few, the whole matrix), the mixing report's p0 is
-    # that of the whole matrix and its rpd that of P @ P
+    # that of the whole matrix and its rpd near that of P @ P
     monkeypatch.setattr(bnras.exact, "_RPD_BLOCK", block)
     for net in nets.values():
         for ev in evidence_sets(net):
@@ -139,8 +139,7 @@ def test_min_transition_probability_blocks_match_whole_matrix(monkeypatch, nets,
             tm = bnras.build_transition_matrix(net, ev)
             assert tm.p0 == expected
             assert report.rpd[2] == bnras.relative_pointwise_distance(tm, 2)
-            pi = tm.stationary
-            assert_rpd_near(report.rpd[2], float(np.max(np.abs(tm.matrix @ tm.matrix - pi) / pi)))
+            assert_rpd_near(report.rpd[2], matrix_power_rpd(tm, 2))
 
 
 def test_rpd_at_zero(ab, empty):
