@@ -18,11 +18,12 @@ them and keeps p0, their least positive value; p0 alone needs no joint, so
 it runs past the enumeration cap. The lazy chain is reversible with respect
 to the stationary vector pi, so P^t / pi (column j divided by pi[j]) is
 symmetric and P^(2s) / pi is the Gram matrix of the rows of
-B_s = P^s / sqrt(pi). The relative pointwise distance at several t takes
-every B_s from one chain of symmetric squarings (BLAS ``syrk``): even t
-reads the diagonal of the Gram matrix, where Cauchy-Schwarz puts its
-largest deviation from 1, and odd t = 2s + 1 multiplies B_s by B_(s+1).
-t = 0 and 1 read I and P directly.
+B_s = P^s / sqrt(pi); since the lazy kernel's eigenvalues lie in [0, 1],
+P^(2s+1) / pi - 1 is a Gram matrix too. The relative pointwise distance at
+several t takes every B_s from one chain of symmetric squarings (BLAS
+``syrk``) and reads each t off a diagonal, where Cauchy-Schwarz puts the
+largest deviation from 1: even t = 2s off B_s alone, odd t = 2s + 1 off B_s
+and B_(s+1) = P @ B_s. t = 0 and 1 read I and P directly.
 
 Everything here is exact up to 64-bit float rounding; the caps below are
 refusals, not truncations. At the enumeration cap the tensor takes 32 MB.
@@ -72,9 +73,10 @@ class TransitionMatrix:
     evidence-consistent joint states of the free nodes.
 
     As :func:`build_transition_matrix` returns it, the chain is reversible
-    with respect to ``stationary``: stationary[i] matrix[i, j] =
-    stationary[j] matrix[j, i]. :func:`relative_pointwise_distance` relies
-    on that identity."""
+    with respect to ``stationary`` (stationary[i] matrix[i, j] =
+    stationary[j] matrix[j, i]) and lazy (every diagonal entry is at least
+    1/2, so its eigenvalues lie in [0, 1]). :func:`relative_pointwise_distance`
+    relies on both."""
 
     free_nodes: tuple[str, ...]
     states: tuple[tuple[int, ...], ...]  # free-node assignments, enumeration order
@@ -238,24 +240,29 @@ def _gram(a: np.ndarray, b: np.ndarray, root: np.ndarray) -> np.ndarray:
     return product
 
 
-def _half_powers(z: np.ndarray, root: np.ndarray, halves: set[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (h, B_h) for each h >= 1 in ``halves``, in increasing order, where
-    B_h = P^h / sqrt(pi) (column j of P^h divided by sqrt(pi[j])) and z is B_1.
+def _half_powers(p: np.ndarray, root: np.ndarray, halves: set[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (h, B_h) for each h >= 1 in ``halves``, in increasing order,
+    where B_h = P^h / sqrt(pi) (column j of P^h divided by sqrt(pi[j])) and
+    p is P.
 
-    One chain of squarings z_j = B_(2^j) = _gram(z_(j-1), z_(j-1)) is made,
-    and each B_h multiplies in the z_j of h's set bits from the lowest bit
-    up, so its bits depend on h alone. A square is dropped once no larger h
-    needs it.
+    One chain of squarings z_j = B_(2^j) = _gram(z_(j-1), z_(j-1)) is made
+    from z_0 = B_1. An even h multiplies in the z_j of its set bits from the
+    lowest bit up, and an odd h > 1 is P @ B_(h-1), so that B_1 is dropped
+    with the first square. Each B_h's bits depend on h alone, and a square
+    is dropped once no larger h needs it.
     """
     partial = dict.fromkeys(sorted(halves))
+    z = p / root
     bit = 0
     while partial:
         if bit:
             z = _gram(z, z, root)
         for h in list(partial):
-            if h >> bit & 1:
+            if bit and h >> bit & 1:
                 partial[h] = z if partial[h] is None else _gram(partial[h], z, root)
             if h >> (bit + 1) == 0:
+                if h & 1:
+                    partial[h] = z if h == 1 else p @ partial[h]
                 yield h, partial.pop(h)
         bit += 1
 
@@ -264,12 +271,15 @@ def _rpd_by_count(tm: TransitionMatrix, counts: list[int]) -> dict[int, float]:
     """max over (i, j) of |P^t[i, j] / pi[j] - 1| for each t, in the order
     of ``counts``.
 
-    t = 0 and 1 read I and P. Above, the half powers B_s = P^s / sqrt(pi)
-    of :func:`_half_powers` give P^t / pi as a Gram product: even t = 2s is
-    B_s @ B_s.T, whose largest deviation from 1 lies on its diagonal by
-    Cauchy-Schwarz, max_i ||B_s[i] - sqrt(pi)||^2, read with no
-    cancellation; odd t = 2s + 1 is B_s @ B_(s+1).T. Rows are reduced in
-    blocks, so that no full-size temporary is made but the odd product.
+    t = 0 and 1 read I and P. Above, with the half powers B_s = P^s / sqrt(pi)
+    of :func:`_half_powers` and C_s = B_s - sqrt(pi) in each row,
+    P^t / pi - 1 is C_s @ C_s.T for t = 2s and C_s @ C_(s+1).T for
+    t = 2s + 1, where C_(s+1) = C_s S with S = sqrt(pi) P / sqrt(pi), the
+    symmetric kernel of the lazy chain, whose eigenvalues lie in [0, 1].
+    Both are Gram matrices, so by Cauchy-Schwarz their largest entry lies
+    on the diagonal: max_i <C_s[i], C_s[i]> or max_i <C_s[i], C_(s+1)[i]>,
+    read with no cancellation, in row blocks so that no full-size
+    temporary is made.
     """
     pi = tm.stationary
     m, root = len(pi), np.sqrt(pi)
@@ -283,17 +293,14 @@ def _rpd_by_count(tm: TransitionMatrix, counts: list[int]) -> dict[int, float]:
         found[0] = peak(lambda i, j: np.abs(np.eye(j - i, m, i) - pi) / pi)
     if 1 in counts:
         found[1] = peak(lambda i, j: np.abs(tm.matrix[i:j] - pi) / pi)
-    halves = {h for t in counts if t >= 2 for h in range(t // 2, (t + 1) // 2 + 1)}
-    previous = None  # B_(h-1), kept only while an odd t needs it
-    for h, bh in _half_powers(tm.matrix / root, root, halves):
-        if 2 * h in counts:
-            found[2 * h] = peak(lambda i, j: np.square(bh[i:j] - root).sum(axis=1))
-        if previous is not None:
-            product = previous @ bh.T
-            found[2 * h - 1] = peak(lambda i, j: np.abs(product[i:j] - 1.0))
-            del product
-        previous = bh if 2 * h + 1 in counts else None
-        del bh  # else it outlives the next squaring
+    for s, bs in _half_powers(tm.matrix, root, {t // 2 for t in counts if t >= 2}):
+        if 2 * s in counts:
+            found[2 * s] = peak(lambda i, j: np.square(bs[i:j] - root).sum(axis=1))
+        if 2 * s + 1 in counts:
+            after = tm.matrix @ bs  # B_(s+1)
+            found[2 * s + 1] = peak(lambda i, j: ((bs[i:j] - root) * (after[i:j] - root)).sum(axis=1))
+            del after
+        del bs  # else it outlives the next squaring
     return {t: found[t] for t in counts}
 
 

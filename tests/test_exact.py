@@ -296,13 +296,15 @@ def test_rpd_on_random_networks(case):
         assert_rpd_near(report.rpd[t], matrix_power_rpd(tm, t))
 
 
-def test_even_rpd_peaks_on_the_diagonal(nets):
-    # P^2s / pi is a Gram matrix for the reversible chain, so by
-    # Cauchy-Schwarz its largest distance from 1 lies on its diagonal
+def test_rpd_peaks_on_the_diagonal(nets):
+    # P^t / pi - 1 is a Gram matrix: C_s C_s.T for t = 2s, and C_s S C_s.T
+    # for t = 2s + 1, with C_s = P^s / sqrt(pi) - sqrt(pi) and S the lazy
+    # chain's symmetrized kernel, whose eigenvalues lie in [0, 1]. By
+    # Cauchy-Schwarz its largest entry lies on its diagonal
     for net in nets.values():
         for ev in evidence_sets(net):
             tm = bnras.build_transition_matrix(net, ev)
-            for t in (2, 4, 8, 16):
+            for t in (2, 3, 4, 5, 8, 13, 16):
                 gap = np.abs(np.linalg.matrix_power(tm.matrix, t) / tm.stationary - 1.0)
                 assert_rpd_near(float(gap.diagonal().max()), float(gap.max()))
 
