@@ -276,10 +276,11 @@ def _rpd_by_count(tm: TransitionMatrix, counts: list[int]) -> dict[int, float]:
     P^t / pi - 1 is C_s @ C_s.T for t = 2s and C_s @ C_(s+1).T for
     t = 2s + 1. There C_(s+1) = C_s @ S, with S = sqrt(pi)[:, None] * P /
     sqrt(pi) the symmetric kernel of the lazy chain, whose eigenvalues lie
-    in [0, 1], so C_s @ C_(s+1).T = C_s @ S @ C_s.T. Both are Gram matrices, so by Cauchy-Schwarz their largest entry lies
-    on the diagonal: max_i <C_s[i], C_s[i]> or max_i <C_s[i], C_(s+1)[i]>,
-    read with no cancellation, in row blocks so that no full-size
-    temporary is made.
+    in [0, 1], so C_s @ C_(s+1).T = C_s @ S @ C_s.T. Both are Gram
+    matrices, so by Cauchy-Schwarz their largest entry lies on the
+    diagonal: max_i <C_s[i], C_s[i]> or max_i <C_s[i], C_(s+1)[i]>, read
+    with no cancellation, in row blocks so that no full-size temporary is
+    made.
     """
     pi = tm.stationary
     m, root = len(pi), np.sqrt(pi)
