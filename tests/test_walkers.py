@@ -225,6 +225,21 @@ def test_batches_match_single_streams(monkeypatch, nets, setting):
             assert_batch_matches_single(net, ev, 9, 2, BATCH_SEEDS[:1], stride=3)
 
 
+@pytest.mark.parametrize("setting", [
+    {},
+    {"_BLOCK": 7, "_LOCKSTEP_MIN": 1},  # a block holds pieces of several runs
+    {"_LOCKSTEP_MIN": 10**9},  # every block in the per-trial loop
+])
+def test_one_trial_crosses_several_marks(monkeypatch, nets, setting):
+    # a stride below t: one trial crosses two or more checkpoint marks
+    for name, value in setting.items():
+        monkeypatch.setattr(chain, name, value)
+    for net in nets.values():
+        for ev in evidence_sets(net):
+            assert_matches_scalar(net, ev, 60, 25, 2**63 + 11, stride=7)
+            assert_batch_matches_single(net, ev, 20, 9, BATCH_SEEDS, stride=4)
+
+
 def test_batch_of_one_and_of_none(minialarm, empty):
     seed = 2**63 + 11
     trials = chain._BLOCK + chain._LOCKSTEP_MIN
