@@ -470,14 +470,15 @@ def _blanket_tables(tab: _Tables, free: tuple[int, ...], template: list[int]):
 
 
 def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], template: list[int],
-                  t: int, runs: Sequence[tuple[int, int]]) -> Iterator[np.ndarray]:
+                  t: int, runs: Sequence[tuple[int, int]]) -> Iterator[tuple[int, np.ndarray]]:
     """Final free-node values of the trials of ``runs``, (seed, trials)
     pairs: trials 0, 1, ..., trials - 1 of each run in turn, trial j of a
     run being ``next_trial(net, ev, t, RandomStream(seed).spawn(j))``. The
     trials of all runs are laid end to end and cut into blocks of
-    ``_BLOCK``, so a block may hold pieces of several runs; each block
-    derives the stream seeds of the trials it holds, and is yielded as one
-    int array of shape (block trials, free nodes), in order.
+    ``_BLOCK``, so a block may hold pieces of several runs. Each block
+    derives the stream seeds of the trials it holds and fills one int array
+    of shape (block trials, free nodes), then yields each run's piece, in
+    order, as (run index, a view of the piece's rows).
 
     A block of at least ``_LOCKSTEP_MIN`` trials runs as lock-step walkers
     unless some blanket table would pass ``_BLANKET_CAP``; other blocks, and
@@ -492,10 +493,10 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
     starts = list(itertools.accumulate((trials for _, trials in runs), initial=0))
     for first in range(0, starts[-1], _BLOCK):
         stop = min(first + _BLOCK, starts[-1])
-        pieces = [(seed, max(first - start, 0), min(stop - start, trials))  # (seed, lo, hi)
-                  for (seed, trials), start in zip(runs, starts)
+        pieces = [(run, seed, max(first - start, 0), min(stop - start, trials))  # (run, seed, lo, hi)
+                  for run, ((seed, trials), start) in enumerate(zip(runs, starts))
                   if start < stop and first < start + trials]
-        seeds = [derive_stream_seeds(seed, lo, hi) for seed, lo, hi in pieces]
+        seeds = [derive_stream_seeds(seed, lo, hi) for _, seed, lo, hi in pieces]
         seeds = seeds[0] if len(seeds) == 1 else np.concatenate(seeds)  # no copy for one run
         values = None
         if len(seeds) >= _LOCKSTEP_MIN and free:
@@ -505,14 +506,17 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
         if values is None:
             values = np.empty((len(seeds), len(free)), dtype=np.intp)
             ahead = min(len(free) + 3 * t, _AHEAD // len(seeds))  # a trial's most draws
-            trials = ((seed, j) for seed, lo, hi in pieces for j in range(lo, hi))
+            trials = ((seed, j) for _, seed, lo, hi in pieces for j in range(lo, hi))
             for b, ((seed, j), rand) in enumerate(zip(trials, counter_streams(seeds, ahead))):
                 try:
                     state = _trial(tab, free, template, t, rand)
                 except DeterministicConflictError as exc:
                     raise _located(net, exc, f"in trial {j} of seed {seed}") from None
                 values[b] = [state[i] for i in free]
-        yield values
+        at = 0
+        for run, _, lo, hi in pieces:
+            yield run, values[at : at + hi - lo]
+            at += hi - lo
 
 
 def straight_step(net: BeliefNetwork, cs: ChainState, rng: RandomStream) -> ChainState:

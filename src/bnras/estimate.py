@@ -5,14 +5,11 @@ transitions each) and tallies the final state of every free node, so the
 estimate for a node outcome is the exact rational tally/N. Trial j draws
 from the counter-based stream ``rng.spawn(j)`` (see :mod:`bnras.rng`), so
 its final state is ``next_trial(net, ev, t, rng.spawn(j))`` whatever runs
-it, and the caller's stream state is unused. The trials of different
-streams are therefore interchangeable walkers: ``bnras_estimates`` lays
-the trials of many streams end to end and runs them in blocks of
-``chain._BLOCK``, which may straddle streams, and ``bnras_estimate`` is its
-one-stream case. A block of at least ``chain._LOCKSTEP_MIN`` trials moves
-as numpy walkers in lock step, a smaller one trial by trial
-(``chain._trial_blocks``). This module only tallies each block's rows into
-the streams that own them and takes the checkpoints.
+it, and the caller's stream state is unused. ``bnras_estimates`` runs the
+trials of many streams together through :func:`bnras.chain._trial_blocks`,
+which says how they are cut into blocks and moved, and ``bnras_estimate``
+is its one-stream case. This module only tallies each run's pieces and
+takes the checkpoints.
 
 ``straight_estimate`` runs one cyclic-scan chain without restarts and
 scores the full state after every transition. ``straight_estimates`` runs
@@ -93,12 +90,6 @@ class ErrorReport:
     worst_node: str
 
 
-def _labels(net: BeliefNetwork, free: tuple[int, ...]):
-    names = tuple(net.nodes[i].name for i in free)
-    labels = tuple(net.nodes[i].outcomes for i in free)
-    return names, labels
-
-
 def _snapshot(tally, scored):
     return tuple(tuple([c / scored for c in row]) for row in tally)
 
@@ -114,6 +105,31 @@ def _rows(flat: list[int], edges: np.ndarray) -> list[list[int]]:
     return [flat[a:b] for a, b in zip(edges, edges[1:])]
 
 
+def _estimates(net: BeliefNetwork, free: tuple[int, ...], trials: int,
+               transitions: int | None, runs) -> list[PosteriorEstimate]:
+    """An estimate of ``trials`` scored states for each (tally, checkpoints,
+    cpu seconds, wall seconds) of ``runs``, made of ``transitions`` per
+    trial, or of one for a straight chain (``transitions`` None)."""
+    names = tuple(net.nodes[i].name for i in free)
+    labels = tuple(net.nodes[i].outcomes for i in free)
+    total = trials if transitions is None else trials * transitions
+    return [
+        PosteriorEstimate(
+            nodes=names,
+            outcome_labels=labels,
+            probs=_snapshot(tally, trials),
+            tallies=tuple(tuple(row) for row in tally),
+            trials=trials,
+            transitions_per_trial=transitions,
+            total_transitions=total,
+            cpu_seconds=cpu,
+            wall_seconds=wall,
+            checkpoints=tuple(points),
+        )
+        for tally, points, cpu, wall in runs
+    ]
+
+
 def bnras_estimates(
     net: BeliefNetwork,
     ev: Evidence,
@@ -124,66 +140,46 @@ def bnras_estimates(
 ) -> list[PosteriorEstimate]:
     """``bnras_estimate`` on each stream of ``rngs``, in order.
 
-    The trials of all streams move through one sequence of blocks
-    (:func:`bnras.chain._trial_blocks`), so the streams' trials share lock
-    steps; each block's rows are tallied into the stream that owns them, and
-    no array holds more than one block. Each estimate's ``cpu_seconds`` and
-    ``wall_seconds`` are an equal share of the batch's. A conflict raises
-    for the first conflicting trial in stream order, named by its stream's
-    seed.
+    The trials of all streams move through one sequence of blocks, handed
+    over as each stream's pieces (:func:`bnras.chain._trial_blocks`), so the
+    streams share lock steps and no array holds more than one block. A mark
+    m in a piece of trials lo + 1 to hi, m in (lo * transitions, hi *
+    transitions], is taken after trial ceil(m / transitions). Each
+    estimate's ``cpu_seconds`` and ``wall_seconds`` are an equal share of
+    the batch's. A conflict raises for the first conflicting trial in stream
+    order, named by its stream's seed.
     """
     _require_count("trials", trials, 1)
     _require_count("transitions", transitions, 0)
     _require_count("checkpoint_stride", checkpoint_stride, 0)
     tab, free, template = _prepare(net, ev)
-    names, labels = _labels(net, free)
     edges = _edges(tab, free)
     width = edges[-1]
     counts = np.zeros((len(rngs), width), dtype=np.int64)  # each run's flat tally
     checkpoints: list[list[Checkpoint]] = [[] for _ in rngs]
-    first_mark = checkpoint_stride if transitions > 0 else 0
-    run, done, mark = 0, 0, first_mark  # the run being tallied, its trials tallied, its next mark
+    done = [0] * len(rngs)  # each run's trials tallied
+    stride = checkpoint_stride if transitions > 0 else 0  # no transitions, no marks
     cpu0, wall0 = time.process_time(), time.perf_counter()
     runs = [(rng.seed_value, trials) for rng in rngs]
-    for block in _trial_blocks(net, tab, free, template, transitions, runs):
-        codes = block  # each value's column in the flat tally, made in place
-        codes += edges[:-1]
-        at = 0  # the block's rows tallied
-        while at < len(block):
-            stop = min(done + len(block) - at, trials)
-            while 0 < mark <= stop * transitions:
-                scored = -(-mark // transitions)  # the trial that crosses the mark
-                counts[run] += np.bincount(codes[at : at + scored - done].ravel(),
-                                           minlength=width)
-                at += scored - done
-                done = scored
-                tally = _rows(counts[run].tolist(), edges)
-                checkpoints[run].append(Checkpoint(mark, scored, _snapshot(tally, scored)))
-                mark += checkpoint_stride
-            counts[run] += np.bincount(codes[at : at + stop - done].ravel(), minlength=width)
-            at += stop - done
-            done = stop
-            if done == trials:
-                run, done, mark = run + 1, 0, first_mark
+    for run, codes in _trial_blocks(net, tab, free, template, transitions, runs):
+        codes += edges[:-1]  # each value's column in the flat tally, made in place
+        lo, at = done[run], 0  # the run's trials before the piece, the piece's rows tallied
+        done[run] += len(codes)
+        marks = range((lo * transitions // stride + 1) * stride, done[run] * transitions + 1,
+                      stride) if stride else ()
+        for mark in marks:
+            scored = -(-mark // transitions)  # the trial that crosses the mark
+            counts[run] += np.bincount(codes[at : scored - lo].ravel(), minlength=width)
+            at = scored - lo
+            tally = _rows(counts[run].tolist(), edges)
+            checkpoints[run].append(Checkpoint(mark, scored, _snapshot(tally, scored)))
+        counts[run] += np.bincount(codes[at:].ravel(), minlength=width)
     shares = max(len(rngs), 1)
     cpu = (time.process_time() - cpu0) / shares
     wall = (time.perf_counter() - wall0) / shares
-    tallies = [_rows(flat, edges) for flat in counts.tolist()]
-    return [
-        PosteriorEstimate(
-            nodes=names,
-            outcome_labels=labels,
-            probs=_snapshot(tally, trials),
-            tallies=tuple(tuple(row) for row in tally),
-            trials=trials,
-            transitions_per_trial=transitions,
-            total_transitions=trials * transitions,
-            cpu_seconds=cpu,
-            wall_seconds=wall,
-            checkpoints=tuple(points),
-        )
-        for tally, points in zip(tallies, checkpoints)
-    ]
+    return _estimates(net, free, trials, transitions,
+                      [(_rows(flat, edges), points, cpu, wall)
+                       for flat, points in zip(counts.tolist(), checkpoints)])
 
 
 def bnras_estimate(
@@ -314,7 +310,6 @@ def straight_estimates(
     _require_count("checkpoint_stride", checkpoint_stride, 0)
     tab, free, template = _prepare(net, ev)
     _require_free(free)
-    names, labels = _labels(net, free)
     runs = None
     if len(rngs) >= _STRAIGHT_MIN:
         cpu0, wall0 = time.process_time(), time.perf_counter()
@@ -327,21 +322,7 @@ def straight_estimates(
     if runs is None:
         runs = [_cyclic_chain(net, tab, free, template, total_transitions, rng,
                               checkpoint_stride) for rng in rngs]
-    return [
-        PosteriorEstimate(
-            nodes=names,
-            outcome_labels=labels,
-            probs=_snapshot(tally, total_transitions),
-            tallies=tuple(tuple(row) for row in tally),
-            trials=total_transitions,
-            transitions_per_trial=None,
-            total_transitions=total_transitions,
-            cpu_seconds=cpu,
-            wall_seconds=wall,
-            checkpoints=tuple(points),
-        )
-        for tally, points, cpu, wall in runs
-    ]
+    return _estimates(net, free, total_transitions, None, runs)
 
 
 def straight_estimate(
