@@ -19,6 +19,8 @@ for oracle computations and exact-mode bounds.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import os
 import sys
 from dataclasses import replace
@@ -119,12 +121,9 @@ def _parse_seeds(text: str) -> list[int]:
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",")]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise UsageError(f"{flag} expects comma-separated integers, got {text!r}")
-    if not values:
-        raise UsageError(f"{flag} must not be empty")
-    return values
 
 
 def cmd_validate(args) -> int:
@@ -190,29 +189,24 @@ def _write_runs(net, ev, runs, stride: int, out: str) -> int:
     except DeterministicConflictError:
         estimates = list(_estimates(net, ev, runs, stride, batched=False))
     ev_str = format_evidence(ev, net)
-    lines = [CSV_HEADER]
+    buffer = io.StringIO()
+    buffer.write(CSV_HEADER + "\n")
+    writer = csv.writer(buffer, lineterminator="\n")  # quotes a field that holds a comma
     for (algorithm, trials, transitions, total, seed), est in zip(runs, estimates):
         if algorithm == "bnras":
             run_id = f"bnras-{net.name}-N{trials}-t{transitions}-s{seed}"
         else:
             run_id = f"straight-{net.name}-T{total}-s{seed}"
-        tpt = "" if est.transitions_per_trial is None else est.transitions_per_trial
-        common = (
-            f"{run_id},{seed},{algorithm},{net.name},"
-            f"{ev_str},{est.trials},{tpt},{est.total_transitions}"
-        )
+        common = [run_id, seed, algorithm, net.name, ev_str, est.trials,
+                  est.transitions_per_trial, est.total_transitions]  # None is written empty
         for ck in est.checkpoints:
             err = error_metrics(replace(est, probs=ck.probs), oracle)
-            lines.append(
-                f"{common},{ck.transitions},{err.avg_error:.9g},{err.max_error:.9g},"
-                f"{err.worst_node},,"
-            )
+            writer.writerow([*common, ck.transitions, f"{err.avg_error:.9g}",
+                             f"{err.max_error:.9g}", err.worst_node, "", ""])
         err = error_metrics(est, oracle)
-        lines.append(
-            f"{common},,{err.avg_error:.9g},{err.max_error:.9g},{err.worst_node},"
-            f"{est.cpu_seconds:.6f},{est.wall_seconds:.6f}"
-        )
-    text = "\n".join(lines) + "\n"
+        writer.writerow([*common, "", f"{err.avg_error:.9g}", f"{err.max_error:.9g}",
+                         err.worst_node, f"{est.cpu_seconds:.6f}", f"{est.wall_seconds:.6f}"])
+    text = buffer.getvalue()
     if out == "-":
         sys.stdout.write(text)
     else:
@@ -289,16 +283,15 @@ def cmd_compare(args) -> int:
     net = _load_network(args.network)
     ev = parse_evidence(args.evidence, net)
     seeds = _parse_seeds(args.seeds)
-    if args.total is None or args.total < 1:
+    if args.total < 1:
         raise UsageError("--total budget must be >= 1")
-    transitions = args.transitions if args.transitions is not None else 100
-    if transitions < 1:
+    if args.transitions < 1:
         raise UsageError("--transitions must be >= 1")
-    trials = args.total // transitions
+    trials = args.total // args.transitions
     if trials < 1:
         raise UsageError("budget smaller than one trial")
     runs = [run for seed in seeds for run in (
-        ("bnras", trials, transitions, None, seed),
+        ("bnras", trials, args.transitions, None, seed),
         ("straight", None, None, args.total, seed),
     )]
     return _write_runs(net, ev, runs, args.stride, args.out)

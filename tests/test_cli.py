@@ -215,6 +215,15 @@ def test_bounds_factored_pi_underflow_is_runtime_error(tmp_path, capsys):
     assert "usage error" not in err
 
 
+def test_bounds_exact_pi_underflow_is_runtime_error(tmp_path, capsys, tiny_joint):
+    path = tmp_path / "tiny.bn"
+    path.write_text(bnras.serialize_network(tiny_joint))
+    code, out, err = run_cli(capsys, "bounds", "--network", str(path), "--mode", "exact")
+    assert code == 3
+    assert "exact Pi of network TINY underflows to 0.0" in err
+    assert "usage error" not in err
+
+
 def test_bounds_rejects_bad_alpha(capsys):
     code, out, err = run_cli(capsys, "bounds", "--network", "AB", "--alpha", "2.0")
     assert code == 1
@@ -490,6 +499,24 @@ def test_csv_column_count_everywhere(tmp_path, capsys):
     expected = len(CSV_HEADER.split(","))
     for line in out_path.read_text().strip().splitlines():
         assert len(line.split(",")) == expected
+
+
+def test_csv_quotes_evidence_of_several_nodes(tmp_path, capsys):
+    ev = ("--network", "CHAIN5", "--evidence", "C1=t,C5=f")
+    code, out, _ = run_cli(capsys, "run", *ev, "--algorithm", "bnras", "--trials", "5",
+                           "--transitions", "2", "--stride", "4")
+    assert code == 0
+    out_path = tmp_path / "cmp.csv"
+    code, _, _ = run_cli(capsys, "compare", *ev, "--total", "300", "--transitions", "50",
+                         "--seeds", "3,4", "--stride", "100", "--out", str(out_path))
+    assert code == 0
+    for text in (out, out_path.read_text()):
+        rows = list(csv.DictReader(io.StringIO(text), restkey="extra"))
+        assert rows
+        for row in rows:
+            assert len(row) == len(CSV_HEADER.split(","))
+            assert row["evidence"] == "C1=t,C5=f"
+            assert int(row["trials"]) > 0
 
 
 def test_unknown_builtin_is_io_error(capsys):
