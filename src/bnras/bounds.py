@@ -155,6 +155,9 @@ def report_bounds(
     if mode == "exact":
         p0 = min_transition_probability(net, ev)
         pi_min = min_joint_posterior(net, ev, enum_cap)
+        if pi_min == 0.0:
+            raise MixingOverflowError(f"the exact Pi of network {net.name} underflows to 0.0: "
+                                      "its least joint posterior is below every double")
     elif mode == "factored":
         pi_min, p0 = factored_lower_bounds(net, ev)
     else:

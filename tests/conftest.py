@@ -59,6 +59,18 @@ def and_gate():
     )
 
 
+@pytest.fixture(scope="session")
+def tiny_joint():
+    """Positive tables whose least joint state, 1e-200 * 1e-200, is below
+    every double: the exact Pi underflows to 0.0."""
+    return bnras.parse_network(
+        "network TINY\n"
+        "node A { outcomes: a, b, c }\ncpt A:\n 1e-200 0.5 0.5\n"
+        "node B { outcomes: a, b, c }\nparents B: A\n"
+        "cpt B:\n 1e-200 0.5 0.5\n 0.2 0.3 0.5\n 0.2 0.3 0.5\n"
+    )
+
+
 def layered_network(size, seed=0):
     """A binary network of `size` nodes X0, X1, ..., where node i has
     parents i-3, i-2 and i-1 (those that exist): multiply connected, with

@@ -191,6 +191,14 @@ def test_factored_pi_underflow_refused(empty):
     assert report.t_mix == bnras.mixing_bound(0.1, pi_lb, p0_lb)
 
 
+def test_exact_pi_underflow_refused(tiny_joint, empty):
+    tol = ErrorTolerances(alpha=0.1, delta=0.1, gamma=0.1)
+    with pytest.raises(bnras.MixingOverflowError, match="exact Pi of network TINY underflows"):
+        bnras.report_bounds(tiny_joint, empty, tol, mode="exact")
+    with pytest.raises(bnras.MixingOverflowError, match="factored Pi of network TINY underflows"):
+        bnras.report_bounds(tiny_joint, empty, tol, mode="factored")
+
+
 def test_report_bounds_ab_exact(ab, empty):
     tol = ErrorTolerances(alpha=0.1, delta=0.1, gamma=0.1)
     report = bnras.report_bounds(ab, empty, tol, mode="exact")
