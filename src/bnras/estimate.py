@@ -142,9 +142,9 @@ def bnras_estimates(
 
     The trials of all streams move through one sequence of blocks, handed
     over as each stream's pieces (:func:`bnras.chain._trial_blocks`), so the
-    streams share lock steps and no array holds more than one block. A mark
-    m in a piece of trials lo + 1 to hi, m in (lo * transitions, hi *
-    transitions], is taken after trial ceil(m / transitions). Each
+    streams share lock steps and no array holds more than one block. A
+    piece of trials lo + 1 to hi takes each mark m in (lo * transitions,
+    hi * transitions] after trial ceil(m / transitions). Each
     estimate's ``cpu_seconds`` and ``wall_seconds`` are an equal share of
     the batch's. A conflict raises for the first conflicting trial in stream
     order, named by its stream's seed.
@@ -304,7 +304,7 @@ def straight_estimates(
     at different positions. Fewer chains, and batches that lock step
     refuses, run chain by chain, each timed on its own; a conflict then
     raises for the first conflicting chain, as the calls one by one would.
-    The estimates are the same either way.
+    Either way the same estimates come out of :func:`_estimates`.
     """
     _require_count("total_transitions", total_transitions, 1)
     _require_count("checkpoint_stride", checkpoint_stride, 0)
