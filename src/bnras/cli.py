@@ -248,11 +248,11 @@ def cmd_bounds(args) -> int:
     print(f"mixing transitions     t_mix = {report.t_mix}")
     print(f"transitions per trial      t = {report.t_per_trial}")
     print("network,evidence,mode,alpha,delta,gamma,pi_min,p0,trials,t_mix,t_per_trial")
-    print(
-        f"{net.name},{format_evidence(ev, net)},{report.mode},{tol.alpha:g},"
-        f"{tol.delta:g},{tol.gamma:g},{report.pi_min:.9g},{report.p0:.9g},"
-        f"{report.trials},{report.t_mix},{report.t_per_trial}"
-    )
+    csv.writer(sys.stdout, lineterminator="\n").writerow([
+        net.name, format_evidence(ev, net), report.mode, f"{tol.alpha:g}", f"{tol.delta:g}",
+        f"{tol.gamma:g}", f"{report.pi_min:.9g}", f"{report.p0:.9g}", report.trials,
+        report.t_mix, report.t_per_trial,
+    ])
     return EXIT_OK
 
 

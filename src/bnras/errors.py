@@ -57,4 +57,5 @@ class PositivityError(BnrasError):
 class MixingOverflowError(BnrasError):
     """A mixing-bound input leaves the range of 64-bit floats, so no finite
     transition count can be stated at this precision: p0 is so small that
-    1 - p0^2/8 rounds to 1, or the exact or factored Pi underflows to 0.0."""
+    1 - p0^2/8 rounds to 1, the exact or factored Pi underflows to 0.0, or
+    so does the total of a node's full conditional, which p0 divides by."""

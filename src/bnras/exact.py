@@ -23,7 +23,12 @@ P^(2s+1) / pi - 1 is a Gram matrix too. The relative pointwise distance at
 several t takes every B_s from one chain of symmetric squarings (BLAS
 ``syrk``) and reads each t off a diagonal, where Cauchy-Schwarz puts the
 largest deviation from 1: even t = 2s off B_s alone, odd t = 2s + 1 off B_s
-and B_(s+1) = P @ B_s. t = 0 and 1 read I and P directly.
+and B_(s+1) = P @ B_s. It relies on P's one-node sparsity and on the
+enumeration order of the states, as :func:`build_transition_matrix` returns
+them: a row of P is nonzero only at the state itself and the states one free
+node apart (:func:`_neighbours`), so t = 0 and 1 read I and P at those
+columns alone, and while rows have few such columns the first square B_2
+sums the products of two moves rather than multiplying the dense B_1.
 
 Everything here is exact up to 64-bit float rounding; the caps below are
 refusals, not truncations. At the enumeration cap the tensor takes 32 MB.
@@ -40,7 +45,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import CapacityError, ImpossibleEvidenceError, PositivityError
+from .errors import CapacityError, ImpossibleEvidenceError, MixingOverflowError, PositivityError
 from .network import BeliefNetwork, Evidence, _Tables
 from .chain import _conditional, _factor, _prepare, _require_count, _require_free
 
@@ -50,7 +55,8 @@ DEFAULT_ENUM_CAP = 1 << 22
 #: Largest state count for which the explicit transition matrix is built.
 DEFAULT_MATRIX_CAP = 4096
 
-#: Elements per row block when reducing |P^t - pi| / pi over a matrix power.
+#: Elements per row block of the relative pointwise distance's scans and of
+#: the first square's sums.
 _RPD_BLOCK = 1 << 16
 
 
@@ -75,8 +81,10 @@ class TransitionMatrix:
     As :func:`build_transition_matrix` returns it, the chain is reversible
     with respect to ``stationary`` (stationary[i] matrix[i, j] =
     stationary[j] matrix[j, i]) and lazy (every diagonal entry is at least
-    1/2, so its eigenvalues lie in [0, 1]). :func:`relative_pointwise_distance`
-    relies on both."""
+    1/2, so its eigenvalues lie in [0, 1]). Row i is nonzero only at state i
+    and the states one free node apart, and ``states`` are in enumeration
+    order, last free node fastest. :func:`relative_pointwise_distance`
+    relies on all four."""
 
     free_nodes: tuple[str, ...]
     states: tuple[tuple[int, ...], ...]  # free-node assignments, enumeration order
@@ -117,7 +125,9 @@ def _moves(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], template: li
     """Per free node i, the axes of its ``chain._conditional`` array cond
     and the probability ``(0.5 / n) * cond / total`` of a move of i to each
     value; i's axis is the candidate value, not the current one. A cond of
-    more than ``DEFAULT_ENUM_CAP`` entries is refused before it is made."""
+    more than ``DEFAULT_ENUM_CAP`` entries is refused before it is made. A
+    total of 0.0, which tables strictly inside (0, 1) reach only by
+    underflow, raises :class:`MixingOverflowError` before the division."""
     half_over_n = 0.5 / len(free)
     members = set(free)
     for i in free:
@@ -127,7 +137,12 @@ def _moves(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], template: li
                                 f"entries, over the enumeration cap {DEFAULT_ENUM_CAP}")
         axes, cond = _conditional(tab, members, template, i)
         at = axes.index(i)
-        yield axes, half_over_n * (cond / np.cumsum(cond, axis=at).take([-1], axis=at))
+        total = np.cumsum(cond, axis=at).take([-1], axis=at)
+        if not total.all():
+            raise MixingOverflowError(f"the full conditional of node {net.nodes[i].name} in network "
+                                      f"{net.name} underflows to 0.0: the table entries of its "
+                                      "blanket multiply to below every double")
+        yield axes, half_over_n * (cond / total)
 
 
 def _sequential_sum(a: np.ndarray) -> float:
@@ -240,29 +255,81 @@ def _gram(a: np.ndarray, b: np.ndarray, root: np.ndarray) -> np.ndarray:
     return product
 
 
-def _half_powers(p: np.ndarray, root: np.ndarray, halves: set[int]) -> Iterator[tuple[int, np.ndarray]]:
+def _neighbours(states: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """The columns where a row of P may be nonzero, as an (R, K) array for R
+    state indices ``states``, K = 1 + sum(k - 1): the state itself, then,
+    free axis by free axis, the states whose value on that axis is shifted
+    by 1 .. k - 1 (mod k). A move changes one free node, so every other
+    entry of the row is 0. ``dims`` holds the free nodes' outcome counts,
+    and a state's index is its C-order position, as
+    :func:`build_transition_matrix` enumerates states."""
+    found = [states[:, None]]
+    stride = math.prod(dims)
+    for value, k in zip(np.unravel_index(states, dims), dims):
+        stride //= k
+        value = value[:, None]
+        found.append(states[:, None] + ((value + np.arange(1, k)) % k - value) * stride)
+    return np.concatenate(found, axis=-1)
+
+
+def _square_moves(p: np.ndarray, root: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """B_2 = P^2 / sqrt(pi), read off P's one-node moves.
+
+    Entry (x, z) is the sum over the neighbours y of x (:func:`_neighbours`)
+    of P[x, y] * P[y, z] / sqrt(pi)[z], added with ``np.bincount`` in the
+    order of y, one row block at a time, so its bits do not depend on the
+    block."""
+    m = len(root)
+    cols = _neighbours(np.arange(m), dims)
+    steps = np.take_along_axis(p, cols, axis=1)  # P[x, cols[x]]
+    square = np.empty((m, m))
+    rows = max(1, _RPD_BLOCK // m)
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        mid = cols[start:stop]
+        far = cols[mid]
+        terms = steps[start:stop, :, None] * steps[mid] / root[far]
+        far += (np.arange(stop - start) * m)[:, None, None]
+        square[start:stop] = np.bincount(far.ravel(), terms.ravel(), (stop - start) * m).reshape(-1, m)
+    return square
+
+
+def _half_powers(p: np.ndarray, root: np.ndarray, dims: tuple[int, ...],
+                 halves: set[int]) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (h, B_h) for each h >= 1 in ``halves``, in increasing order,
     where B_h = P^h / sqrt(pi) (column j of P^h divided by sqrt(pi[j])) and
-    p is P.
+    p is P over states of outcome counts ``dims``.
 
-    One chain of squarings z_j = B_(2^j) = _gram(z_(j-1), z_(j-1)) is made
-    from z_0 = B_1. An even h multiplies in the z_j of its set bits from the
-    lowest bit up, and an odd h > 1 is P @ B_(h-1), so that B_1 is dropped
-    with the first square. Each B_h's bits depend on h alone, and a square
-    is dropped once no larger h needs it.
+    B_1 = P / sqrt(pi) is made for h = 1 only. One chain of squarings
+    z_j = B_(2^j) = _gram(z_(j-1), z_(j-1)) starts at z_1 = B_2. With K
+    neighbour columns per row, :func:`_square_moves` makes B_2 from M * K^2
+    products; when K^2 <= M that is at most the M^2 entries B_2 has, and a
+    row block's temporaries are at most ``_RPD_BLOCK`` entries. Past that
+    (few free nodes with many outcomes) P is nearly dense and B_2 is the
+    ``syrk`` square of B_1. An even h multiplies in the z_j of its set bits
+    from the lowest bit up, and an odd h > 1 is P @ B_(h-1). Each B_h's bits
+    depend on h alone, and a square is dropped once no larger h needs it.
     """
     partial = dict.fromkeys(sorted(halves))
-    z = p / root
-    bit = 0
+    if 1 in partial:
+        del partial[1]
+        yield 1, p / root
+    sparse = (1 + sum(k - 1 for k in dims)) ** 2 <= len(root)
+    bit = 1
     while partial:
-        if bit:
+        if bit > 1:
+            z = _gram(z, z, root)
+        elif sparse:
+            z = _square_moves(p, root, dims)
+        else:
+            z = p / root
             z = _gram(z, z, root)
         for h in list(partial):
-            if bit and h >> bit & 1:
+            if h >> bit & 1:
                 partial[h] = z if partial[h] is None else _gram(partial[h], z, root)
             if h >> (bit + 1) == 0:
                 if h & 1:
-                    partial[h] = z if h == 1 else p @ partial[h]
+                    partial[h] = p @ partial[h]
                 yield h, partial.pop(h)
         bit += 1
 
@@ -271,7 +338,12 @@ def _rpd_by_count(tm: TransitionMatrix, counts: list[int]) -> dict[int, float]:
     """max over (i, j) of |P^t[i, j] / pi[j] - 1| for each t, in the order
     of ``counts``.
 
-    t = 0 and 1 read I and P. Above, with the half powers B_s = P^s / sqrt(pi)
+    It relies on P's one-node sparsity and on the enumeration order of the
+    states, as :func:`build_transition_matrix` returns them: the outcome
+    counts are read off the last state, the all-max one. t = 0 and 1 read I
+    and P at the :func:`_neighbours` columns only; every other entry is 0,
+    and its term |0 - pi[j]| / pi[j] is exactly 1.0, so the values have the
+    bits of the dense scan. Above, with the half powers B_s = P^s / sqrt(pi)
     of :func:`_half_powers` and C_s = B_s - sqrt(pi) in each row,
     P^t / pi - 1 is C_s @ C_s.T for t = 2s and C_s @ C_(s+1).T for
     t = 2s + 1. There C_(s+1) = C_s @ S, with S = sqrt(pi)[:, None] * P /
@@ -284,22 +356,28 @@ def _rpd_by_count(tm: TransitionMatrix, counts: list[int]) -> dict[int, float]:
     """
     pi = tm.stationary
     m, root = len(pi), np.sqrt(pi)
-    rows = max(1, _RPD_BLOCK // m)
+    dims = tuple(v + 1 for v in tm.states[-1])
+    width = 1 + sum(k - 1 for k in dims)
 
-    def peak(block_of) -> float:
+    def peak(block_of, size: int) -> float:
+        rows = max(1, _RPD_BLOCK // size)
         return float(max(block_of(start, min(start + rows, m)).max() for start in range(0, m, rows)))
 
+    def near(t: int, i: int, j: int) -> np.ndarray:
+        cols = _neighbours(np.arange(i, j), dims)
+        value = np.take_along_axis(tm.matrix[i:j], cols, axis=1) if t else np.eye(1, width)
+        return np.abs(value - pi[cols]) / pi[cols]
+
     found = {}
-    if 0 in counts:
-        found[0] = peak(lambda i, j: np.abs(np.eye(j - i, m, i) - pi) / pi)
-    if 1 in counts:
-        found[1] = peak(lambda i, j: np.abs(tm.matrix[i:j] - pi) / pi)
-    for s, bs in _half_powers(tm.matrix, root, {t // 2 for t in counts if t >= 2}):
+    for t in {0, 1}.intersection(counts):
+        top = peak(lambda i, j: near(t, i, j), width)
+        found[t] = max(top, 1.0) if width < m else top  # 1.0: the rows' zero entries
+    for s, bs in _half_powers(tm.matrix, root, dims, {t // 2 for t in counts if t >= 2}):
         if 2 * s in counts:
-            found[2 * s] = peak(lambda i, j: np.square(bs[i:j] - root).sum(axis=1))
+            found[2 * s] = peak(lambda i, j: np.square(bs[i:j] - root).sum(axis=1), m)
         if 2 * s + 1 in counts:
             after = tm.matrix @ bs  # B_(s+1)
-            found[2 * s + 1] = peak(lambda i, j: ((bs[i:j] - root) * (after[i:j] - root)).sum(axis=1))
+            found[2 * s + 1] = peak(lambda i, j: ((bs[i:j] - root) * (after[i:j] - root)).sum(axis=1), m)
             del after
         del bs  # else it outlives the next squaring
     return {t: found[t] for t in counts}
@@ -308,11 +386,13 @@ def _rpd_by_count(tm: TransitionMatrix, counts: list[int]) -> dict[int, float]:
 def relative_pointwise_distance(tm: TransitionMatrix, t: int) -> float:
     """max over (i, j) of |P^t[i, j] - pi[j]| / pi[j].
 
-    t = 0 and 1 are read off I and P. Above, P^t / pi is taken as a Gram
-    product of half powers, which needs the reversible lazy chain and its
-    stationary vector pi as :func:`build_transition_matrix` returns them;
-    the value is within rounding of ``np.linalg.matrix_power``'s, and its
-    bits do not depend on the other t asked for."""
+    t = 0 and 1 are read off I and P at the columns a move reaches, with
+    the bits of the dense scan. Above, P^t / pi is taken as a Gram product
+    of half powers. Both need the reversible lazy chain, its stationary
+    vector pi and its states in enumeration order, as
+    :func:`build_transition_matrix` returns them; the value is within
+    rounding of ``np.linalg.matrix_power``'s, and its bits do not depend on
+    the other t asked for."""
     (count,) = _transition_counts((t,))
     return _rpd_by_count(tm, [count])[count]
 

@@ -71,6 +71,17 @@ def tiny_joint():
     )
 
 
+@pytest.fixture(scope="session")
+def tiny_conditional():
+    """Positive tables where A's three children, each clamped to an
+    outcome of probability 1e-110, make A's full conditional 1e-330 times
+    a half: both of its entries, and so their total, underflow to 0.0."""
+    child = "node {0} {{ outcomes: x, y, z }}\nparents {0}: A\ncpt {0}:\n" + " 1e-110 0.5 0.5\n" * 2
+    net = bnras.parse_network("network UNDER\nnode A { outcomes: t, f }\ncpt A:\n 0.5 0.5\n"
+                              + "".join(child.format(name) for name in "BCD"))
+    return net, bnras.parse_evidence("B=x,C=x,D=x", net)
+
+
 def layered_network(size, seed=0):
     """A binary network of `size` nodes X0, X1, ..., where node i has
     parents i-3, i-2 and i-1 (those that exist): multiply connected, with

@@ -224,6 +224,33 @@ def test_bounds_exact_pi_underflow_is_runtime_error(tmp_path, capsys, tiny_joint
     assert "usage error" not in err
 
 
+def test_bounds_conditional_underflow_is_runtime_error(tmp_path, capsys, tiny_conditional):
+    net, _ = tiny_conditional
+    path = tmp_path / "under.bn"
+    path.write_text(bnras.serialize_network(net))
+    code, out, err = run_cli(capsys, "bounds", "--network", str(path), "--evidence", "B=x,C=x,D=x",
+                             "--mode", "exact")
+    assert code == 3
+    assert "full conditional of node A in network UNDER underflows to 0.0" in err
+    assert "usage error" not in err
+
+
+def test_bounds_csv_line(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--network", "CHAIN5", "--evidence", "C1=t,C5=f",
+                           "--mode", "factored")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO("\n".join(out.splitlines()[-2:])), restkey="extra"))
+    assert len(rows) == 1
+    assert len(rows[0]) == 11
+    assert rows[0]["evidence"] == "C1=t,C5=f"
+    assert (rows[0]["mode"], rows[0]["trials"]) == ("factored", "250")
+    assert int(rows[0]["t_per_trial"]) > int(rows[0]["t_mix"]) > 0
+    # a line with no comma in a field is written as it always was
+    code, out, _ = run_cli(capsys, "bounds", "--network", "AB", "--evidence", "B=t")
+    assert code == 0
+    assert out.endswith("\nAB,B=t,exact,0.1,0.1,0.1,0.181818182,0.0909090909,250,3878,25534545\n")
+
+
 def test_bounds_rejects_bad_alpha(capsys):
     code, out, err = run_cli(capsys, "bounds", "--network", "AB", "--alpha", "2.0")
     assert code == 1

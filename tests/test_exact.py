@@ -372,3 +372,90 @@ def test_p0_past_the_enumeration_cap(layered300, empty):
             least = min(least, *(0.5 / len(free) * (w / total) for w in weights if w > 0.0))
     assert 0.0 < p0 <= 0.5
     assert p0 == least
+
+
+def outcome_counts(tm):
+    return tuple(v + 1 for v in tm.states[-1])
+
+
+def assert_moves_path(tm):
+    """The neighbour columns are each row's nonzeros; rpd(0) and rpd(1)
+    have the bits of the dense scan; B_2 read off the moves is near the
+    dense square of B_1, entry by entry, and 0 where it is."""
+    pi, m = tm.stationary, len(tm.stationary)
+    cols = bnras.exact._neighbours(np.arange(m), outcome_counts(tm))
+    assert np.array_equal(cols[:, 0], np.arange(m))
+    for i in range(m):
+        assert np.array_equal(np.sort(cols[i]), np.nonzero(tm.matrix[i])[0])
+    for t, dense in ((0, np.eye(m)), (1, tm.matrix)):
+        assert bnras.relative_pointwise_distance(tm, t) == float(np.max(np.abs(dense - pi) / pi))
+    root = np.sqrt(pi)
+    b1 = tm.matrix / root
+    square = bnras.exact._square_moves(tm.matrix, root, outcome_counts(tm))
+    expected = bnras.exact._gram(b1, b1, root)
+    # both sum at most K nonnegative products, each with a few roundings,
+    # and detailed balance holds to a few ulps: 64 ulps relative is ample
+    assert np.all(np.abs(square - expected) <= 64 * np.finfo(float).eps * expected)
+
+
+def test_moves_path_on_builtins(nets):
+    for net in nets.values():
+        for ev in evidence_sets(net):
+            assert_moves_path(bnras.build_transition_matrix(net, ev))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(positive_networks())
+def test_moves_path_on_random_networks(case):
+    assert_moves_path(bnras.build_transition_matrix(*case))
+
+
+def test_square_of_the_moves_ignores_row_blocks(monkeypatch, nets):
+    for net in nets.values():
+        for ev in evidence_sets(net):
+            tm = bnras.build_transition_matrix(net, ev)
+            args = (tm.matrix, np.sqrt(tm.stationary), outcome_counts(tm))
+            squares = []
+            for block in (1, 5, 1000, 1 << 16):
+                monkeypatch.setattr(bnras.exact, "_RPD_BLOCK", block)
+                squares.append(bnras.exact._square_moves(*args))
+            for square in squares[1:]:
+                assert np.array_equal(square, squares[0])
+
+
+@pytest.mark.parametrize("name, moves", [("CHAIN5", 0), ("MINIALARM", 1)])
+def test_first_square_read_off_the_moves_when_rows_are_sparse(monkeypatch, nets, empty, name, moves):
+    # CHAIN5 has K = 6 neighbour columns on M = 32 states, so 36 > 32 and
+    # B_2 is the dense square; MINIALARM has K = 9 on M = 256
+    made = []
+    square = bnras.exact._square_moves
+    monkeypatch.setattr(bnras.exact, "_square_moves", lambda *a: made.append(1) or square(*a))
+    report = bnras.mixing_report(nets[name], empty, t_values=(4, 16))
+    assert len(made) == moves
+    tm = bnras.build_transition_matrix(nets[name], empty)
+    for t in (4, 16):
+        assert_rpd_near(report.rpd[t], matrix_power_rpd(tm, t))
+
+
+def test_rpd_counts_the_entries_no_move_reaches():
+    # a symmetric, not lazy walk on two binary nodes: it stays or flips one
+    # node, each with 1/3, and never reaches the opposite corner in one
+    # step, so that zero entry's term, 1.0, is the largest at t = 1
+    third = 1.0 / 3.0
+    matrix = np.array([[third, third, third, 0.0], [third, third, 0.0, third],
+                       [third, 0.0, third, third], [0.0, third, third, third]])
+    tm = bnras.TransitionMatrix(("A", "B"), ((0, 0), (0, 1), (1, 0), (1, 1)), matrix,
+                                np.full(4, 0.25), third)
+    assert bnras.relative_pointwise_distance(tm, 1) == 1.0
+    assert bnras.relative_pointwise_distance(tm, 0) == 3.0
+
+
+def test_underflowing_conditional_refused(tiny_conditional):
+    net, ev = tiny_conditional
+    message = "full conditional of node A in network UNDER underflows to 0.0"
+    with np.errstate(divide="raise", invalid="raise"):  # refused before any division
+        for call in (bnras.min_transition_probability, bnras.build_transition_matrix,
+                     lambda net, ev: bnras.mixing_report(net, ev, (1,)),
+                     lambda net, ev: bnras.report_bounds(net, ev, bnras.ErrorTolerances(0.1, 0.1, 0.1))):
+            with pytest.raises(bnras.MixingOverflowError, match=message):
+                call(net, ev)
