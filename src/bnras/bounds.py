@@ -25,6 +25,7 @@ refuse them instead of returning infinity.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .chain import _prepare, _require_free
@@ -63,11 +64,23 @@ def _check_unit_interval(**values: float) -> None:
             raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
+@contextmanager
+def _within_doubles(what: str, **tolerances: float):
+    """Refuse a count whose formula divides by a product that underflows to
+    0.0 or overflows, with :class:`MixingOverflowError` naming the tolerances."""
+    try:
+        yield
+    except (ZeroDivisionError, OverflowError):
+        named = ", ".join(f"{name} = {value!r}" for name, value in tolerances.items())
+        raise MixingOverflowError(f"{named}: the {what} required exceed every double") from None
+
+
 def trials_bound(alpha: float, delta: float) -> int:
     """Trials needed for interval error alpha with failure probability
     delta, from the Chebyshev scoring argument."""
     _check_unit_interval(alpha=alpha, delta=delta)
-    return math.ceil(1.0 / (4.0 * delta * alpha * alpha))
+    with _within_doubles("trials", alpha=alpha, delta=delta):
+        return math.ceil(1.0 / (4.0 * delta * alpha * alpha))
 
 
 def _mixing_ratio(gamma: float, pi_min: float, p0: float) -> float:
@@ -94,9 +107,11 @@ def transitions_per_trial(tol: ErrorTolerances, pi_min: float, p0: float) -> int
     guarantee. The first factor carries its own ceiling; -log delta uses the
     natural logarithm."""
     _check_unit_interval(pi_min=pi_min, p0=p0)
-    first = math.ceil(4.0 * (1.0 + tol.gamma) ** 3 / (3.0 * tol.alpha * tol.alpha))
-    second = 12 * math.ceil(-math.log(tol.delta)) + 1
-    return math.ceil(first * second * _mixing_ratio(tol.gamma, pi_min, p0))
+    with _within_doubles("transitions per trial", alpha=tol.alpha, delta=tol.delta,
+                         gamma=tol.gamma):
+        first = math.ceil(4.0 * (1.0 + tol.gamma) ** 3 / (3.0 * tol.alpha * tol.alpha))
+        second = 12 * math.ceil(-math.log(tol.delta)) + 1
+        return math.ceil(first * second * _mixing_ratio(tol.gamma, pi_min, p0))
 
 
 def factored_lower_bounds(net: BeliefNetwork, ev: Evidence) -> tuple[float, float]:

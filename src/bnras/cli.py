@@ -9,11 +9,11 @@ All result output shares one flat CSV schema (header below); checkpoint
 rows carry the cumulative transition count in the ``checkpoint`` column,
 summary rows leave it empty. The randomized-restart runs of one (trials,
 transitions) and the straight-simulation runs of one total (every seed of
-a ``sweep`` grid point, or of a ``compare``) each run as one lock-step
-batch, and each row's ``cpu_seconds`` and ``wall_seconds`` are its equal
-share of the batch's time, so that the rows sum to it. The
-``BNRAS_ENUM_CAP`` environment variable overrides the enumeration cap used
-for oracle computations and exact-mode bounds.
+a ``sweep`` grid point, or of a ``compare``) each run as one batch, in
+lock step unless lock step is refused, and each row's ``cpu_seconds`` and
+``wall_seconds`` are its equal share of the batch's time, so that the rows
+sum to it. The ``BNRAS_ENUM_CAP`` environment variable overrides the
+enumeration cap used for oracle computations and exact-mode bounds.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from .errors import (
 )
 from .estimate import bnras_estimates, error_metrics, straight_estimates
 from .exact import enumerate_posteriors
-from .model_io import builtin_networks, format_evidence, parse_document, parse_evidence
+from .model_io import (Diagnostic, NetworkDocument, builtin_networks, format_evidence,
+                       parse_document, parse_evidence)
 from .network import BeliefNetwork
 from .rng import RandomStream
 
@@ -81,9 +82,18 @@ def _enum_cap() -> int:
 
 def _read_network(path: str) -> BeliefNetwork:
     """Parse (and so validate) a network file, printing each diagnostic to
-    stderr prefixed with the path."""
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = parse_document(handle.read())
+    stderr prefixed with the path. A byte that is not UTF-8 is such a
+    diagnostic, placed by the text before it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:  # read() decodes the whole file at once, so exc.object is it
+        before = exc.object[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        lines = before.split("\n")
+        doc = NetworkDocument(None, [Diagnostic(len(lines), len(lines[-1]) + 1,
+                                                f"byte {exc.object[exc.start]:#04x} is not UTF-8")])
+    else:
+        doc = parse_document(text)
     if doc.network is None:
         for diag in doc.diagnostics:
             print(f"{path}: {diag}", file=sys.stderr)
@@ -146,26 +156,24 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
-def _estimates(net, ev, runs, stride: int, batched: bool):
+def _estimates(net, ev, runs, stride: int) -> list:
     """The estimate of each (algorithm, trials, transitions, total, seed),
-    in order. Batched, the runs of each group, the bnras runs of one
-    (trials, transitions) or the straight runs of one total, run together
-    when the first of them is due; otherwise each runs on its own."""
-    made = {}  # (group, seed) -> estimates made and not yet yielded, in run order
-    for run in runs:
-        algorithm, trials, transitions, total, seed = run
-        group = run[:4]
-        if not made.get((group, seed)):
-            seeds = [r[4] for r in runs if r[:4] == group] if batched else [seed]
-            streams = [RandomStream(s) for s in seeds]
-            if algorithm == "bnras":
-                batch = bnras_estimates(net, ev, trials, transitions, streams,
-                                        checkpoint_stride=stride)
-            else:
-                batch = straight_estimates(net, ev, total, streams, checkpoint_stride=stride)
-            for s, est in zip(seeds, batch):
-                made.setdefault((group, s), []).append(est)
-        yield made[(group, seed)].pop(0)
+    in order. The runs of each group, the bnras runs of one (trials,
+    transitions) or the straight runs of one total, run as one batch, the
+    groups in the order of their first runs."""
+    groups: dict[tuple, list[int]] = {}  # group -> the indices of its runs, in order
+    for index, run in enumerate(runs):
+        groups.setdefault(run[:4], []).append(index)
+    estimates = {}  # run index -> its estimate
+    for (algorithm, trials, transitions, total), indices in groups.items():
+        streams = [RandomStream(runs[i][4]) for i in indices]
+        if algorithm == "bnras":
+            batch = bnras_estimates(net, ev, trials, transitions, streams,
+                                    checkpoint_stride=stride)
+        else:
+            batch = straight_estimates(net, ev, total, streams, checkpoint_stride=stride)
+        estimates.update(zip(indices, batch))
+    return [estimates[i] for i in range(len(runs))]
 
 
 def _write_runs(net, ev, runs, stride: int, out: str) -> int:
@@ -185,9 +193,9 @@ def _write_runs(net, ev, runs, stride: int, out: str) -> int:
         raise UsageError("--stride must be >= 0")
     oracle = enumerate_posteriors(net, ev, cap=_enum_cap())
     try:
-        estimates = list(_estimates(net, ev, runs, stride, batched=True))
+        estimates = _estimates(net, ev, runs, stride)
     except DeterministicConflictError:
-        estimates = list(_estimates(net, ev, runs, stride, batched=False))
+        estimates = [_estimates(net, ev, [run], stride)[0] for run in runs]
     ev_str = format_evidence(ev, net)
     buffer = io.StringIO()
     buffer.write(CSV_HEADER + "\n")

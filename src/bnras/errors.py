@@ -55,7 +55,9 @@ class PositivityError(BnrasError):
 
 
 class MixingOverflowError(BnrasError):
-    """A mixing-bound input leaves the range of 64-bit floats, so no finite
-    transition count can be stated at this precision: p0 is so small that
-    1 - p0^2/8 rounds to 1, the exact or factored Pi underflows to 0.0, or
-    so does the total of a node's full conditional, which p0 divides by."""
+    """A bound input or requirement leaves the range of 64-bit floats, so no
+    finite trial or transition count can be stated at this precision: p0 is
+    so small that 1 - p0^2/8 rounds to 1, the exact or factored Pi
+    underflows to 0.0, so does the total of a node's full conditional,
+    which p0 divides by, or the tolerances ask for more trials or
+    transitions per trial than any double holds."""

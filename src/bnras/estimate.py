@@ -105,14 +105,19 @@ def _rows(flat: list[int], edges: np.ndarray) -> list[list[int]]:
     return [flat[a:b] for a, b in zip(edges, edges[1:])]
 
 
-def _estimates(net: BeliefNetwork, free: tuple[int, ...], trials: int,
-               transitions: int | None, runs) -> list[PosteriorEstimate]:
-    """An estimate of ``trials`` scored states for each (tally, checkpoints,
-    cpu seconds, wall seconds) of ``runs``, made of ``transitions`` per
-    trial, or of one for a straight chain (``transitions`` None)."""
+def _estimates(net: BeliefNetwork, free: tuple[int, ...], trials: int, transitions: int | None,
+               runs, start: tuple[float, float]) -> list[PosteriorEstimate]:
+    """An estimate of ``trials`` scored states for each (tally, checkpoints)
+    of ``runs``, made of ``transitions`` per trial, or of one for a straight
+    chain (``transitions`` None). ``start`` holds the processor and wall
+    clocks when the batch began; each run reports an equal share of the
+    seconds since."""
     names = tuple(net.nodes[i].name for i in free)
     labels = tuple(net.nodes[i].outcomes for i in free)
     total = trials if transitions is None else trials * transitions
+    shares = max(len(runs), 1)
+    cpu = (time.process_time() - start[0]) / shares
+    wall = (time.perf_counter() - start[1]) / shares
     return [
         PosteriorEstimate(
             nodes=names,
@@ -126,7 +131,7 @@ def _estimates(net: BeliefNetwork, free: tuple[int, ...], trials: int,
             wall_seconds=wall,
             checkpoints=tuple(points),
         )
-        for tally, points, cpu, wall in runs
+        for tally, points in runs
     ]
 
 
@@ -158,15 +163,14 @@ def bnras_estimates(
     counts = np.zeros((len(rngs), width), dtype=np.int64)  # each run's flat tally
     checkpoints: list[list[Checkpoint]] = [[] for _ in rngs]
     done = [0] * len(rngs)  # each run's trials tallied
-    stride = checkpoint_stride if transitions > 0 else 0  # no transitions, no marks
-    cpu0, wall0 = time.process_time(), time.perf_counter()
+    start = time.process_time(), time.perf_counter()
     runs = [(rng.seed_value, trials) for rng in rngs]
     for run, codes in _trial_blocks(net, tab, free, template, transitions, runs):
         codes += edges[:-1]  # each value's column in the flat tally, made in place
         lo, at = done[run], 0  # the run's trials before the piece, the piece's rows tallied
         done[run] += len(codes)
-        marks = range((lo * transitions // stride + 1) * stride, done[run] * transitions + 1,
-                      stride) if stride else ()
+        marks = range((lo * transitions // checkpoint_stride + 1) * checkpoint_stride,
+                      done[run] * transitions + 1, checkpoint_stride) if checkpoint_stride else ()
         for mark in marks:
             scored = -(-mark // transitions)  # the trial that crosses the mark
             counts[run] += np.bincount(codes[at : scored - lo].ravel(), minlength=width)
@@ -174,12 +178,9 @@ def bnras_estimates(
             tally = _rows(counts[run].tolist(), edges)
             checkpoints[run].append(Checkpoint(mark, scored, _snapshot(tally, scored)))
         counts[run] += np.bincount(codes[at:].ravel(), minlength=width)
-    shares = max(len(rngs), 1)
-    cpu = (time.process_time() - cpu0) / shares
-    wall = (time.perf_counter() - wall0) / shares
     return _estimates(net, free, trials, transitions,
-                      [(_rows(flat, edges), points, cpu, wall)
-                       for flat, points in zip(counts.tolist(), checkpoints)])
+                      [(_rows(flat, edges), points)
+                       for flat, points in zip(counts.tolist(), checkpoints)], start)
 
 
 def bnras_estimate(
@@ -201,12 +202,10 @@ def bnras_estimate(
 
 def _cyclic_chain(net: BeliefNetwork, tab, free, template, total: int, rng: RandomStream,
                   stride: int):
-    """One cyclic-scan chain, step by step: its tally, its checkpoints, and
-    the processor and wall seconds it took."""
+    """One cyclic-scan chain, step by step: its tally and its checkpoints."""
     tally = [[0] * tab.k[i] for i in free]
     checkpoints: list[Checkpoint] = []
     rand = rng.random
-    cpu0, wall0 = time.process_time(), time.perf_counter()
     state = _uniform_state(tab, free, template, rand)
     cursor = 0
     nfree = len(free)
@@ -222,7 +221,7 @@ def _cyclic_chain(net: BeliefNetwork, tab, free, template, total: int, rng: Rand
                 checkpoints.append(Checkpoint(step, step, _snapshot(tally, step)))
     except DeterministicConflictError as exc:
         raise _located(net, exc, f"at step {step} of seed {rng.seed_value}") from None
-    return tally, checkpoints, time.process_time() - cpu0, time.perf_counter() - wall0
+    return tally, checkpoints
 
 
 def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStream],
@@ -285,7 +284,7 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
         if stride > 0 and done % stride == 0:
             for tally, points in zip(tallies(), checkpoints):
                 points.append(Checkpoint(done, done, _snapshot(tally, done)))
-    return tallies(), checkpoints
+    return list(zip(tallies(), checkpoints))
 
 
 def straight_estimates(
@@ -299,30 +298,26 @@ def straight_estimates(
     order, each stream moved as that call moves it.
 
     At least ``_STRAIGHT_MIN`` chains move together in lock step (see
-    :func:`_cyclic_lockstep`), and each estimate's ``cpu_seconds`` and
-    ``wall_seconds`` are an equal share of the batch's. Streams may stand
-    at different positions. Fewer chains, and batches that lock step
-    refuses, run chain by chain, each timed on its own; a conflict then
-    raises for the first conflicting chain, as the calls one by one would.
-    Either way the same estimates come out of :func:`_estimates`.
+    :func:`_cyclic_lockstep`). Streams may stand at different positions.
+    Fewer chains, and batches that lock step refuses, run chain by chain; a
+    conflict then raises for the first conflicting chain, as the calls one
+    by one would. Either way the same estimates come out of
+    :func:`_estimates`, and each estimate's ``cpu_seconds`` and
+    ``wall_seconds`` are an equal share of the batch's.
     """
     _require_count("total_transitions", total_transitions, 1)
     _require_count("checkpoint_stride", checkpoint_stride, 0)
     tab, free, template = _prepare(net, ev)
     _require_free(free)
+    start = time.process_time(), time.perf_counter()
     runs = None
     if len(rngs) >= _STRAIGHT_MIN:
-        cpu0, wall0 = time.process_time(), time.perf_counter()
-        batch = _cyclic_lockstep(tab, free, template, total_transitions, rngs,
-                                 checkpoint_stride)
-        if batch is not None:
-            cpu = (time.process_time() - cpu0) / len(rngs)
-            wall = (time.perf_counter() - wall0) / len(rngs)
-            runs = [(tally, points, cpu, wall) for tally, points in zip(*batch)]
+        runs = _cyclic_lockstep(tab, free, template, total_transitions, rngs,
+                                checkpoint_stride)
     if runs is None:
         runs = [_cyclic_chain(net, tab, free, template, total_transitions, rng,
                               checkpoint_stride) for rng in rngs]
-    return _estimates(net, free, total_transitions, None, runs)
+    return _estimates(net, free, total_transitions, None, runs, start)
 
 
 def straight_estimate(

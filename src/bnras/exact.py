@@ -7,7 +7,8 @@ The posteriors, Pi and the matrix's stationary vector read one joint-weight
 tensor with an axis per free node, in declaration order, so that its C order
 is the enumeration order (last free node fastest). It starts at ones and
 multiplies in each node's table as a ``chain._factor`` array over the free
-axes: the same sequence of products as ``_Tables.joint_weight``. Every total
+axes: the same sequence of products as :func:`bnras.network.joint_probability`
+takes of ``conditional_probability`` entries, in node order. Every total
 is a sequential ``cumsum`` in enumeration order, the same additions as a
 running ``+=``, never numpy's pairwise ``sum``, so results are reproducible
 to the bit.
@@ -229,13 +230,7 @@ def min_transition_probability(net: BeliefNetwork, ev: Evidence) -> float:
     tab, free, template = _prepare(net, ev)
     _require_free(free)
     moves = _moves(net, tab, free, template)
-    return _require_move(min(float(q.min(initial=math.inf, where=q > 0.0)) for _, q in moves))
-
-
-def _require_move(p0: float) -> float:
-    if p0 == math.inf:
-        raise ValueError("chain has no positive off-diagonal transitions")
-    return p0
+    return min(float(q.min(initial=math.inf, where=q > 0.0)) for _, q in moves)
 
 
 def _transition_counts(t_values: Iterable[int]) -> list[int]:
@@ -406,5 +401,4 @@ def mixing_report(
     keys are the transition counts in the order of ``t_values``."""
     counts = _transition_counts(t_values)
     tm = build_transition_matrix(net, ev)
-    p0 = _require_move(tm.p0)
-    return MixingReport(pi_min=float(tm.stationary.min()), p0=p0, rpd=_rpd_by_count(tm, counts))
+    return MixingReport(pi_min=float(tm.stationary.min()), p0=tm.p0, rpd=_rpd_by_count(tm, counts))

@@ -159,17 +159,6 @@ class _Tables:
         # with its key (see chain._blanket_tables)
         self.blankets: tuple | None = None
 
-    def joint_weight(self, state: JointState) -> float:
-        """Product over all nodes of their table entry in a full state."""
-        flat, k, parents, strides = self.flat, self.k, self.parents, self.strides
-        p = 1.0
-        for i in range(self.n):
-            row = 0
-            for q, s in zip(parents[i], strides[i]):
-                row += state[q] * s
-            p *= flat[i][row * k[i] + state[i]]
-        return p
-
     def blanket(self, i: int) -> tuple[int, ...]:
         """Node i's Markov blanket, ascending: its parents, its children and
         their other parents."""
@@ -327,8 +316,10 @@ def conditional_probability(
 
 
 def joint_probability(net: BeliefNetwork, state: JointState) -> float:
-    """Product over all nodes of their conditional probability in state."""
-    return net.tables.joint_weight(state)
+    """Product over all nodes, in declaration order, of their conditional
+    probability in state."""
+    return math.prod((conditional_probability(net, nd.name, state[i], state)
+                      for i, nd in enumerate(net.nodes)), start=1.0)
 
 
 def markov_blanket(net: BeliefNetwork, node: str) -> set[str]:

@@ -66,6 +66,39 @@ def test_mixing_bound_overflow_reported():
         bnras.mixing_bound(0.1, 0.5, 1e-9)
 
 
+@pytest.mark.parametrize("alpha, delta", [
+    (1e-200, 0.1),  # alpha^2 underflows to 0.0: the formula would divide by zero
+    (1e-160, 0.1),  # 4 delta alpha^2 is a subnormal whose reciprocal overflows
+    (1e-155, 0.1),
+    (0.1, 1e-320),
+])
+def test_trials_past_doubles_reported(alpha, delta):
+    with pytest.raises(bnras.MixingOverflowError, match=f"alpha = {alpha!r}, delta = {delta!r}"):
+        bnras.trials_bound(alpha, delta)
+
+
+@pytest.mark.parametrize("alpha", [
+    1e-152,  # the first factor is finite, the product with the ratio overflows
+    1e-154,  # first * second is an int past every double
+    1e-200,  # 3 alpha^2 underflows to 0.0
+])
+def test_transitions_per_trial_past_doubles_reported(alpha):
+    tol = ErrorTolerances(alpha, 0.1, 0.1)
+    with pytest.raises(bnras.MixingOverflowError,
+                       match=f"alpha = {alpha!r}, delta = 0.1, gamma = 0.1: the transitions per"):
+        bnras.transitions_per_trial(tol, 0.5, 0.25)
+
+
+def test_finite_requirements_near_the_edge_kept():
+    # the largest counts still finite keep the bits of the formulas
+    assert bnras.trials_bound(1e-152, 0.1) == math.ceil(1.0 / (4.0 * 0.1 * 1e-152 * 1e-152))
+    assert bnras.trials_bound(1e-152, 0.1) > 10**303
+    tol = ErrorTolerances(1e-150, 0.1, 0.1)
+    first = math.ceil(4.0 * 1.1**3 / (3.0 * 1e-150 * 1e-150))
+    ratio = (math.log(0.1) + math.log(0.5)) / math.log(1.0 - 0.25**2 / 8.0)
+    assert bnras.transitions_per_trial(tol, 0.5, 0.25) == math.ceil(first * 37 * ratio)
+
+
 def test_mixing_bound_domain():
     with pytest.raises(ValueError):
         bnras.mixing_bound(0.0, 0.5, 0.25)

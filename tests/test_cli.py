@@ -59,6 +59,20 @@ def test_validate_missing_file(capsys):
     assert err
 
 
+@pytest.mark.parametrize("content, where", [
+    (b"network X\xff", "line 1, column 10"),
+    (b"network X\r\nnode A { outcomes: t, f }\n\n  \xc3\xa9\xe9\n", "line 4, column 4"),
+])
+def test_network_file_not_utf8_is_validation_error(tmp_path, capsys, content, where):
+    path = tmp_path / "bad.bn"
+    path.write_bytes(content)
+    byte = "0xff" if where.startswith("line 1") else "0xe9"
+    expected = (f"{path}: {where}: byte {byte} is not UTF-8\n"
+                f"error: {path}: could not parse network\n")
+    for argv in (("validate", str(path)), ("exact", "--network", str(path))):
+        assert run_cli(capsys, *argv) == (2, "", expected)
+
+
 def test_exact_ab(capsys):
     code, out, err = run_cli(capsys, "exact", "--network", "AB", "--evidence", "B=t")
     assert code == 0
@@ -254,6 +268,16 @@ def test_bounds_csv_line(capsys):
 def test_bounds_rejects_bad_alpha(capsys):
     code, out, err = run_cli(capsys, "bounds", "--network", "AB", "--alpha", "2.0")
     assert code == 1
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha", "1e-200"), ("--alpha", "1e-160"), ("--alpha", "1e-155"), ("--delta", "1e-320"),
+])
+def test_bounds_tolerance_past_doubles_is_runtime_error(capsys, flag, value):
+    code, out, err = run_cli(capsys, "bounds", "--network", "AB", flag, value)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "the trials required exceed every double" in err
 
 
 def test_sweep_row_count(tmp_path, capsys):

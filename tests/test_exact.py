@@ -459,3 +459,21 @@ def test_underflowing_conditional_refused(tiny_conditional):
                      lambda net, ev: bnras.report_bounds(net, ev, bnras.ErrorTolerances(0.1, 0.1, 0.1))):
             with pytest.raises(bnras.MixingOverflowError, match=message):
                 call(net, ev)
+
+
+@pytest.mark.parametrize("rows", [
+    " 1e-107 0.5 0.5\n" * 2,  # A's whole conditional subnormal, its total too
+    " 1e-107 0.5 0.5\n 0.5 0.25 0.25\n",  # A = t's weight subnormal, A = f's not
+])
+def test_least_move_finite_just_above_underflow(rows):
+    # tiny_conditional's network with entries 1e-107 in place of 1e-110: A's
+    # full conditional total is 0.5 * (1e-107)^3 or more, not 0.0, so at
+    # every blanket state A's largest move is at least 0.5 / (n k) and the
+    # least positive move is finite
+    child = "node {0} {{ outcomes: x, y, z }}\nparents {0}: A\ncpt {0}:\n" + rows
+    net = bnras.parse_network("network EDGE\nnode A { outcomes: t, f }\ncpt A:\n 0.5 0.5\n"
+                              + "".join(child.format(name) for name in "BCD"))
+    ev = bnras.parse_evidence("B=x,C=x,D=x", net)
+    p0 = bnras.min_transition_probability(net, ev)
+    assert 0.0 < p0 < math.inf
+    assert p0 == bnras.build_transition_matrix(net, ev).p0 == bnras.mixing_report(net, ev).p0

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import bnras
 from bnras import Cpt, Evidence, Node
+
+from conftest import _joint_weight, positive_networks
 
 
 def build(name, specs):
@@ -167,6 +170,24 @@ def test_joint_probability_uniform_is_two_to_minus_n():
     net = build("U5", specs)
     for state in itertools.product((0, 1), repeat=5):
         assert bnras.joint_probability(net, state) == pytest.approx(2**-5, abs=1e-18)
+
+
+def assert_joint_is_independent_product(net):
+    # the same entries multiplied in the same node order: equal to the bit
+    names = [nd.name for nd in net.nodes]
+    for state in itertools.product(*(range(len(nd.outcomes)) for nd in net.nodes)):
+        assert bnras.joint_probability(net, state) == _joint_weight(net, dict(zip(names, state)))
+
+
+def test_joint_probability_on_builtins(nets):
+    for net in nets.values():
+        assert_joint_is_independent_product(net)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(positive_networks())
+def test_joint_probability_on_random_networks(case):
+    assert_joint_is_independent_product(case[0])
 
 
 def test_markov_blanket_ab(ab):

@@ -195,6 +195,18 @@ def test_batch_shares_its_time(nets, empty):
     assert len({(e.cpu_seconds, e.wall_seconds) for e in ests}) == 1
 
 
+@pytest.mark.parametrize("stream", [RandomStream, Half])
+def test_chain_by_chain_batch_shares_its_time(monkeypatch, nets, empty, stream):
+    # chains run one by one, whether lock step is not chosen or refused,
+    # report one equal share of the batch's time too
+    if stream is RandomStream:
+        monkeypatch.setattr(estimate, "_STRAIGHT_MIN", 10**9)
+    streams = [stream(s) for s in PANEL]
+    ests = bnras.straight_estimates(nets["CHAIN5"], empty, 2000, streams)
+    assert len({(e.cpu_seconds, e.wall_seconds) for e in ests}) == 1
+    assert ests[0].wall_seconds > 0.0
+
+
 def test_blanket_tables_filled_once(monkeypatch, nets):
     net = nets["CHAIN5"]
     ev = Evidence({"C5": 1})
