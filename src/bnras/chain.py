@@ -114,11 +114,11 @@ def _require_free(free: tuple[int, ...]) -> None:
         raise ValueError("no free nodes: every node is clamped by evidence")
 
 
-def _require_count(name: str, value, least: int | None = None) -> None:
+def _require_count(name: str, value, least: int) -> None:
     """Refuse a count that is not an integer (a bool is not) or is below least."""
     if not _is_index(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
+    if value < least:
         raise ValueError(f"{name} must be >= {least}")
 
 
@@ -183,21 +183,14 @@ def _conditional(tab: _Tables, free: Container[int], template: list[int], i: int
     return axes, cond
 
 
-def _zero_weights(i: int) -> DeterministicConflictError:
-    """The refusal of node i when all its conditional weights are zero;
-    callers that hold the network restate it with :func:`_located`."""
-    return DeterministicConflictError(
-        f"all conditional weights of node index {i} are zero; "
-        "the 0/1 table entries conflict with the current state",
-        node=i,
-    )
-
-
 def _resample(tab: _Tables, state: list[int], i: int, rand) -> None:
-    """Redraw node i from its full conditional using one uniform draw."""
+    """Redraw node i from its full conditional using one uniform draw. If
+    all its weights are zero, raise a DeterministicConflictError that
+    carries only the node's index; every caller holds the network and
+    raises :func:`_located` in its place."""
     weights, total = _conditional_weights(tab, state, i)
     if total <= 0.0:
-        raise _zero_weights(i)
+        raise DeterministicConflictError(f"node index {i}", node=i)
     r = rand() * total
     acc = 0.0
     chosen = -1
@@ -210,13 +203,14 @@ def _resample(tab: _Tables, state: list[int], i: int, rand) -> None:
     state[i] = chosen
 
 
-def _located(net: BeliefNetwork, exc: DeterministicConflictError, where: str):
-    """Restate a :func:`_zero_weights` refusal with the node's name and
-    where it happened."""
+def _located(net: BeliefNetwork, i: int, where: str) -> DeterministicConflictError:
+    """The refusal of node i, all of whose conditional weights are zero,
+    named by the node and by ``where`` it happened ("in the given state",
+    "in trial j of seed s", ...)."""
     return DeterministicConflictError(
-        f"all conditional weights of node {net.nodes[exc.node].name} are zero "
+        f"all conditional weights of node {net.nodes[i].name} are zero "
         f"{where}; the 0/1 table entries conflict with the current state",
-        node=exc.node,
+        node=i,
     )
 
 
@@ -241,7 +235,7 @@ def full_conditional(net: BeliefNetwork, state: JointState, node: str) -> list[f
         raise ValueError(f"network {net.name} has no node {node!r}")
     weights, total = _conditional_weights(net.tables, state, i)
     if total <= 0.0:
-        raise _located(net, _zero_weights(i), "in the given state")
+        raise _located(net, i, "in the given state")
     return [w / total for w in weights]
 
 
@@ -258,7 +252,7 @@ def do_transition(net: BeliefNetwork, cs: ChainState, rng: RandomStream) -> Chai
     try:
         _run_lazy(net.tables, cs.free, cs.state, 1, rng.random)
     except DeterministicConflictError as exc:
-        raise _located(net, exc, f"in a lazy transition of seed {rng.seed_value}") from None
+        raise _located(net, exc.node, f"in a lazy transition of seed {rng.seed_value}") from None
     return cs
 
 
@@ -272,7 +266,7 @@ def next_trial(net: BeliefNetwork, ev: Evidence, t: int, rng: RandomStream) -> t
     try:
         return tuple(_trial(tab, free, template, t, rng.random))
     except DeterministicConflictError as exc:
-        raise _located(net, exc, f"in a trial of seed {rng.seed_value}") from None
+        raise _located(net, exc.node, f"in a trial of seed {rng.seed_value}") from None
 
 
 def _trial(tab: _Tables, free: tuple[int, ...], template: list[int], t: int, rand) -> list[int]:
@@ -470,7 +464,8 @@ def _blanket_tables(tab: _Tables, free: tuple[int, ...], template: list[int]):
 
 
 def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], template: list[int],
-                  t: int, runs: Sequence[tuple[int, int]]) -> Iterator[tuple[int, np.ndarray]]:
+                  t: int, runs: Sequence[tuple[int, int]]
+                  ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Final free-node values of the trials of ``runs``, (seed, trials)
     pairs: trials 0, 1, ..., trials - 1 of each run in turn, trial j of a
     run being ``next_trial(net, ev, t, RandomStream(seed).spawn(j))``. The
@@ -478,7 +473,8 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
     ``_BLOCK``, so a block may hold pieces of several runs. Each block
     derives the stream seeds of the trials it holds and fills one int array
     of shape (block trials, free nodes), then yields each run's piece, in
-    order, as (run index, a view of the piece's rows).
+    order, as (run index, the run's trials before the piece, a view of the
+    piece's rows).
 
     A block of at least ``_LOCKSTEP_MIN`` trials runs as lock-step walkers
     unless some blanket table would pass ``_BLANKET_CAP``; other blocks, and
@@ -511,11 +507,11 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
                 try:
                     state = _trial(tab, free, template, t, rand)
                 except DeterministicConflictError as exc:
-                    raise _located(net, exc, f"in trial {j} of seed {seed}") from None
+                    raise _located(net, exc.node, f"in trial {j} of seed {seed}") from None
                 values[b] = [state[i] for i in free]
         at = 0
         for run, _, lo, hi in pieces:
-            yield run, values[at : at + hi - lo]
+            yield run, lo, values[at : at + hi - lo]
             at += hi - lo
 
 
@@ -526,6 +522,6 @@ def straight_step(net: BeliefNetwork, cs: ChainState, rng: RandomStream) -> Chai
     try:
         _resample(net.tables, cs.state, cs.free[cs.cursor], rng.random)
     except DeterministicConflictError as exc:
-        raise _located(net, exc, f"in a cyclic-scan step of seed {rng.seed_value}") from None
+        raise _located(net, exc.node, f"in a cyclic-scan step of seed {rng.seed_value}") from None
     cs.cursor = (cs.cursor + 1) % len(cs.free)
     return cs

@@ -38,8 +38,7 @@ from .errors import (
 )
 from .estimate import bnras_estimates, error_metrics, straight_estimates
 from .exact import enumerate_posteriors
-from .model_io import (Diagnostic, NetworkDocument, builtin_networks, format_evidence,
-                       parse_document, parse_evidence)
+from .model_io import builtin_networks, format_evidence, parse_evidence, parse_network
 from .network import BeliefNetwork
 from .rng import RandomStream
 
@@ -81,24 +80,25 @@ def _enum_cap() -> int:
 
 
 def _read_network(path: str) -> BeliefNetwork:
-    """Parse (and so validate) a network file, printing each diagnostic to
-    stderr prefixed with the path. A byte that is not UTF-8 is such a
-    diagnostic, placed by the text before it."""
+    """Parse (and so validate) a UTF-8 network file, which may start with a
+    byte-order mark. A refusal is printed to stderr prefixed with the path,
+    and a byte that is not UTF-8 is refused there too, placed by the text
+    before it as the parser counts lines and columns."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except UnicodeDecodeError as exc:  # read() decodes the whole file at once, so exc.object is it
-        before = exc.object[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        lines = before.split("\n")
-        doc = NetworkDocument(None, [Diagnostic(len(lines), len(lines[-1]) + 1,
-                                                f"byte {exc.object[exc.start]:#04x} is not UTF-8")])
-    else:
-        doc = parse_document(text)
-    if doc.network is None:
-        for diag in doc.diagnostics:
-            print(f"{path}: {diag}", file=sys.stderr)
-        raise NetworkFormatError(f"{path}: could not parse network")
-    return doc.network
+        try:
+            with open(path, "r", encoding="utf-8-sig") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as exc:
+            # read() decodes the whole file at once, and utf-8-sig hands the
+            # bytes after the mark to utf-8, so exc.object is those bytes
+            before = exc.object[: exc.start].decode("utf-8")
+            lines = before.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            raise NetworkFormatError(f"byte {exc.object[exc.start]:#04x} is not UTF-8",
+                                     len(lines), len(lines[-1]) + 1) from None
+        return parse_network(text)
+    except NetworkFormatError as exc:
+        print(f"{path}: {exc}", file=sys.stderr)
+        raise NetworkFormatError(f"{path}: could not parse network") from None
 
 
 def _load_network(ref: str) -> BeliefNetwork:
@@ -129,7 +129,9 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_int_list(text: str | None, flag: str) -> list[int] | None:
+    if text is None:
+        return None
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
@@ -223,23 +225,34 @@ def _write_runs(net, ev, runs, stride: int, out: str) -> int:
     return EXIT_OK
 
 
+def _runs(algorithm: str, trials, transitions, totals, seeds) -> list[tuple]:
+    """The runs of ``run`` and ``sweep``, (algorithm, trials, transitions,
+    total, seed) tuples: each bnras (trials, transitions) pair, or each
+    straight total, with each seed. ``trials``, ``transitions`` and
+    ``totals`` are lists, None where the flag is not given; only the
+    algorithm's own are read, and a missing or out-of-range one is a usage
+    error."""
+    if algorithm == "bnras":
+        if trials is None or transitions is None:
+            raise UsageError("bnras needs --trials and --transitions")
+        if any(n < 1 for n in trials):
+            raise UsageError("--trials must be >= 1")
+        if any(t < 0 for t in transitions):
+            raise UsageError("--transitions must be >= 0")
+        return [("bnras", n, t, None, seed) for n in trials for t in transitions for seed in seeds]
+    if totals is None:
+        raise UsageError("straight needs --total")
+    if any(total < 1 for total in totals):
+        raise UsageError("--total must be >= 1")
+    return [("straight", None, None, total, seed) for total in totals for seed in seeds]
+
+
 def cmd_run(args) -> int:
     net = _load_network(args.network)
     ev = parse_evidence(args.evidence, net)
-    if args.algorithm == "bnras":
-        if args.trials is None or args.transitions is None:
-            raise UsageError("bnras needs --trials and --transitions")
-        if args.trials < 1:
-            raise UsageError("--trials must be >= 1")
-        if args.transitions < 0:
-            raise UsageError("--transitions must be >= 0")
-    else:
-        if args.total is None:
-            raise UsageError("straight needs --total")
-        if args.total < 1:
-            raise UsageError("--total must be >= 1")
-    run = (args.algorithm, args.trials, args.transitions, args.total, args.seed)
-    return _write_runs(net, ev, [run], args.stride, "-")
+    grids = [None if value is None else [value]
+             for value in (args.trials, args.transitions, args.total)]
+    return _write_runs(net, ev, _runs(args.algorithm, *grids, [args.seed]), args.stride, "-")
 
 
 def cmd_bounds(args) -> int:
@@ -268,23 +281,12 @@ def cmd_sweep(args) -> int:
     net = _load_network(args.network)
     ev = parse_evidence(args.evidence, net)
     seeds = _parse_seeds(args.seeds)
-    if args.algorithm == "bnras":
-        if args.trials is None or args.transitions is None:
-            raise UsageError("bnras sweeps need --trials and --transitions grids")
-        trials_grid = _parse_int_list(args.trials, "--trials")
-        trans_grid = _parse_int_list(args.transitions, "--transitions")
-        if any(n < 1 for n in trials_grid) or any(t < 0 for t in trans_grid):
-            raise UsageError("grid values out of range")
-        runs = [("bnras", trials, transitions, None, seed)
-                for trials in trials_grid for transitions in trans_grid for seed in seeds]
+    if args.algorithm == "bnras":  # only the algorithm's own grids are parsed
+        grids = (_parse_int_list(args.trials, "--trials"),
+                 _parse_int_list(args.transitions, "--transitions"), None)
     else:
-        if args.total is None:
-            raise UsageError("straight sweeps need a --total grid")
-        total_grid = _parse_int_list(args.total, "--total")
-        if any(t < 1 for t in total_grid):
-            raise UsageError("--total values must be >= 1")
-        runs = [("straight", None, None, total, seed) for total in total_grid for seed in seeds]
-    return _write_runs(net, ev, runs, args.stride, args.out)
+        grids = (None, None, _parse_int_list(args.total, "--total"))
+    return _write_runs(net, ev, _runs(args.algorithm, *grids, seeds), args.stride, args.out)
 
 
 def cmd_compare(args) -> int:
@@ -313,11 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.set_defaults(func=cmd_validate)
 
-    def common(p, evidence=True):
+    def common(p):
         p.add_argument("--network", required=True,
                        help="builtin name (AB, PATH2, CHAIN5, MINIALARM) or file path")
-        if evidence:
-            p.add_argument("--evidence", default="", help="Name=outcome,... (default none)")
+        p.add_argument("--evidence", default="", help="Name=outcome,... (default none)")
 
     p = sub.add_parser("exact", help="exact posteriors by enumeration")
     common(p)
@@ -382,10 +383,8 @@ def main(argv: list[str] | None = None) -> int:
         ImpossibleEvidenceError,
         MixingOverflowError,
         DeterministicConflictError,
+        OSError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except ValueError as exc:

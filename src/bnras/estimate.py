@@ -162,15 +162,13 @@ def bnras_estimates(
     width = edges[-1]
     counts = np.zeros((len(rngs), width), dtype=np.int64)  # each run's flat tally
     checkpoints: list[list[Checkpoint]] = [[] for _ in rngs]
-    done = [0] * len(rngs)  # each run's trials tallied
     start = time.process_time(), time.perf_counter()
     runs = [(rng.seed_value, trials) for rng in rngs]
-    for run, codes in _trial_blocks(net, tab, free, template, transitions, runs):
+    for run, lo, codes in _trial_blocks(net, tab, free, template, transitions, runs):
         codes += edges[:-1]  # each value's column in the flat tally, made in place
-        lo, at = done[run], 0  # the run's trials before the piece, the piece's rows tallied
-        done[run] += len(codes)
+        hi, at = lo + len(codes), 0  # the run's trials to the piece's end, its rows tallied
         marks = range((lo * transitions // checkpoint_stride + 1) * checkpoint_stride,
-                      done[run] * transitions + 1, checkpoint_stride) if checkpoint_stride else ()
+                      hi * transitions + 1, checkpoint_stride) if checkpoint_stride else ()
         for mark in marks:
             scored = -(-mark // transitions)  # the trial that crosses the mark
             counts[run] += np.bincount(codes[at : scored - lo].ravel(), minlength=width)
@@ -220,7 +218,7 @@ def _cyclic_chain(net: BeliefNetwork, tab, free, template, total: int, rng: Rand
             if stride > 0 and step % stride == 0:
                 checkpoints.append(Checkpoint(step, step, _snapshot(tally, step)))
     except DeterministicConflictError as exc:
-        raise _located(net, exc, f"at step {step} of seed {rng.seed_value}") from None
+        raise _located(net, exc.node, f"at step {step} of seed {rng.seed_value}") from None
     return tally, checkpoints
 
 

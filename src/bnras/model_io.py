@@ -136,6 +136,14 @@ class _Parser:
             self.fail(f"expected {char!r}, found {tok.text!r}" if tok.text else f"expected {char!r}", tok)
         return tok
 
+    def ident_list(self, what: str) -> list[str]:
+        """The texts of ``IDENT ("," IDENT)*``, each IDENT a ``what``."""
+        items = [self.expect_ident(what).text]
+        while self.peek().kind == "punct" and self.peek().text == ",":
+            self.take()
+            items.append(self.expect_ident(what).text)
+        return items
+
     def parse(self) -> BeliefNetwork:
         head = self.take()
         if head.kind == "eof":
@@ -162,19 +170,13 @@ class _Parser:
                 if key.text != "outcomes":
                     self.fail(f"expected 'outcomes', found {key.text!r}", key)
                 self.expect_punct(":")
-                outcomes = [self.expect_ident("outcome label").text]
-                while self.peek().kind == "punct" and self.peek().text == ",":
-                    self.take()
-                    outcomes.append(self.expect_ident("outcome label").text)
+                outcomes = self.ident_list("outcome label")
                 self.expect_punct("}")
                 node_decls.append((name_tok, name_tok.text, outcomes))
             elif tok.text == "parents":
                 name_tok = self.expect_ident("node name")
                 self.expect_punct(":")
-                plist = [self.expect_ident("parent name").text]
-                while self.peek().kind == "punct" and self.peek().text == ",":
-                    self.take()
-                    plist.append(self.expect_ident("parent name").text)
+                plist = self.ident_list("parent name")
                 if name_tok.text in parent_decls:
                     self.fail(f"duplicate parents declaration for {name_tok.text}", name_tok)
                 parent_decls[name_tok.text] = (name_tok, plist)

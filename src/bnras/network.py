@@ -274,7 +274,7 @@ def validate_network(net: BeliefNetwork) -> ValidationReport:
 
     try:
         topological_order(net)
-    except (CycleError, NetworkValidationError):
+    except CycleError:
         issues.append("parent relation contains a cycle")
     return ValidationReport(tuple(issues))
 

@@ -73,6 +73,42 @@ def test_network_file_not_utf8_is_validation_error(tmp_path, capsys, content, wh
         assert run_cli(capsys, *argv) == (2, "", expected)
 
 
+ONE_NODE = "network X\nnode A { outcomes: t, f }\ncpt A:\n 0.5 0.5\n"
+
+
+def test_network_file_with_byte_order_mark_accepted(tmp_path, capsys):
+    path = tmp_path / "bom.bn"
+    path.write_bytes(b"\xef\xbb\xbf" + ONE_NODE.encode())
+    assert run_cli(capsys, "validate", str(path)) == (
+        0, "X: ok (1 nodes, strictly positive)\n", "")
+    code, out, err = run_cli(capsys, "exact", "--network", str(path))
+    assert (code, out, err) == (0, "P(A=t)=0.500000\nP(A=f)=0.500000\nP(evidence)=1\n", "")
+
+
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"])
+def test_byte_order_mark_not_counted_as_a_column(tmp_path, capsys, mark):
+    path = tmp_path / "bad.bn"
+    path.write_bytes(mark + b"network X\xff")
+    expected = (f"{path}: line 1, column 10: byte 0xff is not UTF-8\n"
+                f"error: {path}: could not parse network\n")
+    for argv in (("validate", str(path)), ("exact", "--network", str(path))):
+        assert run_cli(capsys, *argv) == (2, "", expected)
+
+
+def test_second_byte_order_mark_is_a_character(tmp_path, capsys):
+    # only a leading mark is dropped: a second one is text, which the
+    # parser refuses and a later bad byte's column counts
+    path = tmp_path / "two.bn"
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + ONE_NODE.encode())
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, err.splitlines()[0]) == (
+        2, f"{path}: line 1, column 1: unexpected character '\\ufeff'")
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + b"network X\xff")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, err.splitlines()[0]) == (
+        2, f"{path}: line 1, column 11: byte 0xff is not UTF-8")
+
+
 def test_exact_ab(capsys):
     code, out, err = run_cli(capsys, "exact", "--network", "AB", "--evidence", "B=t")
     assert code == 0
@@ -459,6 +495,53 @@ def test_sweep_usage_errors(capsys, tmp_path):
         "--seeds", "1", "--out", str(tmp_path / "x.csv"),
     )
     assert code == 1  # missing grids
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("algorithm, flags, message", [
+    pytest.param("bnras", ("--trials", "0", "--transitions", "5"), "--trials must be >= 1",
+                 id="trials-0"),
+    pytest.param("bnras", ("--trials", "5", "--transitions", "-1"),
+                 "--transitions must be >= 0", id="transitions-minus-1"),
+    pytest.param("straight", ("--total", "0"), "--total must be >= 1", id="total-0"),
+    pytest.param("bnras", (), "bnras needs --trials and --transitions", id="no-bnras-grids"),
+    pytest.param("bnras", ("--trials", "5"), "bnras needs --trials and --transitions",
+                 id="no-transitions"),
+    pytest.param("straight", (), "straight needs --total", id="no-total"),
+])
+def test_run_and_sweep_refuse_counts_alike(monkeypatch, tmp_path, capsys, command, algorithm,
+                                           flags, message):
+    # an enumeration cap of 1 refuses AB's oracle, so a check made after
+    # the oracle would exit 3
+    monkeypatch.setenv("BNRAS_ENUM_CAP", "1")
+    out_path = tmp_path / "x.csv"
+    argv = [command, "--network", "AB", "--algorithm", algorithm, *flags]
+    if command == "sweep":
+        argv += ["--seeds", "1,2", "--out", str(out_path)]
+    assert run_cli(capsys, *argv) == (1, "", f"usage error: {message}\n")
+    assert not out_path.exists()
+
+
+def test_sweep_grid_with_one_value_out_of_range(tmp_path, capsys):
+    argv = ["sweep", "--network", "AB", "--out", str(tmp_path / "x.csv")]
+    assert run_cli(capsys, *argv, "--algorithm", "bnras", "--trials", "30,0",
+                   "--transitions", "5") == (1, "", "usage error: --trials must be >= 1\n")
+    assert run_cli(capsys, *argv, "--algorithm", "straight", "--total", "30,0") == (
+        1, "", "usage error: --total must be >= 1\n")
+
+
+def test_other_algorithms_counts_not_read(tmp_path, capsys):
+    out_path = tmp_path / "x.csv"
+    for argv in (
+        ("run", "--algorithm", "straight", "--total", "9", "--trials", "0", "--transitions", "-1"),
+        ("run", "--algorithm", "bnras", "--trials", "3", "--transitions", "2", "--total", "0"),
+        ("sweep", "--algorithm", "straight", "--total", "9", "--trials", "x", "--out",
+         str(out_path)),
+        ("sweep", "--algorithm", "bnras", "--trials", "3", "--transitions", "2",
+         "--total", "x", "--out", str(out_path)),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--network", "AB")
+        assert (code, err) == (0, "")
 
 
 def test_compare_budget_zero_is_usage_error(capsys):
