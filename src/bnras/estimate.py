@@ -147,9 +147,10 @@ def bnras_estimates(
 
     The trials of all streams move through one sequence of blocks, handed
     over as each stream's pieces (:func:`bnras.chain._trial_blocks`), so the
-    streams share lock steps and no array holds more than one block. A
-    piece of trials lo + 1 to hi takes each mark m in (lo * transitions,
-    hi * transitions] after trial ceil(m / transitions). Each
+    streams share lock steps and no array holds more than one block. Each
+    piece comes with lo, its stream's trials before it. A piece of trials
+    lo + 1 to hi takes each mark m in (lo * transitions, hi * transitions]
+    after trial ceil(m / transitions). Each
     estimate's ``cpu_seconds`` and ``wall_seconds`` are an equal share of
     the batch's. A conflict raises for the first conflicting trial in stream
     order, named by its stream's seed.
