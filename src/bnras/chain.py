@@ -31,9 +31,14 @@ node, from the same tables, with the next draw of its own Mersenne Twister
 (see :func:`bnras.rng.twister_draws`). Together, the chains are held as
 their sequence of outcomes, whose last nfree entries are their current
 values, so a step reads the node's blanket with one dot and appends one
-outcome. The tables are kept on the compiled network for the last evidence
-they were filled for (:func:`_blanket_tables`), so both samplers' runs over
-one network and evidence fill them once.
+outcome. A stretch of steps can also move as blocks side by side, each
+from a guessed start, the blocks whose guess was wrong being run again
+until each starts where the one before it ends
+(:meth:`_BlanketTables.scan_blocks`), as in the parareal scheme of Lions,
+Maday & Turinici (2001); the outcomes are the same. The tables are kept on
+the compiled network for the last evidence they were filled for
+(:func:`_blanket_tables`), so both samplers' runs over one network and
+evidence fill them once.
 
 Both lock-step kernels choose outcomes through exact draw cutoffs
 (:func:`_draw_cutoffs`): the outcome :func:`_resample` picks with draw u is
@@ -450,6 +455,52 @@ class _BlanketTables:
             else:
                 outcomes[nfree + i] = (cutoffs.take(rows, axis=0) <= u[i, :, None]).sum(axis=1)
         return True
+
+    def scan_blocks(self, outcomes: np.ndarray, first: int, draws: np.ndarray, lb: int) -> int:
+        """What :meth:`scan` writes, for tables with no dead row, with the
+        L steps of ``draws`` ((chains, L)) moved as blocks of lb side by
+        side; returns the number of scans (passes) it took.
+
+        lb is a multiple of nfree, so every block starts at slot first mod
+        nfree and one slot schedule serves all. Block b of chain c is
+        column c * blocks + b, its draws ``draws[c, b * lb:(b + 1) * lb]``;
+        the last block's steps past L draw 0 and are dropped. The first
+        pass runs every block from its chain's start window, which is
+        block 0's true start and a guess for the others. Each later pass
+        runs again, in one scan, every block whose start differs from the
+        end of the block before it, from that end, until no start differs.
+        Runs on the same draws agree from the first step at which their
+        windows agree (Propp & Wilson's coupling), so a re-run that meets
+        the run it replaces within its block leaves the next block's start
+        as it was, and when the chains meet within lb steps two passes
+        suffice. Pass k leaves blocks 0, ..., k - 1 exact, so the passes
+        are at most the blocks. A window's first row is the slot that its
+        block redraws first, which no step reads, so starts are compared on
+        the other rows."""
+        nfree = len(self.outcomes)
+        chains, steps = draws.shape
+        blocks = -(-steps // lb)
+        u = np.zeros((chains, blocks * lb))
+        u[:, :steps] = draws
+        u = u.reshape(chains * blocks, lb)
+        runs = np.empty((nfree + lb, chains * blocks), dtype=np.intp)
+        runs[:nfree] = np.repeat(outcomes[:nfree], blocks, axis=1)
+        self.scan(runs, first, u)
+        by_block = runs.reshape(nfree + lb, chains, blocks)
+        wrong = np.zeros((chains, blocks), dtype=bool)  # block 0's start is never wrong
+        passes = 1
+        while True:
+            wrong[:, 1:] = (by_block[1:nfree, :, 1:] != by_block[lb + 1:, :, :-1]).any(axis=0)
+            again = np.flatnonzero(wrong)
+            if not again.size:
+                break
+            rerun = runs[:, again]
+            rerun[:nfree] = runs[lb:, again - 1]
+            self.scan(rerun, first, u[again])
+            runs[:, again] = rerun
+            passes += 1
+        outcomes[nfree:] = by_block[nfree:].transpose(2, 0, 1).reshape(blocks * lb, chains)[:steps]
+        return passes
 
 
 def _blanket_tables(tab: _Tables, free: tuple[int, ...], template: list[int]):

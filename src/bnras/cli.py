@@ -107,6 +107,14 @@ def _load_network(ref: str) -> BeliefNetwork:
     return catalog[ref] if ref in catalog else _read_network(ref)
 
 
+def _require_seeds(seeds) -> None:
+    """Refuse a seed outside [0, 2^64): a stream reduces its seed mod 2^64,
+    so such a seed would run another seed's chain under its own label."""
+    for seed in seeds:
+        if not 0 <= seed < 1 << 64:
+            raise UsageError(f"seed {seed} is outside [0, 2^64)")
+
+
 def _parse_seeds(text: str) -> list[int]:
     text = text.strip()
     if not text:
@@ -119,11 +127,13 @@ def _parse_seeds(text: str) -> list[int]:
             raise UsageError(f"bad seed range {text!r}")
         if hi_i <= lo_i:
             raise UsageError(f"empty seed range {text!r}")
+        _require_seeds((lo_i, hi_i - 1))
         return list(range(lo_i, hi_i))
     try:
         seeds = [int(part) for part in text.split(",")]
     except ValueError:
         raise UsageError(f"bad seed list {text!r}")
+    _require_seeds(seeds)
     if len(set(seeds)) != len(seeds):
         raise UsageError("seeds must be distinct")
     return seeds
@@ -252,6 +262,7 @@ def cmd_run(args) -> int:
     ev = parse_evidence(args.evidence, net)
     grids = [None if value is None else [value]
              for value in (args.trials, args.transitions, args.total)]
+    _require_seeds([args.seed])
     return _write_runs(net, ev, _runs(args.algorithm, *grids, [args.seed]), args.stride, "-")
 
 

@@ -13,12 +13,15 @@ takes the checkpoints.
 
 ``straight_estimate`` runs one cyclic-scan chain without restarts and
 scores the full state after every transition. ``straight_estimates`` runs
-one such chain on each of many streams: one chain is sequential, but at
-least ``_STRAIGHT_MIN`` chains move together in lock step, in chunks
-tallied by numpy; each chain draws a chunk's steps from its own Mersenne
-Twister stream in one ``getrandbits`` call (:func:`bnras.rng.twister_draws`).
-The tallies, checkpoints and final stream states are those of the chains
-run one by one, bit for bit.
+one such chain on each of many streams, however few, in lock step, in
+chunks tallied by numpy; each chain draws a chunk's steps from its own
+Mersenne Twister stream in one ``getrandbits`` call
+(:func:`bnras.rng.twister_draws`). One chain's steps are sequential, but a
+chunk's steps can still move side by side, in blocks that are run from
+guessed starts and run again until each starts where the one before it
+ends (:meth:`bnras.chain._BlanketTables.scan_blocks`). The tallies,
+checkpoints and final stream states are those of the chains run one by
+one, step by step, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,15 +49,15 @@ from .exact import PosteriorTable
 from .network import BeliefNetwork, Evidence
 from .rng import RandomStream, twister_draws
 
-#: Fewest chains :func:`straight_estimates` moves in lock step. A lock-step
-#: step costs 3-5 us however few chains it moves, a scalar step 2-3 us per
-#: chain, so one chain runs on its own (timings in CHANGES.md, in the
-#: entries on straight simulation's lock step).
-_STRAIGHT_MIN = 2
-
 #: Most outcomes (steps x chains) a lock-step chunk of straight simulation
 #: holds.
 _CHUNK = 1 << 13
+
+#: Sweeps (nfree steps each) in a block of a straight-simulation chunk
+#: moved in blocks (:meth:`bnras.chain._BlanketTables.scan_blocks`). Blocks
+#: of 2 to 8 sweeps cost about the same on MINIALARM's, CHAIN5's and
+#: SYNMIX's chunks, a quarter to a half of one scan (timings in CHANGES.md).
+_BLOCK_SWEEPS = 4
 
 
 @dataclass(frozen=True)
@@ -235,7 +238,9 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
     (its draws then run on from one chain to the next, which chains moved
     side by side cannot do), or some chain meets a row whose weights are all
     zero. Only tables with such a row can fail, so only then are the
-    streams' states saved, to be put back on failure.
+    streams' states saved, to be put back on failure; and since they never
+    move in blocks, one chain on them is refused too, as it steps faster on
+    its own than in a scan of one column.
 
     The steps run in chunks of at most ``_CHUNK`` outcomes, cut at every
     checkpoint. A chunk's outcome buffer starts with the last nfree
@@ -243,13 +248,25 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
     next chunk's. Each chunk is tallied by one ``bincount``: an outcome
     counts once for each of the chunk's steps after which it is still among
     the last nfree.
+
+    A chunk moves in blocks of ``_BLOCK_SWEEPS`` sweeps when it has at
+    least twice as many steps as the last chunk so moved took lock steps
+    (its scans times the block, two scans assumed before the first): a
+    re-run that does not meet the run it replaces within its block costs
+    one more scan, so chains whose runs meet slowly, such as PATH2's, soon
+    take one scan a chunk. Tables with a dead row take one scan a chunk
+    too, since a block run from a guessed start could meet a dead row that
+    the chain never meets.
     """
     tables = _blanket_tables(tab, free, template)
     if (tables is None or len(set(map(id, rngs))) < len(rngs) or not all(
             type(rng).random is random.Random.random
             and type(rng).getrandbits is random.Random.getrandbits for rng in rngs)):
         return None
-    saved = [rng.getstate() for rng in rngs] if tables.dead.any() else None
+    dead = tables.dead.any()
+    if dead and len(rngs) == 1:
+        return None
+    saved = [rng.getstate() for rng in rngs] if dead else None
     chains, nfree = len(rngs), len(free)
     most = max(1, _CHUNK // chains)
     outcomes = np.empty((nfree + most, chains), dtype=np.intp)
@@ -264,12 +281,17 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
         return [_rows(row, edges) for row in counts.reshape(chains, width).tolist()]
 
     marks = range(stride, total + 1, stride) if stride > 0 else ()
+    lb = _BLOCK_SWEEPS * nfree
+    passes = 2  # scans the last chunk moved in blocks took
     done = 0
     for cut in sorted({total, *marks}):
         while done < cut:
             steps = min(cut - done, most)
             chunk = outcomes[: nfree + steps]
-            if not tables.scan(chunk, done, twister_draws(rngs, steps)):
+            draws = twister_draws(rngs, steps)
+            if not dead and 2 * passes * lb <= steps:
+                passes = tables.scan_blocks(chunk, done, draws, lb)
+            elif not tables.scan(chunk, done, draws):
                 for rng, state in zip(rngs, saved):
                     rng.setstate(state)
                 return None
@@ -296,23 +318,20 @@ def straight_estimates(
     """``straight_estimate`` of one chain on each stream of ``rngs``, in
     order, each stream moved as that call moves it.
 
-    At least ``_STRAIGHT_MIN`` chains move together in lock step (see
+    The chains, however few, move together in lock step (see
     :func:`_cyclic_lockstep`). Streams may stand at different positions.
-    Fewer chains, and batches that lock step refuses, run chain by chain; a
-    conflict then raises for the first conflicting chain, as the calls one
-    by one would. Either way the same estimates come out of
-    :func:`_estimates`, and each estimate's ``cpu_seconds`` and
-    ``wall_seconds`` are an equal share of the batch's.
+    Batches that lock step refuses run chain by chain; a conflict then
+    raises for the first conflicting chain, as the calls one by one would.
+    Either way the same estimates come out of :func:`_estimates`, and each
+    estimate's ``cpu_seconds`` and ``wall_seconds`` are an equal share of
+    the batch's.
     """
     _require_count("total_transitions", total_transitions, 1)
     _require_count("checkpoint_stride", checkpoint_stride, 0)
     tab, free, template = _prepare(net, ev)
     _require_free(free)
     start = time.process_time(), time.perf_counter()
-    runs = None
-    if len(rngs) >= _STRAIGHT_MIN:
-        runs = _cyclic_lockstep(tab, free, template, total_transitions, rngs,
-                                checkpoint_stride)
+    runs = _cyclic_lockstep(tab, free, template, total_transitions, rngs, checkpoint_stride)
     if runs is None:
         runs = [_cyclic_chain(net, tab, free, template, total_transitions, rng,
                               checkpoint_stride) for rng in rngs]

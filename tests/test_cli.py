@@ -480,6 +480,35 @@ def test_sweep_usage_errors(capsys, tmp_path):
     assert code == 1  # missing grids
 
 
+@pytest.mark.parametrize("argv, seed", [
+    (("sweep", "--algorithm", "straight", "--total", "50",
+      "--seeds=-1,18446744073709551615"), -1),
+    (("sweep", "--algorithm", "bnras", "--trials", "3", "--transitions", "2",
+      "--seeds=18446744073709551614:18446744073709551617"), 18446744073709551616),
+    (("compare", "--total", "50", "--seeds=-2:3"), -2),
+    (("run", "--algorithm", "straight", "--total", "50", "--seed", "-1"), -1),
+    (("run", "--algorithm", "bnras", "--trials", "3", "--transitions", "2",
+      "--seed", "18446744073709551616"), 18446744073709551616),
+])
+def test_seeds_outside_64_bits_refused(tmp_path, capsys, argv, seed):
+    # a stream reduces its seed mod 2^64, so these would run other seeds'
+    # chains under their own labels
+    out_path = tmp_path / "x.csv"
+    out = () if argv[0] == "run" else ("--out", str(out_path))
+    assert run_cli(capsys, *argv, "--network", "CHAIN5", *out) == (
+        1, "", f"usage error: seed {seed} is outside [0, 2^64)\n")
+    assert not out_path.exists()
+
+
+def test_seeds_at_the_ends_of_64_bits_accepted(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "sweep", "--network", "CHAIN5", "--algorithm", "straight",
+                             "--total", "50", "--seeds=0,18446744073709551615")
+    assert (code, err, len(parse_csv(out))) == (0, "", 2)
+    code, out, err = run_cli(capsys, "run", "--network", "CHAIN5", "--algorithm", "straight",
+                             "--total", "50", "--seed", "18446744073709551615")
+    assert (code, err, len(parse_csv(out))) == (0, "", 1)
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("algorithm, flags, message", [
     pytest.param("bnras", ("--trials", "0", "--transitions", "5"), "--trials must be >= 1",

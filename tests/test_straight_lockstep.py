@@ -4,8 +4,8 @@ scan, bit for bit.
 ``straight_estimates`` must give each seed exactly the tallies and
 checkpoints of a chain stepped one transition at a time by ``straight_step``
 on that seed's stream, and leave each stream where that chain leaves it,
-whichever side of the chain-count selection and of the blanket-table cap it
-runs on, and however its steps are chunked.
+whichever side of the blanket-table cap and of the block rule it runs on,
+and however its steps are chunked and cut into blocks.
 """
 
 import os
@@ -57,6 +57,40 @@ def assert_matches_scalar(net, ev, total, seeds, stride=0):
     for est in ests:
         assert est.trials == total and est.total_transitions == total
     return ests
+
+
+def refused(*args):
+    """``_cyclic_lockstep`` refusing every batch, which then runs chain by
+    chain."""
+    return None
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Each chunk the lock step moves, in order: (lb, the columns of each
+    scan) for a chunk moved in blocks of lb steps, (None, [chains]) for a
+    chunk moved by one scan."""
+    chunks, inside = [], []
+    scan, scan_blocks = chain._BlanketTables.scan, chain._BlanketTables.scan_blocks
+
+    def spy_scan(self, outcomes, first, draws):
+        if inside:
+            inside[-1].append(len(draws))
+        else:
+            chunks.append((None, [len(draws)]))
+        return scan(self, outcomes, first, draws)
+
+    def spy_scan_blocks(self, outcomes, first, draws, lb):
+        chunks.append((lb, []))
+        inside.append(chunks[-1][1])
+        try:
+            return scan_blocks(self, outcomes, first, draws, lb)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(chain._BlanketTables, "scan", spy_scan)
+    monkeypatch.setattr(chain._BlanketTables, "scan_blocks", spy_scan_blocks)
+    return chunks
 
 
 def test_twister_draws_match_python_draws():
@@ -169,8 +203,8 @@ def test_builtins_match_scalar_chain(nets, seeds):
 
 
 @pytest.mark.parametrize("module, setting", [
-    (estimate, {"_STRAIGHT_MIN": 1}),  # every batch in lock step
-    (estimate, {"_STRAIGHT_MIN": 10**9}),  # every chain on its own
+    (estimate, {"_BLOCK_SWEEPS": 1}),  # blocks of one sweep
+    (estimate, {"_cyclic_lockstep": lambda nfree: refused}),  # every chain on its own
     (estimate, {"_CHUNK": 1}),  # one step per chunk
     (estimate, {"_CHUNK": 100}),
     (chain, {"_BLANKET_CAP": 1}),  # every table over the cap
@@ -179,6 +213,7 @@ def test_builtins_match_scalar_chain(nets, seeds):
     (estimate, {"_CHUNK": lambda nfree: len(PANEL) * (nfree - 1)}),
     (estimate, {"_CHUNK": lambda nfree: len(PANEL) * nfree}),
     (estimate, {"_CHUNK": lambda nfree: len(PANEL) * (nfree + 1)}),
+    (estimate, {"_BLOCK_SWEEPS": 10**9}),  # every chunk in one scan
 ])
 def test_selection_and_chunks_do_not_change_bits(monkeypatch, nets, module, setting):
     for name in ("PATH2", "MINIALARM", "CHAIN5"):
@@ -200,7 +235,7 @@ def test_chain_by_chain_batch_shares_its_time(monkeypatch, nets, empty, stream):
     # chains run one by one, whether lock step is not chosen or refused,
     # report one equal share of the batch's time too
     if stream is RandomStream:
-        monkeypatch.setattr(estimate, "_STRAIGHT_MIN", 10**9)
+        monkeypatch.setattr(estimate, "_cyclic_lockstep", refused)
     streams = [stream(s) for s in PANEL]
     ests = bnras.straight_estimates(nets["CHAIN5"], empty, 2000, streams)
     assert len({(e.cpu_seconds, e.wall_seconds) for e in ests}) == 1
@@ -224,8 +259,10 @@ def test_blanket_tables_filled_once(monkeypatch, nets):
     assert len(fills) == 3
 
 
-def test_zero_weights_never_met(and_gate, empty):
-    # chains that start consistent with B = A and C never meet a zero row
+def test_zero_weights_never_met(and_gate, empty, scans):
+    # chains that start consistent with B = A and C never meet a zero row;
+    # tables with a zero row move every chunk by one scan, since a block
+    # run from a guessed start could meet one where the chain does not
     fine = []
     for seed in range(40):
         try:
@@ -233,26 +270,106 @@ def test_zero_weights_never_met(and_gate, empty):
             fine.append(seed)
         except bnras.DeterministicConflictError:
             pass
-    assert len(fine) >= estimate._STRAIGHT_MIN
+    assert len(fine) >= 2
     assert_matches_scalar(and_gate, empty, 30, fine, stride=7)
+    scans.clear()
+    assert_matches_scalar(and_gate, empty, 3000, fine)
+    assert scans and all(lb is None for lb, _ in scans)
+    # one chain on them steps on its own
+    scans.clear()
+    assert_matches_scalar(and_gate, empty, 3000, fine[:1])
+    assert not scans
 
 
 def test_conflict_names_first_conflicting_seed(monkeypatch, and_gate, empty):
     seeds = list(range(4, 12))
-    monkeypatch.setattr(estimate, "_STRAIGHT_MIN", 10**9)
     expected = None
-    for seed in seeds:  # the calls one seed at a time, in order
-        try:
-            bnras.straight_estimate(and_gate, empty, 30, RandomStream(seed))
-        except bnras.DeterministicConflictError as exc:
-            expected = (exc.node, str(exc))
-            break
+    with monkeypatch.context() as patch:
+        patch.setattr(estimate, "_cyclic_lockstep", refused)
+        for seed in seeds:  # the calls one seed at a time, in order, chain by chain
+            try:
+                bnras.straight_estimate(and_gate, empty, 30, RandomStream(seed))
+            except bnras.DeterministicConflictError as exc:
+                expected = (exc.node, str(exc))
+                break
     assert expected is not None and f"of seed {seeds[0]};" not in expected[1]
-    for least in (1, 4, 10**9):
-        monkeypatch.setattr(estimate, "_STRAIGHT_MIN", least)
+    for lockstep in (True, False):
+        if not lockstep:
+            monkeypatch.setattr(estimate, "_cyclic_lockstep", refused)
         with pytest.raises(bnras.DeterministicConflictError) as info:
             bnras.straight_estimates(and_gate, empty, 30, [RandomStream(s) for s in seeds])
         assert (info.value.node, str(info.value)) == expected
+
+
+def coupled(p, q):
+    """A -> B, B copying A with probability p = 1 - q: two runs on the same
+    draws from different states meet only at a draw below q or at or above
+    p."""
+    return bnras.parse_network(
+        "network COUPLED\nnode A { outcomes: t, f }\ncpt A:\n 0.5 0.5\n"
+        f"node B {{ outcomes: t, f }}\nparents B: A\ncpt B:\n {p} {q}\n {q} {p}\n"
+    )
+
+
+def test_blocks_over_several_chunks(monkeypatch, nets, scans):
+    # chunks of 200 steps for six chains and of 450 for one, cut by the
+    # stride; the first is cut into blocks of 4 sweeps, one column a block,
+    # and a lone chain's few passes keep every chunk in blocks
+    monkeypatch.setattr(estimate, "_CHUNK", 1200)
+    for net in nets.values():
+        for ev in evidence_sets(net):
+            lb = estimate._BLOCK_SWEEPS * (len(net.nodes) - len(ev))
+            for seeds, total, steps in ((PANEL, 1000, 200), (PANEL[:1], 3000, 450)):
+                scans.clear()
+                assert_matches_scalar(net, ev, total, seeds, stride=450)
+                assert len(scans) > 2
+                assert scans[0][0] == lb
+                assert scans[0][1][0] == len(seeds) * -(-steps // lb)
+            assert all(lb for lb, _ in scans)
+
+
+def test_first_chunk_in_blocks_needs_four(nets, empty, scans):
+    # before any chunk has moved in blocks, two passes are assumed, so a
+    # chunk moves in blocks when it holds four: CHAIN5's are 20 steps
+    assert_matches_scalar(nets["CHAIN5"], empty, 80, PANEL[:1])
+    assert [lb for lb, _ in scans] == [20]
+    scans.clear()
+    assert_matches_scalar(nets["CHAIN5"], empty, 79, PANEL[:1])
+    assert scans == [(None, [1])]
+
+
+def test_path2_reruns_that_do_not_meet(nets, empty, scans):
+    # runs of PATH2 from different states meet in about 50 steps, so many
+    # re-runs of the first chunk's blocks of 8 steps do not meet, and each
+    # costs one more pass; so many passes take more than half of 30 chains'
+    # 273-step chunk, and the next chunks run in one scan
+    assert_matches_scalar(nets["PATH2"], empty, 1500, range(30))
+    assert [lb for lb, _ in scans] == [8, None, None, None, None, None]
+    assert len(scans[0][1]) > 17
+
+
+def test_blocks_that_rarely_meet(scans):
+    # after a chain flips, no later block of its chunk meets the true run,
+    # so each runs again in a pass of its own
+    net = coupled("0.9999", "0.0001")
+    assert_matches_scalar(net, Evidence.empty(), 20000, [0])
+    assert [lb for lb, _ in scans] == [8, 8, 8]
+    assert len(scans[0][1]) > 300
+    scans.clear()
+    assert_matches_scalar(net, Evidence.empty(), 3000, range(30))
+    assert [lb for lb, _ in scans[:2]] == [8, 8]
+    assert len(scans[1][1]) > 17
+    assert {lb for lb, _ in scans[2:]} == {None}
+
+
+def test_total_not_a_multiple_of_the_block(nets, empty, scans):
+    # CHAIN5's blocks of 20 steps: 997 steps make 50 blocks, the last of 17
+    assert_matches_scalar(nets["CHAIN5"], empty, 997, PANEL[:2])
+    assert scans == [(20, [100, 97, 11])]
+    # a lone chain's second chunk, of 1 step, is too short for blocks
+    scans.clear()
+    assert_matches_scalar(nets["MINIALARM"], empty, 8193, PANEL[:1])
+    assert [lb for lb, _ in scans] == [32, None]
 
 
 def test_numpy_random_never_imported():
@@ -275,9 +392,10 @@ def test_positive_networks_match_scalar_chain(case):
     assert_matches_scalar(net, ev, 60, PANEL, stride=25)
 
 
-@pytest.mark.parametrize("least", [1, 10**9])  # lock step, then chain by chain
-def test_past_64_free_nodes(monkeypatch, layered300, empty, least):
+@pytest.mark.parametrize("lockstep", [True, False], ids=["lockstep", "chain-by-chain"])
+def test_past_64_free_nodes(monkeypatch, layered300, empty, lockstep):
     tab, free, template = chain._prepare(layered300, empty)
     assert chain._blanket_tables(tab, free, template) is not None
-    monkeypatch.setattr(estimate, "_STRAIGHT_MIN", least)
+    if not lockstep:
+        monkeypatch.setattr(estimate, "_cyclic_lockstep", refused)
     assert_matches_scalar(layered300, empty, 700, PANEL[:3], stride=250)
