@@ -32,8 +32,8 @@ node, from the same tables, with the next draw of its own Mersenne Twister
 their sequence of outcomes, whose last nfree entries are their current
 values, so a step reads the node's blanket with one dot and appends one
 outcome. A stretch of steps can also move as blocks side by side, each
-from a guessed start, the blocks whose guess was wrong being run again
-until each starts where the one before it ends
+after a warm-up from a guessed start, the blocks whose start is still
+wrong being run again until each starts where the one before it ends
 (:meth:`_BlanketTables.scan_blocks`), as in the parareal scheme of Lions,
 Maday & Turinici (2001); the outcomes are the same. The tables are kept on
 the compiled network for the last evidence they were filled for
@@ -55,6 +55,7 @@ from functools import cached_property
 from typing import Container, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DeterministicConflictError
 from .network import (
@@ -456,51 +457,64 @@ class _BlanketTables:
                 outcomes[nfree + i] = (cutoffs.take(rows, axis=0) <= u[i, :, None]).sum(axis=1)
         return True
 
-    def scan_blocks(self, outcomes: np.ndarray, first: int, draws: np.ndarray, lb: int) -> int:
+    def scan_blocks(self, outcomes: np.ndarray, first: int, draws: np.ndarray, lb: int) -> bool:
         """What :meth:`scan` writes, for tables with no dead row, with the
         L steps of ``draws`` ((chains, L)) moved as blocks of lb side by
-        side; returns the number of scans (passes) it took.
+        side, each after a warm-up of 2 lb steps; False if the blocks were
+        given up, the rest of the steps then run in one scan.
 
-        lb is a multiple of nfree, so every block starts at slot first mod
+        lb is a multiple of nfree, so every run starts at slot first mod
         nfree and one slot schedule serves all. Block b of chain c is
-        column c * blocks + b, its draws ``draws[c, b * lb:(b + 1) * lb]``;
-        the last block's steps past L draw 0 and are dropped. The first
-        pass runs every block from its chain's start window, which is
-        block 0's true start and a guess for the others. Each later pass
-        runs again, in one scan, every block whose start differs from the
-        end of the block before it, from that end, until no start differs.
-        Runs on the same draws agree from the first step at which their
-        windows agree (Propp & Wilson's coupling), so a re-run that meets
-        the run it replaces within its block leaves the next block's start
-        as it was, and when the chains meet within lb steps two passes
-        suffice. Pass k leaves blocks 0, ..., k - 1 exact, so the passes
-        are at most the blocks. A window's first row is the slot that its
-        block redraws first, which no step reads, so starts are compared on
-        the other rows."""
+        column c * blocks + b: steps w + b lb + 1, ..., w + (b + 1) lb,
+        where w = 2 lb, after a warm-up on the w draws before them, so its
+        run takes draws ``draws[c, b * lb:w + (b + 1) * lb]``; block 0
+        also keeps its warm-up, steps 1, ..., w, and steps past L draw 0
+        and are dropped. The first pass runs every column from its chain's
+        start window, which is block 0's true start; runs on the same draws
+        agree from the first step at which their windows agree (Propp &
+        Wilson's coupling), so a warm-up that has met the chain leaves its
+        block's start right. A start is right if it is the end of the block
+        before. Each later pass runs again, in one scan and without the
+        warm-up, every block whose start differs from that end, from that
+        end, until no start differs: pass k leaves blocks 0, ..., k - 1
+        exact. After four passes the blocks are given up: those before the
+        first block still wrong are kept and one scan runs the rest, so a
+        chunk never takes more lock steps than one scan. A window's first
+        row is the slot that its block redraws first, which no step reads,
+        so starts are compared on the other rows."""
         nfree = len(self.outcomes)
         chains, steps = draws.shape
-        blocks = -(-steps // lb)
-        u = np.zeros((chains, blocks * lb))
-        u[:, :steps] = draws
-        u = u.reshape(chains * blocks, lb)
-        runs = np.empty((nfree + lb, chains * blocks), dtype=np.intp)
+        warm = 2 * lb
+        blocks = -(-(steps - warm) // lb)
+        u = np.zeros((warm + blocks * lb, chains))
+        u[:steps] = draws.T
+        # each column's draws, step by step, as scan reads them
+        u = sliding_window_view(u, warm + lb, axis=0)[::lb].transpose(2, 1, 0).reshape(
+            warm + lb, chains * blocks).T
+        runs = np.empty((nfree + warm + lb, chains * blocks), dtype=np.intp)
         runs[:nfree] = np.repeat(outcomes[:nfree], blocks, axis=1)
         self.scan(runs, first, u)
-        by_block = runs.reshape(nfree + lb, chains, blocks)
+        tail = runs[warm:]  # each block's start window and steps
+        by_block = tail.reshape(nfree + lb, chains, blocks)
         wrong = np.zeros((chains, blocks), dtype=bool)  # block 0's start is never wrong
-        passes = 1
-        while True:
+        for passes in range(1, 5):
             wrong[:, 1:] = (by_block[1:nfree, :, 1:] != by_block[lb + 1:, :, :-1]).any(axis=0)
             again = np.flatnonzero(wrong)
-            if not again.size:
+            if not again.size or passes == 4:
                 break
-            rerun = runs[:, again]
-            rerun[:nfree] = runs[lb:, again - 1]
-            self.scan(rerun, first, u[again])
-            runs[:, again] = rerun
-            passes += 1
-        outcomes[nfree:] = by_block[nfree:].transpose(2, 0, 1).reshape(blocks * lb, chains)[:steps]
-        return passes
+            rerun = tail[:, again]
+            rerun[:nfree] = tail[lb:, again - 1]
+            self.scan(rerun, first, u[again, warm:])
+            tail[:, again] = rerun
+        right = wrong.any(axis=0).argmax() if again.size else blocks  # blocks exact in every chain
+        outcomes[nfree : nfree + warm] = runs[nfree : nfree + warm, ::blocks]
+        outcomes[nfree + warm : nfree + warm + right * lb] = by_block[nfree:, :, :right].transpose(
+            2, 0, 1).reshape(right * lb, chains)[: steps - warm]
+        if warm + right * lb < steps:
+            self.scan(outcomes[warm + right * lb :], first + warm + right * lb,
+                      draws[:, warm + right * lb :])
+            return False
+        return True
 
 
 def _blanket_tables(tab: _Tables, free: tuple[int, ...], template: list[int]):

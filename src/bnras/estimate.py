@@ -17,9 +17,10 @@ one such chain on each of many streams, however few, in lock step, in
 chunks tallied by numpy; each chain draws a chunk's steps from its own
 Mersenne Twister stream in one ``getrandbits`` call
 (:func:`bnras.rng.twister_draws`). One chain's steps are sequential, but a
-chunk's steps can still move side by side, in blocks that are run from
-guessed starts and run again until each starts where the one before it
-ends (:meth:`bnras.chain._BlanketTables.scan_blocks`). The tallies,
+chunk's steps can still move side by side, in blocks that each run a
+warm-up from a guessed start, the few whose start is still wrong being run
+again until each starts where the one before it ends
+(:meth:`bnras.chain._BlanketTables.scan_blocks`). The tallies,
 checkpoints and final stream states are those of the chains run one by
 one, step by step, bit for bit.
 """
@@ -54,10 +55,13 @@ from .rng import RandomStream, twister_draws
 _CHUNK = 1 << 13
 
 #: Sweeps (nfree steps each) in a block of a straight-simulation chunk
-#: moved in blocks (:meth:`bnras.chain._BlanketTables.scan_blocks`). Blocks
-#: of 2 to 8 sweeps cost about the same on MINIALARM's, CHAIN5's and
-#: SYNMIX's chunks, a quarter to a half of one scan (timings in CHANGES.md).
-_BLOCK_SWEEPS = 4
+#: moved in blocks (:meth:`bnras.chain._BlanketTables.scan_blocks`), whose
+#: warm-up is two blocks. Of the runs of MINIALARM and SYNMIX that start
+#: apart, 1 in 1000 has not met the other after 9 to 15 sweeps, so a
+#: warm-up of 16 leaves almost every block's start right, and a chunk's
+#: lock steps hardly depend on the evidence or the seeds (timings in
+#: CHANGES.md).
+_BLOCK_SWEEPS = 8
 
 
 @dataclass(frozen=True)
@@ -249,14 +253,12 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
     counts once for each of the chunk's steps after which it is still among
     the last nfree.
 
-    A chunk moves in blocks of ``_BLOCK_SWEEPS`` sweeps when it has at
-    least twice as many steps as the last chunk so moved took lock steps
-    (its scans times the block, two scans assumed before the first): a
-    re-run that does not meet the run it replaces within its block costs
-    one more scan, so chains whose runs meet slowly, such as PATH2's, soon
-    take one scan a chunk. Tables with a dead row take one scan a chunk
-    too, since a block run from a guessed start could meet a dead row that
-    the chain never meets.
+    A chunk moves in blocks of ``_BLOCK_SWEEPS`` sweeps when it holds at
+    least four blocks' steps, until some chunk gives its blocks up: chains
+    whose runs meet slowly, such as PATH2's, give them up in their first
+    chunk and take one scan a chunk after it. Tables with a dead row take
+    one scan a chunk too, since a block run from a guessed start could meet
+    a dead row that the chain never meets.
     """
     tables = _blanket_tables(tab, free, template)
     if (tables is None or len(set(map(id, rngs))) < len(rngs) or not all(
@@ -282,15 +284,15 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
 
     marks = range(stride, total + 1, stride) if stride > 0 else ()
     lb = _BLOCK_SWEEPS * nfree
-    passes = 2  # scans the last chunk moved in blocks took
+    blocked = not dead  # whether chunks still move in blocks
     done = 0
     for cut in sorted({total, *marks}):
         while done < cut:
             steps = min(cut - done, most)
             chunk = outcomes[: nfree + steps]
             draws = twister_draws(rngs, steps)
-            if not dead and 2 * passes * lb <= steps:
-                passes = tables.scan_blocks(chunk, done, draws, lb)
+            if blocked and steps >= 4 * lb:
+                blocked = tables.scan_blocks(chunk, done, draws, lb)
             elif not tables.scan(chunk, done, draws):
                 for rng, state in zip(rngs, saved):
                     rng.setstate(state)

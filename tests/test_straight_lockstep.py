@@ -68,8 +68,8 @@ def refused(*args):
 @pytest.fixture
 def scans(monkeypatch):
     """Each chunk the lock step moves, in order: (lb, the columns of each
-    scan) for a chunk moved in blocks of lb steps, (None, [chains]) for a
-    chunk moved by one scan."""
+    scan, whether it kept its blocks) for a chunk moved in blocks of lb
+    steps, (None, [chains], None) for a chunk moved by one scan."""
     chunks, inside = [], []
     scan, scan_blocks = chain._BlanketTables.scan, chain._BlanketTables.scan_blocks
 
@@ -77,16 +77,18 @@ def scans(monkeypatch):
         if inside:
             inside[-1].append(len(draws))
         else:
-            chunks.append((None, [len(draws)]))
+            chunks.append((None, [len(draws)], None))
         return scan(self, outcomes, first, draws)
 
     def spy_scan_blocks(self, outcomes, first, draws, lb):
-        chunks.append((lb, []))
-        inside.append(chunks[-1][1])
+        columns = []
+        inside.append(columns)
         try:
-            return scan_blocks(self, outcomes, first, draws, lb)
+            kept = scan_blocks(self, outcomes, first, draws, lb)
         finally:
             inside.pop()
+        chunks.append((lb, columns, kept))
+        return kept
 
     monkeypatch.setattr(chain._BlanketTables, "scan", spy_scan)
     monkeypatch.setattr(chain._BlanketTables, "scan_blocks", spy_scan_blocks)
@@ -274,7 +276,7 @@ def test_zero_weights_never_met(and_gate, empty, scans):
     assert_matches_scalar(and_gate, empty, 30, fine, stride=7)
     scans.clear()
     assert_matches_scalar(and_gate, empty, 3000, fine)
-    assert scans and all(lb is None for lb, _ in scans)
+    assert scans and all(lb is None for lb, _, _ in scans)
     # one chain on them steps on its own
     scans.clear()
     assert_matches_scalar(and_gate, empty, 3000, fine[:1])
@@ -312,64 +314,76 @@ def coupled(p, q):
 
 
 def test_blocks_over_several_chunks(monkeypatch, nets, scans):
-    # chunks of 200 steps for six chains and of 450 for one, cut by the
-    # stride; the first is cut into blocks of 4 sweeps, one column a block,
-    # and a lone chain's few passes keep every chunk in blocks
-    monkeypatch.setattr(estimate, "_CHUNK", 1200)
+    # chunks of seven blocks and three steps, cut by the stride: a warm-up
+    # of two blocks, then six blocks of six chains, the last of three
+    # steps; the last chunk, of one block, is too short for blocks
     for net in nets.values():
         for ev in evidence_sets(net):
             lb = estimate._BLOCK_SWEEPS * (len(net.nodes) - len(ev))
-            for seeds, total, steps in ((PANEL, 1000, 200), (PANEL[:1], 3000, 450)):
-                scans.clear()
-                assert_matches_scalar(net, ev, total, seeds, stride=450)
-                assert len(scans) > 2
-                assert scans[0][0] == lb
-                assert scans[0][1][0] == len(seeds) * -(-steps // lb)
-            assert all(lb for lb, _ in scans)
+            monkeypatch.setattr(estimate, "_CHUNK", len(PANEL) * 12 * lb)
+            scans.clear()
+            assert_matches_scalar(net, ev, 10 * (7 * lb + 3) + lb, PANEL, stride=7 * lb + 3)
+            assert (scans[0][0], scans[0][1][0]) == (lb, len(PANEL) * 6)
+            if net.name == "PATH2" and not ev:
+                # PATH2's runs meet slowly: some warm-ups have not met the
+                # chain, their blocks run again, once three times, and the
+                # seventh chunk gives its blocks up
+                assert [kept for _, _, kept in scans] == [True] * 6 + [False] + [None] * 4
+                assert [len(columns) for _, columns, _ in scans[:6]] == [2, 2, 2, 1, 4, 4]
+            else:
+                assert [(size, kept) for size, _, kept in scans] == [(lb, True)] * 10 + [(None, None)]
 
 
 def test_first_chunk_in_blocks_needs_four(nets, empty, scans):
-    # before any chunk has moved in blocks, two passes are assumed, so a
-    # chunk moves in blocks when it holds four: CHAIN5's are 20 steps
-    assert_matches_scalar(nets["CHAIN5"], empty, 80, PANEL[:1])
-    assert [lb for lb, _ in scans] == [20]
+    # a chunk moves in blocks when it holds four: CHAIN5's are 40 steps, so
+    # 160 steps make a warm-up and two blocks
+    assert_matches_scalar(nets["CHAIN5"], empty, 160, PANEL[:1])
+    assert scans == [(40, [2], True)]
     scans.clear()
-    assert_matches_scalar(nets["CHAIN5"], empty, 79, PANEL[:1])
-    assert scans == [(None, [1])]
+    assert_matches_scalar(nets["CHAIN5"], empty, 159, PANEL[:1])
+    assert scans == [(None, [1], None)]
 
 
-def test_path2_reruns_that_do_not_meet(nets, empty, scans):
+def test_path2_gives_up_its_blocks(nets, empty, scans):
     # runs of PATH2 from different states meet in about 50 steps, so many
-    # re-runs of the first chunk's blocks of 8 steps do not meet, and each
-    # costs one more pass; so many passes take more than half of 30 chains'
-    # 273-step chunk, and the next chunks run in one scan
+    # warm-ups of 32 steps have not met the chain, and many re-runs of 16
+    # steps do not meet the run they replace; after four passes the first
+    # chunk gives its blocks up, one scan runs its last steps, and the next
+    # chunks run in one scan
     assert_matches_scalar(nets["PATH2"], empty, 1500, range(30))
-    assert [lb for lb, _ in scans] == [8, None, None, None, None, None]
-    assert len(scans[0][1]) > 17
+    (lb, columns, kept), *rest = scans
+    assert (lb, len(columns), columns[0], columns[-1], kept) == (16, 5, 30 * 16, 30, False)
+    assert rest == [(None, [30], None)] * 5
+    scans.clear()
+    assert_matches_scalar(nets["PATH2"], empty, 3000, [0])
+    assert [(lb, len(columns), kept) for lb, columns, kept in scans] == [(16, 5, False)]
 
 
 def test_blocks_that_rarely_meet(scans):
-    # after a chain flips, no later block of its chunk meets the true run,
-    # so each runs again in a pass of its own
+    # after a chain flips, no later block of its chunk meets the true run;
+    # the pass after the flip's block finds one wrong start, its re-run the
+    # next, and so on, until the chunk gives its blocks up
     net = coupled("0.9999", "0.0001")
     assert_matches_scalar(net, Evidence.empty(), 20000, [0])
-    assert [lb for lb, _ in scans] == [8, 8, 8]
-    assert len(scans[0][1]) > 300
+    assert scans == [(16, [510, 1, 1, 1, 1], False), (None, [1], None), (None, [1], None)]
+    scans.clear()
+    assert_matches_scalar(net, Evidence.empty(), 20000, [1])
+    assert scans == [(16, [510], True), (16, [510, 1, 1, 1, 1], False), (None, [1], None)]
     scans.clear()
     assert_matches_scalar(net, Evidence.empty(), 3000, range(30))
-    assert [lb for lb, _ in scans[:2]] == [8, 8]
-    assert len(scans[1][1]) > 17
-    assert {lb for lb, _ in scans[2:]} == {None}
+    assert [(lb, kept) for lb, _, kept in scans[:2]] == [(16, True), (16, False)]
+    assert {lb for lb, _, _ in scans[2:]} == {None}
 
 
 def test_total_not_a_multiple_of_the_block(nets, empty, scans):
-    # CHAIN5's blocks of 20 steps: 997 steps make 50 blocks, the last of 17
+    # CHAIN5's blocks of 40 steps: 997 steps make a warm-up of 80 and 23
+    # blocks, the last of 37
     assert_matches_scalar(nets["CHAIN5"], empty, 997, PANEL[:2])
-    assert scans == [(20, [100, 97, 11])]
+    assert scans == [(40, [46], True)]
     # a lone chain's second chunk, of 1 step, is too short for blocks
     scans.clear()
     assert_matches_scalar(nets["MINIALARM"], empty, 8193, PANEL[:1])
-    assert [lb for lb, _ in scans] == [32, None]
+    assert scans == [(64, [126], True), (None, [1], None)]
 
 
 def test_numpy_random_never_imported():
