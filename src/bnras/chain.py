@@ -477,11 +477,11 @@ class _BlanketTables:
         before. Each later pass runs again, in one scan and without the
         warm-up, every block whose start differs from that end, from that
         end, until no start differs: pass k leaves blocks 0, ..., k - 1
-        exact. After four passes the blocks are given up: those before the
-        first block still wrong are kept and one scan runs the rest, so a
-        chunk never takes more lock steps than one scan. A window's first
-        row is the slot that its block redraws first, which no step reads,
-        so starts are compared on the other rows."""
+        exact. After four passes, once the passes have taken more lock
+        steps than half of L, the blocks are given up: those before the
+        first block still wrong in some chain are kept and one scan runs the
+        rest. A window's first row is the slot that its block redraws first,
+        which no step reads, so starts are compared on the other rows."""
         nfree = len(self.outcomes)
         chains, steps = draws.shape
         warm = 2 * lb
@@ -497,16 +497,18 @@ class _BlanketTables:
         tail = runs[warm:]  # each block's start window and steps
         by_block = tail.reshape(nfree + lb, chains, blocks)
         wrong = np.zeros((chains, blocks), dtype=bool)  # block 0's start is never wrong
-        for passes in range(1, 5):
+        passes = 1
+        while True:
             wrong[:, 1:] = (by_block[1:nfree, :, 1:] != by_block[lb + 1:, :, :-1]).any(axis=0)
             again = np.flatnonzero(wrong)
-            if not again.size or passes == 4:
+            right = wrong.any(axis=0).argmax() if again.size else blocks  # exact in every chain
+            if not again.size or passes >= 4 and 2 * (warm + passes * lb) > steps:
                 break
+            passes += 1
             rerun = tail[:, again]
             rerun[:nfree] = tail[lb:, again - 1]
             self.scan(rerun, first, u[again, warm:])
             tail[:, again] = rerun
-        right = wrong.any(axis=0).argmax() if again.size else blocks  # blocks exact in every chain
         outcomes[nfree : nfree + warm] = runs[nfree : nfree + warm, ::blocks]
         outcomes[nfree + warm : nfree + warm + right * lb] = by_block[nfree:, :, :right].transpose(
             2, 0, 1).reshape(right * lb, chains)[: steps - warm]

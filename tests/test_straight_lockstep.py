@@ -345,33 +345,34 @@ def test_first_chunk_in_blocks_needs_four(nets, empty, scans):
 
 
 def test_path2_gives_up_its_blocks(nets, empty, scans):
-    # runs of PATH2 from different states meet in about 50 steps, so many
+    # runs of PATH2 from different states meet in about 50 steps, so some
     # warm-ups of 32 steps have not met the chain, and many re-runs of 16
-    # steps do not meet the run they replace; after four passes the first
-    # chunk gives its blocks up, one scan runs its last steps, and the next
-    # chunks run in one scan
+    # steps do not meet the run they replace. 30 chains' chunks hold 273
+    # steps: after seven passes the passes have taken more lock steps than
+    # half of them, so the first chunk gives its blocks up, one scan runs
+    # its last steps, and the next chunks run in one scan. One chain's
+    # chunk of 3000 steps keeps its blocks through twelve passes.
     assert_matches_scalar(nets["PATH2"], empty, 1500, range(30))
-    (lb, columns, kept), *rest = scans
-    assert (lb, len(columns), columns[0], columns[-1], kept) == (16, 5, 30 * 16, 30, False)
-    assert rest == [(None, [30], None)] * 5
+    assert scans == [(16, [480, 38, 23, 11, 10, 4, 2, 30], False)] + [(None, [30], None)] * 5
     scans.clear()
-    assert_matches_scalar(nets["PATH2"], empty, 3000, [0])
-    assert [(lb, len(columns), kept) for lb, columns, kept in scans] == [(16, 5, False)]
+    assert_matches_scalar(nets["PATH2"], empty, 3000, PANEL[:1])
+    assert scans == [(16, [186, 16, 9, 8, 6, 5, 4, 2, 2, 2, 2, 1], True)]
 
 
 def test_blocks_that_rarely_meet(scans):
-    # after a chain flips, no later block of its chunk meets the true run;
-    # the pass after the flip's block finds one wrong start, its re-run the
-    # next, and so on, until the chunk gives its blocks up
+    # after a chain flips, no later block of its chunk meets the true run
+    # until the runs meet again: the pass after the flip's block finds one
+    # wrong start, its re-run the next, and so on. One chain's chunk of
+    # 8192 steps keeps its blocks through 150 such passes; 30 chains'
+    # chunks of 273 steps give them up after seven
     net = coupled("0.9999", "0.0001")
     assert_matches_scalar(net, Evidence.empty(), 20000, [0])
-    assert scans == [(16, [510, 1, 1, 1, 1], False), (None, [1], None), (None, [1], None)]
-    scans.clear()
-    assert_matches_scalar(net, Evidence.empty(), 20000, [1])
-    assert scans == [(16, [510], True), (16, [510, 1, 1, 1, 1], False), (None, [1], None)]
+    assert [(lb, len(columns), kept) for lb, columns, kept in scans] == [
+        (16, 151, True), (16, 1, True), (16, 1, True)]
+    assert scans[0][1] == [510] + [1] * 150
     scans.clear()
     assert_matches_scalar(net, Evidence.empty(), 3000, range(30))
-    assert [(lb, kept) for lb, _, kept in scans[:2]] == [(16, True), (16, False)]
+    assert scans[:2] == [(16, [480], True), (16, [480, 1, 1, 1, 1, 1, 1, 30], False)]
     assert {lb for lb, _, _ in scans[2:]} == {None}
 
 
