@@ -501,7 +501,8 @@ class _BlanketTables:
         while True:
             wrong[:, 1:] = (by_block[1:nfree, :, 1:] != by_block[lb + 1:, :, :-1]).any(axis=0)
             again = np.flatnonzero(wrong)
-            right = wrong.any(axis=0).argmax() if again.size else blocks  # exact in every chain
+            # the blocks before block right are exact in every chain
+            right = wrong.any(axis=0).argmax() if again.size else blocks
             if not again.size or passes >= 4 and 2 * (warm + passes * lb) > steps:
                 break
             passes += 1

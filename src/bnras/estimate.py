@@ -254,11 +254,13 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
     the last nfree.
 
     A chunk moves in blocks of ``_BLOCK_SWEEPS`` sweeps when it holds at
-    least four blocks' steps, until some chunk gives its blocks up: chains
-    whose runs meet slowly, such as PATH2's, give them up in their first
-    chunk and take one scan a chunk after it. Tables with a dead row take
-    one scan a chunk too, since a block run from a guessed start could meet
-    a dead row that the chain never meets.
+    least four blocks' steps, until some chunk gives its blocks up, its
+    passes having cost more than half its steps: 30 chains of PATH2, whose
+    runs meet slowly, give them up in their first chunk of 273 steps and
+    take one scan a chunk after it, while one chain's chunks of 8192 steps
+    keep them. Tables with a dead row take one scan a chunk too, since a
+    block run from a guessed start could meet a dead row that the chain
+    never meets.
     """
     tables = _blanket_tables(tab, free, template)
     if (tables is None or len(set(map(id, rngs))) < len(rngs) or not all(

@@ -326,12 +326,14 @@ def test_blocks_over_several_chunks(monkeypatch, nets, scans):
             assert (scans[0][0], scans[0][1][0]) == (lb, len(PANEL) * 6)
             if net.name == "PATH2" and not ev:
                 # PATH2's runs meet slowly: some warm-ups have not met the
-                # chain, their blocks run again, once three times, and the
-                # seventh chunk gives its blocks up
+                # chain and their blocks run again, in up to three more
+                # passes, and the seventh chunk's passes take more than half
+                # its steps, so it gives its blocks up
                 assert [kept for _, _, kept in scans] == [True] * 6 + [False] + [None] * 4
                 assert [len(columns) for _, columns, _ in scans[:6]] == [2, 2, 2, 1, 4, 4]
             else:
-                assert [(size, kept) for size, _, kept in scans] == [(lb, True)] * 10 + [(None, None)]
+                assert [(size, kept) for size, _, kept in scans] == (
+                    [(lb, True)] * 10 + [(None, None)])
 
 
 def test_first_chunk_in_blocks_needs_four(nets, empty, scans):
