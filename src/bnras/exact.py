@@ -11,25 +11,31 @@ axes: the same sequence of products as :func:`bnras.network.joint_probability`
 takes of ``conditional_probability`` entries, in node order. Every total
 is a sequential ``cumsum`` in enumeration order, the same additions as a
 running ``+=``, never numpy's pairwise ``sum``, so results are reproducible
-to the bit.
+to the bit. Each factor is scaled up by a power of two, which changes no
+ratio's bits, so evidence whose probability is below every double keeps its
+posteriors; its P(e) reads 0.0.
 
 The lazy chain's moves (:func:`_moves`) are read off each node's
-``chain._conditional`` array, over its free blanket only. The matrix places
-them and keeps p0, their least positive value; p0 alone needs no joint, so
-it runs past the enumeration cap. The lazy chain is reversible with respect
-to the stationary vector pi, so P^t / pi (column j divided by pi[j]) is
-symmetric and P^(2s) / pi is the Gram matrix of the rows of
-B_s = P^s / sqrt(pi); since the lazy kernel's eigenvalues lie in [0, 1],
-P^(2s+1) / pi - 1 is a Gram matrix too. The relative pointwise distance at
-several t takes every B_s from one chain of symmetric squarings (BLAS
-``syrk``) and reads each t off a diagonal, where Cauchy-Schwarz puts the
-largest deviation from 1: even t = 2s off B_s alone, odd t = 2s + 1 off B_s
-and B_(s+1) = P @ B_s. It relies on P's one-node sparsity and on the
-enumeration order of the states, as :func:`build_transition_matrix` returns
-them: a row of P is nonzero only at the state itself and the states one free
-node apart (:func:`_neighbours`), so t = 0 and 1 read I and P at those
-columns alone, and while rows have few such columns the first square B_2
-sums the products of two moves rather than multiplying the dense B_1.
+``chain._conditional`` array, over its free blanket only. One (M, K) table
+holds them (:func:`_chain`): row x is P at the K columns a move from state x
+reaches, the state itself and the states one free node apart
+(:func:`_neighbours`), in the enumeration order of the states. p0 is their
+least positive value; it alone needs no joint, so it runs past the
+enumeration cap. The matrix places the table, 0 elsewhere, and every mixing
+quantity reads the table. The lazy chain is reversible with respect to the
+stationary vector pi, so P^t / pi (column j divided by pi[j]) is symmetric
+and P^(2s) / pi is the Gram matrix of the rows of B_s = P^s / sqrt(pi);
+since the lazy kernel's eigenvalues lie in [0, 1], P^(2s+1) / pi - 1 is a
+Gram matrix too. The relative pointwise distance at several t takes every
+B_s from one chain of symmetric squarings (BLAS ``syrk``) and reads each t
+off a diagonal, where Cauchy-Schwarz puts the largest deviation from 1:
+even t = 2s off B_s alone, odd t = 2s + 1 off B_s and B_(s+1) = P @ B_s.
+t = 0 and 1 read I and the table, and while rows have few columns the first
+square B_2 sums the products of two moves rather than multiplying the dense
+B_1. :func:`mixing_report` keeps no M-by-M matrix of P: it places the table
+only for the products that need P dense (B_1, a nearly dense first square,
+P @ B_s) and drops it after each, so at t = 1, 4, 16 it holds at most two
+M-by-M arrays, not three.
 
 Everything here is exact up to 64-bit float rounding; the caps below are
 refusals, not truncations. At the enumeration cap the tensor takes 32 MB.
@@ -42,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -85,7 +91,8 @@ class TransitionMatrix:
     1/2, so its eigenvalues lie in [0, 1]). Row i is nonzero only at state i
     and the states one free node apart, and ``states`` are in enumeration
     order, last free node fastest. :func:`relative_pointwise_distance`
-    relies on all four."""
+    relies on all four: it reads the move table back off ``matrix`` at the
+    :func:`_neighbours` columns, as :func:`_chain` lays it out."""
 
     free_nodes: tuple[str, ...]
     states: tuple[tuple[int, ...], ...]  # free-node assignments, enumeration order
@@ -104,7 +111,14 @@ class MixingReport:
 class _Joint:
     """The evidence-consistent joint states as one weight tensor, whose axis
     ``slot`` is free node ``free[slot]``; refuses the evidence, then more
-    than ``cap`` states."""
+    than ``cap`` states.
+
+    Each node's factor is scaled up by a power of two that puts its largest
+    entry in [0.5, 1] (a table's entries are at most 1), and ``exponent``
+    sums the powers taken out, so evidence whose probability is below every
+    double keeps weights in range. Powers of two scale exactly: every ratio
+    of weights and totals has the bits of the unscaled product wherever
+    that did not underflow, and exact zeros stay zero."""
 
     def __init__(self, net: BeliefNetwork, ev: Evidence, cap: int, what: str):
         self.tab, self.free, self.template = _prepare(net, ev)
@@ -112,10 +126,16 @@ class _Joint:
         if math.prod(self.dims) > cap:
             raise CapacityError(f"{math.prod(self.dims)} free joint states exceed the {what} cap {cap}")
         self.weights = np.ones(self.dims)
+        self.exponent = 0
         for j in range(self.tab.n):
-            self.weights *= _factor(self.tab, j, self.free, self.template)
+            factor = _factor(self.tab, j, self.free, self.template)
+            exponent = min(0, int(np.frexp(factor.max())[1]))
+            self.weights *= np.ldexp(factor, -exponent)
+            self.exponent += exponent
 
     def normalizer(self) -> float:
+        """The weights' total, scaled as they are; P(e) is
+        ``math.ldexp(total, self.exponent)``."""
         total = _sequential_sum(self.weights)
         if total <= 0.0:
             raise ImpossibleEvidenceError("evidence has probability zero")
@@ -174,7 +194,7 @@ def enumerate_posteriors(
     names = tuple(net.nodes[i].name for i in joint.free)
     labels = tuple(net.nodes[i].outcomes for i in joint.free)
     probs = tuple(tuple(s / total for s in row) for row in sums)
-    return PosteriorTable(names, labels, probs, total)
+    return PosteriorTable(names, labels, probs, math.ldexp(total, joint.exponent))
 
 
 def min_joint_posterior(net: BeliefNetwork, ev: Evidence, cap: int = DEFAULT_ENUM_CAP) -> float:
@@ -184,39 +204,62 @@ def min_joint_posterior(net: BeliefNetwork, ev: Evidence, cap: int = DEFAULT_ENU
     return float(joint.weights.min()) / joint.normalizer()
 
 
+def _chain(net: BeliefNetwork, ev: Evidence) -> tuple[_Joint, np.ndarray, float]:
+    """The joint, the move table and p0 of the lazy random-scan chain.
+
+    The table is (M, K), K = 1 + sum(k - 1): row x holds P's entries at the
+    :func:`_neighbours` columns of state x, in their order. Column 0 is the
+    diagonal, 0.5 plus each free node's move to its own value, added in node
+    order; then, free axis by free axis, come the moves that shift that
+    axis's value by 1 .. k - 1 (mod k). A move of free node i is
+    (1/(2n)) q_i(new value | state) for n free nodes and q the full
+    conditional (:func:`_moves`), and p0 is the least positive one. Like the
+    bounds, it refuses tables with 0/1 entries, whose chains may be
+    reducible, and more than ``DEFAULT_MATRIX_CAP`` states."""
+    _require_positive(net)
+    joint = _Joint(net, ev, DEFAULT_MATRIX_CAP, "matrix")
+    _require_free(joint.free)
+    dims = joint.dims
+    table = np.empty((math.prod(dims), 1 + sum(k - 1 for k in dims)))
+    cells = table.reshape(*dims, -1)  # a view: the row of each state at its free values
+    cells[..., 0] = 0.5
+    p0, column = math.inf, 1
+    for slot, (axes, q) in enumerate(_moves(net, joint.tab, joint.free, joint.template)):
+        p0 = min(p0, float(q.min(initial=math.inf, where=q > 0.0)))
+        q = q.reshape([k if i in axes else 1 for i, k in zip(joint.free, dims)])
+        cells[..., 0] += q
+        for shift in range(1, dims[slot]):
+            cells[..., column] = np.roll(q, -shift, axis=slot)
+            column += 1
+    return joint, table, p0
+
+
+def _placed(table: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """P as an M-by-M matrix: the move table at its :func:`_neighbours`
+    columns, 0 elsewhere."""
+    m = len(table)
+    matrix = np.zeros((m, m))
+    np.put_along_axis(matrix, _neighbours(np.arange(m), dims), table, axis=1)
+    return matrix
+
+
 def build_transition_matrix(net: BeliefNetwork, ev: Evidence) -> TransitionMatrix:
     """The lazy random-scan kernel written out as an M-by-M matrix.
 
     Off-diagonal mass only connects states differing at exactly one free
-    node i, with value (1/(2n)) q_i(new value | state) for n free nodes and
-    q the full conditional (:func:`_moves`); the diagonal keeps the
-    remaining mass, which is at least 1/2. The stationary vector is the
-    exact posterior over states, taken from the same joint sums as
-    :func:`enumerate_posteriors`; ``p0`` is the least positive move, as
-    :func:`min_transition_probability` finds it. Like the bounds, it
-    refuses tables with 0/1 entries, whose chains may be reducible, and it
-    refuses more than ``DEFAULT_MATRIX_CAP`` states.
+    node; the diagonal keeps the remaining mass, which is at least 1/2. The
+    matrix is the move table of :func:`_chain` placed at its columns. The
+    stationary vector is the exact posterior over states, taken from the
+    same joint sums as :func:`enumerate_posteriors`; ``p0`` is the least
+    positive move, as :func:`min_transition_probability` finds it. Like the
+    bounds, it refuses tables with 0/1 entries, whose chains may be
+    reducible, and it refuses more than ``DEFAULT_MATRIX_CAP`` states.
     """
-    _require_positive(net)
-    joint = _Joint(net, ev, DEFAULT_MATRIX_CAP, "matrix")
-    _require_free(joint.free)
-    dims, m = joint.dims, joint.weights.size
-    index = np.arange(m).reshape(dims)
-    matrix = np.zeros((m, m))
-    diagonal = np.full(dims, 0.5)
-    p0 = math.inf
-    for slot, (axes, q) in enumerate(_moves(net, joint.tab, joint.free, joint.template)):
-        p0 = min(p0, float(q.min(initial=math.inf, where=q > 0.0)))
-        q = q.reshape([k if i in axes else 1 for i, k in zip(joint.free, dims)])
-        diagonal += q
-        rows, values = np.moveaxis(index, slot, 0), np.moveaxis(q, slot, 0)
-        for cur, v in itertools.permutations(range(dims[slot]), 2):
-            matrix[rows[cur], rows[v]] = values[v]
-    np.fill_diagonal(matrix, diagonal)
+    joint, table, p0 = _chain(net, ev)
     return TransitionMatrix(
         free_nodes=tuple(net.nodes[i].name for i in joint.free),
-        states=tuple(itertools.product(*map(range, dims))),
-        matrix=matrix,
+        states=tuple(itertools.product(*map(range, joint.dims))),
+        matrix=_placed(table, joint.dims),
         stationary=joint.weights.ravel() / joint.normalizer(),
         p0=p0,
     )
@@ -267,8 +310,8 @@ def _neighbours(states: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     return np.concatenate(found, axis=-1)
 
 
-def _square_moves(p: np.ndarray, root: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """B_2 = P^2 / sqrt(pi), read off P's one-node moves.
+def _square_moves(table: np.ndarray, root: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """B_2 = P^2 / sqrt(pi), read off the move table of P.
 
     Entry (x, z) is the sum over the neighbours y of x (:func:`_neighbours`)
     of P[x, y] * P[y, z] / sqrt(pi)[z], added with ``np.bincount`` in the
@@ -276,24 +319,24 @@ def _square_moves(p: np.ndarray, root: np.ndarray, dims: tuple[int, ...]) -> np.
     block."""
     m = len(root)
     cols = _neighbours(np.arange(m), dims)
-    steps = np.take_along_axis(p, cols, axis=1)  # P[x, cols[x]]
     square = np.empty((m, m))
     rows = max(1, _RPD_BLOCK // m)
     for start in range(0, m, rows):
         stop = min(start + rows, m)
         mid = cols[start:stop]
         far = cols[mid]
-        terms = steps[start:stop, :, None] * steps[mid] / root[far]
+        terms = table[start:stop, :, None] * table[mid] / root[far]
         far += (np.arange(stop - start) * m)[:, None, None]
         square[start:stop] = np.bincount(far.ravel(), terms.ravel(), (stop - start) * m).reshape(-1, m)
     return square
 
 
-def _half_powers(p: np.ndarray, root: np.ndarray, dims: tuple[int, ...],
-                 halves: set[int]) -> Iterator[tuple[int, np.ndarray]]:
+def _half_powers(table: np.ndarray, dense: Callable[[], np.ndarray], root: np.ndarray,
+                 dims: tuple[int, ...], halves: set[int]) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (h, B_h) for each h >= 1 in ``halves``, in increasing order,
-    where B_h = P^h / sqrt(pi) (column j of P^h divided by sqrt(pi[j])) and
-    p is P over states of outcome counts ``dims``.
+    where B_h = P^h / sqrt(pi) (column j of P^h divided by sqrt(pi[j])) for
+    the P whose move table is ``table``, over states of outcome counts
+    ``dims``; ``dense()`` gives P as a matrix.
 
     B_1 = P / sqrt(pi) is made for h = 1 only. One chain of squarings
     z_j = B_(2^j) = _gram(z_(j-1), z_(j-1)) starts at z_1 = B_2. With K
@@ -302,57 +345,62 @@ def _half_powers(p: np.ndarray, root: np.ndarray, dims: tuple[int, ...],
     row block's temporaries are at most ``_RPD_BLOCK`` entries. Past that
     (few free nodes with many outcomes) P is nearly dense and B_2 is the
     ``syrk`` square of B_1. An even h multiplies in the z_j of its set bits
-    from the lowest bit up, and an odd h > 1 is P @ B_(h-1). Each B_h's bits
-    depend on h alone, and a square is dropped once no larger h needs it.
+    from the lowest bit up, and an odd h > 1 is P @ B_(h-1). Only those
+    three take ``dense()``, each for one product. Each B_h's bits depend on
+    h alone, and a square is dropped once no larger h needs it.
     """
     partial = dict.fromkeys(sorted(halves))
     if 1 in partial:
         del partial[1]
-        yield 1, p / root
-    sparse = (1 + sum(k - 1 for k in dims)) ** 2 <= len(root)
+        yield 1, dense() / root
+    sparse = table.shape[1] ** 2 <= len(root)
     bit = 1
     while partial:
         if bit > 1:
             z = _gram(z, z, root)
         elif sparse:
-            z = _square_moves(p, root, dims)
+            z = _square_moves(table, root, dims)
         else:
-            z = p / root
+            z = dense() / root
             z = _gram(z, z, root)
         for h in list(partial):
             if h >> bit & 1:
                 partial[h] = z if partial[h] is None else _gram(partial[h], z, root)
             if h >> (bit + 1) == 0:
                 if h & 1:
-                    partial[h] = p @ partial[h]
+                    partial[h] = dense() @ partial[h]
                 yield h, partial.pop(h)
         bit += 1
 
 
-def _rpd_by_count(tm: TransitionMatrix, counts: list[int]) -> dict[int, float]:
+def _rpd_by_count(table: np.ndarray, dense: Callable[[], np.ndarray], pi: np.ndarray,
+                  dims: tuple[int, ...], counts: list[int]) -> dict[int, float]:
     """max over (i, j) of |P^t[i, j] / pi[j] - 1| for each t, in the order
-    of ``counts``.
+    of ``counts``, for the reversible lazy chain whose move table is
+    ``table`` (as :func:`_chain` lays it out), whose stationary vector is
+    ``pi`` and whose states are in enumeration order over outcome counts
+    ``dims``. ``dense()`` gives P as a matrix; it is called only where a
+    product needs P dense (:func:`_half_powers`, and P @ B_s for odd t), and
+    each result is dropped after its product.
 
-    It relies on P's one-node sparsity and on the enumeration order of the
-    states, as :func:`build_transition_matrix` returns them: the outcome
-    counts are read off the last state, the all-max one. t = 0 and 1 read I
-    and P at the :func:`_neighbours` columns only; every other entry is 0,
-    and its term |0 - pi[j]| / pi[j] is exactly 1.0, so the values have the
-    bits of the dense scan. Above, with the half powers B_s = P^s / sqrt(pi)
-    of :func:`_half_powers` and C_s = B_s - sqrt(pi) in each row,
-    P^t / pi - 1 is C_s @ C_s.T for t = 2s and C_s @ C_(s+1).T for
-    t = 2s + 1. There C_(s+1) = C_s @ S, with S = sqrt(pi)[:, None] * P /
-    sqrt(pi) the symmetric kernel of the lazy chain, whose eigenvalues lie
-    in [0, 1], so C_s @ C_(s+1).T = C_s @ S @ C_s.T. Both are Gram
-    matrices, so by Cauchy-Schwarz their largest entry lies on the
-    diagonal: max_i <C_s[i], C_s[i]> or max_i <C_s[i], C_(s+1)[i]>, read
-    with no cancellation, in row blocks so that no full-size temporary is
-    made.
+    t = 0 and 1 read I and the table, P at the :func:`_neighbours` columns;
+    every other entry is 0, and its term |0 - pi[j]| / pi[j] is exactly
+    1.0, so the values have the bits of the dense scan. Above, with the
+    half powers B_s = P^s / sqrt(pi) of :func:`_half_powers` and
+    C_s = B_s - sqrt(pi) in each row, P^t / pi - 1 is C_s @ C_s.T for
+    t = 2s and C_s @ C_(s+1).T for t = 2s + 1. There C_(s+1) = C_s @ S,
+    with S = sqrt(pi)[:, None] * P / sqrt(pi) the symmetric kernel of the
+    lazy chain, whose eigenvalues lie in [0, 1], so
+    C_s @ C_(s+1).T = C_s @ S @ C_s.T. Both are Gram matrices, so by
+    Cauchy-Schwarz their largest entry lies on the diagonal:
+    max_i <C_s[i], C_s[i]> or max_i <C_s[i], C_(s+1)[i]>, read with no
+    cancellation, in row blocks written into two buffers made once, so
+    that no full-size temporary is made and no block pages in fresh
+    memory.
     """
-    pi = tm.stationary
     m, root = len(pi), np.sqrt(pi)
-    dims = tuple(v + 1 for v in tm.states[-1])
-    width = 1 + sum(k - 1 for k in dims)
+    width = table.shape[1]
+    work = np.empty((2, min(max(1, _RPD_BLOCK // m), m), m))
 
     def peak(block_of, size: int) -> float:
         rows = max(1, _RPD_BLOCK // size)
@@ -360,19 +408,26 @@ def _rpd_by_count(tm: TransitionMatrix, counts: list[int]) -> dict[int, float]:
 
     def near(t: int, i: int, j: int) -> np.ndarray:
         cols = _neighbours(np.arange(i, j), dims)
-        value = np.take_along_axis(tm.matrix[i:j], cols, axis=1) if t else np.eye(1, width)
+        value = table[i:j] if t else np.eye(1, width)
         return np.abs(value - pi[cols]) / pi[cols]
+
+    def diagonal(a: np.ndarray, b: np.ndarray, i: int, j: int) -> np.ndarray:
+        # <a[x] - root, b[x] - root> for rows i..j, in the buffers
+        c = np.subtract(a[i:j], root, out=work[0, :j - i])
+        if b is a:
+            return np.square(c, out=c).sum(axis=1)
+        return np.multiply(c, np.subtract(b[i:j], root, out=work[1, :j - i]), out=c).sum(axis=1)
 
     found = {}
     for t in {0, 1}.intersection(counts):
         top = peak(lambda i, j: near(t, i, j), width)
         found[t] = max(top, 1.0) if width < m else top  # 1.0: the rows' zero entries
-    for s, bs in _half_powers(tm.matrix, root, dims, {t // 2 for t in counts if t >= 2}):
+    for s, bs in _half_powers(table, dense, root, dims, {t // 2 for t in counts if t >= 2}):
         if 2 * s in counts:
-            found[2 * s] = peak(lambda i, j: np.square(bs[i:j] - root).sum(axis=1), m)
+            found[2 * s] = peak(lambda i, j: diagonal(bs, bs, i, j), m)
         if 2 * s + 1 in counts:
-            after = tm.matrix @ bs  # B_(s+1)
-            found[2 * s + 1] = peak(lambda i, j: ((bs[i:j] - root) * (after[i:j] - root)).sum(axis=1), m)
+            after = dense() @ bs  # B_(s+1)
+            found[2 * s + 1] = peak(lambda i, j: diagonal(bs, after, i, j), m)
             del after
         del bs  # else it outlives the next squaring
     return {t: found[t] for t in counts}
@@ -381,24 +436,37 @@ def _rpd_by_count(tm: TransitionMatrix, counts: list[int]) -> dict[int, float]:
 def relative_pointwise_distance(tm: TransitionMatrix, t: int) -> float:
     """max over (i, j) of |P^t[i, j] - pi[j]| / pi[j].
 
-    t = 0 and 1 are read off I and P at the columns a move reaches, with
-    the bits of the dense scan. Above, P^t / pi is taken as a Gram product
-    of half powers. Both need the reversible lazy chain, its stationary
-    vector pi and its states in enumeration order, as
-    :func:`build_transition_matrix` returns them; the value is within
+    The move table is read off ``tm.matrix`` at the columns a move reaches,
+    and ``tm.matrix`` is the dense P, so the value has the bits of
+    :func:`mixing_report`'s. t = 0 and 1 are read off I and that table,
+    with the bits of the dense scan. Above, P^t / pi is taken as a Gram
+    product of half powers. Both need the reversible lazy chain, its
+    stationary vector pi and its states in enumeration order, as
+    :func:`build_transition_matrix` returns them (the outcome counts are
+    read off the last state, the all-max one); the value is within
     rounding of ``np.linalg.matrix_power``'s, and its bits do not depend on
     the other t asked for."""
     (count,) = _transition_counts((t,))
-    return _rpd_by_count(tm, [count])[count]
+    dims = tuple(v + 1 for v in tm.states[-1])
+    m = len(tm.matrix)
+    table = np.take_along_axis(tm.matrix, _neighbours(np.arange(m), dims), axis=1)
+    return _rpd_by_count(table, lambda: tm.matrix, tm.stationary, dims, [count])[count]
 
 
 def mixing_report(
     net: BeliefNetwork, ev: Evidence, t_values: tuple[int, ...] = ()
 ) -> MixingReport:
     """Bundle the exactly computed mixing quantities for small chains: pi_min,
-    p0 from the moves that fill the matrix, and the rpd of
-    :func:`relative_pointwise_distance` on the reversible lazy chain, whose
-    keys are the transition counts in the order of ``t_values``."""
+    p0 and the rpd of :func:`relative_pointwise_distance` on the reversible
+    lazy chain, whose keys are the transition counts in the order of
+    ``t_values``. pi_min comes off the joint of :func:`_chain`, p0 and the
+    rpd off its move table, each with the bits that
+    :func:`build_transition_matrix` and :func:`relative_pointwise_distance`
+    give. No M-by-M matrix of P is kept: it is made only for the products
+    that need it dense, so at most two M-by-M arrays are alive at
+    t = 1, 4, 16."""
     counts = _transition_counts(t_values)
-    tm = build_transition_matrix(net, ev)
-    return MixingReport(pi_min=float(tm.stationary.min()), p0=tm.p0, rpd=_rpd_by_count(tm, counts))
+    joint, table, p0 = _chain(net, ev)
+    pi = joint.weights.ravel() / joint.normalizer()
+    rpd = _rpd_by_count(table, lambda: _placed(table, joint.dims), pi, joint.dims, counts)
+    return MixingReport(pi_min=float(pi.min()), p0=p0, rpd=rpd)

@@ -117,6 +117,29 @@ def test_exact_impossible_evidence(tmp_path, capsys):
     assert "probability zero" in err
 
 
+def test_evidence_below_every_double_is_kept(tmp_path, capsys):
+    # three roots clamped to outcomes of probability 1e-110: P(e) = 1e-330
+    # is below every double, but D's posterior is well defined
+    root = "node {0} {{ outcomes: x, y, z }}\ncpt {0}:\n 1e-110 0.5 0.5\n"
+    path = tmp_path / "tiny.bn"
+    path.write_text("network TINYEV\n" + "".join(root.format(name) for name in "ABC")
+                    + "node D { outcomes: t, f }\ncpt D:\n 0.5 0.5\n")
+    where = ("--network", str(path), "--evidence", "A=x,B=x,C=x")
+    code, out, err = run_cli(capsys, "exact", *where)
+    assert code == 0
+    assert out.splitlines() == ["P(D=t|A=x,B=x,C=x)=0.500000", "P(D=f|A=x,B=x,C=x)=0.500000",
+                                "P(evidence)=0"]
+    code, out, err = run_cli(capsys, "bounds", *where, "--mode", "exact")
+    assert code == 0
+    assert "pi_min=0.5 p0=0.25" in out
+    code, out, err = run_cli(capsys, "run", *where, "--algorithm", "bnras", "--trials", "100",
+                             "--transitions", "10", "--seed", "1")
+    assert code == 0
+    (row,) = parse_csv(out)
+    assert row["worst_node"] == "D"
+    assert 0.0 <= float(row["max_error"]) < 0.2
+
+
 def test_exact_enum_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("BNRAS_ENUM_CAP", "4")
     code, out, err = run_cli(capsys, "exact", "--network", "MINIALARM")

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 import bnras
 from bnras import Evidence, chain
 
-from conftest import brute_posteriors, evidence_sets, positive_networks, scalar_transition_matrix
+from conftest import (brute_posteriors, evidence_sets, layered_network, positive_networks,
+                      scalar_transition_matrix)
 
 
 def test_ab_posterior_given_b(ab):
@@ -134,12 +137,64 @@ def test_min_transition_probability_blocks_match_whole_matrix(monkeypatch, nets,
             off = matrix[~np.eye(len(matrix), dtype=bool)]
             expected = float(off[off > 0.0].min())
             assert bnras.min_transition_probability(net, ev) == expected
-            report = bnras.mixing_report(net, ev, t_values=(2,))
+            report = bnras.mixing_report(net, ev, t_values=SPREAD)
             assert report.p0 == expected
             tm = bnras.build_transition_matrix(net, ev)
             assert tm.p0 == expected
-            assert report.rpd[2] == bnras.relative_pointwise_distance(tm, 2)
+            assert_report_matches_matrix(report, tm)
             assert_rpd_near(report.rpd[2], matrix_power_rpd(tm, 2))
+
+
+#: transition counts of every path: t = 0 and 1 off the table, B_1, the first
+#: square, products of squares, and odd t
+SPREAD = (0, 1, 2, 3, 4, 5, 7, 16, 17, 33)
+
+
+def assert_report_matches_matrix(report, tm):
+    # mixing_report reads the move table and places P only for products;
+    # relative_pointwise_distance reads the table off the matrix: one core
+    assert list(report.rpd) == list(SPREAD)
+    for t in SPREAD:
+        assert report.rpd[t] == bnras.relative_pointwise_distance(tm, t)
+    assert report.pi_min == tm.stationary.min()
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 16])
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(case=positive_networks())
+def test_mixing_report_matches_the_matrix_on_random_networks(block, case):
+    net, ev = case
+    with mock.patch.object(bnras.exact, "_RPD_BLOCK", block):
+        report = bnras.mixing_report(net, ev, t_values=SPREAD)
+        assert_report_matches_matrix(report, bnras.build_transition_matrix(net, ev))
+    assert report.p0 == bnras.min_transition_probability(net, ev)
+
+
+def test_mixing_report_never_builds_the_matrix(monkeypatch, nets):
+    def refuse(net, ev):
+        raise AssertionError("mixing_report built the transition matrix")
+
+    monkeypatch.setattr(bnras.exact, "build_transition_matrix", refuse)
+    for net in nets.values():
+        for ev in evidence_sets(net):
+            assert list(bnras.mixing_report(net, ev, SPREAD).rpd) == list(SPREAD)
+
+
+def test_mixing_report_peaks_at_two_dense_arrays():
+    # a 2048-state chain (K = 12): t = 1 reads the move table, B_2 is summed
+    # from pairs of moves and B_4, B_8 are syrk squares, so at most two
+    # M-by-M arrays are alive at once; a P kept beside them makes three
+    net = layered_network(12, seed=1)
+    ev = Evidence({"X11": 0})
+    m = 2048
+    tracemalloc.start()
+    try:
+        report = bnras.mixing_report(net, ev, t_values=(1, 4, 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(report.rpd) == {1, 4, 16}
+    assert peak <= 2.2 * m * m * 8
 
 
 def test_rpd_at_zero(ab, empty):
@@ -250,6 +305,33 @@ def test_matrix_equals_scalar_twin(nets):
             states, matrix = scalar_transition_matrix(net, ev)
             assert tm.states == tuple(states)
             assert np.array_equal(tm.matrix, matrix)
+
+
+def assert_table_places_the_matrix(net, ev):
+    """Row x of the move table, at x's _neighbours columns, is row x of the
+    scalar twin's matrix, and the twin is 0 at every other column."""
+    joint, table, _ = bnras.exact._chain(net, ev)
+    _, matrix = scalar_transition_matrix(net, ev)
+    m = len(matrix)
+    assert table.shape == (m, 1 + sum(k - 1 for k in joint.dims))
+    cols = bnras.exact._neighbours(np.arange(m), joint.dims)
+    rest = matrix.copy()
+    for x in range(m):
+        assert np.array_equal(matrix[x, cols[x]], table[x])
+        rest[x, cols[x]] = 0.0
+    assert not rest.any()
+
+
+def test_move_table_places_the_matrix(nets):
+    for net in nets.values():
+        for ev in evidence_sets(net):
+            assert_table_places_the_matrix(net, ev)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(positive_networks())
+def test_move_table_on_random_networks(case):
+    assert_table_places_the_matrix(*case)
 
 
 @pytest.mark.parametrize("name", ["CHAIN5", "MINIALARM"])
@@ -391,7 +473,8 @@ def assert_moves_path(tm):
         assert bnras.relative_pointwise_distance(tm, t) == float(np.max(np.abs(dense - pi) / pi))
     root = np.sqrt(pi)
     b1 = tm.matrix / root
-    square = bnras.exact._square_moves(tm.matrix, root, outcome_counts(tm))
+    table = np.take_along_axis(tm.matrix, cols, axis=1)
+    square = bnras.exact._square_moves(table, root, outcome_counts(tm))
     expected = bnras.exact._gram(b1, b1, root)
     # both sum at most K nonnegative products, each with a few roundings,
     # and detailed balance holds to a few ulps: 64 ulps relative is ample
@@ -413,8 +496,9 @@ def test_moves_path_on_random_networks(case):
 def test_square_of_the_moves_ignores_row_blocks(monkeypatch, nets):
     for net in nets.values():
         for ev in evidence_sets(net):
+            _, table, _ = bnras.exact._chain(net, ev)
             tm = bnras.build_transition_matrix(net, ev)
-            args = (tm.matrix, np.sqrt(tm.stationary), outcome_counts(tm))
+            args = (table, np.sqrt(tm.stationary), outcome_counts(tm))
             squares = []
             for block in (1, 5, 1000, 1 << 16):
                 monkeypatch.setattr(bnras.exact, "_RPD_BLOCK", block)
