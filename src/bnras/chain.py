@@ -44,6 +44,9 @@ Both lock-step kernels choose outcomes through exact draw cutoffs
 (:func:`_draw_cutoffs`): the outcome :func:`_resample` picks with draw u is
 the count of the row's cutoffs at or below u, found once per table row by
 bisection over the doubles, so neither multiplies a draw by a total.
+There are no blanket tables where some row's weights are all zero, as
+where 0/1 entries rule a blanket state out: both samplers then take their
+per-state paths, on which :func:`_resample` alone meets a conflict.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from .network import (
     JointState,
     check_evidence,
     check_state,
+    _index_of,
     _is_index,
     _Tables,
 )
@@ -236,9 +240,7 @@ def full_conditional(net: BeliefNetwork, state: JointState, node: str) -> list[f
     node's Markov blanket.
     """
     check_state(net, state)
-    i = net.node_index.get(node)
-    if i is None:
-        raise ValueError(f"network {net.name} has no node {node!r}")
+    i = _index_of(net, node)
     weights, total = _conditional_weights(net.tables, state, i)
     if total <= 0.0:
         raise _located(net, i, "in the given state")
@@ -342,7 +344,8 @@ class _BlanketTables:
     weights (:func:`_draw_cutoffs`): a row ascends and ends in +inf, and
     the outcome :func:`_resample` chooses with draw u is the first v with
     ``u < cutoffs[row, v]``, which is the count of cutoffs ``<= u``.
-    ``dead`` marks the rows whose weights are all zero.
+    Every row's weights have a positive total: :meth:`fill` makes no tables
+    with a dead row.
     """
 
     outcomes: np.ndarray  # outcome count of each free node
@@ -350,13 +353,14 @@ class _BlanketTables:
     multipliers: np.ndarray
     offsets: np.ndarray
     cutoffs: np.ndarray
-    dead: np.ndarray
 
     @classmethod
     def fill(cls, tab: _Tables, free: tuple[int, ...], template: list[int]):
         """The tables, each node's rows read off :func:`_conditional` with
         the node's own axis last; None if some node's table would have more
-        than ``_BLANKET_CAP`` rows."""
+        than ``_BLANKET_CAP`` rows, or if some row's weights are all zero.
+        The samplers then run their per-state paths, where
+        :func:`_resample` alone meets a conflict."""
         slot = {i: s for s, i in enumerate(free)}
         blankets = [[m for m in tab.blanket(i) if m in slot] for i in free]
         if any(math.prod(tab.k[m] for m in members) > _BLANKET_CAP for members in blankets):
@@ -377,21 +381,21 @@ class _BlanketTables:
             block = np.zeros((step, width))  # zero-padded to the widest node
             block[:, : tab.k[i]] = np.moveaxis(cond, axes.index(i), -1).reshape(step, -1)
             rows.append(block)
+        cutoffs, dead = _draw_cutoffs(np.concatenate(rows))
+        if dead.any():
+            return None
         offsets[1:] = np.cumsum([len(block) for block in rows[:-1]])
         outcomes = np.array([tab.k[i] for i in free])
-        return cls(outcomes, member_slots, multipliers, offsets,
-                   *_draw_cutoffs(np.concatenate(rows)))
+        return cls(outcomes, member_slots, multipliers, offsets, cutoffs)
 
-    def walk(self, t: int, seeds: np.ndarray) -> np.ndarray | None:
+    def walk(self, t: int, seeds: np.ndarray) -> np.ndarray:
         """Final free-node values of the trials on the streams seeded
         ``seeds``, all moved together, draw for draw as :func:`_trial`
-        moves each; None if some trial meets a row whose weights are all
-        zero."""
+        moves each."""
         nfree = len(self.outcomes)
         drawn = np.full(len(seeds), nfree, dtype=np.uint64)
         restart = counter_draws(seeds[:, None], np.arange(1, nfree + 1, dtype=np.uint64))
         values = (restart * self.outcomes).astype(np.intp)
-        dead = self.dead.any()
         next_two = np.array([1, 2], dtype=np.uint64)
         for _ in range(t):
             drawn += np.uint64(1)
@@ -403,8 +407,6 @@ class _BlanketTables:
             node = (u[:, 0] * nfree).astype(np.intp)
             blanket = values[move[:, None], self.members[node]]
             rows = self.offsets[node] + (blanket * self.multipliers[node]).sum(axis=1)
-            if dead and self.dead[rows].any():
-                return None
             values[move, node] = (u[:, 1:] < self.cutoffs[rows]).argmax(axis=1)
         return values
 
@@ -413,8 +415,7 @@ class _BlanketTables:
         """What :meth:`scan` reads for each slot: the rows lo, ..., hi - 1,
         counted from a step's first row, that hold the node's members among
         the last nfree outcomes; the multipliers of those rows; the cutoff
-        columns that can be finite (one column as a vector); and the mask
-        of dead rows, None if no row is dead."""
+        columns that can be finite (one column as a vector)."""
         nfree = len(self.outcomes)
         stops = [*self.offsets[1:], len(self.cutoffs)]
         slots = []
@@ -428,11 +429,10 @@ class _BlanketTables:
             cutoffs = self.cutoffs[start:stop]
             columns = max(1, np.isfinite(cutoffs).any(axis=0).sum())
             cutoffs = cutoffs[:, 0].copy() if columns == 1 else cutoffs[:, :columns].copy()
-            dead = self.dead[start:stop]
-            slots.append((lo, hi, window, cutoffs, dead if dead.any() else None))
+            slots.append((lo, hi, window, cutoffs))
         return slots
 
-    def scan(self, outcomes: np.ndarray, first: int, draws: np.ndarray) -> bool:
+    def scan(self, outcomes: np.ndarray, first: int, draws: np.ndarray) -> None:
         """Cyclic-scan steps first + 1, ..., first + L of chains, on their
         sequence of outcomes. The first nfree rows of ``outcomes`` ((nfree
         + L, chains)) hold the chains' last nfree outcomes, which are their
@@ -441,27 +441,23 @@ class _BlanketTables:
         ``draws[:, i]``, as :func:`_resample` redraws it, and writes row
         nfree + i. The node's blanket row is one dot of rows i, ..., i +
         nfree - 1 with its multipliers placed where its members stand among
-        them. False, with the rows partly written, if some chain meets a
-        row whose weights are all zero."""
+        them."""
         nfree = len(self.outcomes)
         slots = self._scan_slots
         u = np.ascontiguousarray(draws.T)
         for i in range(len(u)):
-            lo, hi, window, cutoffs, dead = slots[(first + i) % nfree]
+            lo, hi, window, cutoffs = slots[(first + i) % nfree]
             rows = window.dot(outcomes[i + lo : i + hi])
-            if dead is not None and dead.take(rows).any():
-                return False
             if cutoffs.ndim == 1:
                 outcomes[nfree + i] = u[i] >= cutoffs.take(rows)
             else:
                 outcomes[nfree + i] = (cutoffs.take(rows, axis=0) <= u[i, :, None]).sum(axis=1)
-        return True
 
     def scan_blocks(self, outcomes: np.ndarray, first: int, draws: np.ndarray, lb: int) -> bool:
-        """What :meth:`scan` writes, for tables with no dead row, with the
-        L steps of ``draws`` ((chains, L)) moved as blocks of lb side by
-        side, each after a warm-up of 2 lb steps; False if the blocks were
-        given up, the rest of the steps then run in one scan.
+        """What :meth:`scan` writes, with the L steps of ``draws`` ((chains,
+        L)) moved as blocks of lb side by side, each after a warm-up of 2 lb
+        steps; False if the blocks were given up, the rest of the steps then
+        run in one scan.
 
         lb is a multiple of nfree, so every run starts at slot first mod
         nfree and one slot schedule serves all. Block b of chain c is
@@ -545,12 +541,13 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
     piece's rows).
 
     A block of at least ``_LOCKSTEP_MIN`` trials runs as lock-step walkers
-    unless some blanket table would pass ``_BLANKET_CAP``; other blocks, and
-    a block in which some trial conflicts, run the per-trial loop, which
-    raises for the block's first conflicting trial, named by its run ("in
-    trial j of seed s"). That loop runs :func:`_trial` on the streams of
-    :func:`counter_streams`, each trial's draws made ahead up to the most it
-    can make. Either way the values are the same.
+    when :func:`_blanket_tables` gives tables, which it does not for a table
+    past ``_BLANKET_CAP`` or with a row whose weights are all zero; other
+    blocks run the per-trial loop, which raises for the block's first
+    conflicting trial, named by its run ("in trial j of seed s"). That loop
+    runs :func:`_trial` on the streams of :func:`counter_streams`, each
+    trial's draws made ahead up to the most it can make. Either way the
+    values are the same.
     """
     if t:
         _require_free(free)
@@ -562,12 +559,12 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
                   if start < stop and first < start + trials]
         seeds = [derive_stream_seeds(seed, lo, hi) for _, seed, lo, hi in pieces]
         seeds = seeds[0] if len(seeds) == 1 else np.concatenate(seeds)  # no copy for one run
-        values = None
+        tables = None
         if len(seeds) >= _LOCKSTEP_MIN and free:
             tables = _blanket_tables(tab, free, template)
-            if tables is not None:
-                values = tables.walk(t, seeds)
-        if values is None:
+        if tables is not None:
+            values = tables.walk(t, seeds)
+        else:
             values = np.empty((len(seeds), len(free)), dtype=np.intp)
             ahead = min(len(free) + 3 * t, _AHEAD // len(seeds))  # a trial's most draws
             trials = ((seed, j) for _, seed, lo, hi in pieces for j in range(lo, hi))

@@ -235,16 +235,13 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
     """The chains on ``rngs``, moved together by ``_BlanketTables.scan`` on
     the draws :func:`twister_draws` makes from their streams: each chain's
     tally and checkpoints, as :func:`_cyclic_chain` gives them, and the
-    streams moved as far as it moves them. None, with the streams where
-    they stood, if some blanket table is over the cap, some stream's type
-    does not keep ``random.Random``'s own ``random`` and ``getrandbits`` (its
-    ``random()`` then need not be made from its words), one is given twice
-    (its draws then run on from one chain to the next, which chains moved
-    side by side cannot do), or some chain meets a row whose weights are all
-    zero. Only tables with such a row can fail, so only then are the
-    streams' states saved, to be put back on failure; and since they never
-    move in blocks, one chain on them is refused too, as it steps faster on
-    its own than in a scan of one column.
+    streams moved as far as it moves them. None, before any draw, if
+    :func:`_blanket_tables` gives no tables (some table is over the cap or
+    has a row whose weights are all zero), some stream's type does not keep
+    ``random.Random``'s own ``random`` and ``getrandbits`` (its ``random()``
+    then need not be made from its words), or one is given twice (its draws
+    then run on from one chain to the next, which chains moved side by side
+    cannot do).
 
     The steps run in chunks of at most ``_CHUNK`` outcomes, cut at every
     checkpoint. A chunk's outcome buffer starts with the last nfree
@@ -258,19 +255,13 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
     passes having cost more than half its steps: 30 chains of PATH2, whose
     runs meet slowly, give them up in their first chunk of 273 steps and
     take one scan a chunk after it, while one chain's chunks of 8192 steps
-    keep them. Tables with a dead row take one scan a chunk too, since a
-    block run from a guessed start could meet a dead row that the chain
-    never meets.
+    keep them.
     """
     tables = _blanket_tables(tab, free, template)
     if (tables is None or len(set(map(id, rngs))) < len(rngs) or not all(
             type(rng).random is random.Random.random
             and type(rng).getrandbits is random.Random.getrandbits for rng in rngs)):
         return None
-    dead = tables.dead.any()
-    if dead and len(rngs) == 1:
-        return None
-    saved = [rng.getstate() for rng in rngs] if dead else None
     chains, nfree = len(rngs), len(free)
     most = max(1, _CHUNK // chains)
     outcomes = np.empty((nfree + most, chains), dtype=np.intp)
@@ -286,7 +277,7 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
 
     marks = range(stride, total + 1, stride) if stride > 0 else ()
     lb = _BLOCK_SWEEPS * nfree
-    blocked = not dead  # whether chunks still move in blocks
+    blocked = True  # whether chunks still move in blocks
     done = 0
     for cut in sorted({total, *marks}):
         while done < cut:
@@ -295,10 +286,8 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
             draws = twister_draws(rngs, steps)
             if blocked and steps >= 4 * lb:
                 blocked = tables.scan_blocks(chunk, done, draws, lb)
-            elif not tables.scan(chunk, done, draws):
-                for rng, state in zip(rngs, saved):
-                    rng.setstate(state)
-                return None
+            else:
+                tables.scan(chunk, done, draws)
             j = np.arange(nfree + steps)
             live = np.minimum(j, steps) - np.maximum(j - nfree, 0)
             codes = chunk + edges.take((done + j) % nfree)[:, None] + bases
@@ -334,6 +323,8 @@ def straight_estimates(
     _require_count("checkpoint_stride", checkpoint_stride, 0)
     tab, free, template = _prepare(net, ev)
     _require_free(free)
+    if not rngs:
+        return []
     start = time.process_time(), time.perf_counter()
     runs = _cyclic_lockstep(tab, free, template, total_transitions, rngs, checkpoint_stride)
     if runs is None:

@@ -305,26 +305,49 @@ def topological_order(net: BeliefNetwork) -> tuple[str, ...]:
     return tuple(order)
 
 
-def conditional_probability(
-    net: BeliefNetwork, node: str, value: int, state: JointState
-) -> float:
-    """P(node = value | parents as assigned in state), a plain table lookup."""
-    tab = net.tables
-    i = net.node_index[node]
+def _index_of(net: BeliefNetwork, node: str) -> int:
+    """The index of the node named ``node``; ValueError if the network has
+    none."""
+    i = net.node_index.get(node)
+    if i is None:
+        raise ValueError(f"network {net.name} has no node {node!r}")
+    return i
+
+
+def _entry(tab: _Tables, i: int, value: int, state: JointState) -> float:
+    """Node i's table entry for value, at its parents' values in state."""
     row = sum(state[p] * s for p, s in zip(tab.parents[i], tab.strides[i]))
     return tab.flat[i][row * tab.k[i] + value]
 
 
+def conditional_probability(
+    net: BeliefNetwork, node: str, value: int, state: JointState
+) -> float:
+    """P(node = value | parents as assigned in state), a plain table lookup.
+
+    Raises ValueError unless ``node`` names a node of the network, ``value``
+    is one of its outcome indices and ``state`` passes :func:`check_state`.
+    """
+    tab = net.tables
+    i = _index_of(net, node)
+    if not _is_index(value) or not 0 <= value < tab.k[i]:
+        raise ValueError(f"outcome index {value!r} invalid for node {node}")
+    check_state(net, state)
+    return _entry(tab, i, value, state)
+
+
 def joint_probability(net: BeliefNetwork, state: JointState) -> float:
     """Product over all nodes, in declaration order, of their conditional
-    probability in state."""
-    return math.prod((conditional_probability(net, nd.name, state[i], state)
-                      for i, nd in enumerate(net.nodes)), start=1.0)
+    probability in state; raises ValueError unless ``state`` passes
+    :func:`check_state`."""
+    tab = net.tables
+    check_state(net, state)
+    return math.prod((_entry(tab, i, state[i], state) for i in range(tab.n)), start=1.0)
 
 
 def markov_blanket(net: BeliefNetwork, node: str) -> set[str]:
     """Parents, children, and children's other parents of the node."""
-    return {net.nodes[j].name for j in net.tables.blanket(net.node_index[node])}
+    return {net.nodes[j].name for j in net.tables.blanket(_index_of(net, node))}
 
 
 def free_nodes(net: BeliefNetwork, ev: Evidence) -> tuple[str, ...]:

@@ -60,6 +60,18 @@ def and_gate():
 
 
 @pytest.fixture(scope="session")
+def copy_net():
+    """B copies A through 0/1 rows: zero weights that never conflict."""
+    return bnras.parse_network(
+        "network COPY\n"
+        "node A { outcomes: t, f, u }\ncpt A:\n 0.2 0.3 0.5\n"
+        "node B { outcomes: t, f, u }\nparents B: A\n"
+        "cpt B:\n 1 0 0\n 0 1 0\n 0 0 1\n"
+        "node C { outcomes: t, f }\nparents C: B\ncpt C:\n 0.9 0.1\n 0.4 0.6\n 0.5 0.5\n"
+    )
+
+
+@pytest.fixture(scope="session")
 def tiny_joint():
     """Positive tables whose least joint state, 1e-200 * 1e-200, is below
     every double: the exact Pi underflows to 0.0."""

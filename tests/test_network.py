@@ -190,6 +190,33 @@ def test_joint_probability_on_random_networks(case):
     assert_joint_is_independent_product(case[0])
 
 
+@pytest.mark.parametrize("state", [(0, 2), (1, -1), (True, 0), (0, 0.0), (0,), (0, 0, 0)])
+def test_table_lookups_refuse_invalid_states(ab, state):
+    with pytest.raises(ValueError, match="state"):
+        bnras.joint_probability(ab, state)
+    with pytest.raises(ValueError, match="state"):
+        bnras.conditional_probability(ab, "A", 0, state)
+
+
+@pytest.mark.parametrize("value", [2, -1, True, 0.0])
+def test_conditional_probability_refuses_invalid_outcomes(ab, value):
+    with pytest.raises(ValueError, match=f"outcome index {value!r} invalid for node B"):
+        bnras.conditional_probability(ab, "B", value, (0, 0))
+
+
+def test_table_lookups_refuse_unknown_nodes(ab):
+    with pytest.raises(ValueError, match="network AB has no node 'Z'"):
+        bnras.conditional_probability(ab, "Z", 0, (0, 0))
+    with pytest.raises(ValueError, match="network AB has no node 'Z'"):
+        bnras.markov_blanket(ab, "Z")
+
+
+def test_table_lookups_take_numpy_indices(ab):
+    state = np.array([1, 0])
+    assert bnras.joint_probability(ab, state) == bnras.joint_probability(ab, [1, 0])
+    assert bnras.conditional_probability(ab, "B", np.int64(0), state) == 0.2
+
+
 def test_markov_blanket_ab(ab):
     assert bnras.markov_blanket(ab, "A") == {"B"}
     assert bnras.markov_blanket(ab, "B") == {"A"}

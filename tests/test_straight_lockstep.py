@@ -263,8 +263,7 @@ def test_blanket_tables_filled_once(monkeypatch, nets):
 
 def test_zero_weights_never_met(and_gate, empty, scans):
     # chains that start consistent with B = A and C never meet a zero row;
-    # tables with a zero row move every chunk by one scan, since a block
-    # run from a guessed start could meet one where the chain does not
+    # there are no tables with such a row, so every chain runs on its own
     fine = []
     for seed in range(40):
         try:
@@ -274,13 +273,28 @@ def test_zero_weights_never_met(and_gate, empty, scans):
             pass
     assert len(fine) >= 2
     assert_matches_scalar(and_gate, empty, 30, fine, stride=7)
-    scans.clear()
     assert_matches_scalar(and_gate, empty, 3000, fine)
-    assert scans and all(lb is None for lb, _, _ in scans)
-    # one chain on them steps on its own
-    scans.clear()
     assert_matches_scalar(and_gate, empty, 3000, fine[:1])
     assert not scans
+
+
+def test_tables_only_without_dead_rows(monkeypatch, and_gate, copy_net, empty, scans):
+    # the AND gate's tables have rows whose weights are all zero with no
+    # evidence and with B = t, and none with B = f; B copying A through 0/1
+    # rows zeroes entries but no row
+    for ev, made in ((empty, False), (Evidence({"B": 0}), False), (Evidence({"B": 1}), True)):
+        tab, free, template = chain._prepare(and_gate, ev)
+        assert (chain._blanket_tables(tab, free, template) is not None) == made
+    tab, free, template = chain._prepare(copy_net, empty)
+    assert chain._blanket_tables(tab, free, template) is not None
+    walks = []
+    walk = chain._BlanketTables.walk
+    monkeypatch.setattr(chain._BlanketTables, "walk",
+                        lambda self, *args: walks.append(1) or walk(self, *args))
+    bnras.bnras_estimate(copy_net, empty, 100, 5, RandomStream(1))
+    assert walks
+    assert_matches_scalar(copy_net, empty, 400, PANEL, stride=70)
+    assert scans
 
 
 def test_conflict_names_first_conflicting_seed(monkeypatch, and_gate, empty):

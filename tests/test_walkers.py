@@ -61,18 +61,6 @@ def assert_matches_scalar(net, ev, trials, t, seed, stride=0):
     return est
 
 
-@pytest.fixture(scope="module")
-def copy_net():
-    """B copies A through 0/1 rows: zero weights that never conflict."""
-    return bnras.parse_network(
-        "network COPY\n"
-        "node A { outcomes: t, f, u }\ncpt A:\n 0.2 0.3 0.5\n"
-        "node B { outcomes: t, f, u }\nparents B: A\n"
-        "cpt B:\n 1 0 0\n 0 1 0\n 0 0 1\n"
-        "node C { outcomes: t, f }\nparents C: B\ncpt C:\n 0.9 0.1\n 0.4 0.6\n 0.5 0.5\n"
-    )
-
-
 def test_counter_draws_match_splitmix64_sequence():
     # draws cross the stream's block edges (after 256, 768, ..., 7936 draws)
     for seed in (0, 1, 12345, 2**63 + 11, MASK - 2, MASK):
@@ -245,6 +233,10 @@ def test_batch_of_one_and_of_none(minialarm, empty):
     trials = chain._BLOCK + chain._LOCKSTEP_MIN
     assert_batch_matches_single(minialarm, empty, trials, 2, (seed,), stride=4097)
     assert bnras.bnras_estimates(minialarm, empty, 10, 2, []) == []
+
+
+def test_straight_batch_of_none(minialarm, empty):
+    assert bnras.straight_estimates(minialarm, empty, 10, []) == []
 
 
 def test_batch_timing_is_shared(minialarm, empty):
