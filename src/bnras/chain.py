@@ -358,9 +358,7 @@ class _BlanketTables:
     def fill(cls, tab: _Tables, free: tuple[int, ...], template: list[int]):
         """The tables, each node's rows read off :func:`_conditional` with
         the node's own axis last; None if some node's table would have more
-        than ``_BLANKET_CAP`` rows, or if some row's weights are all zero.
-        The samplers then run their per-state paths, where
-        :func:`_resample` alone meets a conflict."""
+        than ``_BLANKET_CAP`` rows or some row's weights are all zero."""
         slot = {i: s for s, i in enumerate(free)}
         blankets = [[m for m in tab.blanket(i) if m in slot] for i in free]
         if any(math.prod(tab.k[m] for m in members) > _BLANKET_CAP for members in blankets):
