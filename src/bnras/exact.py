@@ -27,15 +27,15 @@ stationary vector pi, so P^t / pi (column j divided by pi[j]) is symmetric
 and P^(2s) / pi is the Gram matrix of the rows of B_s = P^s / sqrt(pi);
 since the lazy kernel's eigenvalues lie in [0, 1], P^(2s+1) / pi - 1 is a
 Gram matrix too. The relative pointwise distance at several t takes every
-B_s from one chain of symmetric squarings (BLAS ``syrk``) and reads each t
-off a diagonal, where Cauchy-Schwarz puts the largest deviation from 1:
-even t = 2s off B_s alone, odd t = 2s + 1 off B_s and B_(s+1) = P @ B_s.
-t = 0 and 1 read I and the table, and while rows have few columns the first
-square B_2 sums the products of two moves rather than multiplying the dense
-B_1. :func:`mixing_report` keeps no M-by-M matrix of P: it places the table
-only for the products that need P dense (B_1, a nearly dense first square,
-P @ B_s) and drops it after each, so at t = 1, 4, 16 it holds at most two
-M-by-M arrays, not three.
+B_s from one chain of symmetric squarings, each done in place in row blocks
+(BLAS ``syrk`` and ``gemm``), and reads each t off a diagonal, where
+Cauchy-Schwarz puts the largest deviation from 1: even t = 2s off B_s
+alone, odd t = 2s + 1 off B_s and the rows of B_(s+1) = P @ B_s, summed from
+the move table one row block at a time. t = 0 and 1 read I and the table,
+and while rows have few columns the first square B_2 sums the products of
+two moves rather than multiplying the dense B_1. No M-by-M matrix of P is
+made but B_1 = P / sqrt(pi) itself, for t = 2 and 3 and for a nearly dense
+first square, so at t = 2^j and 2^j + 1 the rpd holds one M-by-M array.
 
 Everything here is exact up to 64-bit float rounding; the caps below are
 refusals, not truncations. At the enumeration cap the tensor takes 32 MB.
@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -62,9 +62,14 @@ DEFAULT_ENUM_CAP = 1 << 22
 #: Largest state count for which the explicit transition matrix is built.
 DEFAULT_MATRIX_CAP = 4096
 
-#: Elements per row block of the relative pointwise distance's scans and of
-#: the first square's sums.
+#: Elements per row block of the relative pointwise distance's scans, of
+#: the first square's sums and of the rows of P @ B read off the moves.
 _RPD_BLOCK = 1 << 16
+
+#: Row blocks per in-place square or product of M-by-M half powers: each
+#: holds one block's product, M^2 / _SQUARE_PARTS entries, beside its
+#: operands. More blocks hold less and make more, smaller BLAS calls.
+_SQUARE_PARTS = 8
 
 
 @dataclass(frozen=True)
@@ -331,57 +336,119 @@ def _square_moves(table: np.ndarray, root: np.ndarray, dims: tuple[int, ...]) ->
     return square
 
 
-def _half_powers(table: np.ndarray, dense: Callable[[], np.ndarray], root: np.ndarray,
+def _row_blocks(m: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of the ``_SQUARE_PARTS`` row blocks of M = ``m`` rows
+    that the in-place squares and products take, whatever ``_RPD_BLOCK``
+    is."""
+    rows = -(-m // _SQUARE_PARTS)
+    for start in range(0, m, rows):
+        yield start, min(start + rows, m)
+
+
+def _square_in_place(z: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Overwrite z = B_s with B_(2s) = _gram(z, z, root), holding one row
+    block's product beside z.
+
+    Row block I of z @ z.T is taken from rows of z not yet overwritten:
+    ``syrk`` gives its diagonal block and ``gemm`` the strip to its right,
+    so the multiply-adds are M^3 / 2, as for one ``syrk``. The strip to its
+    left is the transpose of the rows above, already written, since
+    z @ z.T is symmetric. The columns are multiplied by ``root`` once at
+    the end."""
+    for start, stop in _row_blocks(len(z)):
+        top = z[start:stop]
+        diagonal = top @ top.T
+        z[start:stop, stop:] = top @ z[stop:].T
+        z[start:stop, :start] = z[:start, start:stop].T
+        z[start:stop, start:stop] = diagonal
+    z *= root
+    return z
+
+
+def _multiply_in_place(a: np.ndarray, b: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Overwrite a = B_s with B_(s+u) = _gram(a, b, root) for b = B_u, an
+    array other than a, one row block at a time: a row of the product reads
+    only its own row of a."""
+    for start, stop in _row_blocks(len(a)):
+        a[start:stop] = _gram(a[start:stop], b, root)
+    return a
+
+
+def _moved(table: np.ndarray, cols: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows of P @ b, written into ``out``, for the rows whose moves are
+    ``table`` at the :func:`_neighbours` columns ``cols``: the sum over k of
+    table[x, k] * b[cols[x, k]], added in k order, in row blocks of at most
+    ``_RPD_BLOCK`` entries, so its bits do not depend on the block. For
+    b = B_s it is B_(s+1), with no dense P."""
+    rows = max(1, _RPD_BLOCK // b.shape[1])
+    for start in range(0, len(out), rows):
+        block, moves, far = out[start:start + rows], table[start:start + rows], cols[start:start + rows]
+        np.multiply(moves[:, :1], b[far[:, 0]], out=block)
+        for k in range(1, moves.shape[1]):
+            block += moves[:, k:k + 1] * b[far[:, k]]
+    return out
+
+
+def _half_powers(table: np.ndarray, cols: np.ndarray, root: np.ndarray,
                  dims: tuple[int, ...], halves: set[int]) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (h, B_h) for each h >= 1 in ``halves``, in increasing order,
     where B_h = P^h / sqrt(pi) (column j of P^h divided by sqrt(pi[j])) for
-    the P whose move table is ``table``, over states of outcome counts
-    ``dims``; ``dense()`` gives P as a matrix.
+    the P whose move table is ``table``, at the :func:`_neighbours` columns
+    ``cols`` of states of outcome counts ``dims``. A B_h may be overwritten
+    once the next is asked for.
 
-    B_1 = P / sqrt(pi) is made for h = 1 only. One chain of squarings
-    z_j = B_(2^j) = _gram(z_(j-1), z_(j-1)) starts at z_1 = B_2. With K
-    neighbour columns per row, :func:`_square_moves` makes B_2 from M * K^2
-    products; when K^2 <= M that is at most the M^2 entries B_2 has, and a
-    row block's temporaries are at most ``_RPD_BLOCK`` entries. Past that
-    (few free nodes with many outcomes) P is nearly dense and B_2 is the
-    ``syrk`` square of B_1. An even h multiplies in the z_j of its set bits
-    from the lowest bit up, and an odd h > 1 is P @ B_(h-1). Only those
-    three take ``dense()``, each for one product. Each B_h's bits depend on
-    h alone, and a square is dropped once no larger h needs it.
+    B_1 = P / sqrt(pi) is the table placed (:func:`_placed`) and divided in
+    place, for h = 1 only. One chain of squarings z_j = B_(2^j), each done
+    in place (:func:`_square_in_place`), starts at z_1 = B_2. With K
+    neighbour columns per row, :func:`_square_moves` makes B_2 from
+    M * K^2 products; when K^2 <= M that is at most the M^2 entries B_2
+    has, and a row block's temporaries are at most ``_RPD_BLOCK`` entries.
+    Past that (few free nodes with many outcomes) P is nearly dense and B_2
+    is B_1 squared in place. An even h starts at the z_j of its lowest set
+    bit and multiplies in those of its higher bits in place
+    (:func:`_multiply_in_place`); a partial product that is still z_j when
+    z_j is squared is copied first. An odd h > 1 is P @ B_(h-1), read off
+    the table into one new array (:func:`_moved`). So for h = 2^j one
+    M-by-M array is alive, and each B_h's bits depend on h alone.
     """
+    def first() -> np.ndarray:
+        b1 = _placed(table, dims)
+        b1 /= root
+        return b1
+
+    m = len(root)
     partial = dict.fromkeys(sorted(halves))
     if 1 in partial:
         del partial[1]
-        yield 1, dense() / root
-    sparse = table.shape[1] ** 2 <= len(root)
+        yield 1, first()
     bit = 1
     while partial:
         if bit > 1:
-            z = _gram(z, z, root)
-        elif sparse:
+            for h, p in partial.items():
+                if p is z:
+                    partial[h] = z.copy()
+            _square_in_place(z, root)
+        elif table.shape[1] ** 2 <= m:
             z = _square_moves(table, root, dims)
         else:
-            z = dense() / root
-            z = _gram(z, z, root)
+            z = _square_in_place(first(), root)
         for h in list(partial):
             if h >> bit & 1:
-                partial[h] = z if partial[h] is None else _gram(partial[h], z, root)
+                partial[h] = z if partial[h] is None else _multiply_in_place(partial[h], z, root)
             if h >> (bit + 1) == 0:
                 if h & 1:
-                    partial[h] = dense() @ partial[h]
+                    partial[h] = _moved(table, cols, partial[h], np.empty((m, m)))
                 yield h, partial.pop(h)
         bit += 1
 
 
-def _rpd_by_count(table: np.ndarray, dense: Callable[[], np.ndarray], pi: np.ndarray,
-                  dims: tuple[int, ...], counts: list[int]) -> dict[int, float]:
+def _rpd_by_count(table: np.ndarray, pi: np.ndarray, dims: tuple[int, ...],
+                  counts: list[int]) -> dict[int, float]:
     """max over (i, j) of |P^t[i, j] / pi[j] - 1| for each t, in the order
     of ``counts``, for the reversible lazy chain whose move table is
     ``table`` (as :func:`_chain` lays it out), whose stationary vector is
     ``pi`` and whose states are in enumeration order over outcome counts
-    ``dims``. ``dense()`` gives P as a matrix; it is called only where a
-    product needs P dense (:func:`_half_powers`, and P @ B_s for odd t), and
-    each result is dropped after its product.
+    ``dims``.
 
     t = 0 and 1 read I and the table, P at the :func:`_neighbours` columns;
     every other entry is 0, and its term |0 - pi[j]| / pi[j] is exactly
@@ -394,12 +461,15 @@ def _rpd_by_count(table: np.ndarray, dense: Callable[[], np.ndarray], pi: np.nda
     C_s @ C_(s+1).T = C_s @ S @ C_s.T. Both are Gram matrices, so by
     Cauchy-Schwarz their largest entry lies on the diagonal:
     max_i <C_s[i], C_s[i]> or max_i <C_s[i], C_(s+1)[i]>, read with no
-    cancellation, in row blocks written into two buffers made once, so
-    that no full-size temporary is made and no block pages in fresh
-    memory.
+    cancellation, in row blocks written into two buffers made once. A
+    block's rows of B_(s+1) = P @ B_s are summed off the table
+    (:func:`_moved`), so neither P nor B_(s+1) is ever whole, no full-size
+    temporary is made and no block pages in fresh memory. At t = 2^j and
+    2^j + 1 one M-by-M array is alive at a time.
     """
     m, root = len(pi), np.sqrt(pi)
     width = table.shape[1]
+    cols = _neighbours(np.arange(m), dims)
     work = np.empty((2, min(max(1, _RPD_BLOCK // m), m), m))
 
     def peak(block_of, size: int) -> float:
@@ -407,28 +477,24 @@ def _rpd_by_count(table: np.ndarray, dense: Callable[[], np.ndarray], pi: np.nda
         return float(max(block_of(start, min(start + rows, m)).max() for start in range(0, m, rows)))
 
     def near(t: int, i: int, j: int) -> np.ndarray:
-        cols = _neighbours(np.arange(i, j), dims)
         value = table[i:j] if t else np.eye(1, width)
-        return np.abs(value - pi[cols]) / pi[cols]
+        return np.abs(value - pi[cols[i:j]]) / pi[cols[i:j]]
 
-    def diagonal(a: np.ndarray, b: np.ndarray, i: int, j: int) -> np.ndarray:
-        # <a[x] - root, b[x] - root> for rows i..j, in the buffers
-        c = np.subtract(a[i:j], root, out=work[0, :j - i])
-        if b is a:
+    def diagonal(bs: np.ndarray, odd: int, i: int, j: int) -> np.ndarray:
+        # <C_s[x], C_s[x]> or <C_s[x], C_(s+1)[x]> for rows i..j, in the buffers
+        c = np.subtract(bs[i:j], root, out=work[0, :j - i])
+        if not odd:
             return np.square(c, out=c).sum(axis=1)
-        return np.multiply(c, np.subtract(b[i:j], root, out=work[1, :j - i]), out=c).sum(axis=1)
+        after = _moved(table[i:j], cols[i:j], bs, work[1, :j - i])
+        return np.multiply(c, np.subtract(after, root, out=after), out=c).sum(axis=1)
 
     found = {}
     for t in {0, 1}.intersection(counts):
         top = peak(lambda i, j: near(t, i, j), width)
         found[t] = max(top, 1.0) if width < m else top  # 1.0: the rows' zero entries
-    for s, bs in _half_powers(table, dense, root, dims, {t // 2 for t in counts if t >= 2}):
-        if 2 * s in counts:
-            found[2 * s] = peak(lambda i, j: diagonal(bs, bs, i, j), m)
-        if 2 * s + 1 in counts:
-            after = dense() @ bs  # B_(s+1)
-            found[2 * s + 1] = peak(lambda i, j: diagonal(bs, after, i, j), m)
-            del after
+    for s, bs in _half_powers(table, cols, root, dims, {t // 2 for t in counts if t >= 2}):
+        for t in {2 * s, 2 * s + 1}.intersection(counts):
+            found[t] = peak(lambda i, j: diagonal(bs, t & 1, i, j), m)
         del bs  # else it outlives the next squaring
     return {t: found[t] for t in counts}
 
@@ -437,8 +503,9 @@ def relative_pointwise_distance(tm: TransitionMatrix, t: int) -> float:
     """max over (i, j) of |P^t[i, j] - pi[j]| / pi[j].
 
     The move table is read off ``tm.matrix`` at the columns a move reaches,
-    and ``tm.matrix`` is the dense P, so the value has the bits of
-    :func:`mixing_report`'s. t = 0 and 1 are read off I and that table,
+    and every product is made from that table, as :func:`mixing_report`
+    makes it, so the value has the bits of :func:`mixing_report`'s and
+    ``tm`` is left as it was. t = 0 and 1 are read off I and that table,
     with the bits of the dense scan. Above, P^t / pi is taken as a Gram
     product of half powers. Both need the reversible lazy chain, its
     stationary vector pi and its states in enumeration order, as
@@ -450,7 +517,7 @@ def relative_pointwise_distance(tm: TransitionMatrix, t: int) -> float:
     dims = tuple(v + 1 for v in tm.states[-1])
     m = len(tm.matrix)
     table = np.take_along_axis(tm.matrix, _neighbours(np.arange(m), dims), axis=1)
-    return _rpd_by_count(table, lambda: tm.matrix, tm.stationary, dims, [count])[count]
+    return _rpd_by_count(table, tm.stationary, dims, [count])[count]
 
 
 def mixing_report(
@@ -462,11 +529,11 @@ def mixing_report(
     ``t_values``. pi_min comes off the joint of :func:`_chain`, p0 and the
     rpd off its move table, each with the bits that
     :func:`build_transition_matrix` and :func:`relative_pointwise_distance`
-    give. No M-by-M matrix of P is kept: it is made only for the products
-    that need it dense, so at most two M-by-M arrays are alive at
-    t = 1, 4, 16."""
+    give. No M-by-M matrix of P is made but B_1 = P / sqrt(pi), and each
+    squaring is done in place, so one M-by-M array is alive at t = 1, 4,
+    16 and at t = 3, 5, 17."""
     counts = _transition_counts(t_values)
     joint, table, p0 = _chain(net, ev)
     pi = joint.weights.ravel() / joint.normalizer()
-    rpd = _rpd_by_count(table, lambda: _placed(table, joint.dims), pi, joint.dims, counts)
+    rpd = _rpd_by_count(table, pi, joint.dims, counts)
     return MixingReport(pi_min=float(pi.min()), p0=p0, rpd=rpd)

@@ -179,10 +179,8 @@ class BeliefNetwork:
         return {nd.name: i for i, nd in enumerate(self.nodes)}
 
     def node(self, name: str) -> Node:
-        try:
-            return self.nodes[self.node_index[name]]
-        except KeyError:
-            raise KeyError(f"no node named {name!r} in network {self.name}") from None
+        """The node named ``name``; ValueError if the network has none."""
+        return self.nodes[_index_of(self, name)]
 
     @cached_property
     def tables(self) -> _Tables:
@@ -351,7 +349,9 @@ def markov_blanket(net: BeliefNetwork, node: str) -> set[str]:
 
 
 def free_nodes(net: BeliefNetwork, ev: Evidence) -> tuple[str, ...]:
-    """Names of the nodes not clamped by evidence, in declaration order."""
+    """Names of the nodes not clamped by evidence, in declaration order;
+    raises ValueError unless ``ev`` passes :func:`check_evidence`."""
+    check_evidence(net, ev)
     return tuple(nd.name for nd in net.nodes if nd.name not in ev)
 
 

@@ -180,21 +180,53 @@ def test_mixing_report_never_builds_the_matrix(monkeypatch, nets):
             assert list(bnras.mixing_report(net, ev, SPREAD).rpd) == list(SPREAD)
 
 
-def test_mixing_report_peaks_at_two_dense_arrays():
-    # a 2048-state chain (K = 12): t = 1 reads the move table, B_2 is summed
-    # from pairs of moves and B_4, B_8 are syrk squares, so at most two
-    # M-by-M arrays are alive at once; a P kept beside them makes three
+@pytest.mark.parametrize("t_values, arrays", [
+    ((1, 4, 16), 1.3), ((3, 5, 17), 1.3), ((2, 3), 1.3), ((6, 7, 13), 2.2)])
+def test_mixing_report_peaks_at_one_dense_array(t_values, arrays):
+    # a 2048-state chain (K = 12): t = 1 reads the move table, B_1 is the
+    # table placed, B_2 is summed from pairs of moves and B_4, B_8 are
+    # squared in place, and odd t reads the rows of P @ B_s off the moves,
+    # so one M-by-M array is alive at once, beside one row block of
+    # temporaries. At t = 6, 7, 13 a second holds B_3, then B_6 while B_4
+    # is made
     net = layered_network(12, seed=1)
     ev = Evidence({"X11": 0})
     m = 2048
     tracemalloc.start()
     try:
-        report = bnras.mixing_report(net, ev, t_values=(1, 4, 16))
+        report = bnras.mixing_report(net, ev, t_values=t_values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert set(report.rpd) == {1, 4, 16}
-    assert peak <= 2.2 * m * m * 8
+    assert list(report.rpd) == list(t_values)
+    assert peak <= arrays * m * m * 8
+
+
+def test_rpd_leaves_the_matrix_as_it_was(nets):
+    for net in nets.values():
+        for ev in evidence_sets(net):
+            tm = bnras.build_transition_matrix(net, ev)
+            matrix, stationary = tm.matrix.copy(), tm.stationary.copy()
+            for t in SPREAD:
+                bnras.relative_pointwise_distance(tm, t)
+                assert np.array_equal(tm.matrix, matrix)
+                assert np.array_equal(tm.stationary, stationary)
+
+
+@pytest.mark.parametrize("name, places", [("CHAIN5", 2), ("MINIALARM", 1)])
+def test_p_placed_only_as_b1(monkeypatch, nets, empty, name, places):
+    # t = 3 reads B_1, the table placed; CHAIN5 (K^2 > M) places it again
+    # for its first square. P @ B_s, for odd t and for B_3, comes off the
+    # moves and places nothing
+    made = []
+    placed = bnras.exact._placed
+    monkeypatch.setattr(bnras.exact, "_placed", lambda *a: made.append(1) or placed(*a))
+    ts = (3, 5, 7, 13, 17)
+    report = bnras.mixing_report(nets[name], empty, t_values=ts)
+    assert len(made) == places
+    tm = bnras.build_transition_matrix(nets[name], empty)
+    for t in ts:
+        assert_rpd_near(report.rpd[t], matrix_power_rpd(tm, t))
 
 
 def test_rpd_at_zero(ab, empty):
@@ -479,6 +511,27 @@ def assert_moves_path(tm):
     # both sum at most K nonnegative products, each with a few roundings,
     # and detailed balance holds to a few ulps: 64 ulps relative is ample
     assert np.all(np.abs(square - expected) <= 64 * np.finfo(float).eps * expected)
+
+
+@pytest.mark.parametrize("parts", [1, 3, 8, 1 << 16])
+def test_squares_in_place_near_the_gram(monkeypatch, nets, parts):
+    # whatever the row blocks (one whole syrk, a few, the default, one row
+    # each), B_1 squared in place, and B_1 times that square in place, are
+    # near _gram's out-of-place products: both sum M nonnegative products
+    # in BLAS's order, so 64 ulps relative is ample, as for _square_moves
+    monkeypatch.setattr(bnras.exact, "_SQUARE_PARTS", parts)
+    eps = np.finfo(float).eps
+    for net in nets.values():
+        for ev in evidence_sets(net):
+            tm = bnras.build_transition_matrix(net, ev)
+            root = np.sqrt(tm.stationary)
+            b1 = tm.matrix / root
+            expected = bnras.exact._gram(b1, b1, root)
+            square = bnras.exact._square_in_place(b1.copy(), root)
+            assert np.all(np.abs(square - expected) <= 64 * eps * expected)
+            expected = bnras.exact._gram(b1, square, root)
+            product = bnras.exact._multiply_in_place(b1.copy(), square, root)
+            assert np.all(np.abs(product - expected) <= 64 * eps * expected)
 
 
 def test_moves_path_on_builtins(nets):

@@ -241,6 +241,27 @@ def test_free_nodes_cases(ab):
     assert bnras.free_nodes(ab, bnras.parse_evidence("A=t,B=t", ab)) == ()
 
 
+@pytest.mark.parametrize("assignments, message", [
+    ({"Z": 0}, "evidence names unknown node 'Z'$"),
+    ({"A": 7}, "evidence for node A: outcome index 7 invalid$"),
+    ({"B": True}, "evidence for node B: outcome index True invalid$"),
+])
+def test_free_nodes_refuses_bad_evidence(ab, assignments, message):
+    # as every sampler refuses it, rather than naming the nodes it leaves out
+    with pytest.raises(ValueError, match=message):
+        bnras.free_nodes(ab, Evidence(assignments))
+
+
+def test_unknown_node_refused_alike(ab):
+    # node() refuses a name as the functions that take one do: one type, one message
+    for lookup in (ab.node, lambda name: bnras.markov_blanket(ab, name),
+                   lambda name: bnras.conditional_probability(ab, name, 0, [0, 0]),
+                   lambda name: bnras.full_conditional(ab, [0, 0], name)):
+        with pytest.raises(ValueError, match="^network AB has no node 'Z'$"):
+            lookup("Z")
+    assert ab.node("B").parents == ("A",)
+
+
 def test_conditional_rows_sum_to_one(nets):
     for net in nets.values():
         for nd in net.nodes:
