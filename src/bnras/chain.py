@@ -124,6 +124,20 @@ def _require_free(free: tuple[int, ...]) -> None:
         raise ValueError("no free nodes: every node is clamped by evidence")
 
 
+def _require_walker(net: BeliefNetwork, cs: ChainState, scan: bool) -> None:
+    """Refuse a walker that does not fit ``net`` before any draw: no free
+    nodes, a state :func:`check_state` refuses, a free index that is not a
+    node's and, for the cyclic scan (``scan``), a cursor that is not a
+    position in ``cs.free``."""
+    _require_free(cs.free)
+    check_state(net, cs.state)
+    for i in cs.free:
+        if not _is_index(i) or not 0 <= i < len(net.nodes):
+            raise ValueError(f"free index {i!r} is not a node of network {net.name}")
+    if scan and not (_is_index(cs.cursor) and 0 <= cs.cursor < len(cs.free)):
+        raise ValueError(f"cursor {cs.cursor!r} is not a position among {len(cs.free)} free nodes")
+
+
 def _require_count(name: str, value, least: int) -> None:
     """Refuse a count that is not an integer (a bool is not) or is below least."""
     if not _is_index(value):
@@ -255,8 +269,9 @@ def init_random_state(net: BeliefNetwork, ev: Evidence, rng: RandomStream) -> Ch
 
 
 def do_transition(net: BeliefNetwork, cs: ChainState, rng: RandomStream) -> ChainState:
-    """One lazy random-scan transition, mutating and returning ``cs``."""
-    _require_free(cs.free)
+    """One lazy random-scan transition, mutating and returning ``cs``.
+    Refuses a walker whose state or free indices do not fit ``net``."""
+    _require_walker(net, cs, scan=False)
     try:
         _run_lazy(net.tables, cs.free, cs.state, 1, rng.random)
     except DeterministicConflictError as exc:
@@ -580,8 +595,9 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
 
 def straight_step(net: BeliefNetwork, cs: ChainState, rng: RandomStream) -> ChainState:
     """One cyclic-scan step: resample the cursor's node from its full
-    conditional and advance the cursor over the free nodes."""
-    _require_free(cs.free)
+    conditional and advance the cursor over the free nodes. Refuses a
+    walker whose state, free indices or cursor do not fit ``net``."""
+    _require_walker(net, cs, scan=True)
     try:
         _resample(net.tables, cs.state, cs.free[cs.cursor], rng.random)
     except DeterministicConflictError as exc:

@@ -26,16 +26,18 @@ quantity reads the table. The lazy chain is reversible with respect to the
 stationary vector pi, so P^t / pi (column j divided by pi[j]) is symmetric
 and P^(2s) / pi is the Gram matrix of the rows of B_s = P^s / sqrt(pi);
 since the lazy kernel's eigenvalues lie in [0, 1], P^(2s+1) / pi - 1 is a
-Gram matrix too. The relative pointwise distance at several t takes every
-B_s from one chain of symmetric squarings, each done in place in row blocks
-(BLAS ``syrk`` and ``gemm``), and reads each t off a diagonal, where
+Gram matrix too. The relative pointwise distance at several t builds each
+B_s from the bits of s, highest first: a symmetric square done in place in
+row blocks (BLAS ``syrk`` and ``gemm``) doubles s, and a step of P summed
+from the move table adds 1. It reads each t off a diagonal, where
 Cauchy-Schwarz puts the largest deviation from 1: even t = 2s off B_s
 alone, odd t = 2s + 1 off B_s and the rows of B_(s+1) = P @ B_s, summed from
 the move table one row block at a time. t = 0 and 1 read I and the table,
 and while rows have few columns the first square B_2 sums the products of
 two moves rather than multiplying the dense B_1. No M-by-M matrix of P is
 made but B_1 = P / sqrt(pi) itself, for t = 2 and 3 and for a nearly dense
-first square, so at t = 2^j and 2^j + 1 the rpd holds one M-by-M array.
+first square, so the rpd holds at most two M-by-M arrays for any t, and
+one at t = 2^j and 2^j + 1.
 
 Everything here is exact up to 64-bit float rounding; the caps below are
 refusals, not truncations. At the enumeration cap the tensor takes 32 MB.
@@ -66,9 +68,9 @@ DEFAULT_MATRIX_CAP = 4096
 #: the first square's sums and of the rows of P @ B read off the moves.
 _RPD_BLOCK = 1 << 16
 
-#: Row blocks per in-place square or product of M-by-M half powers: each
-#: holds one block's product, M^2 / _SQUARE_PARTS entries, beside its
-#: operands. More blocks hold less and make more, smaller BLAS calls.
+#: Row blocks per in-place square of an M-by-M half power: each holds one
+#: block's product, M^2 / _SQUARE_PARTS entries, beside the square. More
+#: blocks hold less and make more, smaller BLAS calls.
 _SQUARE_PARTS = 8
 
 
@@ -289,15 +291,6 @@ def _transition_counts(t_values: Iterable[int]) -> list[int]:
     return [int(t) for t in counts]
 
 
-def _gram(a: np.ndarray, b: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """B_(s+u) = (B_s @ B_u.T) * sqrt(pi) from a = B_s and b = B_u: for a
-    reversible P with stationary pi, B_s @ B_u.T = P^(s+u) / pi. numpy
-    sends ``a @ a.T`` to BLAS ``syrk``."""
-    product = a @ b.T
-    product *= root
-    return product
-
-
 def _neighbours(states: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """The columns where a row of P may be nonzero, as an (R, K) array for R
     state indices ``states``, K = 1 + sum(k - 1): the state itself, then,
@@ -336,42 +329,31 @@ def _square_moves(table: np.ndarray, root: np.ndarray, dims: tuple[int, ...]) ->
     return square
 
 
-def _row_blocks(m: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) of the ``_SQUARE_PARTS`` row blocks of M = ``m`` rows
-    that the in-place squares and products take, whatever ``_RPD_BLOCK``
-    is."""
+def _square_in_place(z: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Overwrite z = B_s with B_(2s) = (z @ z.T) * root, holding one row
+    block's product beside z: for a reversible P with stationary pi,
+    B_s @ B_s.T = P^(2s) / pi.
+
+    z is taken in ``_SQUARE_PARTS`` row blocks. Row block I of z @ z.T is
+    taken from rows of z not yet overwritten: ``syrk`` gives its diagonal
+    block and ``gemm`` the strip to its right, so the multiply-adds are
+    M^3 / 2, as for one ``syrk``. The strip to its left is the transpose of
+    the rows above, already written, since z @ z.T is symmetric; it is
+    copied 64 columns at a time, which keeps the rows it reads in cache.
+    The columns are multiplied by ``root`` once at the end."""
+    m = len(z)
     rows = -(-m // _SQUARE_PARTS)
     for start in range(0, m, rows):
-        yield start, min(start + rows, m)
-
-
-def _square_in_place(z: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """Overwrite z = B_s with B_(2s) = _gram(z, z, root), holding one row
-    block's product beside z.
-
-    Row block I of z @ z.T is taken from rows of z not yet overwritten:
-    ``syrk`` gives its diagonal block and ``gemm`` the strip to its right,
-    so the multiply-adds are M^3 / 2, as for one ``syrk``. The strip to its
-    left is the transpose of the rows above, already written, since
-    z @ z.T is symmetric. The columns are multiplied by ``root`` once at
-    the end."""
-    for start, stop in _row_blocks(len(z)):
+        stop = min(start + rows, m)
         top = z[start:stop]
         diagonal = top @ top.T
         z[start:stop, stop:] = top @ z[stop:].T
-        z[start:stop, :start] = z[:start, start:stop].T
+        for left in range(0, start, 64):
+            right = min(left + 64, start)
+            z[start:stop, left:right] = z[left:right, start:stop].T
         z[start:stop, start:stop] = diagonal
     z *= root
     return z
-
-
-def _multiply_in_place(a: np.ndarray, b: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """Overwrite a = B_s with B_(s+u) = _gram(a, b, root) for b = B_u, an
-    array other than a, one row block at a time: a row of the product reads
-    only its own row of a."""
-    for start, stop in _row_blocks(len(a)):
-        a[start:stop] = _gram(a[start:stop], b, root)
-    return a
 
 
 def _moved(table: np.ndarray, cols: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -397,49 +379,38 @@ def _half_powers(table: np.ndarray, cols: np.ndarray, root: np.ndarray,
     ``cols`` of states of outcome counts ``dims``. A B_h may be overwritten
     once the next is asked for.
 
-    B_1 = P / sqrt(pi) is the table placed (:func:`_placed`) and divided in
-    place, for h = 1 only. One chain of squarings z_j = B_(2^j), each done
-    in place (:func:`_square_in_place`), starts at z_1 = B_2. With K
-    neighbour columns per row, :func:`_square_moves` makes B_2 from
-    M * K^2 products; when K^2 <= M that is at most the M^2 entries B_2
-    has, and a row block's temporaries are at most ``_RPD_BLOCK`` entries.
-    Past that (few free nodes with many outcomes) P is nearly dense and B_2
-    is B_1 squared in place. An even h starts at the z_j of its lowest set
-    bit and multiplies in those of its higher bits in place
-    (:func:`_multiply_in_place`); a partial product that is still z_j when
-    z_j is squared is copied first. An odd h > 1 is P @ B_(h-1), read off
-    the table into one new array (:func:`_moved`). So for h = 2^j one
-    M-by-M array is alive, and each B_h's bits depend on h alone.
+    Each B_h is built from the bits of h, highest first (the left-to-right
+    binary method): B_c becomes B_(2c) by a square in place
+    (:func:`_square_in_place`), and B_(2c) becomes B_(2c+1) = P @ B_(2c),
+    read off the table into one new array (:func:`_moved`). The walk starts
+    at B_1 = P / sqrt(pi), the table placed (:func:`_placed`) and divided
+    in place, or, for h >= 2 when K^2 <= M for K neighbour columns per row,
+    at B_2 from :func:`_square_moves`, which makes it from M * K^2 products,
+    at most the M^2 entries B_2 has. Past that (few free nodes with many
+    outcomes) P is nearly dense and B_2 is B_1 squared. The next h goes on
+    from the last array when that lies on its walk, and starts again
+    otherwise, so each B_h's bits depend on h alone, and at most two M-by-M
+    arrays are alive, the second only while a step of P is taken.
     """
-    def first() -> np.ndarray:
-        b1 = _placed(table, dims)
-        b1 /= root
-        return b1
-
     m = len(root)
-    partial = dict.fromkeys(sorted(halves))
-    if 1 in partial:
-        del partial[1]
-        yield 1, first()
-    bit = 1
-    while partial:
-        if bit > 1:
-            for h, p in partial.items():
-                if p is z:
-                    partial[h] = z.copy()
-            _square_in_place(z, root)
-        elif table.shape[1] ** 2 <= m:
-            z = _square_moves(table, root, dims)
-        else:
-            z = _square_in_place(first(), root)
-        for h in list(partial):
-            if h >> bit & 1:
-                partial[h] = z if partial[h] is None else _multiply_in_place(partial[h], z, root)
-            if h >> (bit + 1) == 0:
-                if h & 1:
-                    partial[h] = _moved(table, cols, partial[h], np.empty((m, m)))
-                yield h, partial.pop(h)
-        bit += 1
+    z, at = None, 0
+    for h in sorted(halves):
+        start = 2 if h > 1 and table.shape[1] ** 2 <= m else 1
+        # B_at lies on h's walk if at is h's leading bits, or those less a low 1
+        if at < start or h >> (h.bit_length() - at.bit_length()) not in (at, at | 1):
+            z = None  # freed before its successor is made
+            if start == 2:
+                z = _square_moves(table, root, dims)
+            else:
+                z = _placed(table, dims)
+                z /= root
+            at = start
+        while at != h:
+            if h >> (h.bit_length() - at.bit_length()) == at:
+                z, at = _square_in_place(z, root), 2 * at
+            else:
+                z, at = _moved(table, cols, z, np.empty((m, m))), at + 1
+        yield h, z
 
 
 def _rpd_by_count(table: np.ndarray, pi: np.ndarray, dims: tuple[int, ...],
@@ -464,8 +435,8 @@ def _rpd_by_count(table: np.ndarray, pi: np.ndarray, dims: tuple[int, ...],
     cancellation, in row blocks written into two buffers made once. A
     block's rows of B_(s+1) = P @ B_s are summed off the table
     (:func:`_moved`), so neither P nor B_(s+1) is ever whole, no full-size
-    temporary is made and no block pages in fresh memory. At t = 2^j and
-    2^j + 1 one M-by-M array is alive at a time.
+    temporary is made and no block pages in fresh memory. At most two M-by-M
+    arrays are alive for any t, and one at t = 2^j and 2^j + 1.
     """
     m, root = len(pi), np.sqrt(pi)
     width = table.shape[1]
@@ -495,7 +466,7 @@ def _rpd_by_count(table: np.ndarray, pi: np.ndarray, dims: tuple[int, ...],
     for s, bs in _half_powers(table, cols, root, dims, {t // 2 for t in counts if t >= 2}):
         for t in {2 * s, 2 * s + 1}.intersection(counts):
             found[t] = peak(lambda i, j: diagonal(bs, t & 1, i, j), m)
-        del bs  # else it outlives the next squaring
+        del bs  # else it outlives the next step of P
     return {t: found[t] for t in counts}
 
 
@@ -529,9 +500,10 @@ def mixing_report(
     ``t_values``. pi_min comes off the joint of :func:`_chain`, p0 and the
     rpd off its move table, each with the bits that
     :func:`build_transition_matrix` and :func:`relative_pointwise_distance`
-    give. No M-by-M matrix of P is made but B_1 = P / sqrt(pi), and each
-    squaring is done in place, so one M-by-M array is alive at t = 1, 4,
-    16 and at t = 3, 5, 17."""
+    give. No M-by-M matrix of P is made but B_1 = P / sqrt(pi), each
+    squaring is done in place and each step of P makes one new array, so
+    at most two M-by-M arrays are alive for any t, and one at t = 1, 4, 16
+    and at t = 3, 5, 17."""
     counts = _transition_counts(t_values)
     joint, table, p0 = _chain(net, ev)
     pi = joint.weights.ravel() / joint.normalizer()
