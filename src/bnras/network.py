@@ -75,8 +75,9 @@ class Node:
 
 def _is_index(value) -> bool:
     """Whether value can be an outcome index: an integer of any type,
-    numpy's included, but not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    numpy's included, but not a bool. A Python int, the common case, is
+    answered without the slower abstract-class check."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
