@@ -156,21 +156,21 @@ def test_do_transition_requires_free_node(ab):
 
 
 @pytest.mark.parametrize("step", [bnras.do_transition, bnras.straight_step])
-@pytest.mark.parametrize("state, free, cursor, message", [
-    ([0, -1], (0, 1), 0, r"state\[1\] = -1 invalid for node B"),  # -1 would wrap to the last entry
-    ([0, 2], (0, 1), 0, r"state\[1\] = 2 invalid for node B"),
-    ([0], (0,), 0, "state has 1 entries for 2 nodes"),
-    ([0, 0], (0, 7), 0, "free index 7 is not a node of network AB"),
-    ([0, 0], (-1,), 0, "free index -1 is not a node of network AB"),
-    ([0, 0], (True,), 0, "free index True is not a node of network AB"),
+@pytest.mark.parametrize("state, free, message", [
+    ([0, -1], (0, 1), r"state\[1\] = -1 invalid for node B"),  # -1 would wrap to the last entry
+    ([0, 2], (0, 1), r"state\[1\] = 2 invalid for node B"),
+    ([0], (0,), "state has 1 entries for 2 nodes"),
+    ([0, 0], (0, 7), "free index 7 is not a node of network AB"),
+    ([0, 0], (-1,), "free index -1 is not a node of network AB"),
+    ([0, 0], (True,), "free index True is not a node of network AB"),
 ])
-def test_single_steps_refuse_a_walker_that_does_not_fit(ab, step, state, free, cursor, message):
-    cs = chain.ChainState(list(state), free, cursor)
+def test_single_steps_refuse_a_walker_that_does_not_fit(ab, step, state, free, message):
+    cs = chain.ChainState(list(state), free)
     rng = ScriptedStream([0.9, 0.9, 0.9])
     with pytest.raises(ValueError, match=message):
         step(ab, cs, rng)
     assert rng.consumed == 0
-    assert cs.state == state and cs.cursor == cursor
+    assert cs.state == state and cs.cursor == 0
 
 
 @pytest.mark.parametrize("cursor", [5, 2, -1, 1.0])
