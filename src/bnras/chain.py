@@ -25,13 +25,15 @@ or of several, each on its own counter-based stream (see :mod:`bnras.rng`)
 with its own draw count, and chooses outcomes from each node's
 :func:`_conditional` rows. Both give the same states, bit for bit.
 
-Cyclic-scan chains on many streams run one at a time or together
-(:meth:`_BlanketTables.scan`): at each step every chain redraws the same
-node, from the same tables, with the next draw of its own Mersenne Twister
-(see :func:`bnras.rng.twister_draws`). Together, the chains are held as
-their sequence of outcomes, whose last nfree entries are their current
-values, so a step reads the node's blanket with one dot and appends one
-outcome. A stretch of steps can also move as blocks side by side, each
+Cyclic-scan chains on many streams are held as their sequence of
+outcomes, whose last nfree entries are their current values, and tallied
+off it (:func:`bnras.estimate._cyclic_runs`). They move together where
+they can (:meth:`_BlanketTables.scan`): at each step every chain redraws
+the same node, from the same tables, with the next draw of its own
+Mersenne Twister (see :func:`bnras.rng.twister_draws`), so a step reads
+the node's blanket with one dot and appends one outcome. Where they
+cannot, each chain steps alone by :func:`_resample` and appends the same
+outcomes. A stretch of steps can also move as blocks side by side, each
 after a warm-up from a guessed start, the blocks whose start is still
 wrong being run again until each starts where the one before it ends
 (:meth:`_BlanketTables.scan_blocks`), as in the parareal scheme of Lions,

@@ -13,16 +13,17 @@ takes the checkpoints.
 
 ``straight_estimate`` runs one cyclic-scan chain without restarts and
 scores the full state after every transition. ``straight_estimates`` runs
-one such chain on each of many streams, however few, in lock step, in
-chunks tallied by numpy; each chain draws a chunk's steps from its own
-Mersenne Twister stream in one ``getrandbits`` call
-(:func:`bnras.rng.twister_draws`). One chain's steps are sequential, but a
-chunk's steps can still move side by side, in blocks that each run a
-warm-up from a guessed start, the few whose start is still wrong being run
-again until each starts where the one before it ends
-(:meth:`bnras.chain._BlanketTables.scan_blocks`). The tallies,
-checkpoints and final stream states are those of the chains run one by
-one, step by step, bit for bit.
+one such chain on each of many streams, in chunks of steps, each chunk's
+outcomes tallied by one numpy call, whichever way they were made. Chains,
+however few, move in lock step where they can, each drawing a chunk's
+steps from its own Mersenne Twister stream in one ``getrandbits`` call
+(:func:`bnras.rng.twister_draws`); the others step alone, one at a time.
+One chain's steps are sequential, but a lock-step chunk's steps can still
+move side by side, in blocks that each run a warm-up from a guessed start,
+the few whose start is still wrong being run again until each starts where
+the one before it ends (:meth:`bnras.chain._BlanketTables.scan_blocks`).
+The tallies, checkpoints and final stream states are those of the chains
+run one by one, step by step, bit for bit.
 """
 
 from __future__ import annotations
@@ -206,42 +207,21 @@ def bnras_estimate(
     return bnras_estimates(net, ev, trials, transitions, [rng], checkpoint_stride)[0]
 
 
-def _cyclic_chain(net: BeliefNetwork, tab, free, template, total: int, rng: RandomStream,
-                  stride: int):
-    """One cyclic-scan chain, step by step: its tally and its checkpoints."""
-    tally = [[0] * tab.k[i] for i in free]
-    checkpoints: list[Checkpoint] = []
-    rand = rng.random
-    state = _uniform_state(tab, free, template, rand)
-    cursor = 0
-    nfree = len(free)
-    try:
-        for step in range(1, total + 1):
-            _resample(tab, state, free[cursor], rand)
-            cursor += 1
-            if cursor == nfree:
-                cursor = 0
-            for slot, i in enumerate(free):
-                tally[slot][state[i]] += 1
-            if stride > 0 and step % stride == 0:
-                checkpoints.append(Checkpoint(step, step, _snapshot(tally, step)))
-    except DeterministicConflictError as exc:
-        raise _located(net, exc.node, f"at step {step} of seed {rng.seed_value}") from None
-    return tally, checkpoints
+def _cyclic_runs(net: BeliefNetwork, tab, free, template, total: int,
+                 rngs: Sequence[RandomStream], stride: int):
+    """Each chain on ``rngs``: its tally and checkpoints, its stream moved
+    as the chain run step by step moves it.
 
-
-def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStream],
-                     stride: int):
-    """The chains on ``rngs``, moved together by ``_BlanketTables.scan`` on
-    the draws :func:`twister_draws` makes from their streams: each chain's
-    tally and checkpoints, as :func:`_cyclic_chain` gives them, and the
-    streams moved as far as it moves them. None, before any draw, if
-    :func:`_blanket_tables` gives no tables (some table is over the cap or
-    has a row whose weights are all zero), some stream's type does not keep
-    ``random.Random``'s own ``random`` and ``getrandbits`` (its ``random()``
-    then need not be made from its words), or one is given twice (its draws
-    then run on from one chain to the next, which chains moved side by side
-    cannot do).
+    The chains move together, by ``_BlanketTables.scan`` on the draws
+    :func:`twister_draws` makes, if :func:`_blanket_tables` gives tables
+    (it does not for a table over the cap or with a row whose weights are
+    all zero), every stream's type keeps ``random.Random``'s own ``random``
+    and ``getrandbits`` (its ``random()`` need not otherwise be made from
+    its words) and no stream is given twice (its draws run on from one
+    chain to the next). Otherwise the batch runs as one-chain batches, in
+    order; one that cannot move in lock step moves alone, by
+    :func:`_resample` on its own ``random`` from :func:`_uniform_state`,
+    and raises for its first conflict.
 
     The steps run in chunks of at most ``_CHUNK`` outcomes, cut at every
     checkpoint. A chunk's outcome buffer starts with the last nfree
@@ -250,22 +230,30 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
     counts once for each of the chunk's steps after which it is still among
     the last nfree.
 
-    A chunk moves in blocks of ``_BLOCK_SWEEPS`` sweeps when it holds at
-    least four blocks' steps, until some chunk gives its blocks up, its
-    passes having cost more than half its steps: 30 chains of PATH2, whose
-    runs meet slowly, give them up in their first chunk of 273 steps and
-    take one scan a chunk after it, while one chain's chunks of 8192 steps
-    keep them.
+    Chains moved together move a chunk in blocks of ``_BLOCK_SWEEPS``
+    sweeps when it holds at least four blocks' steps, until some chunk
+    gives its blocks up, its passes having cost more than half its steps:
+    30 chains of PATH2, whose runs meet slowly, give them up in their first
+    chunk of 273 steps and take one scan a chunk after it, while one
+    chain's chunks of 8192 steps keep them.
     """
     tables = _blanket_tables(tab, free, template)
-    if (tables is None or len(set(map(id, rngs))) < len(rngs) or not all(
-            type(rng).random is random.Random.random
-            and type(rng).getrandbits is random.Random.getrandbits for rng in rngs)):
-        return None
+    together = tables is not None and all(
+        type(rng).random is random.Random.random
+        and type(rng).getrandbits is random.Random.getrandbits for rng in rngs)
+    if len(rngs) > 1 and (not together or len(set(map(id, rngs))) < len(rngs)):
+        return [run for rng in rngs
+                for run in _cyclic_runs(net, tab, free, template, total, [rng], stride)]
     chains, nfree = len(rngs), len(free)
     most = max(1, _CHUNK // chains)
     outcomes = np.empty((nfree + most, chains), dtype=np.intp)
-    outcomes[:nfree] = (twister_draws(rngs, nfree) * tables.outcomes).astype(np.intp).T
+    if together:
+        outcomes[:nfree] = (twister_draws(rngs, nfree) * tables.outcomes).astype(np.intp).T
+    else:
+        (rng,) = rngs
+        rand = rng.random
+        state = _uniform_state(tab, free, template, rand)
+        outcomes[:nfree, 0] = [state[i] for i in free]
     edges = _edges(tab, free)
     width = edges[-1]
     bases = width * np.arange(chains)  # each chain's first code
@@ -283,11 +271,21 @@ def _cyclic_lockstep(tab, free, template, total: int, rngs: Sequence[RandomStrea
         while done < cut:
             steps = min(cut - done, most)
             chunk = outcomes[: nfree + steps]
-            draws = twister_draws(rngs, steps)
-            if blocked and steps >= 4 * lb:
-                blocked = tables.scan_blocks(chunk, done, draws, lb)
+            if not together:
+                made = []
+                try:
+                    for step in range(done, done + steps):
+                        i = free[step % nfree]
+                        _resample(tab, state, i, rand)
+                        made.append(state[i])
+                except DeterministicConflictError as exc:
+                    raise _located(net, exc.node,
+                                   f"at step {step + 1} of seed {rng.seed_value}") from None
+                chunk[nfree:, 0] = made
+            elif blocked and steps >= 4 * lb:
+                blocked = tables.scan_blocks(chunk, done, twister_draws(rngs, steps), lb)
             else:
-                tables.scan(chunk, done, draws)
+                tables.scan(chunk, done, twister_draws(rngs, steps))
             j = np.arange(nfree + steps)
             live = np.minimum(j, steps) - np.maximum(j - nfree, 0)
             codes = chunk + edges.take((done + j) % nfree)[:, None] + bases
@@ -311,13 +309,12 @@ def straight_estimates(
     """``straight_estimate`` of one chain on each stream of ``rngs``, in
     order, each stream moved as that call moves it.
 
-    The chains, however few, move together in lock step (see
-    :func:`_cyclic_lockstep`). Streams may stand at different positions.
-    Batches that lock step refuses run chain by chain; a conflict then
-    raises for the first conflicting chain, as the calls one by one would.
-    Either way the same estimates come out of :func:`_estimates`, and each
-    estimate's ``cpu_seconds`` and ``wall_seconds`` are an equal share of
-    the batch's.
+    The chains, however few, move together in lock step where they can,
+    and chain by chain where they cannot (see :func:`_cyclic_runs`);
+    streams may stand at different positions. A conflict raises for the
+    first conflicting chain, as the calls one by one would. Each estimate's
+    ``cpu_seconds`` and ``wall_seconds`` are an equal share of the
+    batch's.
     """
     _require_count("total_transitions", total_transitions, 1)
     _require_count("checkpoint_stride", checkpoint_stride, 0)
@@ -326,10 +323,7 @@ def straight_estimates(
     if not rngs:
         return []
     start = time.process_time(), time.perf_counter()
-    runs = _cyclic_lockstep(tab, free, template, total_transitions, rngs, checkpoint_stride)
-    if runs is None:
-        runs = [_cyclic_chain(net, tab, free, template, total_transitions, rng,
-                              checkpoint_stride) for rng in rngs]
+    runs = _cyclic_runs(net, tab, free, template, total_transitions, rngs, checkpoint_stride)
     return _estimates(net, free, total_transitions, None, runs, start)
 
 

@@ -29,6 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .network import _is_index
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -65,8 +67,13 @@ def _mix(x: np.ndarray) -> np.ndarray:
 
 
 def derive_stream_seed(master_seed: int, index: int) -> int:
-    """Seed of the index-th child stream of a stream seeded with master_seed."""
-    return _splitmix64((master_seed + (index + 1) * _GOLDEN) & _MASK64)
+    """Seed of the index-th child stream of a stream seeded with master_seed.
+    Refuses an index that is not an integer (a bool is not) in [0, 2^64):
+    the seed reduces it mod 2^64, so such an index would give another
+    index's stream."""
+    if not _is_index(index) or not 0 <= index < 1 << 64:
+        raise ValueError(f"stream index {index!r} is not an integer in [0, 2^64)")
+    return _splitmix64((master_seed + (int(index) + 1) * _GOLDEN) & _MASK64)
 
 
 def derive_stream_seeds(master_seed: int, first: int, stop: int) -> np.ndarray:

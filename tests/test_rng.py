@@ -1,3 +1,8 @@
+import re
+
+import numpy as np
+import pytest
+
 import bnras
 from bnras.rng import _splitmix64
 
@@ -58,3 +63,16 @@ def test_splitmix_mixes_against_reference():
 def test_seed_value_masked_to_64_bits():
     big = (1 << 70) + 123
     assert bnras.RandomStream(big).seed_value == big & ((1 << 64) - 1)
+
+
+def test_spawn_refuses_an_index_outside_the_streams():
+    # each index in [0, 2^64) has its own stream; 2^64 would give index 0's,
+    # True index 1's
+    rng = bnras.RandomStream(7)
+    for index in (-1, 2**64, 2**70 + 1, True, False, 1.5, 1.0, "1", None):
+        for refuse in (rng.spawn, lambda j: bnras.derive_stream_seed(7, j)):
+            with pytest.raises(ValueError, match=f"stream index {re.escape(repr(index))} "):
+                refuse(index)
+    for index in (0, 1, 2**63, 2**64 - 1, np.uint64(2**64 - 1), np.int8(3)):
+        assert rng.spawn(index).seed_value == bnras.derive_stream_seed(7, int(index))
+    assert rng.spawn(2**64 - 1).seed_value != rng.spawn(0).seed_value

@@ -34,8 +34,9 @@ def python_draws(seed, count):
 
 def scalar_chain(net, ev, total, seed, stride=0):
     """Tallies, checkpoints and final stream state of one chain stepped by
-    the public single-step API."""
-    rng = RandomStream(seed)
+    the public single-step API, on ``RandomStream(seed)`` or on ``seed``
+    itself if it is a stream."""
+    rng = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     cs = bnras.init_random_state(net, ev, rng)
     tally = [[0] * len(net.nodes[i].outcomes) for i in cs.free]
     checkpoints = []
@@ -60,8 +61,8 @@ def assert_matches_scalar(net, ev, total, seeds, stride=0):
 
 
 def refused(*args):
-    """``_cyclic_lockstep`` refusing every batch, which then runs chain by
-    chain."""
+    """``_blanket_tables`` giving no tables, so that every batch runs chain
+    by chain, each chain stepped alone."""
     return None
 
 
@@ -146,7 +147,7 @@ def test_streams_at_different_positions(monkeypatch, nets, empty):
         raise AssertionError("a chain ran on its own")
 
     with monkeypatch.context() as patch:
-        patch.setattr(estimate, "_cyclic_chain", alone)
+        patch.setattr(estimate, "_resample", alone)
         ests = bnras.straight_estimates(net, empty, 300, streams, checkpoint_stride=70)
     for est, stream, copy in zip(ests, streams, copies):
         assert est == replace(bnras.straight_estimate(net, empty, 300, copy, 70),
@@ -182,18 +183,19 @@ def test_streams_that_override_random(nets, empty):
     assert [e.tallies for e in ests] == [((10, 0), (10, 0))] * 2
 
 
-def test_stream_given_twice(nets, empty):
+def test_stream_given_twice(nets, empty, scans):
     # its second chain runs on from where the first leaves the stream, as
-    # the calls one by one run it, so such a batch runs chain by chain
+    # the calls one by one run it, so such a batch runs as one-chain
+    # batches, each in lock step
     net = nets["MINIALARM"]
     shared, alone = RandomStream(5), RandomStream(5)
     ests = bnras.straight_estimates(net, empty, 300, [shared, RandomStream(6), shared],
                                     checkpoint_stride=70)
-    expected = [bnras.straight_estimate(net, empty, 300, rng, 70)
+    expected = [scalar_chain(net, empty, 300, rng, 70)
                 for rng in (alone, RandomStream(6), alone)]
-    assert [e.tallies for e in ests] == [e.tallies for e in expected]
-    assert [e.checkpoints for e in ests] == [e.checkpoints for e in expected]
+    assert [(e.tallies, e.checkpoints) for e in ests] == [run[:2] for run in expected]
     assert shared.getstate() == alone.getstate()
+    assert scans
 
 
 @pytest.mark.parametrize("seeds", [PANEL, PANEL[:1]])
@@ -206,7 +208,7 @@ def test_builtins_match_scalar_chain(nets, seeds):
 
 @pytest.mark.parametrize("module, setting", [
     (estimate, {"_BLOCK_SWEEPS": 1}),  # blocks of one sweep
-    (estimate, {"_cyclic_lockstep": lambda nfree: refused}),  # every chain on its own
+    (estimate, {"_blanket_tables": lambda nfree: refused}),  # every chain on its own
     (estimate, {"_CHUNK": 1}),  # one step per chunk
     (estimate, {"_CHUNK": 100}),
     (chain, {"_BLANKET_CAP": 1}),  # every table over the cap
@@ -216,6 +218,11 @@ def test_builtins_match_scalar_chain(nets, seeds):
     (estimate, {"_CHUNK": lambda nfree: len(PANEL) * nfree}),
     (estimate, {"_CHUNK": lambda nfree: len(PANEL) * (nfree + 1)}),
     (estimate, {"_BLOCK_SWEEPS": 10**9}),  # every chunk in one scan
+    # every chain on its own, its buffer's head carried across chunks
+    (estimate, {"_blanket_tables": lambda nfree: refused,
+                "_CHUNK": lambda nfree: len(PANEL) * (nfree - 1)}),
+    (estimate, {"_blanket_tables": lambda nfree: refused,
+                "_CHUNK": lambda nfree: len(PANEL) * (nfree + 1)}),
 ])
 def test_selection_and_chunks_do_not_change_bits(monkeypatch, nets, module, setting):
     for name in ("PATH2", "MINIALARM", "CHAIN5"):
@@ -237,7 +244,7 @@ def test_chain_by_chain_batch_shares_its_time(monkeypatch, nets, empty, stream):
     # chains run one by one, whether lock step is not chosen or refused,
     # report one equal share of the batch's time too
     if stream is RandomStream:
-        monkeypatch.setattr(estimate, "_cyclic_lockstep", refused)
+        monkeypatch.setattr(estimate, "_blanket_tables", refused)
     streams = [stream(s) for s in PANEL]
     ests = bnras.straight_estimates(nets["CHAIN5"], empty, 2000, streams)
     assert len({(e.cpu_seconds, e.wall_seconds) for e in ests}) == 1
@@ -301,7 +308,7 @@ def test_conflict_names_first_conflicting_seed(monkeypatch, and_gate, empty):
     seeds = list(range(4, 12))
     expected = None
     with monkeypatch.context() as patch:
-        patch.setattr(estimate, "_cyclic_lockstep", refused)
+        patch.setattr(estimate, "_blanket_tables", refused)
         for seed in seeds:  # the calls one seed at a time, in order, chain by chain
             try:
                 bnras.straight_estimate(and_gate, empty, 30, RandomStream(seed))
@@ -311,7 +318,7 @@ def test_conflict_names_first_conflicting_seed(monkeypatch, and_gate, empty):
     assert expected is not None and f"of seed {seeds[0]};" not in expected[1]
     for lockstep in (True, False):
         if not lockstep:
-            monkeypatch.setattr(estimate, "_cyclic_lockstep", refused)
+            monkeypatch.setattr(estimate, "_blanket_tables", refused)
         with pytest.raises(bnras.DeterministicConflictError) as info:
             bnras.straight_estimates(and_gate, empty, 30, [RandomStream(s) for s in seeds])
         assert (info.value.node, str(info.value)) == expected
@@ -428,5 +435,5 @@ def test_past_64_free_nodes(monkeypatch, layered300, empty, lockstep):
     tab, free, template = chain._prepare(layered300, empty)
     assert chain._blanket_tables(tab, free, template) is not None
     if not lockstep:
-        monkeypatch.setattr(estimate, "_cyclic_lockstep", refused)
+        monkeypatch.setattr(estimate, "_blanket_tables", refused)
     assert_matches_scalar(layered300, empty, 700, PANEL[:3], stride=250)
