@@ -241,7 +241,7 @@ def test_batch_shares_its_time(nets, empty):
 
 @pytest.mark.parametrize("stream", [RandomStream, Half])
 def test_chain_by_chain_batch_shares_its_time(monkeypatch, nets, empty, stream):
-    # chains run one by one, whether lock step is not chosen or refused,
+    # chains run one by one, for want of tables or of a plain stream type,
     # report one equal share of the batch's time too
     if stream is RandomStream:
         monkeypatch.setattr(estimate, "_blanket_tables", refused)
@@ -316,6 +316,12 @@ def test_conflict_names_first_conflicting_seed(monkeypatch, and_gate, empty):
                 expected = (exc.node, str(exc))
                 break
     assert expected is not None and f"of seed {seeds[0]};" not in expected[1]
+    rng = RandomStream(seed)  # the same chain stepped by the public single step
+    cs = bnras.init_random_state(and_gate, empty, rng)
+    with pytest.raises(bnras.DeterministicConflictError) as info:
+        for step in range(1, 31):
+            bnras.straight_step(and_gate, cs, rng)
+    assert info.value.node == expected[0] and f"at step {step} of seed {seed};" in expected[1]
     for lockstep in (True, False):
         if not lockstep:
             monkeypatch.setattr(estimate, "_blanket_tables", refused)
