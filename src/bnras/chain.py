@@ -439,7 +439,7 @@ class _BlanketTables:
             width = (multipliers > 0).sum()
             at = (members[:width] - s) % nfree
             lo, hi = (at.min(), at.max() + 1) if width else (0, 0)
-            window = np.zeros(hi - lo, dtype=np.intp)
+            window = np.zeros(hi - lo)
             window[at - lo] = multipliers[:width]
             cutoffs = self.cutoffs[start:stop]
             columns = max(1, np.isfinite(cutoffs).any(axis=0).sum())
@@ -448,87 +448,97 @@ class _BlanketTables:
         return slots
 
     def scan(self, outcomes: np.ndarray, first: int, draws: np.ndarray) -> None:
-        """Cyclic-scan steps first + 1, ..., first + L of chains, on their
-        sequence of outcomes. The first nfree rows of ``outcomes`` ((nfree
-        + L, chains)) hold the chains' last nfree outcomes, which are their
-        current values: row j holds slot (first + j) mod nfree. Step first
-        + i + 1 redraws slot (first + i) mod nfree with the chains' draws
-        ``draws[:, i]``, as :func:`_resample` redraws it, and writes row
-        nfree + i. The node's blanket row is one dot of rows i, ..., i +
-        nfree - 1 with its multipliers placed where its members stand among
-        them."""
+        """Cyclic-scan steps first + 1, ..., first + L of columns of chains,
+        on their sequence of outcomes. The first nfree rows of ``outcomes``
+        ((nfree + L, columns), floats) hold the columns' last nfree
+        outcomes, which are their current values: row j holds slot (first +
+        j) mod nfree. Step first + i + 1 redraws slot (first + i) mod nfree
+        with the columns' draws ``draws[i]``, as :func:`_resample` redraws
+        it, and writes row nfree + i. ``draws[i]`` may be any view that
+        holds one draw per column in C order, such as a plain chunk's
+        (chains,) or a chunk in blocks' (blocks, chains), so the draws are
+        read where :func:`bnras.rng.twister_draws` made them. The node's
+        blanket row is one dot of rows i, ..., i + nfree - 1 with its
+        multipliers placed where its members stand among them; the
+        outcomes are floats so that BLAS makes the dot, exact on such small
+        whole numbers."""
         nfree = len(self.outcomes)
         slots = self._scan_slots
-        u = np.ascontiguousarray(draws.T)
-        for i in range(len(u)):
+        shape = draws.shape[1:]
+        written = outcomes[nfree:].reshape(draws.shape)
+        for i, u in enumerate(draws):
             lo, hi, window, cutoffs = slots[(first + i) % nfree]
-            rows = window.dot(outcomes[i + lo : i + hi])
+            rows = window.dot(outcomes[i + lo : i + hi]).astype(np.intp)
             if cutoffs.ndim == 1:
-                outcomes[nfree + i] = u[i] >= cutoffs.take(rows)
+                written[i] = u >= cutoffs.take(rows).reshape(shape)
             else:
-                outcomes[nfree + i] = (cutoffs.take(rows, axis=0) <= u[i, :, None]).sum(axis=1)
+                picked = cutoffs.take(rows, axis=0).reshape(*shape, -1)
+                written[i] = (picked <= u[..., None]).sum(axis=-1)
 
     def scan_blocks(self, outcomes: np.ndarray, first: int, draws: np.ndarray, lb: int) -> bool:
-        """What :meth:`scan` writes, with the L steps of ``draws`` ((chains,
-        L)) moved as blocks of lb side by side, each after a warm-up of 2 lb
-        steps; False if the blocks were given up, the rest of the steps then
-        run in one scan.
+        """What :meth:`scan` writes, with the L >= 4 lb steps of ``draws``
+        ((chains, L), laid out as :func:`bnras.rng.twister_draws` lays them
+        out) moved as blocks of lb side by side, each after a warm-up of 2
+        lb steps; False if the blocks were given up, the rest of the steps
+        then run in one scan.
 
         lb is a multiple of nfree, so every run starts at slot first mod
-        nfree and one slot schedule serves all. Block b of chain c is
-        column c * blocks + b: steps w + b lb + 1, ..., w + (b + 1) lb,
-        where w = 2 lb, after a warm-up on the w draws before them, so its
-        run takes draws ``draws[c, b * lb:w + (b + 1) * lb]``; block 0
-        also keeps its warm-up, steps 1, ..., w, and steps past L draw 0
-        and are dropped. The first pass runs every column from its chain's
-        start window, which is block 0's true start; runs on the same draws
-        agree from the first step at which their windows agree (Propp &
-        Wilson's coupling), so a warm-up that has met the chain leaves its
-        block's start right. A start is right if it is the end of the block
-        before. Each later pass runs again, in one scan and without the
-        warm-up, every block whose start differs from that end, from that
-        end, until no start differs: pass k leaves blocks 0, ..., k - 1
-        exact. After four passes, once the passes have taken more lock
-        steps than half of L, the blocks are given up: those before the
-        first block still wrong in some chain are kept and one scan runs the
-        rest. A window's first row is the slot that its block redraws first,
-        which no step reads, so starts are compared on the other rows."""
+        nfree and one slot schedule serves all. With w = 2 lb, L holds
+        blocks = (L - w) // lb whole blocks after the warm-up. Block b of
+        chain c is column b * chains + c: steps w + b lb + 1, ..., w + (b +
+        1) lb, after a warm-up on the w draws before them, so step i of its
+        run reads ``draws[c, b * lb + i]``; at each step one strided view
+        of ``draws`` gives every column's draw, each block's chains
+        adjacent. Block 0's warm-up is steps 1, ..., w, kept as it runs: a
+        run holds its start window and lb steps, the warm-up passing
+        through them in two goes. The first pass runs every column from its
+        chain's start window, which is block 0's true start; runs on the
+        same draws agree from the first step at which their windows agree
+        (Propp & Wilson's coupling), so a warm-up that has met the chain
+        leaves its block's start right. A start is right if it is the end
+        of the block before. Each later pass runs again, in one scan and
+        without the warm-up, every block whose start differs from that end,
+        from that end, until no start differs: pass k leaves blocks 0, ...,
+        k - 1 exact. After four passes, once the passes have taken more
+        lock steps than half of L, the blocks are given up: those before
+        the first block still wrong in some chain are kept. One scan runs
+        the steps after the blocks kept. A window's first row is the slot
+        that its block redraws first, which no step reads, so starts are
+        compared on the other rows."""
         nfree = len(self.outcomes)
         chains, steps = draws.shape
         warm = 2 * lb
-        blocks = -(-(steps - warm) // lb)
-        u = np.zeros((warm + blocks * lb, chains))
-        u[:steps] = draws.T
-        # each column's draws, step by step, as scan reads them
-        u = sliding_window_view(u, warm + lb, axis=0)[::lb].transpose(2, 1, 0).reshape(
-            warm + lb, chains * blocks).T
-        runs = np.empty((nfree + warm + lb, chains * blocks), dtype=np.intp)
-        runs[:nfree] = np.repeat(outcomes[:nfree], blocks, axis=1)
-        self.scan(runs, first, u)
-        tail = runs[warm:]  # each block's start window and steps
-        by_block = tail.reshape(nfree + lb, chains, blocks)
-        wrong = np.zeros((chains, blocks), dtype=bool)  # block 0's start is never wrong
+        blocks = (steps - warm) // lb
+        # u[i, b, c]: step i of column (b, c)'s run, a view of draws
+        u = sliding_window_view(draws, warm + lb, axis=1)[:, : blocks * lb : lb].transpose(2, 1, 0)
+        runs = np.empty((nfree + lb, blocks * chains), dtype=outcomes.dtype)
+        by_block = runs.reshape(nfree + lb, blocks, chains)
+        by_block[:nfree] = outcomes[:nfree, None]
+        for at in (0, lb):
+            self.scan(runs, first, u[at : at + lb])
+            outcomes[nfree + at : nfree + at + lb] = runs[nfree:, :chains]
+            runs[:nfree] = runs[lb:]
+        self.scan(runs, first, u[warm:])
+        wrong = np.zeros((blocks, chains), dtype=bool)  # block 0's start is never wrong
         passes = 1
         while True:
-            wrong[:, 1:] = (by_block[1:nfree, :, 1:] != by_block[lb + 1:, :, :-1]).any(axis=0)
+            wrong[1:] = (by_block[1:nfree, 1:] != by_block[lb + 1:, :-1]).any(axis=0)
             again = np.flatnonzero(wrong)
             # the blocks before block right are exact in every chain
-            right = wrong.any(axis=0).argmax() if again.size else blocks
+            right = int(wrong.any(axis=1).argmax()) if again.size else blocks
             if not again.size or passes >= 4 and 2 * (warm + passes * lb) > steps:
                 break
             passes += 1
-            rerun = tail[:, again]
-            rerun[:nfree] = tail[lb:, again - 1]
-            self.scan(rerun, first, u[again, warm:])
-            tail[:, again] = rerun
-        outcomes[nfree : nfree + warm] = runs[nfree : nfree + warm, ::blocks]
-        outcomes[nfree + warm : nfree + warm + right * lb] = by_block[nfree:, :, :right].transpose(
-            2, 0, 1).reshape(right * lb, chains)[: steps - warm]
-        if warm + right * lb < steps:
-            self.scan(outcomes[warm + right * lb :], first + warm + right * lb,
-                      draws[:, warm + right * lb :])
-            return False
-        return True
+            rerun = runs[:, again]
+            rerun[:nfree] = runs[lb:, again - chains]
+            self.scan(rerun, first, u[warm:, again // chains, again % chains])
+            runs[:, again] = rerun
+        kept = outcomes[nfree + warm : nfree + warm + right * lb]
+        kept.reshape(right, lb, chains)[...] = by_block[nfree:, :right].transpose(1, 0, 2)
+        rest = warm + right * lb
+        if rest < steps:
+            self.scan(outcomes[rest:], first + rest, draws[:, rest:].T)
+        return right == blocks
 
 
 def _blanket_tables(tab: _Tables, free: tuple[int, ...], template: list[int]):

@@ -23,7 +23,6 @@ import csv
 import io
 import os
 import sys
-from dataclasses import replace
 
 from . import exact as exact_mod
 from .bounds import ErrorTolerances, report_bounds
@@ -36,7 +35,7 @@ from .errors import (
     NetworkValidationError,
     PositivityError,
 )
-from .estimate import bnras_estimates, error_metrics, straight_estimates
+from .estimate import _row_errors, bnras_estimates, error_metrics, straight_estimates
 from .exact import enumerate_posteriors
 from .model_io import builtin_networks, format_evidence, parse_evidence, parse_network
 from .network import BeliefNetwork
@@ -220,7 +219,7 @@ def _write_runs(net, ev, runs, stride: int, out: str) -> int:
         common = [run_id, seed, algorithm, net.name, ev_str, est.trials,
                   est.transitions_per_trial, est.total_transitions]  # None is written empty
         for ck in est.checkpoints:
-            err = error_metrics(replace(est, probs=ck.probs), oracle)
+            err = _row_errors(est.nodes, ck.probs, oracle.probs)
             writer.writerow([*common, ck.transitions, f"{err.avg_error:.9g}",
                              f"{err.max_error:.9g}", err.worst_node, "", ""])
         err = error_metrics(est, oracle)

@@ -13,17 +13,20 @@ takes the checkpoints.
 
 ``straight_estimate`` runs one cyclic-scan chain without restarts and
 scores the full state after every transition. ``straight_estimates`` runs
-one such chain on each of many streams, in chunks of steps, each chunk's
-outcomes tallied by one numpy call, whichever way they were made. Chains,
-however few, move in lock step where they can, each drawing a chunk's
-steps from its own Mersenne Twister stream in one ``getrandbits`` call
-(:func:`bnras.rng.twister_draws`); the others step alone, one at a time.
-One chain's steps are sequential, but a lock-step chunk's steps can still
-move side by side, in blocks that each run a warm-up from a guessed start,
-the few whose start is still wrong being run again until each starts where
-the one before it ends (:meth:`bnras.chain._BlanketTables.scan_blocks`).
-The tallies, checkpoints and final stream states are those of the chains
-run one by one, step by step, bit for bit.
+one such chain on each of many streams, in chunks of steps that
+checkpoints do not cut, each chunk's outcomes tallied by ``bincount``
+calls up to each checkpoint inside it and up to its end, whichever way
+they were made. Chains, however few, move in lock step where they can,
+each drawing a chunk's steps from its own Mersenne Twister stream in one
+``getrandbits`` call (:func:`bnras.rng.twister_draws`), and each lock step
+reads its draws where they were made; the others step alone, one at a
+time. One chain's steps are sequential, but a lock-step chunk's steps can
+still move side by side, in blocks that each run a warm-up from a guessed
+start, the few whose start is still wrong being run again until each
+starts where the one before it ends
+(:meth:`bnras.chain._BlanketTables.scan_blocks`). The tallies, checkpoints
+and final stream states are those of the chains run one by one, step by
+step, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,9 +54,13 @@ from .exact import PosteriorTable
 from .network import BeliefNetwork, Evidence
 from .rng import RandomStream, twister_draws
 
-#: Most outcomes (steps x chains) a lock-step chunk of straight simulation
-#: holds.
-_CHUNK = 1 << 13
+#: Most outcomes (steps x chains) a chunk of straight simulation holds.
+#: At its peak a chunk holds three doubles an outcome: the outcome, its
+#: draw, and either the draw's two Mersenne Twister words while the draws
+#: are made or the outcome's place in the runs of a chunk moved in blocks.
+#: A batch of 30 PATH2 or 8 MINIALARM chains peaks at about 1 MB
+#: (tracemalloc; ``tests/test_straight_lockstep.py`` holds it to 1.5 MB).
+_CHUNK = 1 << 15
 
 #: Sweeps (nfree steps each) in a block of a straight-simulation chunk
 #: moved in blocks (:meth:`bnras.chain._BlanketTables.scan_blocks`), whose
@@ -207,6 +214,22 @@ def bnras_estimate(
     return bnras_estimates(net, ev, trials, transitions, [rng], checkpoint_stride)[0]
 
 
+def _window_counts(codes: np.ndarray, steps: int, nfree: int, size: int) -> np.ndarray:
+    """What steps 1, ..., ``steps`` add to the flat tallies (``size``
+    counts) of chains held as ``codes`` ((rows, chains), each outcome's
+    column in the flat tallies), whose first nfree rows are the last
+    outcomes before step 1: after step s the chains' values are rows s,
+    ..., s + nfree - 1, so a row counts once for each step after which it
+    is still among the last nfree. Rows nfree, ..., steps count nfree
+    times, by one plain ``bincount``; the fewer rows at either end, by one
+    weighted."""
+    ends = np.r_[0:nfree, max(steps + 1, nfree) : steps + nfree]
+    live = np.minimum(ends, steps) - np.maximum(ends - nfree, 0)
+    middle = np.bincount(codes[nfree : steps + 1].ravel(), minlength=size)
+    weighted = np.bincount(codes[ends].ravel(), np.repeat(live, codes.shape[1]), size)
+    return nfree * middle + weighted.astype(np.int64)
+
+
 def _cyclic_runs(net: BeliefNetwork, tab, free, template, total: int,
                  rngs: Sequence[RandomStream], stride: int):
     """Each chain on ``rngs``: its tally and checkpoints, its stream moved
@@ -223,19 +246,22 @@ def _cyclic_runs(net: BeliefNetwork, tab, free, template, total: int,
     :func:`_resample` on its own ``random`` from :func:`_uniform_state`,
     and raises for its first conflict.
 
-    The steps run in chunks of at most ``_CHUNK`` outcomes, cut at every
-    checkpoint. A chunk's outcome buffer starts with the last nfree
-    outcomes, the chains' current values, and its last nfree rows start the
-    next chunk's. Each chunk is tallied by one ``bincount``: an outcome
-    counts once for each of the chunk's steps after which it is still among
-    the last nfree.
+    The steps run in one loop of chunks of at most ``_CHUNK`` outcomes,
+    cut to whole blocks where a chunk can move in blocks; a checkpoint
+    does not cut a chunk. A chunk's outcome buffer starts with the last
+    nfree outcomes, the chains' current values, and its last nfree rows
+    start the next chunk's. Each outcome's column in the flat tallies is
+    tallied by :func:`_window_counts`, up to each checkpoint inside the
+    chunk and then up to its end, as :func:`bnras_estimates` tallies a
+    piece up to each mark inside it.
 
     Chains moved together move a chunk in blocks of ``_BLOCK_SWEEPS``
     sweeps when it holds at least four blocks' steps, until some chunk
     gives its blocks up, its passes having cost more than half its steps:
-    30 chains of PATH2, whose runs meet slowly, give them up in their first
-    chunk of 273 steps and take one scan a chunk after it, while one
-    chain's chunks of 8192 steps keep them.
+    30 chains of PATH2, whose runs meet slowly, keep them through 13 to
+    20 passes of their chunks of 1088 steps (seeds 0-29, 10,000 steps),
+    giving them up only in a short last chunk; one chain's chunk of 3000
+    steps keeps them through a dozen.
     """
     tables = _blanket_tables(tab, free, template)
     together = tables is not None and all(
@@ -245,8 +271,11 @@ def _cyclic_runs(net: BeliefNetwork, tab, free, template, total: int,
         return [run for rng in rngs
                 for run in _cyclic_runs(net, tab, free, template, total, [rng], stride)]
     chains, nfree = len(rngs), len(free)
+    lb = _BLOCK_SWEEPS * nfree
     most = max(1, _CHUNK // chains)
-    outcomes = np.empty((nfree + most, chains), dtype=np.intp)
+    if most >= 4 * lb:
+        most -= most % lb  # whole blocks
+    outcomes = np.empty((nfree + most, chains))  # floats, for BLAS's dot
     if together:
         outcomes[:nfree] = (twister_draws(rngs, nfree) * tables.outcomes).astype(np.intp).T
     else:
@@ -263,39 +292,41 @@ def _cyclic_runs(net: BeliefNetwork, tab, free, template, total: int,
     def tallies():
         return [_rows(row, edges) for row in counts.reshape(chains, width).tolist()]
 
-    marks = range(stride, total + 1, stride) if stride > 0 else ()
-    lb = _BLOCK_SWEEPS * nfree
     blocked = True  # whether chunks still move in blocks
     done = 0
-    for cut in sorted({total, *marks}):
-        while done < cut:
-            steps = min(cut - done, most)
-            chunk = outcomes[: nfree + steps]
-            if not together:
-                made = []
-                try:
-                    for step in range(done, done + steps):
-                        i = free[step % nfree]
-                        _resample(tab, state, i, rand)
-                        made.append(state[i])
-                except DeterministicConflictError as exc:
-                    raise _located(net, exc.node,
-                                   f"at step {step + 1} of seed {rng.seed_value}") from None
-                chunk[nfree:, 0] = made
-            elif blocked and steps >= 4 * lb:
-                blocked = tables.scan_blocks(chunk, done, twister_draws(rngs, steps), lb)
-            else:
-                tables.scan(chunk, done, twister_draws(rngs, steps))
-            j = np.arange(nfree + steps)
-            live = np.minimum(j, steps) - np.maximum(j - nfree, 0)
-            codes = chunk + edges.take((done + j) % nfree)[:, None] + bases
-            counts += np.bincount(codes.ravel(), np.repeat(live, chains),
-                                  len(counts)).astype(np.int64)
-            chunk[:nfree] = chunk[steps:]
-            done += steps
-        if stride > 0 and done % stride == 0:
+    while done < total:
+        steps = min(total - done, most)
+        chunk = outcomes[: nfree + steps]
+        if not together:
+            made = []
+            try:
+                for step in range(done, done + steps):
+                    i = free[step % nfree]
+                    _resample(tab, state, i, rand)
+                    made.append(state[i])
+            except DeterministicConflictError as exc:
+                raise _located(net, exc.node,
+                               f"at step {step + 1} of seed {rng.seed_value}") from None
+            chunk[nfree:, 0] = made
+        elif blocked and steps >= 4 * lb:
+            blocked = tables.scan_blocks(chunk, done, twister_draws(rngs, steps), lb)
+        else:
+            tables.scan(chunk, done, twister_draws(rngs, steps).T)
+        codes = chunk.astype(np.intp)  # each outcome's column in the flat tallies
+        codes += edges.take((done + np.arange(nfree + steps)) % nfree)[:, None]
+        codes += bases
+        at = 0  # the chunk's steps tallied
+        marks = range((done // stride + 1) * stride, done + steps + 1, stride) if stride else ()
+        for mark in marks:
+            counts += _window_counts(codes[at:], mark - done - at, nfree, len(counts))
+            at = mark - done
             for tally, points in zip(tallies(), checkpoints):
-                points.append(Checkpoint(done, done, _snapshot(tally, done)))
+                points.append(Checkpoint(mark, mark, _snapshot(tally, mark)))
+        if at < steps:
+            counts += _window_counts(codes[at:], steps - at, nfree, len(counts))
+        del codes  # before the next chunk's draws are made
+        chunk[:nfree] = chunk[steps:]
+        done += steps
     return list(zip(tallies(), checkpoints))
 
 
@@ -349,11 +380,18 @@ def error_metrics(est: PosteriorEstimate, oracle: PosteriorTable) -> ErrorReport
         raise ValueError(
             f"estimate covers nodes {est.nodes}, oracle covers {oracle.nodes}"
         )
+    return _row_errors(est.nodes, est.probs, oracle.probs)
+
+
+def _row_errors(nodes: Sequence[str], probs, exact) -> ErrorReport:
+    """:func:`error_metrics` of rows of probabilities ``probs``, one per
+    node of ``nodes``, against the oracle's rows ``exact``; a checkpoint's
+    rows are scored by it directly."""
     total = 0.0
     count = 0
     max_err = -1.0
-    worst = est.nodes[0] if est.nodes else ""
-    for name, est_row, exact_row in zip(est.nodes, est.probs, oracle.probs):
+    worst = nodes[0] if nodes else ""
+    for name, est_row, exact_row in zip(nodes, probs, exact):
         if len(est_row) != len(exact_row):
             raise ValueError(f"node {name}: estimate and oracle row widths differ")
         for a, b in zip(est_row, exact_row):
@@ -366,4 +404,3 @@ def error_metrics(est: PosteriorEstimate, oracle: PosteriorTable) -> ErrorReport
     if count == 0:
         return ErrorReport(0.0, 0.0, worst)
     return ErrorReport(total / count, max_err, worst)
-

@@ -68,12 +68,13 @@ def _mix(x: np.ndarray) -> np.ndarray:
 
 def derive_stream_seed(master_seed: int, index: int) -> int:
     """Seed of the index-th child stream of a stream seeded with master_seed.
-    Refuses an index that is not an integer (a bool is not) in [0, 2^64):
-    the seed reduces it mod 2^64, so such an index would give another
-    index's stream."""
-    if not _is_index(index) or not 0 <= index < 1 << 64:
-        raise ValueError(f"stream index {index!r} is not an integer in [0, 2^64)")
-    return _splitmix64((master_seed + (int(index) + 1) * _GOLDEN) & _MASK64)
+    Refuses a master seed or an index that is not an integer (a bool is
+    not) in [0, 2^64): the seed reduces both mod 2^64, so such a value
+    would give another value's stream."""
+    for name, value in (("master seed", master_seed), ("stream index", index)):
+        if not _is_index(value) or not 0 <= value < 1 << 64:
+            raise ValueError(f"{name} {value!r} is not an integer in [0, 2^64)")
+    return _splitmix64((int(master_seed) + (int(index) + 1) * _GOLDEN) & _MASK64)
 
 
 def derive_stream_seeds(master_seed: int, first: int, stop: int) -> np.ndarray:
@@ -140,20 +141,29 @@ class CounterStream:
 
 def twister_draws(streams: Sequence[random.Random], count: int) -> np.ndarray:
     """The next ``count`` ``random()`` draws of each of ``streams``, as
-    (streams, count) floats, each stream moved as those calls move it.
+    (streams, count) floats, each stream moved as those calls move it. The
+    array is laid out draw by draw (its transpose is C-contiguous), so the
+    streams' draw i are adjacent.
 
     ``getrandbits(64 * count)`` reads the 2 * count words that count calls
     of ``random()`` read, first word least significant, and a draw is
     ``(a * 2^26 + b) / 2^53`` from its two words' top 27 and 26 bits, as
-    ``random.Random.random`` makes it."""
-    data = b"".join(stream.getrandbits(64 * count).to_bytes(8 * count, "little")
-                    for stream in streams)
-    words = np.frombuffer(data, dtype="<u4").reshape(len(streams), 2 * count)
-    draws = (words[:, 0::2] >> 5).astype(np.float64)
+    ``random.Random.random`` makes it. Each stream's words are written into
+    one array of words, shifted there in place, so the words and the draws
+    are the only arrays of their size."""
+    words = np.empty((len(streams), 2 * count), dtype="<u4")
+    size = 8 * count
+    view = memoryview(words.reshape(-1).view(np.uint8))
+    for k, stream in enumerate(streams):
+        view[k * size : (k + 1) * size] = stream.getrandbits(64 * count).to_bytes(size, "little")
+    high, low = words[:, 0::2], words[:, 1::2]
+    high >>= 5
+    low >>= 6
+    draws = high.T.astype(np.float64, order="C")
     draws *= 67108864.0
-    draws += words[:, 1::2] >> 6
+    draws += low.T
     draws *= 1.0 / 9007199254740992.0
-    return draws
+    return draws.T
 
 
 class RandomStream(random.Random):

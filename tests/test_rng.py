@@ -76,3 +76,14 @@ def test_spawn_refuses_an_index_outside_the_streams():
     for index in (0, 1, 2**63, 2**64 - 1, np.uint64(2**64 - 1), np.int8(3)):
         assert rng.spawn(index).seed_value == bnras.derive_stream_seed(7, int(index))
     assert rng.spawn(2**64 - 1).seed_value != rng.spawn(0).seed_value
+
+
+def test_derive_stream_seed_refuses_a_master_seed_outside_the_streams():
+    # -1 would give 2^64 - 1's streams, True 1's
+    for seed in (-1, 2**64, True, False, 1.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match=f"master seed {re.escape(repr(seed))} is not an "
+                                             r"integer in \[0, 2\^64\)"):
+            bnras.derive_stream_seed(seed, 0)
+    for seed in (0, 1, 2**63, 2**64 - 1, np.uint64(2**64 - 1), np.int8(3)):
+        assert bnras.derive_stream_seed(seed, 5) == bnras.RandomStream(int(seed)).spawn(5).seed_value
+    assert bnras.derive_stream_seed(2**64 - 1, 0) != bnras.derive_stream_seed(0, 0)

@@ -11,6 +11,7 @@ and however its steps are chunked and cut into blocks.
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -76,9 +77,9 @@ def scans(monkeypatch):
 
     def spy_scan(self, outcomes, first, draws):
         if inside:
-            inside[-1].append(len(draws))
+            inside[-1].append(outcomes.shape[1])
         else:
-            chunks.append((None, [len(draws)], None))
+            chunks.append((None, [outcomes.shape[1]], None))
         return scan(self, outcomes, first, draws)
 
     def spy_scan_blocks(self, outcomes, first, draws, lb):
@@ -340,34 +341,91 @@ def coupled(p, q):
     )
 
 
+@pytest.mark.parametrize("way", ["blocks", "scan", "chain-by-chain"])
+def test_marks_inside_chunks(monkeypatch, nets, scans, way):
+    # chunks of 4 lb steps (lb = 8 nfree, and no net here has a multiple of
+    # 3 free nodes), checkpoints every 3 steps: each chunk holds several
+    # marks, chunk 3 ends on one, and chunk 1 or 2 starts on one; the last
+    # two steps make a fourth chunk, in one scan. Chain by chain, each
+    # chain is a batch of its own, with chunks of the same steps.
+    for name in ("PATH2", "MINIALARM", "CHAIN5"):
+        net = nets[name]
+        for ev in evidence_sets(net):
+            size = 4 * estimate._BLOCK_SWEEPS * (len(net.nodes) - len(ev))
+            total = 3 * size + 2
+            assert {mark % size for mark in range(3, total + 1, 3)} >= {0, 1}
+            chains = 1 if way == "chain-by-chain" else len(PANEL)
+            with monkeypatch.context() as patch:
+                patch.setattr(estimate, "_CHUNK", chains * size)
+                if way == "scan":
+                    patch.setattr(estimate, "_BLOCK_SWEEPS", 10**9)
+                elif way == "chain-by-chain":
+                    patch.setattr(estimate, "_blanket_tables", refused)
+                scans.clear()
+                assert_matches_scalar(net, ev, total, PANEL, stride=3)
+            if way == "blocks":
+                assert scans[0][0] == size // 4 and scans[-1] == (None, [6], None)
+            else:
+                assert scans == ([(None, [6], None)] * 4 if way == "scan" else [])
+
+
+@pytest.mark.parametrize("name, evidence, total, chains, stride", [
+    ("PATH2", "", 10_000, 30, 0),
+    ("MINIALARM", "ALARM=t", 40_000, 8, 2000),
+])
+def test_batch_memory(nets, name, evidence, total, chains, stride):
+    # a chunk holds its outcomes, its runs and its draws once each: the
+    # tracemalloc peak of a batch stays at most 1.5 MB (0.65 and 0.78 MB
+    # with chunks of 2^13 outcomes; 2.7 and 2.8 MB when a chunk in blocks
+    # copied its draws twice)
+    net = nets[name]
+    ev = bnras.parse_evidence(evidence, net)
+    bnras.straight_estimates(net, ev, 10, [RandomStream(0)])  # fills the tables
+    rngs = [RandomStream(s) for s in range(chains)]
+    tracemalloc.start()
+    try:
+        bnras.straight_estimates(net, ev, total, rngs, checkpoint_stride=stride)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_500_000
+
+
 def test_blocks_over_several_chunks(monkeypatch, nets, scans):
-    # chunks of seven blocks and three steps, cut by the stride: a warm-up
-    # of two blocks, then six blocks of six chains, the last of three
-    # steps; the last chunk, of one block, is too short for blocks
+    # 71 lb + 30 steps in chunks of 12 lb, each a warm-up of two blocks and
+    # ten blocks of six chains (60 columns: the warm-up's two goes and the
+    # first pass); the stride, 7 lb + 3, cuts no chunk
     for net in nets.values():
         for ev in evidence_sets(net):
             lb = estimate._BLOCK_SWEEPS * (len(net.nodes) - len(ev))
             monkeypatch.setattr(estimate, "_CHUNK", len(PANEL) * 12 * lb)
             scans.clear()
             assert_matches_scalar(net, ev, 10 * (7 * lb + 3) + lb, PANEL, stride=7 * lb + 3)
-            assert (scans[0][0], scans[0][1][0]) == (lb, len(PANEL) * 6)
+            first_pass = [len(PANEL) * 10] * 3
             if net.name == "PATH2" and not ev:
                 # PATH2's runs meet slowly: some warm-ups have not met the
-                # chain and their blocks run again, in up to three more
-                # passes, and the seventh chunk's passes take more than half
-                # its steps, so it gives its blocks up
-                assert [kept for _, _, kept in scans] == [True] * 6 + [False] + [None] * 4
-                assert [len(columns) for _, columns, _ in scans[:6]] == [2, 2, 2, 1, 4, 4]
+                # chain and their blocks run again, and the third chunk's
+                # five passes take more than half its steps, so it gives its
+                # blocks up and one scan runs its other steps
+                assert scans == [(lb, first_pass + [3, 2, 1, 1], True),
+                                 (lb, first_pass + [1, 1, 1, 1], True),
+                                 (lb, first_pass + [3, 2, 2, 1, 6], False)] + [
+                    (None, [6], None)] * 4
+            elif lb < 30:
+                # six chunks, then 30 - lb steps, too few for blocks
+                assert scans == [(lb, first_pass, True)] * 6 + [(None, [6], None)]
             else:
-                assert [(size, kept) for size, _, kept in scans] == (
-                    [(lb, True)] * 10 + [(None, None)])
+                # five chunks, then 11 lb + 30 steps: a warm-up, nine blocks
+                # (54 columns) and one scan of the last 30 steps
+                assert scans == [(lb, first_pass, True)] * 5 + [(lb, [54] * 3 + [6], True)]
 
 
 def test_first_chunk_in_blocks_needs_four(nets, empty, scans):
     # a chunk moves in blocks when it holds four: CHAIN5's are 40 steps, so
-    # 160 steps make a warm-up and two blocks
+    # 160 steps make a warm-up and two blocks, moved by the warm-up's two
+    # scans and the first pass
     assert_matches_scalar(nets["CHAIN5"], empty, 160, PANEL[:1])
-    assert scans == [(40, [2], True)]
+    assert scans == [(40, [2] * 3, True)]
     scans.clear()
     assert_matches_scalar(nets["CHAIN5"], empty, 159, PANEL[:1])
     assert scans == [(None, [1], None)]
@@ -376,44 +434,53 @@ def test_first_chunk_in_blocks_needs_four(nets, empty, scans):
 def test_path2_gives_up_its_blocks(nets, empty, scans):
     # runs of PATH2 from different states meet in about 50 steps, so some
     # warm-ups of 32 steps have not met the chain, and many re-runs of 16
-    # steps do not meet the run they replace. 30 chains' chunks hold 273
-    # steps: after seven passes the passes have taken more lock steps than
-    # half of them, so the first chunk gives its blocks up, one scan runs
-    # its last steps, and the next chunks run in one scan. One chain's
-    # chunk of 3000 steps keeps its blocks through twelve passes.
+    # steps do not meet the run they replace. 30 chains' chunks hold 1088
+    # steps (2^15 // 30 = 1092 outcomes, cut to whole blocks of 16): the
+    # first is a warm-up and 66 blocks (1980 columns), and keeps them after
+    # 16 passes (giving them up would take 33). The last 412 steps make a
+    # warm-up and 23 blocks (690 columns): after eleven passes the passes
+    # have taken more lock steps than half of them, so the chunk gives its
+    # blocks up and one scan runs its last steps. One chain's chunk of 3000
+    # steps, a warm-up and 185 blocks, keeps its blocks through twelve
+    # passes, and one scan runs the last eight steps.
     assert_matches_scalar(nets["PATH2"], empty, 1500, range(30))
-    assert scans == [(16, [480, 38, 23, 11, 10, 4, 2, 30], False)] + [(None, [30], None)] * 5
+    assert scans == [
+        (16, [1980] * 3 + [151, 107, 72, 56, 38, 25, 19, 14, 11, 10, 7, 4, 2, 1, 1], True),
+        (16, [690] * 3 + [46, 25, 13, 8, 3, 3, 1, 1, 1, 1, 30], False)]
     scans.clear()
     assert_matches_scalar(nets["PATH2"], empty, 3000, PANEL[:1])
-    assert scans == [(16, [186, 16, 9, 8, 6, 5, 4, 2, 2, 2, 2, 1], True)]
+    assert scans == [(16, [185] * 3 + [16, 9, 8, 6, 5, 4, 2, 2, 2, 2, 1, 1], True)]
 
 
 def test_blocks_that_rarely_meet(scans):
     # after a chain flips, no later block of its chunk meets the true run
     # until the runs meet again: the pass after the flip's block finds one
-    # wrong start, its re-run the next, and so on. One chain's chunk of
-    # 8192 steps keeps its blocks through 150 such passes; 30 chains'
-    # chunks of 273 steps give them up after seven
+    # wrong start, its re-run the next, and so on. One chain's 20000 steps
+    # are one chunk, a warm-up and 1248 blocks of 16; its 624th pass takes
+    # the passes' lock steps past half its steps, so it gives its blocks up
+    # and one scan runs the rest. 30 chains' first chunk of 1088 steps (66
+    # blocks each) gives them up after 33 passes, and the other two chunks
+    # run in one scan each
     net = coupled("0.9999", "0.0001")
     assert_matches_scalar(net, Evidence.empty(), 20000, [0])
-    assert [(lb, len(columns), kept) for lb, columns, kept in scans] == [
-        (16, 151, True), (16, 1, True), (16, 1, True)]
-    assert scans[0][1] == [510] + [1] * 150
+    assert scans == [(16, [1248] * 3 + [1] * 624, False)]
     scans.clear()
     assert_matches_scalar(net, Evidence.empty(), 3000, range(30))
-    assert scans[:2] == [(16, [480], True), (16, [480, 1, 1, 1, 1, 1, 1, 30], False)]
-    assert {lb for lb, _, _ in scans[2:]} == {None}
+    assert [(lb, columns[:4], kept) for lb, columns, kept in scans] == [
+        (16, [1980] * 3 + [3], False), (None, [30], None), (None, [30], None)]
+    assert len(scans[0][1]) == 3 + 32 + 1
 
 
 def test_total_not_a_multiple_of_the_block(nets, empty, scans):
-    # CHAIN5's blocks of 40 steps: 997 steps make a warm-up of 80 and 23
-    # blocks, the last of 37
+    # CHAIN5's blocks of 40 steps: 997 steps make a warm-up of 80 and 22
+    # whole blocks, and one scan runs the last 37 steps
     assert_matches_scalar(nets["CHAIN5"], empty, 997, PANEL[:2])
-    assert scans == [(40, [46], True)]
-    # a lone chain's second chunk, of 1 step, is too short for blocks
+    assert scans == [(40, [44] * 3 + [2], True)]
+    # a lone chain's 8193 steps are one chunk: a warm-up of 128, 126 blocks
+    # of 64, and one scan of the last step
     scans.clear()
     assert_matches_scalar(nets["MINIALARM"], empty, 8193, PANEL[:1])
-    assert scans == [(64, [126], True), (None, [1], None)]
+    assert scans == [(64, [126] * 3 + [1], True)]
 
 
 def test_numpy_random_never_imported():
