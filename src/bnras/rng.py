@@ -71,9 +71,10 @@ def derive_stream_seed(master_seed: int, index: int) -> int:
     Refuses a master seed or an index that is not an integer (a bool is
     not) in [0, 2^64): the seed reduces both mod 2^64, so such a value
     would give another value's stream."""
-    for name, value in (("master seed", master_seed), ("stream index", index)):
-        if not _is_index(value) or not 0 <= value < 1 << 64:
-            raise ValueError(f"{name} {value!r} is not an integer in [0, 2^64)")
+    if not _is_index(master_seed) or not 0 <= master_seed < 1 << 64:
+        raise ValueError(f"master seed {master_seed!r} is not an integer in [0, 2^64)")
+    if not _is_index(index) or not 0 <= index < 1 << 64:
+        raise ValueError(f"stream index {index!r} is not an integer in [0, 2^64)")
     return _splitmix64((int(master_seed) + (int(index) + 1) * _GOLDEN) & _MASK64)
 
 
