@@ -376,8 +376,8 @@ def test_marks_inside_chunks(monkeypatch, nets, scans, way):
 def test_batch_memory(nets, name, evidence, total, chains, stride):
     # a chunk holds its outcomes, its runs and its draws once each: the
     # tracemalloc peak of a batch stays at most 1.5 MB (0.65 and 0.78 MB
-    # with chunks of 2^13 outcomes; 2.7 and 2.8 MB when a chunk in blocks
-    # copied its draws twice)
+    # with chunks of 2^13 outcomes; 2.7 MB for PATH2 when chunks of 2^15
+    # in blocks copied their draws twice)
     net = nets[name]
     ev = bnras.parse_evidence(evidence, net)
     bnras.straight_estimates(net, ev, 10, [RandomStream(0)])  # fills the tables
