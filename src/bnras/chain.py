@@ -30,7 +30,7 @@ outcomes, whose last nfree entries are their current values, and tallied
 off it (:func:`bnras.estimate._cyclic_runs`). They move together where
 they can (:meth:`_BlanketTables.scan`): at each step every chain redraws
 the same node, from the same tables, with the next draw of its own
-Mersenne Twister (see :func:`bnras.rng.twister_draws`), so a step reads
+counter stream, made for every chain a chunk at a time, so a step reads
 the node's blanket with one dot and appends one outcome. Where they
 cannot, each chain steps alone by :func:`_resample` and appends the same
 outcomes. A stretch of steps can also move as blocks side by side, each
@@ -457,7 +457,7 @@ class _BlanketTables:
         it, and writes row nfree + i. ``draws[i]`` may be any view that
         holds one draw per column in C order, such as a plain chunk's
         (chains,) or a chunk in blocks' (blocks, chains), so the draws are
-        read where :func:`bnras.rng.twister_draws` made them. The node's
+        read where :func:`bnras.rng.counter_draws` made them. The node's
         blanket row is one dot of rows i, ..., i + nfree - 1 with its
         multipliers placed where its members stand among them; the
         outcomes are floats so that BLAS makes the dot, exact on such small
@@ -477,17 +477,16 @@ class _BlanketTables:
 
     def scan_blocks(self, outcomes: np.ndarray, first: int, draws: np.ndarray, lb: int) -> bool:
         """What :meth:`scan` writes, with the L >= 4 lb steps of ``draws``
-        ((chains, L), laid out as :func:`bnras.rng.twister_draws` lays them
-        out) moved as blocks of lb side by side, each after a warm-up of 2
-        lb steps; False if the blocks were given up, the rest of the steps
-        then run in one scan.
+        ((L, chains), as :meth:`scan` reads them) moved as blocks of lb
+        side by side, each after a warm-up of 2 lb steps; False if the
+        blocks were given up, the rest of the steps then run in one scan.
 
         lb is a multiple of nfree, so every run starts at slot first mod
         nfree and one slot schedule serves all. With w = 2 lb, L holds
         blocks = (L - w) // lb whole blocks after the warm-up. Block b of
         chain c is column b * chains + c: steps w + b lb + 1, ..., w + (b +
         1) lb, after a warm-up on the w draws before them, so step i of its
-        run reads ``draws[c, b * lb + i]``; at each step one strided view
+        run reads ``draws[b * lb + i, c]``; at each step one strided view
         of ``draws`` gives every column's draw, each block's chains
         adjacent. Block 0's warm-up is steps 1, ..., w, kept as it runs: a
         run holds its start window and lb steps, the warm-up passing
@@ -506,11 +505,11 @@ class _BlanketTables:
         that its block redraws first, which no step reads, so starts are
         compared on the other rows."""
         nfree = len(self.outcomes)
-        chains, steps = draws.shape
+        steps, chains = draws.shape
         warm = 2 * lb
         blocks = (steps - warm) // lb
         # u[i, b, c]: step i of column (b, c)'s run, a view of draws
-        u = sliding_window_view(draws, warm + lb, axis=1)[:, : blocks * lb : lb].transpose(2, 1, 0)
+        u = sliding_window_view(draws, warm + lb, axis=0)[: blocks * lb : lb].transpose(2, 0, 1)
         runs = np.empty((nfree + lb, blocks * chains), dtype=outcomes.dtype)
         by_block = runs.reshape(nfree + lb, blocks, chains)
         by_block[:nfree] = outcomes[:nfree, None]
@@ -537,7 +536,7 @@ class _BlanketTables:
         kept.reshape(right, lb, chains)[...] = by_block[nfree:, :right].transpose(1, 0, 2)
         rest = warm + right * lb
         if rest < steps:
-            self.scan(outcomes[rest:], first + rest, draws[:, rest:].T)
+            self.scan(outcomes[rest:], first + rest, draws[rest:])
         return right == blocks
 
 

@@ -107,8 +107,8 @@ def _load_network(ref: str) -> BeliefNetwork:
 
 
 def _require_seeds(seeds) -> None:
-    """Refuse a seed outside [0, 2^64): a stream reduces its seed mod 2^64,
-    so such a seed would run another seed's chain under its own label."""
+    """Refuse a seed outside [0, 2^64) as a usage error, before any run:
+    :class:`RandomStream` refuses one too, but only when a run reaches it."""
     for seed in seeds:
         if not 0 <= seed < 1 << 64:
             raise UsageError(f"seed {seed} is outside [0, 2^64)")

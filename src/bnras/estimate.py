@@ -13,26 +13,19 @@ takes the checkpoints.
 
 ``straight_estimate`` runs one cyclic-scan chain without restarts and
 scores the full state after every transition. ``straight_estimates`` runs
-one such chain on each of many streams, in chunks of steps that
-checkpoints do not cut, each chunk's outcomes tallied by ``bincount``
-calls up to each checkpoint inside it and up to its end, whichever way
-they were made. Chains, however few, move in lock step where they can,
-each drawing a chunk's steps from its own Mersenne Twister stream in one
-``getrandbits`` call (:func:`bnras.rng.twister_draws`), and each lock step
-reads its draws where they were made; the others step alone, one at a
-time. One chain's steps are sequential, but a lock-step chunk's steps can
-still move side by side, in blocks that each run a warm-up from a guessed
-start, the few whose start is still wrong being run again until each
-starts where the one before it ends
-(:meth:`bnras.chain._BlanketTables.scan_blocks`). The tallies, checkpoints
-and final stream states are those of the chains run one by one, step by
-step, bit for bit.
+one such chain on each of many streams (:func:`_cyclic_runs`), in chunks
+of steps that checkpoints do not cut, tallied by ``bincount`` up to each
+checkpoint inside a chunk and up to its end. Chains move in lock step
+where they can, on draws each claims from its own stream and one call
+makes for all of them a chunk at a time, and in blocks of steps side by
+side (:meth:`bnras.chain._BlanketTables.scan_blocks`); the others step
+alone. The tallies, checkpoints and final stream states are those of the
+chains run one by one, step by step, bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,12 +45,12 @@ from .chain import (
 from .errors import DeterministicConflictError
 from .exact import PosteriorTable
 from .network import BeliefNetwork, Evidence
-from .rng import RandomStream, twister_draws
+from .rng import RandomStream, counter_draws
 
 #: Most outcomes (steps x chains) a chunk of straight simulation holds.
 #: At its peak a chunk holds three doubles an outcome: the outcome, its
-#: draw, and either the draw's two Mersenne Twister words while the draws
-#: are made or the outcome's place in the runs of a chunk moved in blocks.
+#: draw, and one more, a copy of the draw's word while the draws are made
+#: or the outcome's place in the runs of a chunk moved in blocks.
 #: A batch of 30 PATH2 or 8 MINIALARM chains peaks at about 1 MB
 #: (tracemalloc; ``tests/test_straight_lockstep.py`` holds it to 1.5 MB).
 _CHUNK = 1 << 15
@@ -235,13 +228,14 @@ def _cyclic_runs(net: BeliefNetwork, tab, free, template, total: int,
     """Each chain on ``rngs``: its tally and checkpoints, its stream moved
     as the chain run step by step moves it.
 
-    The chains move together, by ``_BlanketTables.scan`` on the draws
-    :func:`twister_draws` makes, if :func:`_blanket_tables` gives tables
-    (it does not for a table over the cap or with a row whose weights are
-    all zero), every stream's type keeps ``random.Random``'s own ``random``
-    and ``getrandbits`` (its ``random()`` need not otherwise be made from
-    its words) and no stream is given twice (its draws run on from one
-    chain to the next). Otherwise the batch runs as one-chain batches, in
+    The chains move together, by ``_BlanketTables.scan`` on draws made by
+    :func:`counter_draws`, if :func:`_blanket_tables` gives tables (it does
+    not for a table over the cap or with a row whose weights are all zero)
+    and every stream's type keeps :class:`RandomStream`'s own ``random``.
+    Each chain claims the nfree + total draws it takes from its stream (a
+    stream given twice, its two chains' draws one after the other), and a
+    chunk's draws for every chain are made in one call, row i holding the
+    chunk's step i. Otherwise the batch runs as one-chain batches, in
     order; one that cannot move in lock step moves alone, by
     :func:`_resample` on its own ``random`` from :func:`_uniform_state`,
     and raises for its first conflict.
@@ -261,13 +255,11 @@ def _cyclic_runs(net: BeliefNetwork, tab, free, template, total: int,
     30 chains of PATH2, whose runs meet slowly, keep them through 13 to
     20 passes of their chunks of 1088 steps (seeds 0-29, 10,000 steps),
     giving them up only in a short last chunk; one chain's chunk of 3000
-    steps keeps them through a dozen.
+    steps keeps them through six.
     """
     tables = _blanket_tables(tab, free, template)
-    together = tables is not None and all(
-        type(rng).random is random.Random.random
-        and type(rng).getrandbits is random.Random.getrandbits for rng in rngs)
-    if len(rngs) > 1 and (not together or len(set(map(id, rngs))) < len(rngs)):
+    together = tables is not None and all(type(rng).random is RandomStream.random for rng in rngs)
+    if len(rngs) > 1 and not together:
         return [run for rng in rngs
                 for run in _cyclic_runs(net, tab, free, template, total, [rng], stride)]
     chains, nfree = len(rngs), len(free)
@@ -277,7 +269,13 @@ def _cyclic_runs(net: BeliefNetwork, tab, free, template, total: int,
         most -= most % lb  # whole blocks
     outcomes = np.empty((nfree + most, chains))  # floats, for BLAS's dot
     if together:
-        outcomes[:nfree] = (twister_draws(rngs, nfree) * tables.outcomes).astype(np.intp).T
+        starts = np.array([rng._claim(nfree + total) for rng in rngs], dtype=np.uint64)
+
+        def draws(first: int, count: int) -> np.ndarray:  # (count, chains)
+            counters = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+            return counter_draws(starts, counters[:, None])
+
+        outcomes[:nfree] = (draws(0, nfree) * tables.outcomes[:, None]).astype(np.intp)
     else:
         (rng,) = rngs
         rand = rng.random
@@ -309,9 +307,9 @@ def _cyclic_runs(net: BeliefNetwork, tab, free, template, total: int,
                                f"at step {step + 1} of seed {rng.seed_value}") from None
             chunk[nfree:, 0] = made
         elif blocked and steps >= 4 * lb:
-            blocked = tables.scan_blocks(chunk, done, twister_draws(rngs, steps), lb)
+            blocked = tables.scan_blocks(chunk, done, draws(nfree + done, steps), lb)
         else:
-            tables.scan(chunk, done, twister_draws(rngs, steps).T)
+            tables.scan(chunk, done, draws(nfree + done, steps))
         codes = chunk.astype(np.intp)  # each outcome's column in the flat tallies
         codes += edges.take((done + np.arange(nfree + steps)) % nfree)[:, None]
         codes += bases

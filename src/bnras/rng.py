@@ -1,31 +1,25 @@
 """Seeded deterministic random streams.
 
-A :class:`RandomStream` is a Mersenne Twister generator with a fixed 64-bit
-seed; the single-step API and straight simulation draw from it. Trials of the
-randomized-restart sampler draw from counter-based child streams instead
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
-Trial j of a stream seeded ``seed`` has the seed
-``s_j = derive_stream_seed(seed, j)``, and its draw k (k = 1, 2, ...) is
+Every draw in this package is one of a SplitMix64 sequence (Steele, Lea &
+Flood, OOPSLA 2014) read as a counter stream (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011). Draw k (k = 1, 2, ...) of
+the stream seeded s is
 
-    (splitmix64((s_j + k * 0x9E3779B97F4A7C15) mod 2^64) >> 11) * 2^-53,
+    (splitmix64((s + k * 0x9E3779B97F4A7C15) mod 2^64) >> 11) * 2^-53,
 
-the output sequence of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) started
-at s_j. Every draw is a pure function of (s_j, k), so :func:`counter_draws`
-computes any draws of any trials at once on numpy ``uint64`` arrays.
-:meth:`RandomStream.spawn` returns a :class:`CounterStream` that yields the
-same draws one at a time, and :func:`counter_streams` yields them for many
-trials, the first draws of all of them made in one call.
-
-:func:`twister_draws` makes the next ``random()`` draws of many Mersenne
-Twister streams as one numpy array, from the words each stream's own
-``getrandbits`` returns.
+a pure function of (s, k), so :func:`counter_draws` makes any draws of any
+streams at once. One sequence, two executions: :meth:`RandomStream.random`
+hands out blocks and counts the draws taken, so that a lock-step batch can
+claim a stream's next draws and make them itself; :class:`CounterStream`,
+which :meth:`RandomStream.spawn` returns for trial j (seeded
+``derive_stream_seed(seed, j)``), yields them from an iterator over its
+blocks, faster a draw but with no count to read.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
-from typing import Sequence
+import operator
 
 import numpy as np
 
@@ -51,9 +45,15 @@ _MIX1_U = np.uint64(_MIX1)
 _MIX2_U = np.uint64(_MIX2)
 _U11, _U27, _U30, _U31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
-#: Size of a :class:`CounterStream`'s first and largest blocks of draws.
+#: Size of a stream's first and largest blocks of draws. Up to a few
+#: hundred draws a numpy call costs about the same whatever its size, so
+#: the first block covers a trial of up to about 100 transitions in one
+#: call; doubling keeps the draws made and not used below those used.
 _FIRST_DRAWS = 256
 _MOST_DRAWS = 4096
+
+#: The ``__next__`` of a used-up block, shared: moving a RandomStream makes no object.
+_NONE_LEFT = iter(()).__next__
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -66,16 +66,21 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _require_u64(value, what: str) -> int:
+    """``value`` as an int, refused unless it is an integer (a bool is not)
+    in [0, 2^64): reduced mod 2^64, another would give another's stream."""
+    if not _is_index(value) or not 0 <= value < 1 << 64:
+        raise ValueError(f"{what} {value!r} is not an integer in [0, 2^64)")
+    return int(value)
+
+
 def derive_stream_seed(master_seed: int, index: int) -> int:
     """Seed of the index-th child stream of a stream seeded with master_seed.
     Refuses a master seed or an index that is not an integer (a bool is
-    not) in [0, 2^64): the seed reduces both mod 2^64, so such a value
-    would give another value's stream."""
-    if not _is_index(master_seed) or not 0 <= master_seed < 1 << 64:
-        raise ValueError(f"master seed {master_seed!r} is not an integer in [0, 2^64)")
-    if not _is_index(index) or not 0 <= index < 1 << 64:
-        raise ValueError(f"stream index {index!r} is not an integer in [0, 2^64)")
-    return _splitmix64((int(master_seed) + (int(index) + 1) * _GOLDEN) & _MASK64)
+    not) in [0, 2^64)."""
+    master_seed = _require_u64(master_seed, "master seed")
+    index = _require_u64(index, "stream index")
+    return _splitmix64((master_seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
 def derive_stream_seeds(master_seed: int, first: int, stop: int) -> np.ndarray:
@@ -86,11 +91,16 @@ def derive_stream_seeds(master_seed: int, first: int, stop: int) -> np.ndarray:
 
 
 def counter_draws(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Draw number ``counters`` of the child streams seeded ``seeds``
-    (broadcast together, both ``uint64``), as floats in [0, 1)."""
+    """Draw number ``counters`` of the streams seeded ``seeds`` (broadcast
+    together, both ``uint64``, one at least an array), as floats in [0, 1).
+    The draws are made in one ``uint64`` array, turned into the floats in
+    place (``copyto`` copies the words first, as they overlap)."""
     x = _mix(seeds + counters * _GOLDEN_U)
     x >>= _U11
-    return x * 2.0**-53  # exact: x < 2^53
+    draws = x.view(np.float64)
+    np.copyto(draws, x.view(np.int64), casting="unsafe")  # exact: x < 2^53
+    draws *= 2.0**-53
+    return draws
 
 
 def _blocks(seed: np.uint64, first: int, size: int):
@@ -119,15 +129,9 @@ def counter_streams(seeds: np.ndarray, ahead: int):
 
 class CounterStream:
     """The draws of one child stream, in order: a ``random()`` that yields
-    draw 1, 2, ... of the SplitMix64 sequence started at ``seed_value``.
-
-    Draws are made by :func:`counter_draws` in blocks whose size doubles
-    from ``_FIRST_DRAWS`` to ``_MOST_DRAWS``. Up to a few hundred draws a
-    call costs about the same whatever its size, so the first block covers
-    a trial of up to about 100 transitions in one call; doubling keeps the
-    draws made and not used below those used, and a long trial pays numpy's
-    call overhead rarely.
-    """
+    draw 1, 2, ... of the SplitMix64 sequence started at ``seed_value``,
+    made by :func:`counter_draws` in blocks of ``_FIRST_DRAWS`` doubling to
+    ``_MOST_DRAWS``."""
 
     __slots__ = ("seed_value", "random")
 
@@ -140,44 +144,41 @@ class CounterStream:
         return f"CounterStream(seed={self.seed_value})"
 
 
-def twister_draws(streams: Sequence[random.Random], count: int) -> np.ndarray:
-    """The next ``count`` ``random()`` draws of each of ``streams``, as
-    (streams, count) floats, each stream moved as those calls move it. The
-    array is laid out draw by draw (its transpose is C-contiguous), so the
-    streams' draw i are adjacent.
+class RandomStream:
+    """Uniform [0, 1) stream with a recorded seed, which must be an integer
+    (a bool is not) in [0, 2^64): draw k (k = 1, 2, ...) is
+    ``counter_draws(seed, k)``, as ``CounterStream(seed)`` yields it in
+    blocks of the same sizes, and the state is (seed, draws taken).
+    ``random()`` is the primitive every sampler in this package consumes;
+    draws never equal 1.0."""
 
-    ``getrandbits(64 * count)`` reads the 2 * count words that count calls
-    of ``random()`` read, first word least significant, and a draw is
-    ``(a * 2^26 + b) / 2^53`` from its two words' top 27 and 26 bits, as
-    ``random.Random.random`` makes it. Each stream's words are written into
-    one array of words, shifted there in place, so the words and the draws
-    are the only arrays of their size."""
-    words = np.empty((len(streams), 2 * count), dtype="<u4")
-    size = 8 * count
-    view = memoryview(words.reshape(-1).view(np.uint8))
-    for k, stream in enumerate(streams):
-        view[k * size : (k + 1) * size] = stream.getrandbits(64 * count).to_bytes(size, "little")
-    high, low = words[:, 0::2], words[:, 1::2]
-    high >>= 5
-    low >>= 6
-    draws = high.T.astype(np.float64, order="C")
-    draws *= 67108864.0
-    draws += low.T
-    draws *= 1.0 / 9007199254740992.0
-    return draws.T
-
-
-class RandomStream(random.Random):
-    """Uniform [0, 1) stream with a recorded seed.
-
-    Two streams built with the same seed produce identical draw sequences.
-    The inherited ``random()`` method is the primitive every sampler in this
-    package consumes; draws never equal 1.0.
-    """
+    __slots__ = ("seed_value", "_end", "_size", "_next")
 
     def __init__(self, seed: int):
-        self.seed_value = int(seed) & _MASK64
-        super().__init__(self.seed_value)
+        self.seed_value = _require_u64(seed, "seed")
+        self._end, self._size, self._next = 0, _FIRST_DRAWS, _NONE_LEFT
+
+    def random(self) -> float:
+        try:
+            return self._next()
+        except StopIteration:  # the block is used up: make the next one
+            first, size = self._end, self._size
+            counters = np.arange(first + 1, first + size + 1, dtype=np.uint64)
+            self._next = iter(counter_draws(np.uint64(self.seed_value), counters).tolist()).__next__
+            self._end, self._size = first + size, min(2 * size, _MOST_DRAWS)
+            return self._next()
+
+    def getstate(self) -> tuple[int, int]:
+        """The stream's seed and the draws it has taken."""
+        return self.seed_value, self._end - operator.length_hint(self._next.__self__)
+
+    def _claim(self, count: int) -> int:
+        """Move past the next ``count`` draws, returning the seed b whose
+        draws ``counter_draws(b, 1..count)`` they are: b = seed + d *
+        0x9E3779B97F4A7C15 mod 2^64, d the draws taken before."""
+        seed, drawn = self.getstate()
+        self._end, self._size, self._next = drawn + count, _FIRST_DRAWS, _NONE_LEFT
+        return (seed + drawn * _GOLDEN) & _MASK64
 
     def spawn(self, index: int) -> CounterStream:
         """The index-th child stream, deterministic in (seed, index) and

@@ -19,10 +19,6 @@ from conftest import (
 class ScriptedStream(RandomStream):
     """Returns preset draws and counts how many were consumed."""
 
-    def __new__(cls, values):
-        # random.Random.__new__ would try to seed itself with `values`
-        return super().__new__(cls, 0)
-
     def __init__(self, values):
         super().__init__(0)
         self.values = list(values)

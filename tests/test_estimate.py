@@ -180,17 +180,19 @@ def test_straight_estimate_ab_converges(ab):
 def test_straight_path2_seed1_frozen():
     # Deterministic regression values for the cyclic-scan sampler on the
     # sticky two-node network. Note the run is long enough (1e4 steps,
-    # roughly 100 basin flips) that the time average is already close to
-    # the posterior; the early-run stickiness shows up in the checkpoint
-    # test below, and acceptance 08 checks a 30-seed panel of such runs
-    # against the exact law of the cyclic-scan chain.
+    # roughly 100 basin flips) that the time average is already near the
+    # posterior: A's average, 0.4454, lies 0.0546 from 1/2, and under the
+    # exact law of the cyclic-scan chain (conftest.cyclic_scan_average_pmfs)
+    # it lies as far or farther with probability 0.273. The early-run
+    # stickiness shows up in the checkpoint test below, and acceptance 08
+    # checks a 30-seed panel of such runs against that law.
     nets = bnras.builtin_networks()
     path2 = nets["PATH2"]
     oracle = bnras.enumerate_posteriors(path2, Evidence.empty())
     est = bnras.straight_estimate(path2, Evidence.empty(), 10_000, RandomStream(1))
     report = bnras.error_metrics(est, oracle)
-    assert report.avg_error == pytest.approx(0.00675, abs=1e-9)
-    assert report.max_error == pytest.approx(0.0076, abs=1e-9)
+    assert report.avg_error == pytest.approx(0.05435, abs=1e-9)
+    assert report.max_error == pytest.approx(0.0546, abs=1e-9)
     assert report.worst_node == "A"
 
 

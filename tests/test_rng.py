@@ -60,9 +60,14 @@ def test_splitmix_mixes_against_reference():
         assert _splitmix64(value) == finalizer(value)
 
 
-def test_seed_value_masked_to_64_bits():
-    big = (1 << 70) + 123
-    assert bnras.RandomStream(big).seed_value == big & ((1 << 64) - 1)
+def test_random_stream_refuses_a_seed_outside_the_streams():
+    # -1 would give 2^64 - 1's draws, 2^70 + 123 123's, True 1's
+    for seed in (-1, 2**64, (1 << 70) + 123, True, False, 1.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match=f"seed {re.escape(repr(seed))} is not an "
+                                             r"integer in \[0, 2\^64\)"):
+            bnras.RandomStream(seed)
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int8(3)):
+        assert bnras.RandomStream(seed).seed_value == int(seed)
 
 
 def test_spawn_refuses_an_index_outside_the_streams():

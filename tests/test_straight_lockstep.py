@@ -8,6 +8,7 @@ whichever side of the blanket-table cap and of the block rule it runs on,
 and however its steps are chunked and cut into blocks.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -20,17 +21,12 @@ from hypothesis import given, settings
 
 import bnras
 from bnras import Evidence, RandomStream, chain, estimate
-from bnras.rng import twister_draws
+from bnras.rng import CounterStream, counter_draws
 
 from conftest import evidence_sets, positive_networks
 
-SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1)
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
 PANEL = (3, 0, 2**63 + 11, 17, 2**32, 5)
-
-
-def python_draws(seed, count):
-    stream = RandomStream(seed)
-    return [stream.random() for _ in range(count)]
 
 
 def scalar_chain(net, ev, total, seed, stride=0):
@@ -97,52 +93,45 @@ def scans(monkeypatch):
     return chunks
 
 
-def test_twister_draws_match_python_draws():
-    # a twist makes 312 draws: the second call ends on the first twist's last
-    # word, the fourth starts a twist and ends past another, 2125 draws take 7
-    expected = [python_draws(s, 2125) for s in SEEDS]
-    streams = [RandomStream(s) for s in SEEDS]
-    draws = np.concatenate([twister_draws(streams, n) for n in (1, 311, 0, 313, 1500)], axis=1)
+def test_streams_yield_counter_draws():
+    # one sequence, made three ways: a RandomStream's blocks (the first
+    # 256 draws, then doubling), a CounterStream's, and one call
+    for seed in SEEDS:
+        stream, counter = RandomStream(seed), CounterStream(seed)
+        draws = [stream.random() for _ in range(2125)]
+        assert draws == [counter.random() for _ in range(2125)]
+        assert draws == counter_draws(np.uint64(seed), np.arange(1, 2126, dtype=np.uint64)).tolist()
+        assert stream.getstate() == (seed, 2125)
+
+
+def advanced(seed, draws):
+    """``RandomStream(seed)`` after ``draws`` draws."""
+    stream = RandomStream(seed)
+    for _ in range(draws):
+        stream.random()
+    return stream
+
+
+def test_claims_from_different_positions():
+    # stream k has taken 97 k draws: none, some of its first block or some
+    # of its second. The first is claimed twice, its second claim starting
+    # where its first ends, and each stream moves past its claims
+    streams = [advanced(s, 97 * k) for k, s in enumerate(SEEDS)]
+    copies = [advanced(s, 97 * k) for k, s in enumerate(SEEDS)]
+    starts = np.array([s._claim(300) for s in [streams[0], *streams]], dtype=np.uint64)
+    draws = counter_draws(starts[:, None], np.arange(1, 301, dtype=np.uint64))
+    expected = [[copy.random() for _ in range(300)] for copy in [copies[0], *copies]]
     assert draws.tolist() == expected
-    for seed, stream in zip(SEEDS, streams):
-        ahead = RandomStream(seed)
-        for _ in range(2125):
-            ahead.random()
-        assert stream.getstate() == ahead.getstate()
-
-
-def test_twister_draws_from_different_positions():
-    streams = [RandomStream(s) for s in SEEDS]
-    # stream k has read 195 + k words: from an odd position a draw takes
-    # words 623 and 0 of two twists, from an even one a twist starts a draw
-    for k, stream in enumerate(streams):
-        stream.getrandbits(32 * (k + 1))
-        for _ in range(97):
-            stream.random()
-    expected, copies = [], []
-    for stream in streams:
-        copy = RandomStream(0)
-        copy.setstate(stream.getstate())
-        expected.append([copy.random() for _ in range(1000)])
-        copies.append(copy)
-    draws = [twister_draws(streams, n) for n in (7, 207, 1, 785)]
-    assert np.concatenate(draws, axis=1).tolist() == expected
     assert [s.getstate() for s in streams] == [c.getstate() for c in copies]
+    assert [s.random() for s in streams] == [c.random() for c in copies]
 
 
 def test_streams_at_different_positions(monkeypatch, nets, empty):
-    # each stream makes its own draws from where it stands, so such a batch
-    # runs in lock step
+    # each chain claims its draws from where its stream stands, so such a
+    # batch runs in lock step, each chain as the scalar chain runs it
     net = nets["MINIALARM"]
-    streams, copies = [], []
-    for k, seed in enumerate(PANEL):
-        stream = RandomStream(seed)
-        for _ in range(k):
-            stream.random()
-        copy = RandomStream(0)
-        copy.setstate(stream.getstate())
-        streams.append(stream)
-        copies.append(copy)
+    streams = [advanced(seed, k) for k, seed in enumerate(PANEL)]
+    copies = [advanced(seed, k) for k, seed in enumerate(PANEL)]
 
     def alone(*args):
         raise AssertionError("a chain ran on its own")
@@ -150,15 +139,13 @@ def test_streams_at_different_positions(monkeypatch, nets, empty):
     with monkeypatch.context() as patch:
         patch.setattr(estimate, "_resample", alone)
         ests = bnras.straight_estimates(net, empty, 300, streams, checkpoint_stride=70)
-    for est, stream, copy in zip(ests, streams, copies):
-        assert est == replace(bnras.straight_estimate(net, empty, 300, copy, 70),
-                              cpu_seconds=est.cpu_seconds, wall_seconds=est.wall_seconds)
-        assert stream.getstate() == copy.getstate()
+    got = [(e.tallies, e.checkpoints, s.getstate()) for e, s in zip(ests, streams)]
+    assert got == [scalar_chain(net, empty, 300, copy, 70) for copy in copies]
 
 
 def test_streams_other_than_random_random(nets, empty):
-    # counter-based child streams have no getrandbits: a batch of them runs
-    # chain by chain
+    # child streams are not RandomStreams and have no state to claim draws
+    # from: a batch of them runs chain by chain
     for net in (nets["AB"], nets["MINIALARM"]):
         streams = [RandomStream(1).spawn(j) for j in range(3)]
         ests = bnras.straight_estimates(net, empty, 300, streams, checkpoint_stride=70)
@@ -169,15 +156,15 @@ def test_streams_other_than_random_random(nets, empty):
 
 
 class Half(RandomStream):
-    """A stream whose random() is not made from its getrandbits words."""
+    """A stream whose class overrides random()."""
 
     def random(self):
         return 0.25
 
 
 def test_streams_that_override_random(nets, empty):
-    # lock step would draw from their words, not their random(), so such a
-    # batch runs chain by chain
+    # lock step would draw from their counters, not their random(), so such
+    # a batch runs chain by chain
     ests = bnras.straight_estimates(nets["AB"], empty, 10, [Half(1), Half(2)])
     expected = [bnras.straight_estimate(nets["AB"], empty, 10, Half(s)) for s in (1, 2)]
     assert [e.tallies for e in ests] == [e.tallies for e in expected]
@@ -185,9 +172,8 @@ def test_streams_that_override_random(nets, empty):
 
 
 def test_stream_given_twice(nets, empty, scans):
-    # its second chain runs on from where the first leaves the stream, as
-    # the calls one by one run it, so such a batch runs as one-chain
-    # batches, each in lock step
+    # its second chain claims the draws after its first chain's, where the
+    # calls one by one run it, so the batch runs in one lock step
     net = nets["MINIALARM"]
     shared, alone = RandomStream(5), RandomStream(5)
     ests = bnras.straight_estimates(net, empty, 300, [shared, RandomStream(6), shared],
@@ -195,8 +181,10 @@ def test_stream_given_twice(nets, empty, scans):
     expected = [scalar_chain(net, empty, 300, rng, 70)
                 for rng in (alone, RandomStream(6), alone)]
     assert [(e.tallies, e.checkpoints) for e in ests] == [run[:2] for run in expected]
-    assert shared.getstate() == alone.getstate()
-    assert scans
+    assert shared.getstate() == alone.getstate() == (5, 2 * (8 + 300))
+    # 300 steps of 8 free nodes: a warm-up, two blocks of 64 steps of the
+    # three chains and one scan of the last 44
+    assert scans == [(64, [6] * 3 + [3], True)]
 
 
 @pytest.mark.parametrize("seeds", [PANEL, PANEL[:1]])
@@ -404,13 +392,12 @@ def test_blocks_over_several_chunks(monkeypatch, nets, scans):
             first_pass = [len(PANEL) * 10] * 3
             if net.name == "PATH2" and not ev:
                 # PATH2's runs meet slowly: some warm-ups have not met the
-                # chain and their blocks run again, and the third chunk's
+                # chain and their blocks run again, and the first chunk's
                 # five passes take more than half its steps, so it gives its
-                # blocks up and one scan runs its other steps
-                assert scans == [(lb, first_pass + [3, 2, 1, 1], True),
-                                 (lb, first_pass + [1, 1, 1, 1], True),
-                                 (lb, first_pass + [3, 2, 2, 1, 6], False)] + [
-                    (None, [6], None)] * 4
+                # blocks up and one scan runs its other steps; each later
+                # chunk, the last one's 14 steps too, runs in one scan
+                assert scans == [(lb, first_pass + [3, 1, 1, 1, 6], False)] + [
+                    (None, [6], None)] * 6
             elif lb < 30:
                 # six chunks, then 30 - lb steps, too few for blocks
                 assert scans == [(lb, first_pass, True)] * 6 + [(None, [6], None)]
@@ -437,38 +424,47 @@ def test_path2_gives_up_its_blocks(nets, empty, scans):
     # steps do not meet the run they replace. 30 chains' chunks hold 1088
     # steps (2^15 // 30 = 1092 outcomes, cut to whole blocks of 16): the
     # first is a warm-up and 66 blocks (1980 columns), and keeps them after
-    # 16 passes (giving them up would take 33). The last 412 steps make a
+    # 18 passes (giving them up would take 33). The last 412 steps make a
     # warm-up and 23 blocks (690 columns): after eleven passes the passes
     # have taken more lock steps than half of them, so the chunk gives its
     # blocks up and one scan runs its last steps. One chain's chunk of 3000
-    # steps, a warm-up and 185 blocks, keeps its blocks through twelve
-    # passes, and one scan runs the last eight steps.
+    # steps, a warm-up and 185 blocks, keeps its blocks through six passes,
+    # and one scan runs the last eight steps.
     assert_matches_scalar(nets["PATH2"], empty, 1500, range(30))
     assert scans == [
-        (16, [1980] * 3 + [151, 107, 72, 56, 38, 25, 19, 14, 11, 10, 7, 4, 2, 1, 1], True),
-        (16, [690] * 3 + [46, 25, 13, 8, 3, 3, 1, 1, 1, 1, 30], False)]
+        (16, [1980] * 3 + [138, 92, 69, 52, 35, 28, 17, 12, 9, 5, 4, 1, 1, 1, 1, 1, 1], True),
+        (16, [690] * 3 + [52, 37, 22, 17, 7, 7, 6, 4, 3, 2, 30], False)]
     scans.clear()
     assert_matches_scalar(nets["PATH2"], empty, 3000, PANEL[:1])
-    assert scans == [(16, [185] * 3 + [16, 9, 8, 6, 5, 4, 2, 2, 2, 2, 1, 1], True)]
+    assert scans == [(16, [185] * 3 + [20, 14, 8, 5, 3, 1], True)]
+
+
+def runs_of(columns):
+    """A pass's columns as (columns, passes in a row) pairs."""
+    return [(c, len(list(same))) for c, same in itertools.groupby(columns)]
 
 
 def test_blocks_that_rarely_meet(scans):
     # after a chain flips, no later block of its chunk meets the true run
     # until the runs meet again: the pass after the flip's block finds one
     # wrong start, its re-run the next, and so on. One chain's 20000 steps
-    # are one chunk, a warm-up and 1248 blocks of 16; its 624th pass takes
-    # the passes' lock steps past half its steps, so it gives its blocks up
-    # and one scan runs the rest. 30 chains' first chunk of 1088 steps (66
-    # blocks each) gives them up after 33 passes, and the other two chunks
-    # run in one scan each
+    # are one chunk, a warm-up and 1248 blocks of 16, with four flips: its
+    # passes re-run four blocks, then three, two and one as each flip's
+    # run reaches the next, 418 passes in all, fewer than the 624 that
+    # would take the passes' lock steps past half its steps, so it keeps
+    # its blocks. 30 chains' first chunk of 1088 steps (66 blocks each)
+    # keeps them after 21 passes; the second gives them up after 33, one
+    # scan running its last 30 steps, and the third runs in one scan
     net = coupled("0.9999", "0.0001")
     assert_matches_scalar(net, Evidence.empty(), 20000, [0])
-    assert scans == [(16, [1248] * 3 + [1] * 624, False)]
+    assert [(lb, runs_of(columns), kept) for lb, columns, kept in scans] == [
+        (16, [(1248, 3), (4, 61), (3, 63), (2, 46), (1, 247)], True)]
     scans.clear()
     assert_matches_scalar(net, Evidence.empty(), 3000, range(30))
-    assert [(lb, columns[:4], kept) for lb, columns, kept in scans] == [
-        (16, [1980] * 3 + [3], False), (None, [30], None), (None, [30], None)]
-    assert len(scans[0][1]) == 3 + 32 + 1
+    assert [(lb, runs_of(columns), kept) for lb, columns, kept in scans] == [
+        (16, [(1980, 3), (4, 2), (3, 4), (2, 7), (1, 7)], True),
+        (16, [(1980, 3), (4, 16), (3, 1), (2, 4), (1, 11), (30, 1)], False),
+        (None, [(30, 1)], None)]
 
 
 def test_total_not_a_multiple_of_the_block(nets, empty, scans):
