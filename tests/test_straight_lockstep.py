@@ -13,7 +13,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -440,7 +439,7 @@ def test_path2_gives_up_its_blocks(nets, empty, scans):
 
 
 def runs_of(columns):
-    """A pass's columns as (columns, passes in a row) pairs."""
+    """A chunk's scan widths as (columns, scans in a row) pairs."""
     return [(c, len(list(same))) for c, same in itertools.groupby(columns)]
 
 
