@@ -22,8 +22,10 @@ at once, for the blanket tables below and :mod:`bnras.exact`'s moves and p0.
 Trials run one at a time (:func:`_trial`) or as lock-step walkers
 (:func:`_trial_blocks`): numpy moves a block of trials together, of one run
 or of several, each on its own counter-based stream (see :mod:`bnras.rng`)
-with its own draw count, and chooses outcomes from each node's
-:func:`_conditional` rows. Both give the same states, bit for bit.
+held as one key, and chooses outcomes from each node's :func:`_conditional`
+rows. Each walker keeps the row every node would read now, and a step
+updates only the rows that a changed value moves
+(:meth:`_BlanketTables.walk`). Both give the same states, bit for bit.
 
 Cyclic-scan chains on many streams are held as their sequence of
 outcomes, whose last nfree entries are their current values, and tallied
@@ -73,14 +75,22 @@ from .network import (
     _is_index,
     _Tables,
 )
-from .rng import RandomStream, counter_draws, counter_streams, derive_stream_seeds
+from .rng import (
+    _GOLDEN,
+    _MASK64,
+    RandomStream,
+    counter_draws,
+    counter_streams,
+    derive_stream_seeds,
+)
 
 #: Trials per block of lock-step walkers.
 _BLOCK = 4096
 
-#: Fewest trials a block needs to run in lock step. A lock-step transition
-#: costs about 40 us whatever the walker count, so smaller blocks run the
-#: per-trial loop.
+#: Fewest trials a block needs to run in lock step. On MINIALARM a lock
+#: step costs about 35 us at 10-100 walkers (110 us at 3200) and a trial of
+#: the per-trial loop about 90 us at t = 100, so the loop is the faster
+#: below about 40 trials; smaller blocks run it.
 _LOCKSTEP_MIN = 50
 
 #: Most rows a node's blanket table may have; past it every block runs the
@@ -362,7 +372,10 @@ class _BlanketTables:
     the outcome :func:`_resample` chooses with draw u is the first v with
     ``u < cutoffs[row, v]``, which is the count of cutoffs ``<= u``.
     Every row's weights have a positive total: :meth:`fill` makes no tables
-    with a dead row.
+    with a dead row. A row is linear in the values, so a change d in the
+    value of slot m moves the row of each node whose blanket holds m by d
+    times that node's multiplier for m; the blanket relation is symmetric,
+    so those nodes are m's own blanket members.
     """
 
     outcomes: np.ndarray  # outcome count of each free node
@@ -406,24 +419,84 @@ class _BlanketTables:
     def walk(self, t: int, seeds: np.ndarray) -> np.ndarray:
         """Final free-node values of the trials on the streams seeded
         ``seeds``, all moved together, draw for draw as :func:`_trial`
-        moves each."""
-        nfree = len(self.outcomes)
-        drawn = np.full(len(seeds), nfree, dtype=np.uint64)
-        restart = counter_draws(seeds[:, None], np.arange(1, nfree + 1, dtype=np.uint64))
-        values = (restart * self.outcomes).astype(np.intp)
-        next_two = np.array([1, 2], dtype=np.uint64)
+        moves each.
+
+        Each walker keeps, beside its values, the row each free node would
+        read now (``rows``, made from the restart one member column at a
+        time), and its stream as one key: after d draws of the stream
+        seeded s, ``key = s + d * 0x9E3779B97F4A7C15 mod 2^64``, and its
+        next draws are ``counter_draws(key, c)`` for c = 1, 2, ..., as in
+        :meth:`bnras.rng.RandomStream._claim`. A lock step draws every
+        walker's coin at counter 1 and each mover's node and outcome at 2
+        and 3, and moves the keys on by one draw or three. A mover reads its
+        node's row with one flat gather and counts the row's cutoffs at or
+        below its draw, over the columns that can be finite. Only the
+        walkers whose value changed then move their neighbours' rows, by
+        the change times each neighbour's multiplier (:attr:`_walk_slots`);
+        the nonzero changes are each node's value changes, step by step.
+        The arrays are slot-major, so every whole-array step runs along
+        the walkers; the values come back as a (walkers, nfree) view."""
+        nfree, walkers = len(self.outcomes), len(seeds)
+        neighbours, weights, cutoffs = self._walk_slots
+        # slot-major: values[s, w] and rows[s, w] are walker w's at slot s
+        restart = counter_draws(seeds, np.arange(1, nfree + 1, dtype=np.uint64)[:, None])
+        restart *= self.outcomes[:, None]
+        values = restart.astype(np.intp)
+        del restart
+        rows = np.empty_like(values)
+        rows[:] = self.offsets[:, None]
+        for members, multipliers in zip(self.members.T, self.multipliers.T):
+            column = values[members]
+            column *= multipliers[:, None]
+            rows += column
+            del column
+        key = seeds + np.uint64(nfree * _GOLDEN & _MASK64)
+        one, two_three = np.uint64(1), np.array([[2], [3]], dtype=np.uint64)
+        golden, two_golden = np.uint64(_GOLDEN), np.uint64(2 * _GOLDEN & _MASK64)
+        flat_values, flat_rows = values.reshape(-1), rows.reshape(-1)
         for _ in range(t):
-            drawn += np.uint64(1)
-            move = np.flatnonzero(counter_draws(seeds, drawn) > 0.5)
-            if not move.size:
+            move = np.flatnonzero(counter_draws(key, one) > 0.5)
+            u = counter_draws(key.take(move), two_three)  # (2, movers): node, outcome
+            key += golden
+            key[move] += two_golden
+            node = (u[0] * nfree).astype(np.intp)
+            at = node * walkers + move
+            picked = cutoffs.take(flat_rows.take(at), axis=0)
+            if cutoffs.ndim == 1:
+                chosen = (u[1] >= picked).astype(np.intp)
+            else:
+                chosen = (picked <= u[1, :, None]).sum(axis=1)
+            delta = chosen - flat_values.take(at)
+            changed = np.flatnonzero(delta)
+            if not changed.size:
                 continue
-            u = counter_draws(seeds[move, None], drawn[move, None] + next_two)
-            drawn[move] += np.uint64(2)
-            node = (u[:, 0] * nfree).astype(np.intp)
-            blanket = values[move[:, None], self.members[node]]
-            rows = self.offsets[node] + (blanket * self.multipliers[node]).sum(axis=1)
-            values[move, node] = (u[:, 1:] < self.cutoffs[rows]).argmax(axis=1)
-        return values
+            flat_values[at.take(changed)] = chosen.take(changed)
+            node = node.take(changed)
+            neighbour_rows = neighbours.take(node, axis=0) * walkers + move.take(changed)[:, None]
+            flat_rows[neighbour_rows] += delta.take(changed)[:, None] * weights.take(node, axis=0)
+        return values.T
+
+    @cached_property
+    def _walk_slots(self) -> tuple:
+        """What :meth:`walk` reads for each slot s: its neighbours, the
+        free members of its blanket, whose rows read s (the blanket
+        relation is symmetric); the multiplier each of those rows gives s;
+        the cutoff columns that can be finite (one column as a vector).
+        The neighbours are padded with s itself and multiplier 0: s is not
+        in its own blanket, so a padded index in the fancy ``+=`` writes
+        back only the row it read."""
+        nfree, widest = self.members.shape
+        neighbours = np.repeat(np.arange(nfree)[:, None], widest, axis=1)
+        weights = np.zeros((nfree, widest), dtype=np.intp)
+        count = [0] * nfree
+        for n, (members, multipliers) in enumerate(zip(self.members, self.multipliers)):
+            for m, w in zip(members.tolist(), multipliers.tolist()):
+                if w:  # m is in n's blanket, so n is in m's
+                    neighbours[m, count[m]], weights[m, count[m]] = n, w
+                    count[m] += 1
+        columns = max(1, np.isfinite(self.cutoffs).any(axis=0).sum())
+        cutoffs = self.cutoffs[:, 0].copy() if columns == 1 else self.cutoffs[:, :columns].copy()
+        return neighbours, weights, cutoffs
 
     @cached_property
     def _scan_slots(self) -> list[tuple]:

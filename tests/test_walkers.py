@@ -7,6 +7,8 @@ block size. ``bnras_estimates``, whose blocks may hold the trials of
 several streams, must give each stream what ``bnras_estimate`` gives it.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,42 @@ def test_builtins_match_scalar_loop(nets, seed):
         for ev in evidence_sets(net):
             assert_matches_scalar(net, ev, 120, 25, seed, stride=70)
             assert_matches_scalar(net, ev, 60, 0, seed, stride=5)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 50])
+def test_walk_rows_match_trials(monkeypatch, nets, copy_net, empty, t):
+    # copy_net's ternary nodes: a value can change by 2. PATH2 with B=t
+    # leaves A free alone, with no free blanket, so no row ever changes
+    monkeypatch.setattr(chain, "_LOCKSTEP_MIN", 1)
+    seed = 2**63 + 11
+    for net, ev in ((copy_net, empty), (nets["PATH2"], bnras.parse_evidence("B=t", nets["PATH2"]))):
+        tab, free, template = chain._prepare(net, ev)
+        assert chain._blanket_tables(tab, free, template) is not None  # so the trials walk
+        [(_, _, values)] = chain._trial_blocks(net, tab, free, template, t, [(seed, 300)])
+        assert values.shape == (300, len(free))
+        rands = counter_streams(derive_stream_seeds(seed, 0, 300), 0)
+        for row, rand in zip(values.tolist(), rands):
+            state = chain._trial(tab, free, template, t, rand)
+            assert row == [state[i] for i in free]
+
+
+@pytest.mark.parametrize("evidence", ["", "ALARM=t"])
+def test_walk_memory(minialarm, evidence):
+    # a block of 4096 walkers holds its values, its blanket rows and one
+    # member column of them while it makes the rows: the tracemalloc peak
+    # stays at most 1.1 MB, one (4096, 7) intp array above the 0.85 MB of
+    # walkers that kept no rows (ALARM=t; 0.96 MB with 8 free nodes)
+    tab, free, template = chain._prepare(minialarm, bnras.parse_evidence(evidence, minialarm))
+    tables = chain._blanket_tables(tab, free, template)
+    seeds = derive_stream_seeds(2**63 + 11, 0, 4096)
+    tables.walk(1, seeds)  # makes what the walk keeps on the tables
+    tracemalloc.start()
+    try:
+        tables.walk(100, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_100_000
 
 
 def test_just_past_one_block(minialarm, empty):
