@@ -88,7 +88,7 @@ from .rng import (
 _BLOCK = 4096
 
 #: Fewest trials a block needs to run in lock step. On MINIALARM a lock
-#: step costs about 35 us at 10-100 walkers (110 us at 3200) and a trial of
+#: step costs about 35 us at 10-100 walkers (105 us at 3200) and a trial of
 #: the per-trial loop about 90 us at t = 100, so the loop is the faster
 #: below about 40 trials; smaller blocks run it.
 _LOCKSTEP_MIN = 50
@@ -359,6 +359,13 @@ def _draw_cutoffs(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cutoffs, dead
 
 
+def _finite_columns(cutoffs: np.ndarray) -> np.ndarray:
+    """A copy of the columns of ``cutoffs`` that can be finite, the first
+    ones in every row; one column as a vector."""
+    columns = max(1, np.isfinite(cutoffs).any(axis=0).sum())
+    return cutoffs[:, 0].copy() if columns == 1 else cutoffs[:, :columns].copy()
+
+
 @dataclass(frozen=True)
 class _BlanketTables:
     """Every free node's outcome choice, tabulated over the configurations
@@ -494,9 +501,7 @@ class _BlanketTables:
                 if w:  # m is in n's blanket, so n is in m's
                     neighbours[m, count[m]], weights[m, count[m]] = n, w
                     count[m] += 1
-        columns = max(1, np.isfinite(self.cutoffs).any(axis=0).sum())
-        cutoffs = self.cutoffs[:, 0].copy() if columns == 1 else self.cutoffs[:, :columns].copy()
-        return neighbours, weights, cutoffs
+        return neighbours, weights, _finite_columns(self.cutoffs)
 
     @cached_property
     def _scan_slots(self) -> list[tuple]:
@@ -514,10 +519,7 @@ class _BlanketTables:
             lo, hi = (at.min(), at.max() + 1) if width else (0, 0)
             window = np.zeros(hi - lo)
             window[at - lo] = multipliers[:width]
-            cutoffs = self.cutoffs[start:stop]
-            columns = max(1, np.isfinite(cutoffs).any(axis=0).sum())
-            cutoffs = cutoffs[:, 0].copy() if columns == 1 else cutoffs[:, :columns].copy()
-            slots.append((lo, hi, window, cutoffs))
+            slots.append((lo, hi, window, _finite_columns(self.cutoffs[start:stop])))
         return slots
 
     def scan(self, outcomes: np.ndarray, first: int, draws: np.ndarray) -> None:

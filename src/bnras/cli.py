@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: The parser, built at the first call of :func:`main` and kept: building
-#: it costs about 1.3 ms, and a session may call ``main`` many times.
+#: it costs about 1.2 ms, and one process may call ``main`` many times.
 _parser = functools.cache(build_parser)
 
 
