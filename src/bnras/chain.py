@@ -139,13 +139,16 @@ def _require_free(free: tuple[int, ...]) -> None:
 def _require_walker(net: BeliefNetwork, cs: ChainState, scan: bool) -> None:
     """Refuse a walker that does not fit ``net`` before any draw: no free
     nodes, a state :func:`check_state` refuses, a free index that is not a
-    node's and, for the cyclic scan (``scan``), a cursor that is not a
-    position in ``cs.free``."""
+    node's or that repeats, and, for the cyclic scan (``scan``), a cursor
+    that is not a position in ``cs.free``."""
     _require_free(cs.free)
     check_state(net, cs.state)
     for i in cs.free:
         if not _is_index(i) or not 0 <= i < len(net.nodes):
             raise ValueError(f"free index {i!r} is not a node of network {net.name}")
+    if len(set(cs.free)) < len(cs.free):
+        i = next(i for at, i in enumerate(cs.free) if i in cs.free[:at])
+        raise ValueError(f"free index {i} repeats among the free nodes")
     if scan and not (_is_index(cs.cursor) and 0 <= cs.cursor < len(cs.free)):
         raise ValueError(f"cursor {cs.cursor!r} is not a position among {len(cs.free)} free nodes")
 

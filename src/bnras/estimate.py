@@ -231,14 +231,15 @@ def _cyclic_runs(net: BeliefNetwork, tab, free, template, total: int,
     The chains move together, by ``_BlanketTables.scan`` on draws made by
     :func:`counter_draws`, if :func:`_blanket_tables` gives tables (it does
     not for a table over the cap or with a row whose weights are all zero)
-    and every stream's type keeps :class:`RandomStream`'s own ``random``.
-    Each chain claims the nfree + total draws it takes from its stream (a
-    stream given twice, its two chains' draws one after the other), and a
-    chunk's draws for every chain are made in one call, row i holding the
-    chunk's step i. Otherwise the batch runs as one-chain batches, in
-    order; one that cannot move in lock step moves alone, by
-    :func:`_resample` on its own ``random`` from :func:`_uniform_state`,
-    and raises for its first conflict.
+    and every stream's type keeps :class:`RandomStream`'s own ``random``,
+    as a spawned stream's does. Each chain claims the nfree + total draws
+    it takes from its stream (a stream given twice, its two chains' draws
+    one after the other), and a chunk's draws for every chain are made in
+    one call, row i holding the chunk's step i. Otherwise the batch runs
+    as one-chain batches, in order; one that cannot move in lock step
+    moves alone, by :func:`_resample` on its own ``random``, read once (a
+    plain stream's is the C-level ``__next__`` over its blocks), from
+    :func:`_uniform_state`, and raises for its first conflict.
 
     The steps run in one loop of chunks of at most ``_CHUNK`` outcomes,
     cut to whole blocks where a chunk can move in blocks; a checkpoint

@@ -8,12 +8,12 @@ the stream seeded s is
     (splitmix64((s + k * 0x9E3779B97F4A7C15) mod 2^64) >> 11) * 2^-53,
 
 a pure function of (s, k), so :func:`counter_draws` makes any draws of any
-streams at once. One sequence, two executions: :meth:`RandomStream.random`
-hands out blocks and counts the draws taken, so that a lock-step batch can
-claim a stream's next draws and make them itself; :class:`CounterStream`,
-which :meth:`RandomStream.spawn` returns for trial j (seeded
-``derive_stream_seed(seed, j)``), yields them from an iterator over its
-blocks, faster a draw but with no count to read.
+streams at once. One class holds a stream: :class:`RandomStream`, whose
+``random`` is the C-level ``__next__`` of a chain of blocks that one
+generator makes, and whose count of draws taken lets a lock-step batch
+claim its next draws and make them itself. :meth:`RandomStream.spawn`
+gives trial j the stream seeded ``derive_stream_seed(seed, j)``, and
+:func:`counter_streams` the same draws for many trials at once.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ _U11, _U27, _U30, _U31 = (np.uint64(s) for s in (11, 27, 30, 31))
 #: call; doubling keeps the draws made and not used below those used.
 _FIRST_DRAWS = 256
 _MOST_DRAWS = 4096
-
-#: The ``__next__`` of a used-up block, shared: moving a RandomStream makes no object.
-_NONE_LEFT = iter(()).__next__
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -103,87 +100,74 @@ def counter_draws(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return draws
 
 
-def _blocks(seed: np.uint64, first: int, size: int):
-    """Draws first, first + 1, ... of the child stream seeded ``seed``, in
-    blocks whose size doubles from ``size`` to ``_MOST_DRAWS``."""
+def _draw_blocks(seed: int, made: list):
+    """The blocks of draws of the stream seeded ``seed`` from where
+    ``made`` = [iterator over the last block made, draws made] leaves off:
+    that block, then blocks whose size doubles on from it, from at least
+    ``_FIRST_DRAWS`` up to ``_MOST_DRAWS``. Each is an iterator over a list
+    of Python floats, put in ``made`` with the count as it is made."""
+    seed = np.uint64(seed)
+    block, drawn = made
+    size = operator.length_hint(block)
     while True:
-        counters = np.arange(first, first + size, dtype=np.uint64)
-        yield memoryview(counter_draws(seed, counters))  # yields Python floats
-        first += size
-        size = min(2 * size, _MOST_DRAWS)
+        yield block
+        size = min(max(2 * size, _FIRST_DRAWS), _MOST_DRAWS)
+        counters = np.arange(drawn + 1, drawn + size + 1, dtype=np.uint64)
+        made[:] = block, drawn = iter(counter_draws(seed, counters).tolist()), drawn + size
 
 
 def counter_streams(seeds: np.ndarray, ahead: int):
     """The ``random`` of each child stream seeded ``seeds`` (``uint64``), in
-    order, each yielding the draws :class:`CounterStream` yields. The first
+    order, each yielding the draws :class:`RandomStream` yields. The first
     ``ahead`` draws of all of them (at most ``_MOST_DRAWS`` each) are made
     in one numpy call, which for short trials costs less than a call per
-    stream."""
+    stream; each stream's are turned into floats as it is handed out."""
     ahead = min(ahead, _MOST_DRAWS)
     rows = counter_draws(seeds[:, None], np.arange(1, ahead + 1, dtype=np.uint64))
-    size = min(max(2 * ahead, _FIRST_DRAWS), _MOST_DRAWS)  # doubling on from the first block
     for seed, row in zip(seeds, rows):
-        blocks = itertools.chain((memoryview(row),), _blocks(seed, ahead + 1, size))
-        yield itertools.chain.from_iterable(blocks).__next__
-
-
-class CounterStream:
-    """The draws of one child stream, in order: a ``random()`` that yields
-    draw 1, 2, ... of the SplitMix64 sequence started at ``seed_value``,
-    made by :func:`counter_draws` in blocks of ``_FIRST_DRAWS`` doubling to
-    ``_MOST_DRAWS``."""
-
-    __slots__ = ("seed_value", "random")
-
-    def __init__(self, seed: int):
-        self.seed_value = int(seed) & _MASK64
-        blocks = _blocks(np.uint64(self.seed_value), 1, _FIRST_DRAWS)
-        self.random = itertools.chain.from_iterable(blocks).__next__
-
-    def __repr__(self) -> str:
-        return f"CounterStream(seed={self.seed_value})"
+        yield itertools.chain.from_iterable(_draw_blocks(seed, [iter(row.tolist()), ahead])).__next__
 
 
 class RandomStream:
     """Uniform [0, 1) stream with a recorded seed, which must be an integer
     (a bool is not) in [0, 2^64): draw k (k = 1, 2, ...) is
-    ``counter_draws(seed, k)``, as ``CounterStream(seed)`` yields it in
-    blocks of the same sizes, and the state is (seed, draws taken).
-    ``random()`` is the primitive every sampler in this package consumes;
-    draws never equal 1.0."""
+    ``counter_draws(seed, k)``, made in blocks of ``_FIRST_DRAWS`` doubling
+    to ``_MOST_DRAWS``, and the state is (seed, draws taken). ``random()``
+    is the primitive every sampler in this package consumes; draws never
+    equal 1.0."""
 
-    __slots__ = ("seed_value", "_end", "_size", "_next")
+    __slots__ = ("seed_value", "_made", "_next")
 
     def __init__(self, seed: int):
         self.seed_value = _require_u64(seed, "seed")
-        self._end, self._size, self._next = 0, _FIRST_DRAWS, _NONE_LEFT
+        self._restart(0)
 
-    def random(self) -> float:
-        try:
-            return self._next()
-        except StopIteration:  # the block is used up: make the next one
-            first, size = self._end, self._size
-            counters = np.arange(first + 1, first + size + 1, dtype=np.uint64)
-            self._next = iter(counter_draws(np.uint64(self.seed_value), counters).tolist()).__next__
-            self._end, self._size = first + size, min(2 * size, _MOST_DRAWS)
-            return self._next()
+    def _restart(self, drawn: int) -> None:
+        """Draw next from draw ``drawn`` + 1 on."""
+        self._made = made = [iter(()), drawn]
+        self._next = itertools.chain.from_iterable(_draw_blocks(self.seed_value, made)).__next__
+
+    #: The next draw's maker, read once by a hot loop; a subclass's own
+    #: ``random()`` takes its place.
+    random = property(operator.attrgetter("_next"))
 
     def getstate(self) -> tuple[int, int]:
         """The stream's seed and the draws it has taken."""
-        return self.seed_value, self._end - operator.length_hint(self._next.__self__)
+        block, drawn = self._made
+        return self.seed_value, drawn - operator.length_hint(block)
 
     def _claim(self, count: int) -> int:
         """Move past the next ``count`` draws, returning the seed b whose
         draws ``counter_draws(b, 1..count)`` they are: b = seed + d *
         0x9E3779B97F4A7C15 mod 2^64, d the draws taken before."""
         seed, drawn = self.getstate()
-        self._end, self._size, self._next = drawn + count, _FIRST_DRAWS, _NONE_LEFT
+        self._restart(drawn + count)
         return (seed + drawn * _GOLDEN) & _MASK64
 
-    def spawn(self, index: int) -> CounterStream:
+    def spawn(self, index: int) -> RandomStream:
         """The index-th child stream, deterministic in (seed, index) and
         independent of this stream's position."""
-        return CounterStream(derive_stream_seed(self.seed_value, index))
+        return RandomStream(derive_stream_seed(self.seed_value, index))
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed_value})"

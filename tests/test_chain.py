@@ -159,6 +159,7 @@ def test_do_transition_requires_free_node(ab):
     ([0, 0], (0, 7), "free index 7 is not a node of network AB"),
     ([0, 0], (-1,), "free index -1 is not a node of network AB"),
     ([0, 0], (True,), "free index True is not a node of network AB"),
+    ([0, 0], (0, 0), "free index 0 repeats among the free nodes"),  # B would never be redrawn
 ])
 def test_single_steps_refuse_a_walker_that_does_not_fit(ab, step, state, free, message):
     cs = chain.ChainState(list(state), free)

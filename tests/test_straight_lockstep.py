@@ -20,7 +20,7 @@ from hypothesis import given, settings
 
 import bnras
 from bnras import Evidence, RandomStream, chain, estimate
-from bnras.rng import CounterStream, counter_draws
+from bnras.rng import counter_draws, counter_streams
 
 from conftest import evidence_sets, positive_networks
 
@@ -94,11 +94,12 @@ def scans(monkeypatch):
 
 def test_streams_yield_counter_draws():
     # one sequence, made three ways: a RandomStream's blocks (the first
-    # 256 draws, then doubling), a CounterStream's, and one call
+    # 256 draws, then doubling), a stream's made 100 draws ahead, and one call
     for seed in SEEDS:
-        stream, counter = RandomStream(seed), CounterStream(seed)
+        stream = RandomStream(seed)
+        (ahead,) = counter_streams(np.array([seed], dtype=np.uint64), 100)
         draws = [stream.random() for _ in range(2125)]
-        assert draws == [counter.random() for _ in range(2125)]
+        assert draws == [ahead() for _ in range(2125)]
         assert draws == counter_draws(np.uint64(seed), np.arange(1, 2126, dtype=np.uint64)).tolist()
         assert stream.getstate() == (seed, 2125)
 
@@ -142,16 +143,19 @@ def test_streams_at_different_positions(monkeypatch, nets, empty):
     assert got == [scalar_chain(net, empty, 300, copy, 70) for copy in copies]
 
 
-def test_streams_other_than_random_random(nets, empty):
-    # child streams are not RandomStreams and have no state to claim draws
-    # from: a batch of them runs chain by chain
+def test_spawned_streams_move_in_lock_step(monkeypatch, nets, empty):
+    # child streams are RandomStreams, whose draws a batch claims: they
+    # move together, each as the scalar chain moves it
+    def alone(*args):
+        raise AssertionError("a chain ran on its own")
+
     for net in (nets["AB"], nets["MINIALARM"]):
         streams = [RandomStream(1).spawn(j) for j in range(3)]
-        ests = bnras.straight_estimates(net, empty, 300, streams, checkpoint_stride=70)
-        expected = [bnras.straight_estimate(net, empty, 300, RandomStream(1).spawn(j), 70)
-                    for j in range(3)]
-        assert [e.tallies for e in ests] == [e.tallies for e in expected]
-        assert [e.checkpoints for e in ests] == [e.checkpoints for e in expected]
+        with monkeypatch.context() as patch:
+            patch.setattr(estimate, "_resample", alone)
+            ests = bnras.straight_estimates(net, empty, 300, streams, checkpoint_stride=70)
+        got = [(e.tallies, e.checkpoints, s.getstate()) for e, s in zip(ests, streams)]
+        assert got == [scalar_chain(net, empty, 300, RandomStream(1).spawn(j), 70) for j in range(3)]
 
 
 class Half(RandomStream):

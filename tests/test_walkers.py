@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 import bnras
 from bnras import Evidence, RandomStream, chain
-from bnras.rng import CounterStream, counter_draws, counter_streams, derive_stream_seeds
+from bnras.rng import counter_draws, counter_streams, derive_stream_seeds
 
 from conftest import evidence_sets, positive_networks
 
@@ -70,7 +70,7 @@ def test_counter_draws_match_splitmix64_sequence():
         counters = np.arange(1, 9001, dtype=np.uint64)
         assert counter_draws(np.array([seed], dtype=np.uint64), counters).tolist() == expected
         assert counter_draws(np.uint64(seed), counters).tolist() == expected
-        stream = CounterStream(seed)
+        stream = RandomStream(seed)
         assert [stream.random() for _ in range(9000)] == expected
 
 
@@ -83,12 +83,17 @@ def test_streams_made_ahead_are_the_counter_sequence():
 
 
 def test_spawned_stream_is_the_counter_sequence():
+    # a spawned stream is a RandomStream, whose count of draws taken runs
+    # on across its first block's edge (after 256 draws)
     master = RandomStream(2**64 - 5)
     for j in (0, 1, 4095, 10**6):
         seed = bnras.derive_stream_seed(master.seed_value, j)
         stream = master.spawn(j)
+        assert type(stream) is RandomStream
         assert stream.seed_value == seed
-        assert [stream.random() for _ in range(100)] == splitmix64_sequence(seed, 100)
+        assert stream.getstate() == (seed, 0)
+        assert [stream.random() for _ in range(300)] == splitmix64_sequence(seed, 300)
+        assert stream.getstate() == (seed, 300)
     seeds = derive_stream_seeds(master.seed_value, 4090, 4100).tolist()
     assert seeds == [bnras.derive_stream_seed(master.seed_value, j) for j in range(4090, 4100)]
 
@@ -104,10 +109,12 @@ def test_builtins_match_scalar_loop(nets, seed):
 @pytest.mark.parametrize("t", [0, 1, 2, 50])
 def test_walk_rows_match_trials(monkeypatch, nets, copy_net, empty, t):
     # copy_net's ternary nodes: a value can change by 2. PATH2 with B=t
-    # leaves A free alone, with no free blanket, so no row ever changes
+    # leaves A free alone, with no free blanket, so no row ever changes.
+    # MINIALARM's blankets differ in size, so most neighbour lists are padded
     monkeypatch.setattr(chain, "_LOCKSTEP_MIN", 1)
     seed = 2**63 + 11
-    for net, ev in ((copy_net, empty), (nets["PATH2"], bnras.parse_evidence("B=t", nets["PATH2"]))):
+    path2_b = (nets["PATH2"], bnras.parse_evidence("B=t", nets["PATH2"]))
+    for net, ev in ((copy_net, empty), path2_b, (nets["MINIALARM"], empty)):
         tab, free, template = chain._prepare(net, ev)
         assert chain._blanket_tables(tab, free, template) is not None  # so the trials walk
         [(_, _, values)] = chain._trial_blocks(net, tab, free, template, t, [(seed, 300)])
