@@ -106,14 +106,14 @@ def _draw_blocks(seed: int, made: list):
     that block, then blocks whose size doubles on from it, from at least
     ``_FIRST_DRAWS`` up to ``_MOST_DRAWS``. Each is an iterator over a list
     of Python floats, put in ``made`` with the count as it is made."""
-    seed = np.uint64(seed)
     block, drawn = made
     size = operator.length_hint(block)
     while True:
         yield block
         size = min(max(2 * size, _FIRST_DRAWS), _MOST_DRAWS)
         counters = np.arange(drawn + 1, drawn + size + 1, dtype=np.uint64)
-        made[:] = block, drawn = iter(counter_draws(seed, counters).tolist()), drawn + size
+        draws = counter_draws(np.uint64(seed), counters)
+        made[:] = block, drawn = iter(draws.tolist()), drawn + size
 
 
 def counter_streams(seeds: np.ndarray, ahead: int):
