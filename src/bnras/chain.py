@@ -97,8 +97,8 @@ _LOCKSTEP_MIN = 50
 #: per-trial loop.
 _BLANKET_CAP = 4096
 
-#: Most draws the per-trial loop makes ahead, for all of a block's trials in
-#: one numpy call (see :func:`bnras.rng.counter_streams`).
+#: Most draws the per-trial loop makes ahead in one numpy call, for as many
+#: whole trials as they hold (see :func:`bnras.rng.counter_streams`).
 _AHEAD = 1 << 16
 
 
@@ -647,9 +647,10 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
     past ``_BLANKET_CAP`` or with a row whose weights are all zero; other
     blocks run the per-trial loop, which raises for the block's first
     conflicting trial, named by its run ("in trial j of seed s"). That loop
-    runs :func:`_trial` on the streams of :func:`counter_streams`, each
-    trial's draws made ahead up to the most it can make. Either way the
-    values are the same.
+    runs :func:`_trial` on the streams of :func:`counter_streams`, the most
+    draws a trial can take made ahead for as many whole trials as
+    ``_AHEAD`` draws hold, in one call. Either way the values are the
+    same.
     """
     if t:
         _require_free(free)
@@ -668,9 +669,12 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
             values = tables.walk(t, seeds)
         else:
             values = np.empty((len(seeds), len(free)), dtype=np.intp)
-            ahead = min(len(free) + 3 * t, _AHEAD // len(seeds))  # a trial's most draws
+            ahead = len(free) + 3 * t  # a trial's most draws
+            per = max(1, _AHEAD // max(ahead, 1))  # whole trials whose draws one call makes
+            streams = itertools.chain.from_iterable(
+                counter_streams(seeds[i:i + per], ahead) for i in range(0, len(seeds), per))
             trials = ((seed, j) for _, seed, lo, hi in pieces for j in range(lo, hi))
-            for b, ((seed, j), rand) in enumerate(zip(trials, counter_streams(seeds, ahead))):
+            for b, ((seed, j), rand) in enumerate(zip(trials, streams)):
                 try:
                     state = _trial(tab, free, template, t, rand)
                 except DeterministicConflictError as exc:

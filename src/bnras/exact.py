@@ -32,12 +32,13 @@ row blocks (BLAS ``syrk`` and ``gemm``) doubles s, and a step of P summed
 from the move table adds 1. It reads each t off a diagonal, where
 Cauchy-Schwarz puts the largest deviation from 1: even t = 2s off B_s
 alone, odd t = 2s + 1 off B_s and the rows of B_(s+1) = P @ B_s, summed from
-the move table one row block at a time. t = 0 and 1 read I and the table,
-and while rows have few columns the first square B_2 sums the products of
-two moves rather than multiplying the dense B_1. No M-by-M matrix of P is
-made but B_1 = P / sqrt(pi) itself, for t = 2 and 3 and for a nearly dense
-first square, so the rpd holds at most two M-by-M arrays for any t, and
-one at t = 2^j and 2^j + 1.
+the move table one row block at a time. t = 0 and 1 read I and the table.
+Row x of B_a is nonzero only at the states at most a free nodes away from
+x, so while those are at most half of the states, B_a is walked from the
+moves on those columns alone and then placed: each B_s's walk starts at
+its furthest point that is so sparse. No M-by-M matrix of P is made, so
+the rpd holds at most two M-by-M arrays for any t, and one at t = 2^j and
+2^j + 1.
 
 Everything here is exact up to 64-bit float rounding; the caps below are
 refusals, not truncations. At the enumeration cap the tensor takes 32 MB.
@@ -64,8 +65,9 @@ DEFAULT_ENUM_CAP = 1 << 22
 #: Largest state count for which the explicit transition matrix is built.
 DEFAULT_MATRIX_CAP = 4096
 
-#: Elements per row block of the relative pointwise distance's scans, of
-#: the first square's sums and of the rows of P @ B read off the moves.
+#: Elements per block of the relative pointwise distance's scans, of the
+#: steps of P walked on each row's reachable columns and of the rows of
+#: P @ B read off the moves.
 _RPD_BLOCK = 1 << 16
 
 #: Row blocks per in-place square of an M-by-M half power: each holds one
@@ -308,25 +310,79 @@ def _neighbours(states: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     return np.concatenate(found, axis=-1)
 
 
-def _square_moves(table: np.ndarray, root: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """B_2 = P^2 / sqrt(pi), read off the move table of P.
+def _shifted(states, codes, dims: tuple[int, ...]) -> np.ndarray:
+    """The states that ``states`` reach by the shift vectors ``codes``,
+    broadcast against each other. A shift vector moves each free axis's
+    value by its own amount (mod k) and is written as the index of the state
+    whose values it holds, so code 0 stays put. The sums are ``int32``,
+    whose divisions cost a third of 64-bit ones; a flat position in an
+    M-by-M array fits, M being at most ``DEFAULT_MATRIX_CAP``."""
+    states, codes = np.asarray(states, np.int32), np.asarray(codes, np.int32)
+    found = np.zeros(np.broadcast(states, codes).shape, dtype=np.int32)
+    stride = math.prod(dims)
+    for k in dims:
+        stride //= k
+        found += (states // stride + codes // stride) % k * stride
+    return found
 
-    Entry (x, z) is the sum over the neighbours y of x (:func:`_neighbours`)
-    of P[x, y] * P[y, z] / sqrt(pi)[z], added with ``np.bincount`` in the
-    order of y, one row block at a time, so its bits do not depend on the
-    block."""
+
+def _walked(table: np.ndarray, cols: np.ndarray, root: np.ndarray,
+            dims: tuple[int, ...], s: int, out: np.ndarray) -> np.ndarray:
+    """B_s = P^s / sqrt(pi), s >= 1, written into the M-by-M array ``out``
+    by s steps of P on the columns each row reaches, for the P whose move
+    table is ``table`` at the :func:`_neighbours` columns ``cols``.
+
+    Row x of B_r is nonzero only at the states x + d that a shift vector d
+    with at most r nonzero axes reaches (:func:`_shifted`); call that set
+    D_r. B_r is held in that layout, shift-major, as a (|D_r|, M) array
+    whose entry (d, x) is B_r[x, x + d]: B_0 = I / sqrt(pi) is the one row
+    1 / sqrt(pi), and the move table is B_1 * sqrt(pi) in it. A step is
+    B_(r+1)[x, x + d] = sum over c of table[x, c] * B_r[y, y + e] for the
+    state y = x + d_c that move c reaches and e = d - d_c: it takes column
+    y of the layout for every row e at once and adds the products into the
+    rows d = e + d_c, in c order, so every multiply-add runs along a row,
+    and an entry's bits do not depend on the column blocks, of at most
+    ``_RPD_BLOCK`` entries, that it is made in. The last step writes each
+    block into ``out`` as it is made, 0 elsewhere, so no whole layout of B_s
+    is made beside ``out``. A block is the states that share their values
+    on the leading axes, so a move on one of those takes one run of columns,
+    and the block's places in ``out`` are those of the block at 0, moved by
+    one shift per d."""
     m = len(root)
-    cols = _neighbours(np.arange(m), dims)
-    square = np.empty((m, m))
-    rows = max(1, _RPD_BLOCK // m)
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        mid = cols[start:stop]
-        far = cols[mid]
-        terms = table[start:stop, :, None] * table[mid] / root[far]
-        far += (np.arange(stop - start) * m)[:, None, None]
-        square[start:stop] = np.bincount(far.ravel(), terms.ravel(), (stop - start) * m).reshape(-1, m)
-    return square
+    axes = [-1] + [axis for axis, k in enumerate(dims) for _ in range(1, k)]  # each move's axis
+    codes, power = np.zeros(1, dtype=np.intp), 1.0 / root[None]  # B_0 = I / sqrt(pi)
+    for r in range(1, s + 1):
+        reach = _neighbours(codes, dims)  # e + d_c for each e of the last layout
+        codes = np.flatnonzero(np.bincount(reach.ravel()))  # sorted, each once
+        targets = np.searchsorted(codes, reach)
+        lo = len(dims)  # a block's states share their values on the axes before lo
+        while lo and math.prod(dims[lo - 1:]) * len(codes) <= _RPD_BLOCK:
+            lo -= 1
+        rows = math.prod(dims[lo:])
+        starts = np.arange(0, m, rows)
+        if r < s:
+            after = np.empty((len(codes), m))
+        else:  # flat positions in out: the first block's, and each block's shift
+            after = out
+            first = _shifted((codes % rows)[:, None], np.arange(rows), dims[lo:]) + np.arange(rows) * m
+            shifts = _shifted(starts[:, None], codes - codes % rows, dims) + starts[:, None] * m
+        for b, start in enumerate(starts):
+            stop = start + rows
+            block = np.zeros((len(codes), rows))
+            for c, axis in enumerate(axes):
+                if axis < lo:  # the move keeps a block's trailing values: one run of columns
+                    term = power[:, cols[start, c]:cols[start, c] + rows] * table[start:stop, c]
+                else:
+                    term = power.take(cols[start:stop, c], axis=1)
+                    term *= table[start:stop, c]
+                block[targets[:, c]] += term
+            if r < s:
+                after[:, start:stop] = block
+            else:
+                out[start:stop] = 0.0
+                np.put(out, first + shifts[b, :, None], block)
+        power = after
+    return out
 
 
 def _square_in_place(z: np.ndarray, root: np.ndarray) -> np.ndarray:
@@ -383,28 +439,30 @@ def _half_powers(table: np.ndarray, cols: np.ndarray, root: np.ndarray,
     binary method): B_c becomes B_(2c) by a square in place
     (:func:`_square_in_place`), and B_(2c) becomes B_(2c+1) = P @ B_(2c),
     read off the table into one new array (:func:`_moved`). The walk starts
-    at B_1 = P / sqrt(pi), the table placed (:func:`_placed`) and divided
-    in place, or, for h >= 2 when K^2 <= M for K neighbour columns per row,
-    at B_2 from :func:`_square_moves`, which makes it from M * K^2 products,
-    at most the M^2 entries B_2 has. Past that (few free nodes with many
-    outcomes) P is nearly dense and B_2 is B_1 squared. The next h goes on
-    from the last array when that lies on its walk, and starts again
-    otherwise, so each B_h's bits depend on h alone, and at most two M-by-M
-    arrays are alive, the second only while a step of P is taken.
+    at its furthest point a whose rows reach at most half of the M states
+    (|D_a| <= M / 2 for the shift vectors D_a of :func:`_walked`, at most a
+    free nodes away), or at B_1 when no point is that sparse (few free nodes
+    with many outcomes). That B_a is made by a steps of P on the columns
+    each row reaches (:func:`_walked`), which costs far less than the
+    squares it replaces. The next h goes on from the last array when that
+    lies on its walk from the same start, and starts again, in the same
+    array, otherwise, so each B_h's bits depend on h alone, and at most two
+    M-by-M arrays are alive, the second only while a step of P is taken.
     """
     m = len(root)
-    z, at = None, 0
+    sizes = [1]
+    for k in dims:  # sizes[r] = |D_r|: the states r or fewer axes away
+        sizes = np.convolve(sizes, [1, k - 1])
+    sparse = int(np.count_nonzero(2 * np.cumsum(sizes) <= m)) - 1  # the last r with |D_r| <= M / 2
+    z, at, begun = None, 0, 0
     for h in sorted(halves):
-        start = 2 if h > 1 and table.shape[1] ** 2 <= m else 1
-        # B_at lies on h's walk if at is h's leading bits, or those less a low 1
-        if at < start or h >> (h.bit_length() - at.bit_length()) not in (at, at | 1):
-            z = None  # freed before its successor is made
-            if start == 2:
-                z = _square_moves(table, root, dims)
-            else:
-                z = _placed(table, dims)
-                z /= root
-            at = start
+        # h's walk passes its leading bits, and those less a low 1 before
+        # that 1 is added; it starts at the furthest of them that is sparse
+        start = max((a for j in range(h.bit_length()) for a in (h >> j, h >> j & -2) if 0 < a <= sparse),
+                    default=1)
+        if begun != start or h >> (h.bit_length() - at.bit_length()) not in (at, at | 1):
+            z = _walked(table, cols, root, dims, start, np.empty((m, m)) if z is None else z)
+            at = begun = start
         while at != h:
             if h >> (h.bit_length() - at.bit_length()) == at:
                 z, at = _square_in_place(z, root), 2 * at
@@ -424,24 +482,25 @@ def _rpd_by_count(table: np.ndarray, pi: np.ndarray, dims: tuple[int, ...],
     t = 0 and 1 read I and the table, P at the :func:`_neighbours` columns;
     every other entry is 0, and its term |0 - pi[j]| / pi[j] is exactly
     1.0, so the values have the bits of the dense scan. Above, with the
-    half powers B_s = P^s / sqrt(pi) of :func:`_half_powers` and
-    C_s = B_s - sqrt(pi) in each row, P^t / pi - 1 is C_s @ C_s.T for
-    t = 2s and C_s @ C_(s+1).T for t = 2s + 1. There C_(s+1) = C_s @ S,
-    with S = sqrt(pi)[:, None] * P / sqrt(pi) the symmetric kernel of the
-    lazy chain, whose eigenvalues lie in [0, 1], so
+    half powers B_s = P^s / sqrt(pi) of :func:`_half_powers`, each begun
+    from the moves on the columns its rows reach while those are at most
+    half of the states (:func:`_walked`), and C_s = B_s - sqrt(pi) in each
+    row, P^t / pi - 1 is C_s @ C_s.T for t = 2s and C_s @ C_(s+1).T for
+    t = 2s + 1. There C_(s+1) = C_s @ S, with
+    S = sqrt(pi)[:, None] * P / sqrt(pi) the symmetric kernel of the lazy
+    chain, whose eigenvalues lie in [0, 1], so
     C_s @ C_(s+1).T = C_s @ S @ C_s.T. Both are Gram matrices, so by
     Cauchy-Schwarz their largest entry lies on the diagonal:
     max_i <C_s[i], C_s[i]> or max_i <C_s[i], C_(s+1)[i]>, read with no
-    cancellation, in row blocks written into two buffers made once. A
-    block's rows of B_(s+1) = P @ B_s are summed off the table
-    (:func:`_moved`), so neither P nor B_(s+1) is ever whole, no full-size
-    temporary is made and no block pages in fresh memory. At most two M-by-M
-    arrays are alive for any t, and one at t = 2^j and 2^j + 1.
+    cancellation, in row blocks written into two buffers made once per half
+    power and freed before the next half power is made. A block's rows of
+    B_(s+1) = P @ B_s are summed off the table (:func:`_moved`), so neither
+    P nor B_(s+1) is ever whole and no full-size temporary is made. At most
+    two M-by-M arrays are alive for any t, and one at t = 2^j and 2^j + 1.
     """
     m, root = len(pi), np.sqrt(pi)
     width = table.shape[1]
     cols = _neighbours(np.arange(m), dims)
-    work = np.empty((2, min(max(1, _RPD_BLOCK // m), m), m))
 
     def peak(block_of, size: int) -> float:
         rows = max(1, _RPD_BLOCK // size)
@@ -464,9 +523,10 @@ def _rpd_by_count(table: np.ndarray, pi: np.ndarray, dims: tuple[int, ...],
         top = peak(lambda i, j: near(t, i, j), width)
         found[t] = max(top, 1.0) if width < m else top  # 1.0: the rows' zero entries
     for s, bs in _half_powers(table, cols, root, dims, {t // 2 for t in counts if t >= 2}):
+        work = np.empty((2, min(max(1, _RPD_BLOCK // m), m), m))
         for t in {2 * s, 2 * s + 1}.intersection(counts):
             found[t] = peak(lambda i, j: diagonal(bs, t & 1, i, j), m)
-        del bs  # else it outlives the next step of P
+        del bs, work  # else they outlive the next step of P
     return {t: found[t] for t in counts}
 
 
@@ -500,10 +560,9 @@ def mixing_report(
     ``t_values``. pi_min comes off the joint of :func:`_chain`, p0 and the
     rpd off its move table, each with the bits that
     :func:`build_transition_matrix` and :func:`relative_pointwise_distance`
-    give. No M-by-M matrix of P is made but B_1 = P / sqrt(pi), each
-    squaring is done in place and each step of P makes one new array, so
-    at most two M-by-M arrays are alive for any t, and one at t = 1, 4, 16
-    and at t = 3, 5, 17."""
+    give. No M-by-M matrix of P is made, each squaring is done in place and
+    each step of P makes one new array, so at most two M-by-M arrays are
+    alive for any t, and one at t = 1, 4, 16 and at t = 3, 5, 17."""
     counts = _transition_counts(t_values)
     joint, table, p0 = _chain(net, ev)
     pi = joint.weights.ravel() / joint.normalizer()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 from unittest import mock
 
@@ -184,13 +185,13 @@ def test_mixing_report_never_builds_the_matrix(monkeypatch, nets):
     ((1, 4, 16), 1.3), ((3, 5, 17), 1.3), ((2, 3), 1.3), ((6, 7, 13), 2.2),
     ((15,), 2.2), ((12, 20), 2.2)])
 def test_mixing_report_peaks_at_one_dense_array(t_values, arrays):
-    # a 2048-state chain (K = 12): t = 1 reads the move table, B_1 is the
-    # table placed, B_2 is summed from pairs of moves and B_4, B_8 are
-    # squared in place, and odd t reads the rows of P @ B_s off the moves,
-    # so one M-by-M array is alive at once, beside one row block of
-    # temporaries. A half power with a set bit below its highest (B_3, B_6
-    # and B_7, B_5 and B_10) takes a step of P into a second array, and the
-    # first is freed once it is made
+    # a 2048-state chain (K = 12): t = 1 reads the move table, B_1 to B_5
+    # are walked from the moves, each into the last one's array, B_6, B_8
+    # and B_10 are squared in place, and odd t reads the rows of P @ B_s off
+    # the moves, so one M-by-M array is alive at once, beside one row block
+    # of temporaries or the layout of a walk's last step. B_7 = P @ B_6
+    # takes a step of P into a second array, and the first is freed once it
+    # is made
     net = layered_network(12, seed=1)
     ev = Evidence({"X11": 0})
     m = 2048
@@ -215,17 +216,22 @@ def test_rpd_leaves_the_matrix_as_it_was(nets):
                 assert np.array_equal(tm.stationary, stationary)
 
 
-@pytest.mark.parametrize("name, places", [("CHAIN5", 2), ("MINIALARM", 1)])
-def test_p_placed_only_as_b1(monkeypatch, nets, empty, name, places):
-    # t = 3 reads B_1, the table placed; CHAIN5 (K^2 > M) places it again
-    # for its first square. P @ B_s, for odd t and for B_3, comes off the
-    # moves and places nothing
+@pytest.mark.parametrize("name, walks", [("CHAIN5", [1, 2, 2]), ("MINIALARM", [1, 2, 3, 2])])
+def test_p_placed_only_as_b1(monkeypatch, nets, empty, name, walks):
+    # P is never placed: each half power's walk starts at its furthest point
+    # whose rows reach at most half of the states, B_s walked from the
+    # moves. For h = 1, 2, 3, 6, 8: B_1, B_2; on CHAIN5 (16 of 32 states
+    # two nodes away, 26 three) B_3 is a step of P from B_2 and B_6 its
+    # square; on MINIALARM (93 of 256 three away) B_3 is walked. Both walk
+    # B_2 again for B_8. P @ B_s, for odd t and for B_3, comes off the moves
     made = []
     placed = bnras.exact._placed
     monkeypatch.setattr(bnras.exact, "_placed", lambda *a: made.append(1) or placed(*a))
+    walks_made = spy_walks(monkeypatch)
     ts = (3, 5, 7, 13, 17)
     report = bnras.mixing_report(nets[name], empty, t_values=ts)
-    assert len(made) == places
+    assert not made
+    assert walks_made == walks
     tm = bnras.build_transition_matrix(nets[name], empty)
     for t in ts:
         assert_rpd_near(report.rpd[t], matrix_power_rpd(tm, t))
@@ -504,7 +510,7 @@ def gram_square(b, root):
 
 def assert_moves_path(tm):
     """The neighbour columns are each row's nonzeros; rpd(0) and rpd(1)
-    have the bits of the dense scan; B_2 read off the moves is near the
+    have the bits of the dense scan; B_2 walked from the moves is near the
     dense square of B_1, entry by entry, and 0 where it is."""
     pi, m = tm.stationary, len(tm.stationary)
     cols = bnras.exact._neighbours(np.arange(m), outcome_counts(tm))
@@ -516,7 +522,7 @@ def assert_moves_path(tm):
     root = np.sqrt(pi)
     b1 = tm.matrix / root
     table = np.take_along_axis(tm.matrix, cols, axis=1)
-    square = bnras.exact._square_moves(table, root, outcome_counts(tm))
+    square = bnras.exact._walked(table, cols, root, outcome_counts(tm), 2, np.empty((m, m)))
     expected = gram_square(b1, root)
     # both sum at most K nonnegative products, each with a few roundings,
     # and detailed balance holds to a few ulps: 64 ulps relative is ample
@@ -528,7 +534,7 @@ def test_squares_in_place_near_the_gram(monkeypatch, nets, parts):
     # whatever the row blocks (one whole syrk, a few, the default, one row
     # each), B_1 squared in place is near the out-of-place square: both sum
     # M nonnegative products in BLAS's order, so 64 ulps relative is ample,
-    # as for _square_moves
+    # as for the walk from the moves
     monkeypatch.setattr(bnras.exact, "_SQUARE_PARTS", parts)
     eps = np.finfo(float).eps
     for net in nets.values():
@@ -558,27 +564,132 @@ def test_square_of_the_moves_ignores_row_blocks(monkeypatch, nets):
         for ev in evidence_sets(net):
             _, table, _ = bnras.exact._chain(net, ev)
             tm = bnras.build_transition_matrix(net, ev)
-            args = (table, np.sqrt(tm.stationary), outcome_counts(tm))
+            m = len(table)
+            args = (table, bnras.exact._neighbours(np.arange(m), outcome_counts(tm)),
+                    np.sqrt(tm.stationary), outcome_counts(tm), 2)
             squares = []
             for block in (1, 5, 1000, 1 << 16):
                 monkeypatch.setattr(bnras.exact, "_RPD_BLOCK", block)
-                squares.append(bnras.exact._square_moves(*args))
+                squares.append(bnras.exact._walked(*args, np.empty((m, m))))
             for square in squares[1:]:
                 assert np.array_equal(square, squares[0])
 
 
-@pytest.mark.parametrize("name, moves", [("CHAIN5", 0), ("MINIALARM", 1)])
-def test_first_square_read_off_the_moves_when_rows_are_sparse(monkeypatch, nets, empty, name, moves):
-    # CHAIN5 has K = 6 neighbour columns on M = 32 states, so 36 > 32 and
-    # B_2 is the dense square; MINIALARM has K = 9 on M = 256
-    made = []
-    square = bnras.exact._square_moves
-    monkeypatch.setattr(bnras.exact, "_square_moves", lambda *a: made.append(1) or square(*a))
+def spy_walks(monkeypatch):
+    """The s of every _walked call, in order."""
+    walks = []
+    walked = bnras.exact._walked
+    monkeypatch.setattr(bnras.exact, "_walked", lambda *a: walks.append(a[4]) or walked(*a))
+    return walks
+
+
+@pytest.mark.parametrize("name, walks", [("PATH2", [1]), ("CHAIN5", [2]), ("MINIALARM", [2])])
+def test_first_square_read_off_the_moves_when_rows_are_sparse(monkeypatch, nets, empty, name, walks):
+    # B_2's rows reach the states at most two free nodes away: 16 of 32 on
+    # CHAIN5 and 37 of 256 on MINIALARM, so B_2 is walked from the moves and
+    # squared into B_4 and B_8; on PATH2 B_1's rows already reach 3 of its 4
+    # states, so B_2 is the square of B_1
+    walks_made = spy_walks(monkeypatch)
     report = bnras.mixing_report(nets[name], empty, t_values=(4, 16))
-    assert len(made) == moves
+    assert walks_made == walks
     tm = bnras.build_transition_matrix(nets[name], empty)
     for t in (4, 16):
         assert_rpd_near(report.rpd[t], matrix_power_rpd(tm, t))
+
+
+def test_one_dense_square_for_the_benchmark_counts(monkeypatch):
+    # 2048 states, 11 binary free nodes: B_4's rows reach 562 states, at
+    # most half, so t = 4 reads B_2 and t = 16 reads B_4 walked from the
+    # moves and squared once (B_2 squared twice before)
+    net = layered_network(12, seed=1)
+    ev = Evidence({"X11": 0})
+    walks = spy_walks(monkeypatch)
+    squares = []
+    square = bnras.exact._square_in_place
+    monkeypatch.setattr(bnras.exact, "_square_in_place", lambda *a: squares.append(1) or square(*a))
+    report = bnras.mixing_report(net, ev, t_values=(1, 4, 16))
+    assert walks == [2, 4]
+    assert len(squares) == 1
+    assert list(report.rpd) == [1, 4, 16]
+
+
+def reachable(dims, s):
+    """The pairs of states, in enumeration order over outcome counts dims,
+    that differ at s or fewer free nodes."""
+    states = np.array(list(itertools.product(*map(range, dims))))
+    apart = np.zeros((len(states), len(states)), dtype=np.int8)
+    for values in states.T:
+        apart += values[:, None] != values[None, :]
+    return apart <= s
+
+
+def assert_walks_near_the_powers(tm, blocks=(1, 5, 1000, 1 << 16), every_block_from=1):
+    """Every B_s that _half_powers walks from the moves (s from 1 up to the
+    last whose rows reach at most half of the states) is 0 off the states
+    at most s free nodes away, within 64 ulps relative of
+    matrix_power(P, s) / sqrt(pi) (both sum nonnegative products of P's
+    entries, a few roundings each), and has the same bits whatever the
+    blocks of _RPD_BLOCK entries it is made in, from s = every_block_from
+    up."""
+    dims, m = outcome_counts(tm), len(tm.matrix)
+    root = np.sqrt(tm.stationary)
+    cols = bnras.exact._neighbours(np.arange(m), dims)
+    table = np.take_along_axis(tm.matrix, cols, axis=1)
+    eps = np.finfo(float).eps
+    s = 1
+    while True:
+        near = reachable(dims, s)
+        walked = []
+        for block in blocks if s >= every_block_from else blocks[-1:]:
+            with mock.patch.object(bnras.exact, "_RPD_BLOCK", block):
+                walked.append(bnras.exact._walked(table, cols, root, dims, s, np.full((m, m), np.nan)))
+        for other in walked[1:]:
+            assert np.array_equal(other, walked[0])
+        expected = np.linalg.matrix_power(tm.matrix, s) / root
+        assert not walked[0][~near].any()
+        assert np.all(np.abs(walked[0] - expected) <= 64 * eps * expected)
+        if 2 * reachable(dims, s + 1)[0].sum() > m:
+            return s
+        s += 1
+
+
+def test_walks_near_the_powers_on_builtins(nets):
+    for net in nets.values():
+        for ev in evidence_sets(net):
+            assert_walks_near_the_powers(bnras.build_transition_matrix(net, ev))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(positive_networks())
+def test_walks_near_the_powers_on_random_networks(case):
+    assert_walks_near_the_powers(bnras.build_transition_matrix(*case))
+
+
+def ternary_network(size, seed=0):
+    """`size` nodes of three outcomes, node i with parents i-2 and i-1 (those
+    that exist); each table row is drawn from random.Random(seed) and kept
+    inside (0, 1)."""
+    rng = random.Random(seed)
+    nodes = []
+    for i in range(size):
+        parents = tuple(f"T{i - d}" for d in (2, 1) if i >= d)
+        rows = []
+        for _ in range(3 ** len(parents)):
+            raw = [rng.uniform(0.2, 1.0) for _ in range(3)]
+            rows.append([w / sum(raw) for w in raw])
+        nodes.append(bnras.Node(f"T{i}", ("a", "b", "c"), parents, bnras.Cpt.from_rows(rows)))
+    return bnras.BeliefNetwork(f"TERNARY{size}", tuple(nodes))
+
+
+def test_walks_near_the_powers_with_three_outcomes(empty):
+    # 3^7 = 2187 states: B_4's rows reach 939 of them, at most half, so the
+    # walk steps past B_2 with shifts by 1 and 2 (mod 3). Blocks of 1 and 5
+    # entries take seconds a walk here, so the block sizes are all checked
+    # on the last walk only, whose steps before the last are made in the
+    # same blocks
+    tm = bnras.build_transition_matrix(ternary_network(7), empty)
+    assert len(tm.states) == 2187
+    assert assert_walks_near_the_powers(tm, every_block_from=4) == 4
 
 
 def test_rpd_counts_the_entries_no_move_reaches():

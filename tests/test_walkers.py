@@ -144,6 +144,23 @@ def test_walk_memory(minialarm, evidence):
     assert peak <= 1_100_000
 
 
+def test_trial_loop_makes_whole_trials_ahead(monkeypatch, minialarm, empty):
+    # 8 streams x 400 trials x 100 transitions, one block of 3200 trials run
+    # by the per-trial loop: a trial takes at most 8 + 3 * 100 = 308 draws,
+    # so each call made ahead holds 65536 // 308 = 212 trials' draws, and 16
+    # calls make every draw, none a stream's own block. The tallies are
+    # those of the lock steps
+    streams = [RandomStream(seed) for seed in range(8)]
+    expected = bnras.bnras_estimates(minialarm, empty, 400, 100, streams)
+    calls = []
+    draws = bnras.rng.counter_draws
+    monkeypatch.setattr(bnras.rng, "counter_draws", lambda *a: calls.append(1) or draws(*a))
+    monkeypatch.setattr(chain, "_blanket_tables", lambda tab, free, template: None)
+    got = bnras.bnras_estimates(minialarm, empty, 400, 100, streams)
+    assert len(calls) == 16
+    assert [est.tallies for est in got] == [est.tallies for est in expected]
+
+
 def test_just_past_one_block(minialarm, empty):
     assert_matches_scalar(minialarm, empty, chain._BLOCK + 1, 2, 3, stride=4097)
     assert_matches_scalar(minialarm, empty, chain._BLOCK + chain._LOCKSTEP_MIN, 1, 4)
@@ -152,8 +169,8 @@ def test_just_past_one_block(minialarm, empty):
 @pytest.mark.parametrize("setting", [
     {"_LOCKSTEP_MIN": 1},  # every block in lock step
     {"_LOCKSTEP_MIN": 10**9},  # every block in the per-trial loop
-    {"_LOCKSTEP_MIN": 10**9, "_AHEAD": 0},  # ... each trial's draws made on its own
-    {"_LOCKSTEP_MIN": 10**9, "_AHEAD": 750},  # ... 5 made ahead, the rest on its own
+    {"_LOCKSTEP_MIN": 10**9, "_AHEAD": 0},  # ... each trial's draws made in a call of its own
+    {"_LOCKSTEP_MIN": 10**9, "_AHEAD": 750},  # ... 17 or 18 trials' draws a call
     {"_BLANKET_CAP": 1},  # every table over the cap
     {"_BLOCK": 7, "_LOCKSTEP_MIN": 4},  # mixed blocks, the last one scalar
     {"_BLOCK": 64, "_LOCKSTEP_MIN": 1},
