@@ -445,24 +445,26 @@ def _half_powers(table: np.ndarray, cols: np.ndarray, root: np.ndarray,
     with many outcomes). That B_a is made by a steps of P on the columns
     each row reaches (:func:`_walked`), which costs far less than the
     squares it replaces. The next h goes on from the last array when that
-    lies on its walk from the same start, and starts again, in the same
-    array, otherwise, so each B_h's bits depend on h alone, and at most two
-    M-by-M arrays are alive, the second only while a step of P is taken.
+    lies on its walk, past its start, which the last h's walk then began at
+    too, and starts again, in the same array, otherwise, so each B_h's bits
+    depend on h alone, and at most two M-by-M arrays are alive, the second
+    only while a step of P is taken.
     """
     m = len(root)
     sizes = [1]
-    for k in dims:  # sizes[r] = |D_r|: the states r or fewer axes away
+    for k in dims:  # sizes[r]: the states exactly r free axes away from one
         sizes = np.convolve(sizes, [1, k - 1])
     sparse = int(np.count_nonzero(2 * np.cumsum(sizes) <= m)) - 1  # the last r with |D_r| <= M / 2
-    z, at, begun = None, 0, 0
+    z, at = None, 0
     for h in sorted(halves):
         # h's walk passes its leading bits, and those less a low 1 before
-        # that 1 is added; it starts at the furthest of them that is sparse
+        # that 1 is added; it starts at the furthest of them that is sparse,
+        # and B_at lies on it if at is one of them, not before the start
         start = max((a for j in range(h.bit_length()) for a in (h >> j, h >> j & -2) if 0 < a <= sparse),
                     default=1)
-        if begun != start or h >> (h.bit_length() - at.bit_length()) not in (at, at | 1):
+        if at < start or h >> (h.bit_length() - at.bit_length()) not in (at, at | 1):
             z = _walked(table, cols, root, dims, start, np.empty((m, m)) if z is None else z)
-            at = begun = start
+            at = start
         while at != h:
             if h >> (h.bit_length() - at.bit_length()) == at:
                 z, at = _square_in_place(z, root), 2 * at
@@ -526,7 +528,7 @@ def _rpd_by_count(table: np.ndarray, pi: np.ndarray, dims: tuple[int, ...],
         work = np.empty((2, min(max(1, _RPD_BLOCK // m), m), m))
         for t in {2 * s, 2 * s + 1}.intersection(counts):
             found[t] = peak(lambda i, j: diagonal(bs, t & 1, i, j), m)
-        del bs, work  # else they outlive the next step of P
+        del bs, work  # else they are held while the next half power is made
     return {t: found[t] for t in counts}
 
 

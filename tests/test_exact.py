@@ -216,7 +216,8 @@ def test_rpd_leaves_the_matrix_as_it_was(nets):
                 assert np.array_equal(tm.stationary, stationary)
 
 
-@pytest.mark.parametrize("name, walks", [("CHAIN5", [1, 2, 2]), ("MINIALARM", [1, 2, 3, 2])])
+@pytest.mark.parametrize("name, walks", [("CHAIN5", [1, 2, 2]), ("MINIALARM", [1, 2, 3, 2])],
+                         ids=["CHAIN5", "MINIALARM"])
 def test_p_placed_only_as_b1(monkeypatch, nets, empty, name, walks):
     # P is never placed: each half power's walk starts at its furthest point
     # whose rows reach at most half of the states, B_s walked from the
@@ -583,7 +584,8 @@ def spy_walks(monkeypatch):
     return walks
 
 
-@pytest.mark.parametrize("name, walks", [("PATH2", [1]), ("CHAIN5", [2]), ("MINIALARM", [2])])
+@pytest.mark.parametrize("name, walks", [("PATH2", [1]), ("CHAIN5", [2]), ("MINIALARM", [2])],
+                         ids=["PATH2", "CHAIN5", "MINIALARM"])
 def test_first_square_read_off_the_moves_when_rows_are_sparse(monkeypatch, nets, empty, name, walks):
     # B_2's rows reach the states at most two free nodes away: 16 of 32 on
     # CHAIN5 and 37 of 256 on MINIALARM, so B_2 is walked from the moves and
@@ -597,20 +599,27 @@ def test_first_square_read_off_the_moves_when_rows_are_sparse(monkeypatch, nets,
         assert_rpd_near(report.rpd[t], matrix_power_rpd(tm, t))
 
 
-def test_one_dense_square_for_the_benchmark_counts(monkeypatch):
+@pytest.mark.parametrize("case, t_values, walks, squares", [
     # 2048 states, 11 binary free nodes: B_4's rows reach 562 states, at
     # most half, so t = 4 reads B_2 and t = 16 reads B_4 walked from the
     # moves and squared once (B_2 squared twice before)
-    net = layered_network(12, seed=1)
-    ev = Evidence({"X11": 0})
-    walks = spy_walks(monkeypatch)
-    squares = []
+    ("benchmark", (1, 4, 16), [2, 4], 1),
+    # CHAIN5: B_2's rows reach 16 of 32 states, B_3's 26, so B_3's walk
+    # starts at B_2, where its low bit is added, and takes a step of P
+    # rather than squaring B_1
+    ("CHAIN5", (7,), [2], 0),
+], ids=["benchmark", "CHAIN5"])
+def test_walks_start_at_their_furthest_sparse_point(monkeypatch, nets, case, t_values, walks, squares):
+    net, ev = ((layered_network(12, seed=1), Evidence({"X11": 0})) if case == "benchmark"
+               else (nets[case], Evidence.empty()))
+    walks_made = spy_walks(monkeypatch)
+    made = []
     square = bnras.exact._square_in_place
-    monkeypatch.setattr(bnras.exact, "_square_in_place", lambda *a: squares.append(1) or square(*a))
-    report = bnras.mixing_report(net, ev, t_values=(1, 4, 16))
-    assert walks == [2, 4]
-    assert len(squares) == 1
-    assert list(report.rpd) == [1, 4, 16]
+    monkeypatch.setattr(bnras.exact, "_square_in_place", lambda *a: made.append(1) or square(*a))
+    report = bnras.mixing_report(net, ev, t_values=t_values)
+    assert walks_made == walks
+    assert len(made) == squares
+    assert list(report.rpd) == list(t_values)
 
 
 def reachable(dims, s):
