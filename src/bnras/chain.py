@@ -28,8 +28,10 @@ updates only the rows that a changed value moves
 (:meth:`_BlanketTables.walk`). Both give the same states, bit for bit.
 
 Cyclic-scan chains on many streams are held as their sequence of
-outcomes, whose last nfree entries are their current values, and tallied
-off it (:func:`bnras.estimate._cyclic_runs`). They move together where
+outcomes, whose last nfree entries are their current values, and handed
+over a chunk of it at a time (:func:`_cyclic_chunks`), as
+:func:`_trial_blocks` hands over blocks of final states, for
+:mod:`bnras.estimate` to tally. They move together where
 they can (:meth:`_BlanketTables.scan`): at each step every chain redraws
 the same node, from the same tables, with the next draw of its own
 counter stream, made for every chain a chunk at a time, so a step reads
@@ -86,6 +88,22 @@ from .rng import (
 
 #: Trials per block of lock-step walkers.
 _BLOCK = 4096
+
+#: Most outcomes (steps x chains) a chunk of straight simulation holds.
+#: At its peak a chunk holds three doubles an outcome: the outcome, its
+#: draw, and one more, a copy of the draw's word while the draws are made
+#: or the outcome's place in the runs of a chunk moved in blocks.
+#: A batch of 30 PATH2 or 8 MINIALARM chains peaks at about 1 MB
+#: (tracemalloc; ``tests/test_straight_lockstep.py`` holds it to 1.5 MB).
+_CHUNK = 1 << 15
+
+#: Sweeps (nfree steps each) in a block of a straight-simulation chunk
+#: moved in blocks (:meth:`_BlanketTables.scan_blocks`), whose warm-up is
+#: two blocks. Of the runs of MINIALARM and SYNMIX that start apart, 1 in
+#: 1000 has not met the other after 9 to 15 sweeps, so a warm-up of 16
+#: leaves almost every block's start right, and a chunk's lock steps
+#: hardly depend on the evidence or the seeds (timings in CHANGES.md).
+_BLOCK_SWEEPS = 8
 
 #: Fewest trials a block needs to run in lock step. On MINIALARM a lock
 #: step costs about 35 us at 10-100 walkers (105 us at 3200) and a trial of
@@ -684,6 +702,90 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
         for run, _, lo, hi in pieces:
             yield run, lo, values[at : at + hi - lo]
             at += hi - lo
+
+
+def _cyclic_chunks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], template: list[int],
+                   total: int, rngs: Sequence[RandomStream]
+                   ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The outcomes of ``total`` cyclic-scan steps of one chain on each of
+    ``rngs``, each stream moved as the chain run step by step moves it, in
+    chunks of at most ``_CHUNK`` outcomes, cut to whole blocks where a
+    chunk can move in blocks. Each chunk is yielded as (its first chain,
+    the steps before it, its rows): a view, valid until the next chunk, of
+    floats of shape (nfree + steps, its chains), whose first nfree rows are
+    the last outcomes before it, the chains' values then, and whose row j
+    holds slot (steps before + j) mod nfree.
+
+    The chains move together, by ``_BlanketTables.scan`` on draws made by
+    :func:`counter_draws`, if :func:`_blanket_tables` gives tables (it does
+    not for a table over the cap or with a row whose weights are all zero)
+    and every stream's type keeps :class:`RandomStream`'s own ``random``,
+    as a spawned stream's does. Each chain claims the nfree + total draws
+    it takes from its stream (a stream given twice, its two chains' draws
+    one after the other), and a chunk's draws for every chain are made in
+    one call, row i holding the chunk's step i. Otherwise the batch runs
+    as one-chain batches, in order; one that cannot move in lock step
+    moves alone, by :func:`_resample` on its own ``random``, read once (a
+    plain stream's is the C-level ``__next__`` over its blocks), from
+    :func:`_uniform_state`, and raises for its first conflict.
+
+    Chains moved together move a chunk in blocks of ``_BLOCK_SWEEPS``
+    sweeps when it holds at least four blocks' steps, until some chunk
+    gives its blocks up, its passes having cost more than half its steps:
+    30 chains of PATH2, whose runs meet slowly, keep them through 13 to
+    20 passes of their chunks of 1088 steps (seeds 0-29, 10,000 steps),
+    giving them up only in a short last chunk; one chain's chunk of 3000
+    steps keeps them through six.
+    """
+    tables = _blanket_tables(tab, free, template)
+    together = tables is not None and all(type(rng).random is RandomStream.random for rng in rngs)
+    if len(rngs) > 1 and not together:
+        for c, rng in enumerate(rngs):
+            for _, done, chunk in _cyclic_chunks(net, tab, free, template, total, [rng]):
+                yield c, done, chunk
+        return
+    chains, nfree = len(rngs), len(free)
+    lb = _BLOCK_SWEEPS * nfree
+    most = max(1, _CHUNK // chains)
+    if most >= 4 * lb:
+        most -= most % lb  # whole blocks
+    outcomes = np.empty((nfree + most, chains))  # floats, for BLAS's dot
+    if together:
+        starts = np.array([rng._claim(nfree + total) for rng in rngs], dtype=np.uint64)
+
+        def draws(first: int, count: int) -> np.ndarray:  # (count, chains)
+            counters = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+            return counter_draws(starts, counters[:, None])
+
+        outcomes[:nfree] = (draws(0, nfree) * tables.outcomes[:, None]).astype(np.intp)
+    else:
+        (rng,) = rngs
+        rand = rng.random
+        state = _uniform_state(tab, free, template, rand)
+        outcomes[:nfree, 0] = [state[i] for i in free]
+    blocked = True  # whether chunks still move in blocks
+    done = 0
+    while done < total:
+        steps = min(total - done, most)
+        chunk = outcomes[: nfree + steps]
+        if not together:
+            made = []
+            try:
+                for step in range(done, done + steps):
+                    i = free[step % nfree]
+                    _resample(tab, state, i, rand)
+                    made.append(state[i])
+            except DeterministicConflictError as exc:
+                raise _located(net, exc.node,
+                               f"at step {step + 1} of seed {rng.seed_value}") from None
+            chunk[nfree:, 0] = made
+        elif blocked and steps >= 4 * lb:
+            blocked = tables.scan_blocks(chunk, done, draws(nfree + done, steps), lb)
+        else:
+            tables.scan(chunk, done, draws(nfree + done, steps))
+        yield 0, done, chunk
+        chunk[:nfree] = chunk[steps:]
+        done += steps
 
 
 def straight_step(net: BeliefNetwork, cs: ChainState, rng: RandomStream) -> ChainState:

@@ -100,21 +100,21 @@ def counter_draws(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return draws
 
 
-def _draw_blocks(seed: int, made: list, view=np.ndarray.tolist):
+def _draw_blocks(seed: int, made: list):
     """The blocks of draws of the stream seeded ``seed`` from where
     ``made`` = [iterator over the last block made, draws made] leaves off:
     that block, then blocks doubling on from its size, from at least
-    ``_FIRST_DRAWS`` up to ``_MOST_DRAWS``, each an iterator over ``view``
-    of its draws, put in ``made`` with the count as it is made: a list,
-    whose remaining length gives the draws taken, or, where no count is
-    read, a ``memoryview``, which makes only the floats that are read."""
+    ``_FIRST_DRAWS`` up to ``_MOST_DRAWS``, each an iterator over a list of
+    its draws, whose remaining length gives the draws taken, put in
+    ``made`` with the count as it is made."""
     block, drawn = made
     size = operator.length_hint(block)
     while True:
         yield block
         size = min(max(2 * size, _FIRST_DRAWS), _MOST_DRAWS)
         counters = np.arange(drawn + 1, drawn + size + 1, dtype=np.uint64)
-        made[:] = block, drawn = iter(view(counter_draws(np.uint64(seed), counters))), drawn + size
+        draws = counter_draws(np.uint64(seed), counters).tolist()
+        made[:] = block, drawn = iter(draws), drawn + size
 
 
 def counter_streams(seeds: np.ndarray, ahead: int):
@@ -126,7 +126,7 @@ def counter_streams(seeds: np.ndarray, ahead: int):
     ahead = min(ahead, _MOST_DRAWS)
     rows = counter_draws(seeds[:, None], np.arange(1, ahead + 1, dtype=np.uint64))
     for seed, row in zip(seeds, rows):
-        blocks = _draw_blocks(seed, [iter(row.tolist()), ahead], memoryview)
+        blocks = _draw_blocks(seed, [iter(row.tolist()), ahead])
         yield itertools.chain.from_iterable(blocks).__next__
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 
 import bnras
-from bnras import Evidence, RandomStream, chain, estimate
+from bnras import Evidence, RandomStream, chain
 from bnras.rng import counter_draws, counter_streams
 
 from conftest import evidence_sets, positive_networks
@@ -137,7 +137,7 @@ def test_streams_at_different_positions(monkeypatch, nets, empty):
         raise AssertionError("a chain ran on its own")
 
     with monkeypatch.context() as patch:
-        patch.setattr(estimate, "_resample", alone)
+        patch.setattr(chain, "_resample", alone)
         ests = bnras.straight_estimates(net, empty, 300, streams, checkpoint_stride=70)
     got = [(e.tallies, e.checkpoints, s.getstate()) for e, s in zip(ests, streams)]
     assert got == [scalar_chain(net, empty, 300, copy, 70) for copy in copies]
@@ -152,7 +152,7 @@ def test_spawned_streams_move_in_lock_step(monkeypatch, nets, empty):
     for net in (nets["AB"], nets["MINIALARM"]):
         streams = [RandomStream(1).spawn(j) for j in range(3)]
         with monkeypatch.context() as patch:
-            patch.setattr(estimate, "_resample", alone)
+            patch.setattr(chain, "_resample", alone)
             ests = bnras.straight_estimates(net, empty, 300, streams, checkpoint_stride=70)
         got = [(e.tallies, e.checkpoints, s.getstate()) for e, s in zip(ests, streams)]
         assert got == [scalar_chain(net, empty, 300, RandomStream(1).spawn(j), 70) for j in range(3)]
@@ -199,21 +199,21 @@ def test_builtins_match_scalar_chain(nets, seeds):
 
 
 @pytest.mark.parametrize("module, setting", [
-    (estimate, {"_BLOCK_SWEEPS": 1}),  # blocks of one sweep
-    (estimate, {"_blanket_tables": lambda nfree: refused}),  # every chain on its own
-    (estimate, {"_CHUNK": 1}),  # one step per chunk
-    (estimate, {"_CHUNK": 100}),
+    (chain, {"_BLOCK_SWEEPS": 1}),  # blocks of one sweep
+    (chain, {"_blanket_tables": lambda nfree: refused}),  # every chain on its own
+    (chain, {"_CHUNK": 1}),  # one step per chunk
+    (chain, {"_CHUNK": 100}),
     (chain, {"_BLANKET_CAP": 1}),  # every table over the cap
     # a chunk's steps one fewer than, equal to and one more than the free
     # nodes, so that its outcome buffer's head is carried across chunks
-    (estimate, {"_CHUNK": lambda nfree: len(PANEL) * (nfree - 1)}),
-    (estimate, {"_CHUNK": lambda nfree: len(PANEL) * nfree}),
-    (estimate, {"_CHUNK": lambda nfree: len(PANEL) * (nfree + 1)}),
-    (estimate, {"_BLOCK_SWEEPS": 10**9}),  # every chunk in one scan
+    (chain, {"_CHUNK": lambda nfree: len(PANEL) * (nfree - 1)}),
+    (chain, {"_CHUNK": lambda nfree: len(PANEL) * nfree}),
+    (chain, {"_CHUNK": lambda nfree: len(PANEL) * (nfree + 1)}),
+    (chain, {"_BLOCK_SWEEPS": 10**9}),  # every chunk in one scan
     # every chain on its own, its buffer's head carried across chunks
-    (estimate, {"_blanket_tables": lambda nfree: refused,
+    (chain, {"_blanket_tables": lambda nfree: refused,
                 "_CHUNK": lambda nfree: len(PANEL) * (nfree - 1)}),
-    (estimate, {"_blanket_tables": lambda nfree: refused,
+    (chain, {"_blanket_tables": lambda nfree: refused,
                 "_CHUNK": lambda nfree: len(PANEL) * (nfree + 1)}),
 ])
 def test_selection_and_chunks_do_not_change_bits(monkeypatch, nets, module, setting):
@@ -236,7 +236,7 @@ def test_chain_by_chain_batch_shares_its_time(monkeypatch, nets, empty, stream):
     # chains run one by one, for want of tables or of a plain stream type,
     # report one equal share of the batch's time too
     if stream is RandomStream:
-        monkeypatch.setattr(estimate, "_blanket_tables", refused)
+        monkeypatch.setattr(chain, "_blanket_tables", refused)
     streams = [stream(s) for s in PANEL]
     ests = bnras.straight_estimates(nets["CHAIN5"], empty, 2000, streams)
     assert len({(e.cpu_seconds, e.wall_seconds) for e in ests}) == 1
@@ -300,7 +300,7 @@ def test_conflict_names_first_conflicting_seed(monkeypatch, and_gate, empty):
     seeds = list(range(4, 12))
     expected = None
     with monkeypatch.context() as patch:
-        patch.setattr(estimate, "_blanket_tables", refused)
+        patch.setattr(chain, "_blanket_tables", refused)
         for seed in seeds:  # the calls one seed at a time, in order, chain by chain
             try:
                 bnras.straight_estimate(and_gate, empty, 30, RandomStream(seed))
@@ -316,7 +316,7 @@ def test_conflict_names_first_conflicting_seed(monkeypatch, and_gate, empty):
     assert info.value.node == expected[0] and f"at step {step} of seed {seed};" in expected[1]
     for lockstep in (True, False):
         if not lockstep:
-            monkeypatch.setattr(estimate, "_blanket_tables", refused)
+            monkeypatch.setattr(chain, "_blanket_tables", refused)
         with pytest.raises(bnras.DeterministicConflictError) as info:
             bnras.straight_estimates(and_gate, empty, 30, [RandomStream(s) for s in seeds])
         assert (info.value.node, str(info.value)) == expected
@@ -342,16 +342,16 @@ def test_marks_inside_chunks(monkeypatch, nets, scans, way):
     for name in ("PATH2", "MINIALARM", "CHAIN5"):
         net = nets[name]
         for ev in evidence_sets(net):
-            size = 4 * estimate._BLOCK_SWEEPS * (len(net.nodes) - len(ev))
+            size = 4 * chain._BLOCK_SWEEPS * (len(net.nodes) - len(ev))
             total = 3 * size + 2
             assert {mark % size for mark in range(3, total + 1, 3)} >= {0, 1}
             chains = 1 if way == "chain-by-chain" else len(PANEL)
             with monkeypatch.context() as patch:
-                patch.setattr(estimate, "_CHUNK", chains * size)
+                patch.setattr(chain, "_CHUNK", chains * size)
                 if way == "scan":
-                    patch.setattr(estimate, "_BLOCK_SWEEPS", 10**9)
+                    patch.setattr(chain, "_BLOCK_SWEEPS", 10**9)
                 elif way == "chain-by-chain":
-                    patch.setattr(estimate, "_blanket_tables", refused)
+                    patch.setattr(chain, "_blanket_tables", refused)
                 scans.clear()
                 assert_matches_scalar(net, ev, total, PANEL, stride=3)
             if way == "blocks":
@@ -388,8 +388,8 @@ def test_blocks_over_several_chunks(monkeypatch, nets, scans):
     # first pass); the stride, 7 lb + 3, cuts no chunk
     for net in nets.values():
         for ev in evidence_sets(net):
-            lb = estimate._BLOCK_SWEEPS * (len(net.nodes) - len(ev))
-            monkeypatch.setattr(estimate, "_CHUNK", len(PANEL) * 12 * lb)
+            lb = chain._BLOCK_SWEEPS * (len(net.nodes) - len(ev))
+            monkeypatch.setattr(chain, "_CHUNK", len(PANEL) * 12 * lb)
             scans.clear()
             assert_matches_scalar(net, ev, 10 * (7 * lb + 3) + lb, PANEL, stride=7 * lb + 3)
             first_pass = [len(PANEL) * 10] * 3
@@ -507,5 +507,5 @@ def test_past_64_free_nodes(monkeypatch, layered300, empty, lockstep):
     tab, free, template = chain._prepare(layered300, empty)
     assert chain._blanket_tables(tab, free, template) is not None
     if not lockstep:
-        monkeypatch.setattr(estimate, "_blanket_tables", refused)
+        monkeypatch.setattr(chain, "_blanket_tables", refused)
     assert_matches_scalar(layered300, empty, 700, PANEL[:3], stride=250)
