@@ -20,39 +20,24 @@ at one state, :func:`_conditional` at every state of i's free Markov blanket
 at once, for the blanket tables below and :mod:`bnras.exact`'s moves and p0.
 
 Trials run one at a time (:func:`_trial`) or as lock-step walkers
-(:func:`_trial_blocks`): numpy moves a block of trials together, of one run
-or of several, each on its own counter-based stream (see :mod:`bnras.rng`)
-held as one key, and chooses outcomes from each node's :func:`_conditional`
-rows. Each walker keeps the row every node would read now, and a step
-updates only the rows that a changed value moves
-(:meth:`_BlanketTables.walk`). Both give the same states, bit for bit.
-
-Cyclic-scan chains on many streams are held as their sequence of
-outcomes, whose last nfree entries are their current values, and handed
-over a chunk of it at a time (:func:`_cyclic_chunks`), as
-:func:`_trial_blocks` hands over blocks of final states, for
-:mod:`bnras.estimate` to tally. They move together where
-they can (:meth:`_BlanketTables.scan`): at each step every chain redraws
-the same node, from the same tables, with the next draw of its own
-counter stream, made for every chain a chunk at a time, so a step reads
-the node's blanket with one dot and appends one outcome. Where they
-cannot, each chain steps alone by :func:`_resample` and appends the same
-outcomes. A stretch of steps can also move as blocks side by side, each
-after a warm-up from a guessed start, the blocks whose start is still
-wrong being run again until each starts where the one before it ends
+(:func:`_trial_blocks`, :meth:`_BlanketTables.walk`), each on its own
+counter-based stream (see :mod:`bnras.rng`). Cyclic-scan chains on many
+streams move in lock step too, handed over a chunk of their outcomes at a
+time (:func:`_cyclic_chunks`, :meth:`_BlanketTables.scan`); where no chain
+can conflict, a stretch of steps moves as blocks side by side
 (:meth:`_BlanketTables.scan_blocks`), as in the parareal scheme of Lions,
-Maday & Turinici (2001); the outcomes are the same. The tables are kept on
-the compiled network for the last evidence they were filled for
-(:func:`_blanket_tables`), so both samplers' runs over one network and
-evidence fill them once.
+Maday & Turinici (2001). Each gives the states of the scalar steps, bit for
+bit, for :mod:`bnras.estimate` to tally.
 
-Both lock-step kernels choose outcomes through exact draw cutoffs
-(:func:`_draw_cutoffs`): the outcome :func:`_resample` picks with draw u is
-the count of the row's cutoffs at or below u, found once per table row by
-bisection over the doubles, so neither multiplies a draw by a total.
-There are no blanket tables where some row's weights are all zero, as
-where 0/1 entries rule a blanket state out: both samplers then take their
-per-state paths, on which :func:`_resample` alone meets a conflict.
+A free node whose blanket table fits ``_BLANKET_CAP`` rows and has no row
+whose weights are all zero is tabulated: the kernels choose its outcome
+through exact draw cutoffs (:func:`_draw_cutoffs`), found once per row by
+bisection over the doubles. Every other free node is gathered: the kernels
+make its weights at each column's state and pick by :func:`_resample`'s own
+arithmetic. A column whose weights are all zero, as where 0/1 entries rule
+a state out, records its first conflict and keeps its value; the batch
+then raises for the trial or chain that :func:`_resample`, run one by one,
+would have raised for first.
 """
 
 from __future__ import annotations
@@ -77,14 +62,7 @@ from .network import (
     _is_index,
     _Tables,
 )
-from .rng import (
-    _GOLDEN,
-    _MASK64,
-    RandomStream,
-    counter_draws,
-    counter_streams,
-    derive_stream_seeds,
-)
+from .rng import _GOLDEN, _MASK64, RandomStream, counter_draws, derive_stream_seeds
 
 #: Trials per block of lock-step walkers.
 _BLOCK = 4096
@@ -105,19 +83,8 @@ _CHUNK = 1 << 15
 #: hardly depend on the evidence or the seeds (timings in CHANGES.md).
 _BLOCK_SWEEPS = 8
 
-#: Fewest trials a block needs to run in lock step. On MINIALARM a lock
-#: step costs about 35 us at 10-100 walkers (105 us at 3200) and a trial of
-#: the per-trial loop about 90 us at t = 100, so the loop is the faster
-#: below about 40 trials; smaller blocks run it.
-_LOCKSTEP_MIN = 50
-
-#: Most rows a node's blanket table may have; past it every block runs the
-#: per-trial loop.
+#: Most rows a node's blanket table may have; past it the node is gathered.
 _BLANKET_CAP = 4096
-
-#: Most draws the per-trial loop makes ahead in one numpy call, for as many
-#: whole trials as they hold (see :func:`bnras.rng.counter_streams`).
-_AHEAD = 1 << 16
 
 
 @dataclass
@@ -387,23 +354,59 @@ def _finite_columns(cutoffs: np.ndarray) -> np.ndarray:
     return cutoffs[:, 0].copy() if columns == 1 else cutoffs[:, :columns].copy()
 
 
+def _factors(tab: _Tables, free: tuple[int, ...], template: list[int], gathered: np.ndarray,
+             widest: int) -> tuple:
+    """What :meth:`_BlanketTables._gathered_pick` reads: for each slot of
+    the ``gathered`` mask and each factor, the multipliers of its (at most
+    ``widest``) free blanket members and the offset of each outcome's
+    entry; and the entries, every node's table end to end, then 1.0, which
+    padding factors read, and 0.0, which padding outcomes read, clipped.
+    Factor 0 is the node's own table, factor c + 1 its child c's, indexed
+    as :func:`_conditional_weights` indexes them, with members clamped by
+    evidence added to the offsets."""
+    slot = {i: s for s, i in enumerate(free)}
+    starts = list(itertools.accumulate(map(len, tab.flat), initial=0))
+    most = 1 + max(len(tab.children[free[s]]) for s in np.flatnonzero(gathered))
+    outcome = np.arange(max(tab.k[i] for i in free))
+    multipliers = np.zeros((len(free), most, widest), dtype=np.intp)
+    offsets = np.full((len(free), most, len(outcome)), starts[-1])
+    for s in np.flatnonzero(gathered):
+        i = free[s]
+        at = {m: b for b, m in enumerate(m for m in tab.blanket(i) if m in slot)}
+        own = (i, zip(tab.parents[i], (m * tab.k[i] for m in tab.strides[i])), 1)
+        children = ((c, [(c, 1), *others], step) for c, _, step, others in tab.child_lookups[i])
+        for f, (j, family, step) in enumerate((own, *children)):
+            offsets[s, f] = starts[j] + step * outcome
+            for m, w in family:
+                if m in at:
+                    multipliers[s, f, at[m]] = w
+                else:
+                    offsets[s, f] += template[m] * w
+        offsets[s, 0, tab.k[i] :] = starts[-1] + 1
+    entries = np.array([*itertools.chain.from_iterable(tab.flat), 1.0, 0.0])
+    return multipliers, offsets, entries
+
+
 @dataclass(frozen=True)
 class _BlanketTables:
     """Every free node's outcome choice, tabulated over the configurations
-    of the free members of its Markov blanket (evidence is fixed).
+    of the free members of its Markov blanket (evidence is fixed), or
+    gathered.
 
-    Free node ``s`` (its slot in ``free``) with free-node values ``x`` reads
-    row ``offsets[s] + sum(x[members[s]] * multipliers[s])``; ``members``
-    and ``multipliers`` are padded to the widest blanket with slot 0 and
-    multiplier 0. The row holds the draw cutoffs of the node's conditional
-    weights (:func:`_draw_cutoffs`): a row ascends and ends in +inf, and
-    the outcome :func:`_resample` chooses with draw u is the first v with
-    ``u < cutoffs[row, v]``, which is the count of cutoffs ``<= u``.
-    Every row's weights have a positive total: :meth:`fill` makes no tables
-    with a dead row. A row is linear in the values, so a change d in the
-    value of slot m moves the row of each node whose blanket holds m by d
-    times that node's multiplier for m; the blanket relation is symmetric,
-    so those nodes are m's own blanket members.
+    Tabulated free node ``s`` (its slot in ``free``) with free-node values
+    ``x`` reads row ``offsets[s] + sum(x[members[s]] * multipliers[s])``;
+    ``members`` and ``multipliers`` are padded to the widest blanket with
+    slot 0 and multiplier 0. The row holds the draw cutoffs of the node's
+    conditional weights (:func:`_draw_cutoffs`): a row ascends and ends in
+    +inf, and the outcome :func:`_resample` chooses with draw u is the
+    first v with ``u < cutoffs[row, v]``, which is the count of cutoffs
+    ``<= u``. A row is linear in the values, so a change d in the value of
+    slot m moves the row of each node whose blanket holds m by d times that
+    node's multiplier for m; the blanket relation is symmetric, so those
+    nodes are m's own blanket members. A gathered node's multipliers are 0,
+    so it reads row 0, whose pick :meth:`_gathered_pick` replaces;
+    ``gathered`` holds the mask of gathered slots and :func:`_factors`,
+    None if no node is gathered.
     """
 
     outcomes: np.ndarray  # outcome count of each free node
@@ -411,43 +414,50 @@ class _BlanketTables:
     multipliers: np.ndarray
     offsets: np.ndarray
     cutoffs: np.ndarray
+    gathered: tuple | None = None
 
     @classmethod
-    def fill(cls, tab: _Tables, free: tuple[int, ...], template: list[int]):
-        """The tables, each node's rows read off :func:`_conditional` with
-        the node's own axis last; None if some node's table would have more
-        than ``_BLANKET_CAP`` rows or some row's weights are all zero."""
+    def fill(cls, tab: _Tables, free: tuple[int, ...], template: list[int]) -> _BlanketTables:
+        """The tables of the free nodes whose table has at most
+        ``_BLANKET_CAP`` rows and no row whose weights are all zero, each
+        node's rows read off :func:`_conditional` with the node's own axis
+        last, or one row of +inf if there are none; the others are gathered."""
         slot = {i: s for s, i in enumerate(free)}
         blankets = [[m for m in tab.blanket(i) if m in slot] for i in free]
-        if any(math.prod(tab.k[m] for m in members) > _BLANKET_CAP for members in blankets):
-            return None
-        width = max(tab.k[i] for i in free)
-        widest = max(map(len, blankets))
-        member_slots = np.zeros((len(free), widest), dtype=np.intp)
-        multipliers = np.zeros((len(free), widest), dtype=np.intp)
-        offsets = np.zeros(len(free), dtype=np.intp)
-        rows = []  # each node's block of rows
+        nfree, width = len(free), max(tab.k[i] for i in free)
+        blocks = {}  # each fitting node's rows, zero-padded to the widest node
         for s, (i, members) in enumerate(zip(free, blankets)):
+            if math.prod(tab.k[m] for m in members) <= _BLANKET_CAP:
+                axes, cond = _conditional(tab, slot, template, i)
+                rows = np.moveaxis(cond, axes.index(i), -1).reshape(-1, tab.k[i])
+                blocks[s] = np.zeros((len(rows), width))
+                blocks[s][:, : tab.k[i]] = rows
+        cutoffs, dead = _draw_cutoffs(np.concatenate([np.zeros((0, width)), *blocks.values()]))
+        ends = np.cumsum([0, *map(len, blocks.values())])
+        live = [not dead[a:b].any() for a, b in zip(ends, ends[1:])]
+        blocks = {s: block for (s, block), ok in zip(blocks.items(), live) if ok}  # tabulated
+        cutoffs = cutoffs[np.repeat(live, np.diff(ends))] if blocks else np.full((1, width), np.inf)
+        member_slots = np.zeros((nfree, max(map(len, blankets))), dtype=np.intp)
+        multipliers = np.zeros_like(member_slots)
+        offsets = np.zeros(nfree, dtype=np.intp)
+        offsets[list(blocks)] = np.cumsum([0, *map(len, blocks.values())])[:-1]
+        for s, members in enumerate(blankets):
             step = 1
             for b in reversed(range(len(members))):  # last member varies fastest
                 member_slots[s, b] = slot[members[b]]
                 multipliers[s, b] = step
                 step *= tab.k[members[b]]
-            axes, cond = _conditional(tab, slot, template, i)
-            block = np.zeros((step, width))  # zero-padded to the widest node
-            block[:, : tab.k[i]] = np.moveaxis(cond, axes.index(i), -1).reshape(step, -1)
-            rows.append(block)
-        cutoffs, dead = _draw_cutoffs(np.concatenate(rows))
-        if dead.any():
-            return None
-        offsets[1:] = np.cumsum([len(block) for block in rows[:-1]])
+        gathered = np.array([s not in blocks for s in range(nfree)])
+        multipliers[gathered] = 0
         outcomes = np.array([tab.k[i] for i in free])
-        return cls(outcomes, member_slots, multipliers, offsets, cutoffs)
+        return cls(outcomes, member_slots, multipliers, offsets, cutoffs, (gathered, *_factors(
+            tab, free, template, gathered, member_slots.shape[1])) if gathered.any() else None)
 
-    def walk(self, t: int, seeds: np.ndarray) -> np.ndarray:
+    def walk(self, t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Final free-node values of the trials on the streams seeded
         ``seeds``, all moved together, draw for draw as :func:`_trial`
-        moves each.
+        moves each, and the slot of each walker's first conflict, -1 if it
+        met none.
 
         Each walker keeps, beside its values, the row each free node would
         read now (``rows``, made from the restart one member column at a
@@ -458,14 +468,17 @@ class _BlanketTables:
         walker's coin at counter 1 and each mover's node and outcome at 2
         and 3, and moves the keys on by one draw or three. A mover reads its
         node's row with one flat gather and counts the row's cutoffs at or
-        below its draw, over the columns that can be finite. Only the
-        walkers whose value changed then move their neighbours' rows, by
-        the change times each neighbour's multiplier (:attr:`_walk_slots`);
-        the nonzero changes are each node's value changes, step by step.
-        The arrays are slot-major, so every whole-array step runs along
-        the walkers; the values come back as a (walkers, nfree) view."""
+        below its draw, over the columns that can be finite, or picks by
+        :meth:`_gathered_pick` if its node is gathered. Only the walkers
+        whose value changed then move their neighbours' rows, by the change
+        times each neighbour's multiplier (:attr:`_walk_slots`); the
+        nonzero changes are each node's value changes, step by step. The
+        arrays are slot-major, so every whole-array step runs along the
+        walkers; the values come back as a (walkers, nfree) view."""
         nfree, walkers = len(self.outcomes), len(seeds)
         neighbours, weights, cutoffs = self._walk_slots
+        gathered = self.gathered and self.gathered[0]
+        met = np.full(walkers, -1, dtype=np.intp)
         # slot-major: values[s, w] and rows[s, w] are walker w's at slot s
         restart = counter_draws(seeds, np.arange(1, nfree + 1, dtype=np.uint64)[:, None])
         restart *= self.outcomes[:, None]
@@ -494,6 +507,11 @@ class _BlanketTables:
                 chosen = (u[1] >= picked).astype(np.intp)
             else:
                 chosen = (picked <= u[1, :, None]).sum(axis=1)
+            if gathered is not None and (g := np.flatnonzero(gathered.take(node))).size:
+                s, w = node.take(g), move.take(g)
+                found = flat_values.take(self.members.take(s, axis=0) * walkers + w[:, None])
+                chosen[g], dead = self._gathered_pick(s, found, u[1].take(g), flat_values.take(at.take(g)))
+                met[w] = np.where(dead & (met.take(w) < 0), s, met.take(w))
             delta = chosen - flat_values.take(at)
             changed = np.flatnonzero(delta)
             if not changed.size:
@@ -502,7 +520,27 @@ class _BlanketTables:
             node = node.take(changed)
             neighbour_rows = neighbours.take(node, axis=0) * walkers + move.take(changed)[:, None]
             flat_rows[neighbour_rows] += delta.take(changed)[:, None] * weights.take(node, axis=0)
-        return values.T
+        return values.T, met
+
+    def _gathered_pick(self, s, values: np.ndarray, u: np.ndarray, current: np.ndarray):
+        """The outcomes :func:`_resample` picks with draws ``u`` for the
+        gathered slot ``s`` (one, or one per column) whose blanket members
+        hold ``values`` ((columns, members)), and the columns whose weights
+        are all zero, which keep ``current``. Factor f reads entry
+        ``sum(values * multipliers) + offset`` for each outcome, and the
+        weights are the factors' product in order, as
+        :func:`_conditional_weights` multiplies them. The pick is the count
+        of running sums ``<= u * total``, capped at the last positive
+        weight, as :func:`_resample` picks."""
+        _, multipliers, offsets, entries = self.gathered
+        at = multipliers[s] @ values[..., None] + offsets[s]
+        weights = np.multiply.reduce(entries.take(at, mode="clip"), axis=-2)
+        running = weights.cumsum(axis=-1)
+        total = running[:, -1]
+        chosen = (running <= (u * total)[:, None]).sum(axis=-1)
+        last = running.shape[1] - 1 - (weights[:, ::-1] > 0.0).argmax(axis=-1)
+        dead = total <= 0.0
+        return np.where(dead, current, np.minimum(chosen, last)), dead
 
     @cached_property
     def _walk_slots(self) -> tuple:
@@ -526,24 +564,29 @@ class _BlanketTables:
 
     @cached_property
     def _scan_slots(self) -> list[tuple]:
-        """What :meth:`scan` reads for each slot: the rows lo, ..., hi - 1,
-        counted from a step's first row, that hold the node's members among
-        the last nfree outcomes; the multipliers of those rows; the cutoff
-        columns that can be finite (one column as a vector)."""
+        """What :meth:`scan` reads for each slot s. For a tabulated node:
+        the rows lo, ..., hi - 1, counted from a step's first row, that hold
+        its members among the last nfree outcomes; the multipliers of those
+        rows; the cutoff columns that can be finite (one column as a
+        vector). For a gathered node: the rows that hold its blanket
+        members, and 0, None, None."""
         nfree = len(self.outcomes)
-        stops = [*self.offsets[1:], len(self.cutoffs)]
         slots = []
-        for s, (members, multipliers, start, stop) in enumerate(
-                zip(self.members, self.multipliers, self.offsets, stops)):
+        for s, (members, multipliers, start) in enumerate(
+                zip(self.members, self.multipliers, self.offsets)):
+            if self.gathered and self.gathered[0][s]:
+                slots.append(((members - s) % nfree, 0, None, None))
+                continue
             width = (multipliers > 0).sum()
             at = (members[:width] - s) % nfree
             lo, hi = (at.min(), at.max() + 1) if width else (0, 0)
             window = np.zeros(hi - lo)
             window[at - lo] = multipliers[:width]
+            stop = start + math.prod(self.outcomes[members[:width]].tolist())
             slots.append((lo, hi, window, _finite_columns(self.cutoffs[start:stop])))
         return slots
 
-    def scan(self, outcomes: np.ndarray, first: int, draws: np.ndarray) -> None:
+    def scan(self, outcomes: np.ndarray, first: int, draws: np.ndarray) -> np.ndarray:
         """Cyclic-scan steps first + 1, ..., first + L of columns of chains,
         on their sequence of outcomes. The first nfree rows of ``outcomes``
         ((nfree + L, columns), floats) hold the columns' last nfree
@@ -553,26 +596,36 @@ class _BlanketTables:
         it, and writes row nfree + i. ``draws[i]`` may be any view that
         holds one draw per column in C order, such as a plain chunk's
         (chains,) or a chunk in blocks' (blocks, chains), so the draws are
-        read where :func:`bnras.rng.counter_draws` made them. The node's
-        blanket row is one dot of rows i, ..., i + nfree - 1 with its
+        read where :func:`bnras.rng.counter_draws` made them. A tabulated
+        node's blanket row is one dot of rows i, ..., i + nfree - 1 with its
         multipliers placed where its members stand among them; the
         outcomes are floats so that BLAS makes the dot, exact on such small
-        whole numbers."""
+        whole numbers. A gathered node picks by :meth:`_gathered_pick`.
+        Returns the step i of each column's first conflict, -1 if none."""
         nfree = len(self.outcomes)
         slots = self._scan_slots
         shape = draws.shape[1:]
         written = outcomes[nfree:].reshape(draws.shape)
+        met = np.full(written[0].size, -1)
         for i, u in enumerate(draws):
             lo, hi, window, cutoffs = slots[(first + i) % nfree]
+            if window is None:  # gathered: lo holds its members' rows
+                found = outcomes[i + lo].T.astype(np.intp)
+                chosen, dead = self._gathered_pick((first + i) % nfree, found, u.ravel(), outcomes[i])
+                written[i] = chosen.reshape(shape)
+                met[dead & (met < 0)] = i
+                continue
             rows = window.dot(outcomes[i + lo : i + hi]).astype(np.intp)
             if cutoffs.ndim == 1:
                 written[i] = u >= cutoffs.take(rows).reshape(shape)
             else:
                 picked = cutoffs.take(rows, axis=0).reshape(*shape, -1)
                 written[i] = (picked <= u[..., None]).sum(axis=-1)
+        return met
 
     def scan_blocks(self, outcomes: np.ndarray, first: int, draws: np.ndarray, lb: int) -> bool:
-        """What :meth:`scan` writes, with the L >= 4 lb steps of ``draws``
+        """What :meth:`scan` writes, on tables with no gathered node, so
+        that no column conflicts, with the L >= 4 lb steps of ``draws``
         ((L, chains), as :meth:`scan` reads them) moved as blocks of lb
         side by side, each after a warm-up of 2 lb steps; False if the
         blocks were given up, the rest of the steps then run in one scan.
@@ -636,10 +689,11 @@ class _BlanketTables:
         return right == blocks
 
 
-def _blanket_tables(tab: _Tables, free: tuple[int, ...], template: list[int]):
+def _blanket_tables(tab: _Tables, free: tuple[int, ...], template: list[int]) -> _BlanketTables:
     """``_BlanketTables.fill(tab, free, template)``, kept on ``tab`` for the
     last evidence asked for, so that runs over one network and evidence fill
-    the tables once. The key holds the cap, under which alone they exist."""
+    the tables once. The key holds the cap, which decides the nodes
+    tabulated."""
     key = (free, tuple(template), _BLANKET_CAP)
     kept = tab.blankets  # read once: another thread may replace it
     if kept is None or kept[0] != key:
@@ -655,23 +709,16 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
     run being ``next_trial(net, ev, t, RandomStream(seed).spawn(j))``. The
     trials of all runs are laid end to end and cut into blocks of
     ``_BLOCK``, so a block may hold pieces of several runs. Each block
-    derives the stream seeds of the trials it holds and fills one int array
-    of shape (block trials, free nodes), then yields each run's piece, in
-    order, as (run index, the run's trials before the piece, a view of the
-    piece's rows).
-
-    A block of at least ``_LOCKSTEP_MIN`` trials runs as lock-step walkers
-    when :func:`_blanket_tables` gives tables, which it does not for a table
-    past ``_BLANKET_CAP`` or with a row whose weights are all zero; other
-    blocks run the per-trial loop, which raises for the block's first
-    conflicting trial, named by its run ("in trial j of seed s"). That loop
-    runs :func:`_trial` on the streams of :func:`counter_streams`, the most
-    draws a trial can take made ahead for as many whole trials as
-    ``_AHEAD`` draws hold, in one call. Either way the values are the
-    same.
+    derives the stream seeds of the trials it holds, walks them
+    (:meth:`_BlanketTables.walk`) and yields each run's piece, in order, as
+    (run index, the run's trials before the piece, a view of the piece's
+    rows of shape (trials, free nodes)), or raises for its first walker
+    that met a conflict, named by its run ("in trial j of seed s").
     """
     if t:
         _require_free(free)
+    elif not free:
+        return
     starts = list(itertools.accumulate((trials for _, trials in runs), initial=0))
     for first in range(0, starts[-1], _BLOCK):
         stop = min(first + _BLOCK, starts[-1])
@@ -680,24 +727,11 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
                   if start < stop and first < start + trials]
         seeds = [derive_stream_seeds(seed, lo, hi) for _, seed, lo, hi in pieces]
         seeds = seeds[0] if len(seeds) == 1 else np.concatenate(seeds)  # no copy for one run
-        tables = None
-        if len(seeds) >= _LOCKSTEP_MIN and free:
-            tables = _blanket_tables(tab, free, template)
-        if tables is not None:
-            values = tables.walk(t, seeds)
-        else:
-            values = np.empty((len(seeds), len(free)), dtype=np.intp)
-            ahead = len(free) + 3 * t  # a trial's most draws
-            per = max(1, _AHEAD // max(ahead, 1))  # whole trials whose draws one call makes
-            streams = itertools.chain.from_iterable(
-                counter_streams(seeds[i:i + per], ahead) for i in range(0, len(seeds), per))
-            trials = ((seed, j) for _, seed, lo, hi in pieces for j in range(lo, hi))
-            for b, ((seed, j), rand) in enumerate(zip(trials, streams)):
-                try:
-                    state = _trial(tab, free, template, t, rand)
-                except DeterministicConflictError as exc:
-                    raise _located(net, exc.node, f"in trial {j} of seed {seed}") from None
-                values[b] = [state[i] for i in free]
+        values, met = _blanket_tables(tab, free, template).walk(t, seeds)
+        if met.max() >= 0:
+            b = int((met >= 0).argmax())
+            seed, j = [(seed, j) for _, seed, lo, hi in pieces for j in range(lo, hi)][b]
+            raise _located(net, free[met[b]], f"in trial {j} of seed {seed}")
         at = 0
         for run, _, lo, hi in pieces:
             yield run, lo, values[at : at + hi - lo]
@@ -705,87 +739,62 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
 
 
 def _cyclic_chunks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], template: list[int],
-                   total: int, rngs: Sequence[RandomStream]
-                   ) -> Iterator[tuple[int, int, np.ndarray]]:
+                   total: int, rngs: Sequence[RandomStream]) -> Iterator[tuple[int, np.ndarray]]:
     """The outcomes of ``total`` cyclic-scan steps of one chain on each of
     ``rngs``, each stream moved as the chain run step by step moves it, in
     chunks of at most ``_CHUNK`` outcomes, cut to whole blocks where a
-    chunk can move in blocks. Each chunk is yielded as (its first chain,
-    the steps before it, its rows): a view, valid until the next chunk, of
-    floats of shape (nfree + steps, its chains), whose first nfree rows are
-    the last outcomes before it, the chains' values then, and whose row j
-    holds slot (steps before + j) mod nfree.
+    chunk can move in blocks. Each chunk is yielded as (the steps before
+    it, its rows): a view, valid until the next chunk, of floats of shape
+    (nfree + steps, chains), whose first nfree rows are the last outcomes
+    before it, the chains' values then, and whose row j holds slot (steps
+    before + j) mod nfree.
 
-    The chains move together, by ``_BlanketTables.scan`` on draws made by
-    :func:`counter_draws`, if :func:`_blanket_tables` gives tables (it does
-    not for a table over the cap or with a row whose weights are all zero)
-    and every stream's type keeps :class:`RandomStream`'s own ``random``,
-    as a spawned stream's does. Each chain claims the nfree + total draws
-    it takes from its stream (a stream given twice, its two chains' draws
-    one after the other), and a chunk's draws for every chain are made in
-    one call, row i holding the chunk's step i. Otherwise the batch runs
-    as one-chain batches, in order; one that cannot move in lock step
-    moves alone, by :func:`_resample` on its own ``random``, read once (a
-    plain stream's is the C-level ``__next__`` over its blocks), from
-    :func:`_uniform_state`, and raises for its first conflict.
+    Each chain claims the nfree + total draws it takes from its stream up
+    front (a stream given twice, its two chains' draws one after the
+    other), and a chunk's draws for every chain are made in one call, row
+    i holding the chunk's step i. A chain that meets a conflict keeps its
+    value; after the last chunk the first such chain in order raises,
+    named by its first conflicting step ("at step k of seed s").
 
-    Chains moved together move a chunk in blocks of ``_BLOCK_SWEEPS``
-    sweeps when it holds at least four blocks' steps, until some chunk
-    gives its blocks up, its passes having cost more than half its steps:
-    30 chains of PATH2, whose runs meet slowly, keep them through 13 to
-    20 passes of their chunks of 1088 steps (seeds 0-29, 10,000 steps),
-    giving them up only in a short last chunk; one chain's chunk of 3000
-    steps keeps them through six.
+    Where every free node is tabulated, so that no chain can conflict, a
+    chunk that holds at least four blocks' steps moves in blocks of
+    ``_BLOCK_SWEEPS`` sweeps, until some chunk gives its blocks up, its
+    passes having cost more than half its steps: 30 chains of PATH2, whose
+    runs meet slowly, keep them through 13 to 20 passes of their chunks of
+    1088 steps (seeds 0-29, 10,000 steps), giving them up only in a short
+    last chunk; one chain's chunk of 3000 steps keeps them through six.
     """
     tables = _blanket_tables(tab, free, template)
-    together = tables is not None and all(type(rng).random is RandomStream.random for rng in rngs)
-    if len(rngs) > 1 and not together:
-        for c, rng in enumerate(rngs):
-            for _, done, chunk in _cyclic_chunks(net, tab, free, template, total, [rng]):
-                yield c, done, chunk
-        return
     chains, nfree = len(rngs), len(free)
     lb = _BLOCK_SWEEPS * nfree
     most = max(1, _CHUNK // chains)
     if most >= 4 * lb:
         most -= most % lb  # whole blocks
     outcomes = np.empty((nfree + most, chains))  # floats, for BLAS's dot
-    if together:
-        starts = np.array([rng._claim(nfree + total) for rng in rngs], dtype=np.uint64)
+    starts = np.array([rng._claim(nfree + total) for rng in rngs], dtype=np.uint64)
 
-        def draws(first: int, count: int) -> np.ndarray:  # (count, chains)
-            counters = np.arange(first + 1, first + count + 1, dtype=np.uint64)
-            return counter_draws(starts, counters[:, None])
+    def draws(first: int, count: int) -> np.ndarray:  # (count, chains)
+        counters = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+        return counter_draws(starts, counters[:, None])
 
-        outcomes[:nfree] = (draws(0, nfree) * tables.outcomes[:, None]).astype(np.intp)
-    else:
-        (rng,) = rngs
-        rand = rng.random
-        state = _uniform_state(tab, free, template, rand)
-        outcomes[:nfree, 0] = [state[i] for i in free]
-    blocked = True  # whether chunks still move in blocks
+    outcomes[:nfree] = (draws(0, nfree) * tables.outcomes[:, None]).astype(np.intp)
+    blocked = tables.gathered is None  # whether chunks still move in blocks
+    met = np.zeros(chains, dtype=np.int64)  # each chain's first conflicting step, 0 if none
     done = 0
     while done < total:
         steps = min(total - done, most)
         chunk = outcomes[: nfree + steps]
-        if not together:
-            made = []
-            try:
-                for step in range(done, done + steps):
-                    i = free[step % nfree]
-                    _resample(tab, state, i, rand)
-                    made.append(state[i])
-            except DeterministicConflictError as exc:
-                raise _located(net, exc.node,
-                               f"at step {step + 1} of seed {rng.seed_value}") from None
-            chunk[nfree:, 0] = made
-        elif blocked and steps >= 4 * lb:
+        if blocked and steps >= 4 * lb:
             blocked = tables.scan_blocks(chunk, done, draws(nfree + done, steps), lb)
         else:
-            tables.scan(chunk, done, draws(nfree + done, steps))
-        yield 0, done, chunk
+            stopped = tables.scan(chunk, done, draws(nfree + done, steps))
+            met = np.where((met == 0) & (stopped >= 0), done + 1 + stopped, met)
+        yield done, chunk
         chunk[:nfree] = chunk[steps:]
         done += steps
+    if met.any():  # the first chain to conflict, at its first conflict
+        c = np.flatnonzero(met)[0]
+        raise _located(net, free[(met[c] - 1) % nfree], f"at step {met[c]} of seed {rngs[c].seed_value}")
 
 
 def straight_step(net: BeliefNetwork, cs: ChainState, rng: RandomStream) -> ChainState:

@@ -217,24 +217,28 @@ def straight_estimates(
     """``straight_estimate`` of one chain on each stream of ``rngs``, in
     order, each stream moved as that call moves it.
 
-    The chains, however few, move together in lock step where they can,
-    and chain by chain where they cannot, handed over a chunk at a time
-    (:func:`bnras.chain._cyclic_chunks`); streams may stand at different
-    positions. A chunk's count is :func:`_window_counts` of its rows. A
-    conflict raises for the first conflicting chain, as the calls one by
-    one would. Each estimate's ``cpu_seconds`` and ``wall_seconds`` are an
-    equal share of the batch's.
+    The chains, however few, move together in lock step, handed over a
+    chunk at a time (:func:`bnras.chain._cyclic_chunks`); streams may stand
+    at different positions, and each is claimed to its chain's end before
+    the first step. A stream whose class overrides ``random`` is refused.
+    A chunk's count is :func:`_window_counts` of its rows. A conflict
+    raises for the first conflicting chain, as the calls one by one would.
+    Each estimate's ``cpu_seconds`` and ``wall_seconds`` are an equal share
+    of the batch's.
     """
     _require_count("total_transitions", total_transitions, 1)
     _require_count("checkpoint_stride", checkpoint_stride, 0)
     tab, free, template = _prepare(net, ev)
     _require_free(free)
+    for rng in rngs:
+        if type(rng).random is not RandomStream.random:
+            raise ValueError(f"a {type(rng).__name__} overrides random(), which the chains bypass")
     if not rngs:
         return []
     edges = _edges(tab, free)
     nfree, width = len(free), edges[-1]
 
-    def piece(first: int, done: int, chunk: np.ndarray):
+    def piece(done: int, chunk: np.ndarray):
         codes = chunk.astype(np.intp)  # each outcome's column in the flat tallies
         codes += edges.take((done + np.arange(len(chunk))) % nfree)[:, None]
         chains = chunk.shape[1]
@@ -243,7 +247,7 @@ def straight_estimates(
         def count(a: int, b: int) -> np.ndarray:
             return _window_counts(codes[a:], b - a, nfree, chains * width).reshape(chains, width)
 
-        return first, chains, done, len(chunk) - nfree, count
+        return 0, chains, done, len(chunk) - nfree, count
 
     chunks = _cyclic_chunks(net, tab, free, template, total_transitions, rngs)
     return _estimates(net, free, edges, total_transitions, None, len(rngs),

@@ -8,12 +8,13 @@ the stream seeded s is
     (splitmix64((s + k * 0x9E3779B97F4A7C15) mod 2^64) >> 11) * 2^-53,
 
 a pure function of (s, k), so :func:`counter_draws` makes any draws of any
-streams at once. One class holds a stream: :class:`RandomStream`, whose
-``random`` is the C-level ``__next__`` of a chain of blocks that one
-generator makes, and whose count of draws taken lets a lock-step batch
-claim its next draws and make them itself. :meth:`RandomStream.spawn`
-gives trial j the stream seeded ``derive_stream_seed(seed, j)``, and
-:func:`counter_streams` the same draws for many trials at once.
+streams at once, which is how the lock-step samplers draw. One class holds
+a stream: :class:`RandomStream`, whose ``random`` is the C-level
+``__next__`` of a chain of blocks that one generator makes, and whose
+count of draws taken lets a lock-step batch claim its next draws and make
+them itself. :meth:`RandomStream.spawn` gives trial j the stream seeded
+``derive_stream_seed(seed, j)``, whose seeds :func:`derive_stream_seeds`
+makes for many trials at once.
 """
 
 from __future__ import annotations
@@ -101,33 +102,17 @@ def counter_draws(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
 
 
 def _draw_blocks(seed: int, made: list):
-    """The blocks of draws of the stream seeded ``seed`` from where
-    ``made`` = [iterator over the last block made, draws made] leaves off:
-    that block, then blocks doubling on from its size, from at least
-    ``_FIRST_DRAWS`` up to ``_MOST_DRAWS``, each an iterator over a list of
-    its draws, whose remaining length gives the draws taken, put in
-    ``made`` with the count as it is made."""
-    block, drawn = made
-    size = operator.length_hint(block)
+    """The blocks of draws of the stream seeded ``seed`` after the
+    ``made[1]`` draws made so far, doubling from ``_FIRST_DRAWS`` up to
+    ``_MOST_DRAWS``, each an iterator over a list of its draws, whose
+    remaining length gives the draws taken, put in ``made`` = [block,
+    draws made] as it is made."""
+    drawn, size = made[1], _FIRST_DRAWS // 2
     while True:
-        yield block
-        size = min(max(2 * size, _FIRST_DRAWS), _MOST_DRAWS)
+        size = min(2 * size, _MOST_DRAWS)
         counters = np.arange(drawn + 1, drawn + size + 1, dtype=np.uint64)
-        draws = counter_draws(np.uint64(seed), counters).tolist()
-        made[:] = block, drawn = iter(draws), drawn + size
-
-
-def counter_streams(seeds: np.ndarray, ahead: int):
-    """The ``random`` of each child stream seeded ``seeds`` (``uint64``), in
-    order, each yielding the draws :class:`RandomStream` yields. The first
-    ``ahead`` draws of all of them (at most ``_MOST_DRAWS`` each) are made
-    in one numpy call, which for short trials costs less than a call per
-    stream; each stream's are turned into floats as it is handed out."""
-    ahead = min(ahead, _MOST_DRAWS)
-    rows = counter_draws(seeds[:, None], np.arange(1, ahead + 1, dtype=np.uint64))
-    for seed, row in zip(seeds, rows):
-        blocks = _draw_blocks(seed, [iter(row.tolist()), ahead])
-        yield itertools.chain.from_iterable(blocks).__next__
+        made[:] = block, drawn = iter(counter_draws(np.uint64(seed), counters).tolist()), drawn + size
+        yield block
 
 
 class RandomStream:

@@ -109,6 +109,29 @@ def layered_network(size, seed=0):
     return bnras.BeliefNetwork(f"LAYERED{size}", tuple(nodes))
 
 
+def hub_network(k, seed=0):
+    """Binary parents P0, ..., P(k-1) of one binary hub H, whose table has
+    2^k rows: the hub's free blanket, and each parent's (the hub and the
+    other parents), has 2^k states. Each row's first entry is drawn from
+    [0.05, 0.95] by random.Random(seed), so every table is strictly
+    positive."""
+    rng = random.Random(seed)
+
+    def cpt(count):
+        return bnras.Cpt.from_rows([(p, 1.0 - p) for p in (rng.uniform(0.05, 0.95) for _ in range(count))])
+
+    parents = tuple(f"P{j}" for j in range(k))
+    nodes = [bnras.Node(name, ("t", "f"), (), cpt(1)) for name in parents]
+    nodes.append(bnras.Node("H", ("t", "f"), parents, cpt(2**k)))
+    return bnras.BeliefNetwork(f"HUB{k}", tuple(nodes))
+
+
+@pytest.fixture(scope="session")
+def hub13():
+    """A hub with 13 parents: every blanket table would have 8192 rows."""
+    return hub_network(13)
+
+
 @pytest.fixture(scope="session")
 def layered300():
     """300 free nodes: far past the enumeration cap, and past numpy's 64

@@ -129,11 +129,11 @@ def test_builtin_tables_pick_as_resample(nets):
 
 
 def test_dead_rows_of_the_and_gate(monkeypatch, and_gate, empty):
-    # fill refuses the AND gate's tables, which have dead rows; laid out
-    # as fill lays them out, their rows still pick as _resample, and
-    # _draw_cutoffs' dead mask flags exactly the rows on which it raises
+    # fill gathers A and C, whose tables have dead rows, and tabulates B;
+    # laid out as fill lays tables out, their rows still pick as _resample,
+    # and _draw_cutoffs' dead mask flags exactly the rows on which it raises
     tab, free, template = chain._prepare(and_gate, empty)
-    assert chain._BlanketTables.fill(tab, free, template) is None
+    assert chain._BlanketTables.fill(tab, free, template).gathered[0].tolist() == [True, True, False]
     masks = []
     draw_cutoffs = chain._draw_cutoffs
 

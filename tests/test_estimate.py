@@ -208,7 +208,7 @@ def test_straight_path2_early_checkpoint_stuck():
         )
         p = est.checkpoints[0].probs[0][0]
         stuck += p < 0.4 or p > 0.6
-    assert stuck >= 21  # deterministic panel; 23 of 30 on these seeds
+    assert stuck >= 21  # deterministic panel; 21 of 30 on these seeds
 
 
 def test_quality_dominates_with_evidence():

@@ -4,8 +4,8 @@ scan, bit for bit.
 ``straight_estimates`` must give each seed exactly the tallies and
 checkpoints of a chain stepped one transition at a time by ``straight_step``
 on that seed's stream, and leave each stream where that chain leaves it,
-whichever side of the blanket-table cap and of the block rule it runs on,
-and however its steps are chunked and cut into blocks.
+whichever free nodes the blanket-table cap tabulates and which it leaves
+gathered, and however its steps are chunked and cut into blocks.
 """
 
 import itertools
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 
 import bnras
 from bnras import Evidence, RandomStream, chain
-from bnras.rng import counter_draws, counter_streams
+from bnras.rng import counter_draws
 
 from conftest import evidence_sets, positive_networks
 
@@ -56,12 +56,6 @@ def assert_matches_scalar(net, ev, total, seeds, stride=0):
     return ests
 
 
-def refused(*args):
-    """``_blanket_tables`` giving no tables, so that every batch runs chain
-    by chain, each chain stepped alone."""
-    return None
-
-
 @pytest.fixture
 def scans(monkeypatch):
     """Each chunk the lock step moves, in order: (lb, the columns of each
@@ -93,13 +87,11 @@ def scans(monkeypatch):
 
 
 def test_streams_yield_counter_draws():
-    # one sequence, made three ways: a RandomStream's blocks (the first
-    # 256 draws, then doubling), a stream's made 100 draws ahead, and one call
+    # one sequence, made two ways: a RandomStream's blocks (the first 256
+    # draws, then doubling), and one call
     for seed in SEEDS:
         stream = RandomStream(seed)
-        (ahead,) = counter_streams(np.array([seed], dtype=np.uint64), 100)
         draws = [stream.random() for _ in range(2125)]
-        assert draws == [ahead() for _ in range(2125)]
         assert draws == counter_draws(np.uint64(seed), np.arange(1, 2126, dtype=np.uint64)).tolist()
         assert stream.getstate() == (seed, 2125)
 
@@ -166,12 +158,14 @@ class Half(RandomStream):
 
 
 def test_streams_that_override_random(nets, empty):
-    # lock step would draw from their counters, not their random(), so such
-    # a batch runs chain by chain
-    ests = bnras.straight_estimates(nets["AB"], empty, 10, [Half(1), Half(2)])
-    expected = [bnras.straight_estimate(nets["AB"], empty, 10, Half(s)) for s in (1, 2)]
-    assert [e.tallies for e in ests] == [e.tallies for e in expected]
-    assert [e.tallies for e in ests] == [((10, 0), (10, 0))] * 2
+    # the chains draw their streams' counters, not their random(), so such
+    # a stream is refused before any stream is claimed
+    streams = [RandomStream(1), Half(2)]
+    with pytest.raises(ValueError, match="a Half overrides random"):
+        bnras.straight_estimates(nets["AB"], empty, 10, streams)
+    with pytest.raises(ValueError, match="a Half overrides random"):
+        bnras.straight_estimate(nets["AB"], empty, 10, Half(1))
+    assert [s.getstate() for s in streams] == [(1, 0), (2, 0)]
 
 
 def test_stream_given_twice(nets, empty, scans):
@@ -198,49 +192,37 @@ def test_builtins_match_scalar_chain(nets, seeds):
             assert_matches_scalar(net, ev, 300, seeds, stride=5000)  # stride past the total
 
 
-@pytest.mark.parametrize("module, setting", [
-    (chain, {"_BLOCK_SWEEPS": 1}),  # blocks of one sweep
-    (chain, {"_blanket_tables": lambda nfree: refused}),  # every chain on its own
-    (chain, {"_CHUNK": 1}),  # one step per chunk
-    (chain, {"_CHUNK": 100}),
-    (chain, {"_BLANKET_CAP": 1}),  # every table over the cap
+@pytest.mark.parametrize("setting", [
+    pytest.param({"_BLOCK_SWEEPS": 1}, id="sweeps-1"),  # blocks of one sweep
+    pytest.param({"_CHUNK": 1}, id="chunk-1"),  # one step per chunk
+    pytest.param({"_CHUNK": 100}, id="chunk-100"),
+    pytest.param({"_BLANKET_CAP": 1}, id="cap-1"),  # every node gathered but one-row tables
+    pytest.param({"_BLANKET_CAP": 8}, id="cap-8"),  # MINIALARM's nodes of 4 and 8 rows tabulated
     # a chunk's steps one fewer than, equal to and one more than the free
     # nodes, so that its outcome buffer's head is carried across chunks
-    (chain, {"_CHUNK": lambda nfree: len(PANEL) * (nfree - 1)}),
-    (chain, {"_CHUNK": lambda nfree: len(PANEL) * nfree}),
-    (chain, {"_CHUNK": lambda nfree: len(PANEL) * (nfree + 1)}),
-    (chain, {"_BLOCK_SWEEPS": 10**9}),  # every chunk in one scan
-    # every chain on its own, its buffer's head carried across chunks
-    (chain, {"_blanket_tables": lambda nfree: refused,
-                "_CHUNK": lambda nfree: len(PANEL) * (nfree - 1)}),
-    (chain, {"_blanket_tables": lambda nfree: refused,
-                "_CHUNK": lambda nfree: len(PANEL) * (nfree + 1)}),
+    pytest.param({"_CHUNK": lambda nfree: len(PANEL) * (nfree - 1)}, id="chunk-below-nfree"),
+    pytest.param({"_CHUNK": lambda nfree: len(PANEL) * nfree}, id="chunk-nfree"),
+    pytest.param({"_CHUNK": lambda nfree: len(PANEL) * (nfree + 1)}, id="chunk-above-nfree"),
+    pytest.param({"_BLOCK_SWEEPS": 10**9}, id="sweeps-huge"),  # every chunk in one scan
+    # every node gathered but one-row tables, the buffer's head carried across chunks
+    pytest.param({"_BLANKET_CAP": 1, "_CHUNK": lambda nfree: len(PANEL) * (nfree - 1)},
+                 id="cap-1-chunk-below-nfree"),
+    pytest.param({"_BLANKET_CAP": 1, "_CHUNK": lambda nfree: len(PANEL) * (nfree + 1)},
+                 id="cap-1-chunk-above-nfree"),
 ])
-def test_selection_and_chunks_do_not_change_bits(monkeypatch, nets, module, setting):
+def test_selection_and_chunks_do_not_change_bits(monkeypatch, nets, setting):
     for name in ("PATH2", "MINIALARM", "CHAIN5"):
         net = nets[name]
         for ev in evidence_sets(net):
             nfree = len(net.nodes) - len(ev)
             for attr, value in setting.items():
-                monkeypatch.setattr(module, attr, value(nfree) if callable(value) else value)
+                monkeypatch.setattr(chain, attr, value(nfree) if callable(value) else value)
             assert_matches_scalar(net, ev, 250, PANEL, stride=40)
 
 
 def test_batch_shares_its_time(nets, empty):
     ests = bnras.straight_estimates(nets["CHAIN5"], empty, 2000, [RandomStream(s) for s in PANEL])
     assert len({(e.cpu_seconds, e.wall_seconds) for e in ests}) == 1
-
-
-@pytest.mark.parametrize("stream", [RandomStream, Half])
-def test_chain_by_chain_batch_shares_its_time(monkeypatch, nets, empty, stream):
-    # chains run one by one, for want of tables or of a plain stream type,
-    # report one equal share of the batch's time too
-    if stream is RandomStream:
-        monkeypatch.setattr(chain, "_blanket_tables", refused)
-    streams = [stream(s) for s in PANEL]
-    ests = bnras.straight_estimates(nets["CHAIN5"], empty, 2000, streams)
-    assert len({(e.cpu_seconds, e.wall_seconds) for e in ests}) == 1
-    assert ests[0].wall_seconds > 0.0
 
 
 def test_blanket_tables_filled_once(monkeypatch, nets):
@@ -260,9 +242,10 @@ def test_blanket_tables_filled_once(monkeypatch, nets):
     assert len(fills) == 3
 
 
-def test_zero_weights_never_met(and_gate, empty, scans):
-    # chains that start consistent with B = A and C never meet a zero row;
-    # there are no tables with such a row, so every chain runs on its own
+def test_zero_weights_never_met(monkeypatch, and_gate, empty, scans):
+    # chains that start consistent with B = A and C never meet a zero row.
+    # A and C, whose tables have such rows, are gathered, so every chunk
+    # runs in one lock-step scan, none in blocks, and no chain steps alone
     fine = []
     for seed in range(40):
         try:
@@ -271,21 +254,36 @@ def test_zero_weights_never_met(and_gate, empty, scans):
         except bnras.DeterministicConflictError:
             pass
     assert len(fine) >= 2
+    scans.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(chain, "_resample", lambda *args: pytest.fail("a chain stepped alone"))
+        bnras.straight_estimates(and_gate, empty, 3000, [RandomStream(s) for s in fine])
+    assert scans and all(lb is None for lb, _, _ in scans)
     assert_matches_scalar(and_gate, empty, 30, fine, stride=7)
     assert_matches_scalar(and_gate, empty, 3000, fine)
     assert_matches_scalar(and_gate, empty, 3000, fine[:1])
-    assert not scans
 
 
 def test_tables_only_without_dead_rows(monkeypatch, and_gate, copy_net, empty, scans):
-    # the AND gate's tables have rows whose weights are all zero with no
-    # evidence and with B = t, and none with B = f; B copying A through 0/1
-    # rows zeroes entries but no row
-    for ev, made in ((empty, False), (Evidence({"B": 0}), False), (Evidence({"B": 1}), True)):
+    # A's and C's tables on the AND gate have rows whose weights are all
+    # zero with no evidence and with B = t, and none with B = f, so A and C
+    # are gathered in the first two and B is tabulated; B copying A through
+    # 0/1 rows zeroes entries but no row. Every chain runs in lock step
+    for ev, gathered in ((empty, [True, True, False]), (Evidence({"B": 0}), [True, True]),
+                         (Evidence({"B": 1}), None)):
         tab, free, template = chain._prepare(and_gate, ev)
-        assert (chain._blanket_tables(tab, free, template) is not None) == made
+        tables = chain._blanket_tables(tab, free, template)
+        assert (tables.gathered and tables.gathered[0].tolist()) == gathered
+        scans.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(chain, "_resample", lambda *args: pytest.fail("a chain stepped alone"))
+            try:
+                bnras.straight_estimates(and_gate, ev, 30, [RandomStream(s) for s in PANEL])
+            except bnras.DeterministicConflictError:
+                assert gathered
+        assert scans
     tab, free, template = chain._prepare(copy_net, empty)
-    assert chain._blanket_tables(tab, free, template) is not None
+    assert chain._blanket_tables(tab, free, template).gathered is None
     walks = []
     walk = chain._BlanketTables.walk
     monkeypatch.setattr(chain._BlanketTables, "walk",
@@ -296,17 +294,15 @@ def test_tables_only_without_dead_rows(monkeypatch, and_gate, copy_net, empty, s
     assert scans
 
 
-def test_conflict_names_first_conflicting_seed(monkeypatch, and_gate, empty):
+def test_conflict_names_first_conflicting_seed(and_gate, empty):
     seeds = list(range(4, 12))
     expected = None
-    with monkeypatch.context() as patch:
-        patch.setattr(chain, "_blanket_tables", refused)
-        for seed in seeds:  # the calls one seed at a time, in order, chain by chain
-            try:
-                bnras.straight_estimate(and_gate, empty, 30, RandomStream(seed))
-            except bnras.DeterministicConflictError as exc:
-                expected = (exc.node, str(exc))
-                break
+    for seed in seeds:  # the calls one seed at a time, in order
+        try:
+            bnras.straight_estimate(and_gate, empty, 30, RandomStream(seed))
+        except bnras.DeterministicConflictError as exc:
+            expected = (exc.node, str(exc))
+            break
     assert expected is not None and f"of seed {seeds[0]};" not in expected[1]
     rng = RandomStream(seed)  # the same chain stepped by the public single step
     cs = bnras.init_random_state(and_gate, empty, rng)
@@ -314,12 +310,9 @@ def test_conflict_names_first_conflicting_seed(monkeypatch, and_gate, empty):
         for step in range(1, 31):
             bnras.straight_step(and_gate, cs, rng)
     assert info.value.node == expected[0] and f"at step {step} of seed {seed};" in expected[1]
-    for lockstep in (True, False):
-        if not lockstep:
-            monkeypatch.setattr(chain, "_blanket_tables", refused)
-        with pytest.raises(bnras.DeterministicConflictError) as info:
-            bnras.straight_estimates(and_gate, empty, 30, [RandomStream(s) for s in seeds])
-        assert (info.value.node, str(info.value)) == expected
+    with pytest.raises(bnras.DeterministicConflictError) as info:
+        bnras.straight_estimates(and_gate, empty, 30, [RandomStream(s) for s in seeds])
+    assert (info.value.node, str(info.value)) == expected
 
 
 def coupled(p, q):
@@ -332,32 +325,31 @@ def coupled(p, q):
     )
 
 
-@pytest.mark.parametrize("way", ["blocks", "scan", "chain-by-chain"])
+@pytest.mark.parametrize("way", ["blocks", "scan", "gathered"])
 def test_marks_inside_chunks(monkeypatch, nets, scans, way):
     # chunks of 4 lb steps (lb = 8 nfree, and no net here has a multiple of
     # 3 free nodes), checkpoints every 3 steps: each chunk holds several
     # marks, chunk 3 ends on one, and chunk 1 or 2 starts on one; the last
-    # two steps make a fourth chunk, in one scan. Chain by chain, each
-    # chain is a batch of its own, with chunks of the same steps.
+    # two steps make a fourth chunk, in one scan. With every node gathered,
+    # every chunk runs in one scan.
     for name in ("PATH2", "MINIALARM", "CHAIN5"):
         net = nets[name]
         for ev in evidence_sets(net):
             size = 4 * chain._BLOCK_SWEEPS * (len(net.nodes) - len(ev))
             total = 3 * size + 2
             assert {mark % size for mark in range(3, total + 1, 3)} >= {0, 1}
-            chains = 1 if way == "chain-by-chain" else len(PANEL)
             with monkeypatch.context() as patch:
-                patch.setattr(chain, "_CHUNK", chains * size)
+                patch.setattr(chain, "_CHUNK", len(PANEL) * size)
                 if way == "scan":
                     patch.setattr(chain, "_BLOCK_SWEEPS", 10**9)
-                elif way == "chain-by-chain":
-                    patch.setattr(chain, "_blanket_tables", refused)
+                elif way == "gathered":  # every node, even one with no free blanket
+                    patch.setattr(chain, "_BLANKET_CAP", 0)
                 scans.clear()
                 assert_matches_scalar(net, ev, total, PANEL, stride=3)
             if way == "blocks":
                 assert scans[0][0] == size // 4 and scans[-1] == (None, [6], None)
             else:
-                assert scans == ([(None, [6], None)] * 4 if way == "scan" else [])
+                assert scans == [(None, [6], None)] * 4
 
 
 @pytest.mark.parametrize("name, evidence, total, chains, stride", [
@@ -483,12 +475,16 @@ def test_total_not_a_multiple_of_the_block(nets, empty, scans):
 
 
 def test_numpy_random_never_imported():
-    # importing numpy.random costs about 6 MB of resident memory
+    # importing numpy.random costs about 6 MB of resident memory, and
+    # numpy.ma (which np.unique imports) 0.5 MB. Every node is gathered, so
+    # that both samplers' gathered picks run too
     code = (
-        "import os, sys, bnras.cli\n"
+        "import os, sys, bnras.chain, bnras.cli\n"
+        "bnras.chain._BLANKET_CAP = 1\n"
         "bnras.cli.main(['compare', '--network', 'MINIALARM', '--total', '200',"
         " '--seeds', '0:6', '--out', os.devnull])\n"
         "assert 'numpy.random' not in sys.modules\n"
+        "assert 'numpy.ma' not in sys.modules\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -502,10 +498,26 @@ def test_positive_networks_match_scalar_chain(case):
     assert_matches_scalar(net, ev, 60, PANEL, stride=25)
 
 
-@pytest.mark.parametrize("lockstep", [True, False], ids=["lockstep", "chain-by-chain"])
-def test_past_64_free_nodes(monkeypatch, layered300, empty, lockstep):
+@pytest.mark.parametrize("cap", [chain._BLANKET_CAP, 1], ids=["tabulated", "gathered"])
+def test_past_64_free_nodes(monkeypatch, layered300, empty, cap):
+    monkeypatch.setattr(chain, "_BLANKET_CAP", cap)
     tab, free, template = chain._prepare(layered300, empty)
-    assert chain._blanket_tables(tab, free, template) is not None
-    if not lockstep:
-        monkeypatch.setattr(chain, "_blanket_tables", refused)
+    assert (chain._blanket_tables(tab, free, template).gathered is None) == (cap > 1)
     assert_matches_scalar(layered300, empty, 700, PANEL[:3], stride=250)
+
+
+def test_mixed_tables_match_scalar_chain(monkeypatch, minialarm, scans):
+    # at a cap of 8 rows MINIALARM's nodes of 4 and 8 rows are tabulated and
+    # those of 16 and 32 gathered, so one scan reads both kinds, and no
+    # chunk moves in blocks
+    monkeypatch.setattr(chain, "_BLANKET_CAP", 8)
+    for ev in evidence_sets(minialarm):
+        assert_matches_scalar(minialarm, ev, 1000, PANEL, stride=70)
+        assert_matches_scalar(minialarm, ev, 300, PANEL[:1])
+    assert scans and all(lb is None for lb, _, _ in scans)
+
+
+def test_wide_hub_matches_scalar_chain(hub13, empty):
+    # every blanket table would have 8192 rows: every node is gathered
+    for ev in (empty, Evidence({"H": 1}), Evidence({"P3": 0})):
+        assert_matches_scalar(hub13, ev, 300, PANEL[:4], stride=70)

@@ -1,10 +1,10 @@
 """The lock-step walkers against the scalar trial loop, bit for bit.
 
 ``bnras_estimate`` must tally exactly what ``next_trial`` gives on the
-spawned streams, trial by trial, whichever side of the walker-count
-selection and of the blanket-table cap each block runs on, and whatever the
-block size. ``bnras_estimates``, whose blocks may hold the trials of
-several streams, must give each stream what ``bnras_estimate`` gives it.
+spawned streams, trial by trial, whichever free nodes the blanket-table cap
+tabulates and which it leaves gathered, and whatever the block size.
+``bnras_estimates``, whose blocks may hold the trials of several streams,
+must give each stream what ``bnras_estimate`` gives it.
 """
 
 import tracemalloc
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 import bnras
 from bnras import Evidence, RandomStream, chain
-from bnras.rng import counter_draws, counter_streams, derive_stream_seeds
+from bnras.rng import counter_draws, derive_stream_seeds
 
 from conftest import evidence_sets, positive_networks
 
@@ -74,14 +74,6 @@ def test_counter_draws_match_splitmix64_sequence():
         assert [stream.random() for _ in range(9000)] == expected
 
 
-def test_streams_made_ahead_are_the_counter_sequence():
-    seeds = np.array([3, 2**63 + 11, MASK], dtype=np.uint64)
-    expected = [splitmix64_sequence(seed, 9000) for seed in seeds.tolist()]
-    for ahead in (0, 5, 16, 100, 10**4):
-        streams = counter_streams(seeds, ahead)
-        assert [[rand() for _ in range(9000)] for rand in streams] == expected
-
-
 def test_spawned_stream_is_the_counter_sequence():
     # a spawned stream is a RandomStream, whose count of draws taken runs
     # on across its first block's edge (after 256 draws)
@@ -106,23 +98,25 @@ def test_builtins_match_scalar_loop(nets, seed):
             assert_matches_scalar(net, ev, 60, 0, seed, stride=5)
 
 
+def assert_walks_match_trials(net, ev, t, seed, trials):
+    """``_trial_blocks``' one block of values against ``_trial`` on each
+    spawned stream."""
+    tab, free, template = chain._prepare(net, ev)
+    [(_, _, values)] = chain._trial_blocks(net, tab, free, template, t, [(seed, trials)])
+    assert values.shape == (trials, len(free))
+    for j, row in enumerate(values.tolist()):
+        state = chain._trial(tab, free, template, t, RandomStream(seed).spawn(j).random)
+        assert row == [state[i] for i in free]
+
+
 @pytest.mark.parametrize("t", [0, 1, 2, 50])
-def test_walk_rows_match_trials(monkeypatch, nets, copy_net, empty, t):
+def test_walk_rows_match_trials(nets, copy_net, empty, t):
     # copy_net's ternary nodes: a value can change by 2. PATH2 with B=t
     # leaves A free alone, with no free blanket, so no row ever changes.
     # MINIALARM's blankets differ in size, so most neighbour lists are padded
-    monkeypatch.setattr(chain, "_LOCKSTEP_MIN", 1)
-    seed = 2**63 + 11
     path2_b = (nets["PATH2"], bnras.parse_evidence("B=t", nets["PATH2"]))
     for net, ev in ((copy_net, empty), path2_b, (nets["MINIALARM"], empty)):
-        tab, free, template = chain._prepare(net, ev)
-        assert chain._blanket_tables(tab, free, template) is not None  # so the trials walk
-        [(_, _, values)] = chain._trial_blocks(net, tab, free, template, t, [(seed, 300)])
-        assert values.shape == (300, len(free))
-        rands = counter_streams(derive_stream_seeds(seed, 0, 300), 0)
-        for row, rand in zip(values.tolist(), rands):
-            state = chain._trial(tab, free, template, t, rand)
-            assert row == [state[i] for i in free]
+        assert_walks_match_trials(net, ev, t, 2**63 + 11, 300)
 
 
 @pytest.mark.parametrize("evidence", ["", "ALARM=t"])
@@ -144,36 +138,17 @@ def test_walk_memory(minialarm, evidence):
     assert peak <= 1_100_000
 
 
-def test_trial_loop_makes_whole_trials_ahead(monkeypatch, minialarm, empty):
-    # 8 streams x 400 trials x 100 transitions, one block of 3200 trials run
-    # by the per-trial loop: a trial takes at most 8 + 3 * 100 = 308 draws,
-    # so each call made ahead holds 65536 // 308 = 212 trials' draws, and 16
-    # calls make every draw, none a stream's own block. The tallies are
-    # those of the lock steps
-    streams = [RandomStream(seed) for seed in range(8)]
-    expected = bnras.bnras_estimates(minialarm, empty, 400, 100, streams)
-    calls = []
-    draws = bnras.rng.counter_draws
-    monkeypatch.setattr(bnras.rng, "counter_draws", lambda *a: calls.append(1) or draws(*a))
-    monkeypatch.setattr(chain, "_blanket_tables", lambda tab, free, template: None)
-    got = bnras.bnras_estimates(minialarm, empty, 400, 100, streams)
-    assert len(calls) == 16
-    assert [est.tallies for est in got] == [est.tallies for est in expected]
-
-
 def test_just_past_one_block(minialarm, empty):
     assert_matches_scalar(minialarm, empty, chain._BLOCK + 1, 2, 3, stride=4097)
-    assert_matches_scalar(minialarm, empty, chain._BLOCK + chain._LOCKSTEP_MIN, 1, 4)
+    assert_matches_scalar(minialarm, empty, chain._BLOCK + 50, 1, 4)
 
 
 @pytest.mark.parametrize("setting", [
-    {"_LOCKSTEP_MIN": 1},  # every block in lock step
-    {"_LOCKSTEP_MIN": 10**9},  # every block in the per-trial loop
-    {"_LOCKSTEP_MIN": 10**9, "_AHEAD": 0},  # ... each trial's draws made in a call of its own
-    {"_LOCKSTEP_MIN": 10**9, "_AHEAD": 750},  # ... 17 or 18 trials' draws a call
-    {"_BLANKET_CAP": 1},  # every table over the cap
-    {"_BLOCK": 7, "_LOCKSTEP_MIN": 4},  # mixed blocks, the last one scalar
-    {"_BLOCK": 64, "_LOCKSTEP_MIN": 1},
+    pytest.param({}, id="default"),
+    pytest.param({"_BLANKET_CAP": 1}, id="cap-1"),  # every node gathered but one-row tables
+    pytest.param({"_BLANKET_CAP": 8}, id="cap-8"),  # MINIALARM's nodes of 4 and 8 rows tabulated
+    pytest.param({"_BLOCK": 7}, id="block-7"),  # the last block of 3
+    pytest.param({"_BLOCK": 64}, id="block-64"),
 ])
 def test_selection_and_block_size_do_not_change_bits(monkeypatch, nets, setting):
     for name, value in setting.items():
@@ -189,7 +164,6 @@ def test_zero_weights_that_never_conflict(monkeypatch, copy_net, empty):
         for seed in SEEDS:
             est = assert_matches_scalar(copy_net, ev, 300, 9, seed, stride=500)
             assert sum(est.tallies[0]) == 300
-    monkeypatch.setattr(chain, "_LOCKSTEP_MIN", 1)
     assert_matches_scalar(copy_net, empty, 5, 30, 1)
 
 
@@ -203,8 +177,8 @@ def test_conflict_names_lowest_trial_and_node(monkeypatch, and_gate, empty):
                 expected = (exc.node, f"in trial {j} of seed {seed};")
                 break
         assert expected is not None
-        for lockstep_min in (1, 50, 10**9):
-            monkeypatch.setattr(chain, "_LOCKSTEP_MIN", lockstep_min)
+        for cap in (chain._BLANKET_CAP, 1):  # A and C gathered, then B too
+            monkeypatch.setattr(chain, "_BLANKET_CAP", cap)
             with pytest.raises(bnras.DeterministicConflictError) as info:
                 bnras.bnras_estimate(and_gate, empty, 200, 10, RandomStream(seed))
             assert info.value.node == expected[0]
@@ -229,11 +203,11 @@ def test_positive_networks_match_scalar_loop(case):
     assert_matches_scalar(net, ev, 60, 6, 2**63 + 11, stride=50)
 
 
-@pytest.mark.parametrize("lockstep_min", [1, 10**9])  # lock step, then the per-trial loop
-def test_past_64_free_nodes(monkeypatch, layered300, empty, lockstep_min):
+@pytest.mark.parametrize("cap", [1, 10**9])  # every node gathered, then tabulated
+def test_past_64_free_nodes(monkeypatch, layered300, empty, cap):
+    monkeypatch.setattr(chain, "_BLANKET_CAP", cap)
     tab, free, template = chain._prepare(layered300, empty)
-    assert chain._blanket_tables(tab, free, template) is not None
-    monkeypatch.setattr(chain, "_LOCKSTEP_MIN", lockstep_min)
+    assert (chain._blanket_tables(tab, free, template).gathered is None) == (cap > 1)
     assert_matches_scalar(layered300, empty, 60, 40, 2**63 + 11, stride=1000)
 
 
@@ -257,12 +231,12 @@ BATCH_SEEDS = (2**63 + 11, 0, 7, 0, 5)  # a seed twice: its runs are equal
 
 
 @pytest.mark.parametrize("setting", [
-    {},  # 20 trials a stream: the per-trial loop alone, lock step together (100 walkers)
-    {"_BLOCK": 7, "_LOCKSTEP_MIN": 1},  # 3 trials a stream: a block holds pieces of three runs
-    {"_BLOCK": 64, "_LOCKSTEP_MIN": 1},  # 20 trials a stream: pieces of four runs
-    {"_BLOCK": 7, "_LOCKSTEP_MIN": 5},  # mixed blocks
-    {"_LOCKSTEP_MIN": 10**9},  # every block in the per-trial loop
-    {"_BLANKET_CAP": 1},  # every table over the cap
+    {},  # 20 trials a stream: one block, alone and together (100 walkers)
+    {"_BLOCK": 7},  # 3 trials a stream: a block holds pieces of three runs
+    {"_BLOCK": 64},  # 20 trials a stream: pieces of four runs
+    {"_BLANKET_CAP": 8},  # MINIALARM's nodes of 4 and 8 rows tabulated, the others gathered
+    {"_BLOCK": 7, "_BLANKET_CAP": 1},  # as the last, in pieces of three runs
+    {"_BLANKET_CAP": 1},  # every node gathered but one-row tables
 ])
 def test_batches_match_single_streams(monkeypatch, nets, setting):
     for name, value in setting.items():
@@ -277,8 +251,8 @@ def test_batches_match_single_streams(monkeypatch, nets, setting):
 
 @pytest.mark.parametrize("setting", [
     {},
-    {"_BLOCK": 7, "_LOCKSTEP_MIN": 1},  # a block holds pieces of several runs
-    {"_LOCKSTEP_MIN": 10**9},  # every block in the per-trial loop
+    {"_BLOCK": 7},  # a block holds pieces of several runs
+    {"_BLANKET_CAP": 1},  # every node gathered but one-row tables
 ])
 def test_one_trial_crosses_several_marks(monkeypatch, nets, setting):
     # a stride below t: one trial crosses two or more checkpoint marks
@@ -292,7 +266,7 @@ def test_one_trial_crosses_several_marks(monkeypatch, nets, setting):
 
 def test_batch_of_one_and_of_none(minialarm, empty):
     seed = 2**63 + 11
-    trials = chain._BLOCK + chain._LOCKSTEP_MIN
+    trials = chain._BLOCK + 50
     assert_batch_matches_single(minialarm, empty, trials, 2, (seed,), stride=4097)
     assert bnras.bnras_estimates(minialarm, empty, 10, 2, []) == []
 
@@ -314,8 +288,7 @@ def test_positive_networks_batches_match_single_streams(case):
 
 
 @pytest.mark.parametrize("setting", [
-    {"_LOCKSTEP_MIN": 1}, {"_LOCKSTEP_MIN": 50}, {"_LOCKSTEP_MIN": 10**9},
-    {"_BLOCK": 7, "_LOCKSTEP_MIN": 1},
+    {}, {"_BLANKET_CAP": 1}, {"_BLOCK": 1}, {"_BLOCK": 7},
 ])
 def test_batch_conflict_names_first_stream_in_order(monkeypatch, and_gate, empty, setting):
     # three trials of two transitions: seeds 4 and 6 never conflict, 8, 5 and
@@ -334,3 +307,45 @@ def test_batch_conflict_names_first_stream_in_order(monkeypatch, and_gate, empty
     with pytest.raises(bnras.DeterministicConflictError) as info:
         bnras.bnras_estimates(and_gate, empty, 3, 2, [RandomStream(s) for s in seeds])
     assert str(info.value) == expected
+
+
+def test_mixed_tables_match_scalar_loop(monkeypatch, minialarm):
+    # at a cap of 8 rows MINIALARM's nodes of 4 and 8 rows are tabulated and
+    # those of 16 and 32 gathered, so one lock step reads both kinds
+    monkeypatch.setattr(chain, "_BLANKET_CAP", 8)
+    tab, free, template = chain._prepare(minialarm, Evidence.empty())
+    assert chain._blanket_tables(tab, free, template).gathered[0].sum() == 4
+    for ev in evidence_sets(minialarm):
+        assert_walks_match_trials(minialarm, ev, 60, 2**63 + 11, 200)
+        assert_matches_scalar(minialarm, ev, 150, 30, 5, stride=100)
+        assert_batch_matches_single(minialarm, ev, 20, 9, BATCH_SEEDS, stride=4)
+
+
+def test_wide_hub_matches_scalar_loop(hub13, empty):
+    # 13 parents of one hub: every blanket table would have 8192 rows, past
+    # the cap, so every node is gathered and draws from the hub's table
+    hub = hub13
+    tab, free, template = chain._prepare(hub, empty)
+    assert chain._blanket_tables(tab, free, template).gathered[0].all()
+    for ev in (empty, Evidence({"H": 1}), Evidence({"P3": 0})):
+        assert_walks_match_trials(hub, ev, 40, 2**63 + 11, 60)
+        assert_matches_scalar(hub, ev, 40, 30, 7, stride=100)
+
+
+def test_samplers_reach_no_scalar_step(monkeypatch, nets, and_gate, hub13, empty):
+    # both samplers run every trial and chain in lock step: on tabulated
+    # nodes, on gathered ones (the hub), and on dead rows (the AND gate)
+    def scalar(*args):
+        raise AssertionError("a scalar step ran")
+
+    monkeypatch.setattr(chain, "_trial", scalar)
+    monkeypatch.setattr(chain, "_resample", scalar)
+    for net in (*nets.values(), hub13, and_gate):
+        for ev in evidence_sets(net):
+            streams = [RandomStream(s) for s in (3, 4)]
+            for run in (lambda: bnras.bnras_estimates(net, ev, 30, 20, streams),
+                        lambda: bnras.straight_estimates(net, ev, 300, streams)):
+                try:
+                    run()
+                except bnras.DeterministicConflictError:
+                    assert net is and_gate
