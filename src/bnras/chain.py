@@ -457,7 +457,7 @@ class _BlanketTables:
         """Final free-node values of the trials on the streams seeded
         ``seeds``, all moved together, draw for draw as :func:`_trial`
         moves each, and the slot of each walker's first conflict, -1 if it
-        met none.
+        met none (None if no node is gathered).
 
         Each walker keeps, beside its values, the row each free node would
         read now (``rows``, made from the restart one member column at a
@@ -478,7 +478,7 @@ class _BlanketTables:
         nfree, walkers = len(self.outcomes), len(seeds)
         neighbours, weights, cutoffs = self._walk_slots
         gathered = self.gathered and self.gathered[0]
-        met = np.full(walkers, -1, dtype=np.intp)
+        met = None if gathered is None else np.full(walkers, -1, dtype=np.intp)
         # slot-major: values[s, w] and rows[s, w] are walker w's at slot s
         restart = counter_draws(seeds, np.arange(1, nfree + 1, dtype=np.uint64)[:, None])
         restart *= self.outcomes[:, None]
@@ -601,12 +601,13 @@ class _BlanketTables:
         multipliers placed where its members stand among them; the
         outcomes are floats so that BLAS makes the dot, exact on such small
         whole numbers. A gathered node picks by :meth:`_gathered_pick`.
-        Returns the step i of each column's first conflict, -1 if none."""
+        Returns the step i of each column's first conflict, -1 if none
+        (None if no node is gathered)."""
         nfree = len(self.outcomes)
         slots = self._scan_slots
         shape = draws.shape[1:]
         written = outcomes[nfree:].reshape(draws.shape)
-        met = np.full(written[0].size, -1)
+        met = np.full(written[0].size, -1) if self.gathered else None
         for i, u in enumerate(draws):
             lo, hi, window, cutoffs = slots[(first + i) % nfree]
             if window is None:  # gathered: lo holds its members' rows
@@ -728,7 +729,7 @@ def _trial_blocks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], templ
         seeds = [derive_stream_seeds(seed, lo, hi) for _, seed, lo, hi in pieces]
         seeds = seeds[0] if len(seeds) == 1 else np.concatenate(seeds)  # no copy for one run
         values, met = _blanket_tables(tab, free, template).walk(t, seeds)
-        if met.max() >= 0:
+        if met is not None and met.max() >= 0:
             b = int((met >= 0).argmax())
             seed, j = [(seed, j) for _, seed, lo, hi in pieces for j in range(lo, hi)][b]
             raise _located(net, free[met[b]], f"in trial {j} of seed {seed}")
@@ -786,8 +787,7 @@ def _cyclic_chunks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], temp
         chunk = outcomes[: nfree + steps]
         if blocked and steps >= 4 * lb:
             blocked = tables.scan_blocks(chunk, done, draws(nfree + done, steps), lb)
-        else:
-            stopped = tables.scan(chunk, done, draws(nfree + done, steps))
+        elif (stopped := tables.scan(chunk, done, draws(nfree + done, steps))) is not None:
             met = np.where((met == 0) & (stopped >= 0), done + 1 + stopped, met)
         yield done, chunk
         chunk[:nfree] = chunk[steps:]

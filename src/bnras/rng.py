@@ -111,7 +111,8 @@ def _draw_blocks(seed: int, made: list):
     while True:
         size = min(2 * size, _MOST_DRAWS)
         counters = np.arange(drawn + 1, drawn + size + 1, dtype=np.uint64)
-        made[:] = block, drawn = iter(counter_draws(np.uint64(seed), counters).tolist()), drawn + size
+        draws = counter_draws(np.uint64(seed), counters).tolist()
+        made[:] = block, drawn = iter(draws), drawn + size
         yield block
 
 

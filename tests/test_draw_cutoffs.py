@@ -4,7 +4,8 @@
 both lock-step kernels pick the count of cutoffs at or below the draw. That
 count must be the outcome ``_resample`` picks with the same draw, for every
 double in [0, 1): on rows with zeros anywhere, tiny and equal weights, on
-every row of the builtins' blanket tables, and on dead rows.
+every row of the builtins' blanket tables, and on dead rows. The pick of a
+gathered node, made without cutoffs, must be ``_resample``'s too.
 """
 
 import itertools
@@ -146,3 +147,27 @@ def test_dead_rows_of_the_and_gate(monkeypatch, and_gate, empty):
     tables = chain._BlanketTables.fill(tab, free, template)
     assert_tables_pick_as_resample(tab, free, template, tables, masks[0])
     assert masks[0].sum() == 2
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(weight_rows(), st.lists(st.integers(0, 2**53 - 1), min_size=5, max_size=5))
+@example([5e-324, 5e-324], [1, 2**52, 2**53 - 1, 3, 5])
+@example([3e-321, 0.0, 7e-322, 1e-323], [1, 2**52, 2**53 - 1, 3, 5])
+def test_gathered_pick_as_resample(weights, grid):
+    # one gathered node of one factor that reads the row itself: its pick
+    # is _resample's at every draw, and a dead row is a conflict that keeps
+    # the current value
+    width = len(weights)
+    tables = chain._BlanketTables(
+        np.array([width]), np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0), dtype=np.intp),
+        np.zeros(1, dtype=np.intp), np.full((1, width), np.inf),
+        (np.array([True]), np.zeros((1, 1, 0), dtype=np.intp), np.arange(width)[None, None],
+         np.array([*weights, 1.0, 0.0])))
+    draws = probe_draws(chain._draw_cutoffs(np.array([weights]))[0]) + [k * 2.0**-53 for k in grid]
+    found = np.zeros((len(draws), 0), dtype=np.intp)
+    chosen, dead = tables._gathered_pick(0, found, np.array(draws), np.full(len(draws), -1))
+    if total_of(weights) <= 0.0:
+        assert dead.all() and (chosen == -1).all()
+    else:
+        assert not dead.any()
+        assert chosen.tolist() == [resample_pick(weights, u) for u in draws]

@@ -315,6 +315,23 @@ def test_conflict_names_first_conflicting_seed(and_gate, empty):
     assert (info.value.node, str(info.value)) == expected
 
 
+def test_conflict_named_at_its_first_step(and_gate):
+    # with B = t, a chain that starts at A = C = f meets a zero row at every
+    # redraw, and one that starts at A = f, C = t never does: the batch
+    # names the first stuck chain at its first step, as the single step does
+    ev = bnras.parse_evidence("B=t", and_gate)
+    starts = {s: bnras.init_random_state(and_gate, ev, RandomStream(s)).state[:2] for s in range(40)}
+    seeds = [s for s in starts if starts[s] == [1, 0]][:2] + [s for s in starts if starts[s] == [1, 1]][:2]
+    rng = RandomStream(seeds[2])
+    cs = bnras.init_random_state(and_gate, ev, rng)
+    with pytest.raises(bnras.DeterministicConflictError) as one:
+        bnras.straight_step(and_gate, cs, rng)  # its first step
+    with pytest.raises(bnras.DeterministicConflictError) as info:
+        bnras.straight_estimates(and_gate, ev, 50, [RandomStream(s) for s in seeds])
+    assert info.value.node == one.value.node
+    assert str(info.value) == str(one.value).replace("in a cyclic-scan step", "at step 1")
+
+
 def coupled(p, q):
     """A -> B, B copying A with probability p = 1 - q: two runs on the same
     draws from different states meet only at a draw below q or at or above

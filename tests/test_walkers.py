@@ -160,11 +160,15 @@ def test_selection_and_block_size_do_not_change_bits(monkeypatch, nets, setting)
 
 
 def test_zero_weights_that_never_conflict(monkeypatch, copy_net, empty):
-    for ev in (empty, Evidence({"C": 1}), Evidence({"B": 2})):
-        for seed in SEEDS:
-            est = assert_matches_scalar(copy_net, ev, 300, 9, seed, stride=500)
-            assert sum(est.tallies[0]) == 300
-    assert_matches_scalar(copy_net, empty, 5, 30, 1)
+    # tabulated, then gathered: C, binary among ternary nodes, reads a
+    # padded third outcome that must weigh 0
+    for cap in (chain._BLANKET_CAP, 1):
+        monkeypatch.setattr(chain, "_BLANKET_CAP", cap)
+        for ev in (empty, Evidence({"C": 1}), Evidence({"B": 2})):
+            for seed in SEEDS:
+                est = assert_matches_scalar(copy_net, ev, 300, 9, seed, stride=500)
+                assert sum(est.tallies[0]) == 300
+        assert_matches_scalar(copy_net, empty, 5, 30, 1)
 
 
 def test_conflict_names_lowest_trial_and_node(monkeypatch, and_gate, empty):
