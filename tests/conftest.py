@@ -128,7 +128,8 @@ def hub_network(k, seed=0):
 
 @pytest.fixture(scope="session")
 def hub13():
-    """A hub with 13 parents: every blanket table would have 8192 rows."""
+    """A hub with 13 parents: with no evidence every blanket table would
+    have 8192 rows."""
     return hub_network(13)
 
 

@@ -535,6 +535,7 @@ def test_mixed_tables_match_scalar_chain(monkeypatch, minialarm, scans):
 
 
 def test_wide_hub_matches_scalar_chain(hub13, empty):
-    # every blanket table would have 8192 rows: every node is gathered
+    # with no evidence every blanket table would have 8192 rows, so every
+    # node is gathered; clamping the hub or a parent leaves tables of 4096
     for ev in (empty, Evidence({"H": 1}), Evidence({"P3": 0})):
         assert_matches_scalar(hub13, ev, 300, PANEL[:4], stride=70)

@@ -326,8 +326,9 @@ def test_mixed_tables_match_scalar_loop(monkeypatch, minialarm):
 
 
 def test_wide_hub_matches_scalar_loop(hub13, empty):
-    # 13 parents of one hub: every blanket table would have 8192 rows, past
-    # the cap, so every node is gathered and draws from the hub's table
+    # 13 parents of one hub: with no evidence every blanket table would have
+    # 8192 rows, past the cap, so every node is gathered and draws from the
+    # hub's table; clamping the hub or a parent leaves tables of 4096
     hub = hub13
     tab, free, template = chain._prepare(hub, empty)
     assert chain._blanket_tables(tab, free, template).gathered[0].all()
