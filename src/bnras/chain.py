@@ -354,37 +354,38 @@ def _finite_columns(cutoffs: np.ndarray) -> np.ndarray:
     return cutoffs[:, 0].copy() if columns == 1 else cutoffs[:, :columns].copy()
 
 
-def _factors(tab: _Tables, free: tuple[int, ...], template: list[int], gathered: np.ndarray,
-             widest: int) -> tuple:
-    """What :meth:`_BlanketTables._gathered_pick` reads: for each slot of
-    the ``gathered`` mask and each factor, the multipliers of its (at most
-    ``widest``) free blanket members and the offset of each outcome's
-    entry; and the entries, every node's table end to end, then 1.0, which
-    padding factors read, and 0.0, which padding outcomes read, clipped.
-    Factor 0 is the node's own table, factor c + 1 its child c's, indexed
-    as :func:`_conditional_weights` indexes them, with members clamped by
-    evidence added to the offsets."""
+def _factors(tab: _Tables, free: tuple[int, ...], template: list[int], gathered: list[int]) -> tuple:
+    """What :meth:`_BlanketTables._gathered_weights` reads of the slots
+    ``gathered``: each slot's rank among them (-1 if not gathered); for
+    each gathered node, by rank, and each of its factors, the slots of the
+    factor's free family members, their multipliers, padded to the widest
+    such family with slot 0 and multiplier 0, and the offset of each
+    outcome's entry; and the entries, every node's table end to end, then
+    1.0, which padding factors read, and 0.0, which padding outcomes read,
+    clipped. Factor 0 is the node's own table, factor c + 1 its child c's,
+    indexed as :func:`_conditional_weights` indexes them, with members
+    clamped by evidence added to the offsets."""
     slot = {i: s for s, i in enumerate(free)}
     starts = list(itertools.accumulate(map(len, tab.flat), initial=0))
-    most = 1 + max(len(tab.children[free[s]]) for s in np.flatnonzero(gathered))
-    outcome = np.arange(max(tab.k[i] for i in free))
-    multipliers = np.zeros((len(free), most, widest), dtype=np.intp)
-    offsets = np.full((len(free), most, len(outcome)), starts[-1])
-    for s in np.flatnonzero(gathered):
+    outcome = np.arange(max(tab.k[free[s]] for s in gathered))
+    nodes = []  # each gathered node's factors: (offsets, [(member slot, multiplier)])
+    for s in gathered:
         i = free[s]
-        at = {m: b for b, m in enumerate(m for m in tab.blanket(i) if m in slot)}
-        own = (i, zip(tab.parents[i], (m * tab.k[i] for m in tab.strides[i])), 1)
+        own = (i, [*zip(tab.parents[i], (m * tab.k[i] for m in tab.strides[i]))], 1)
         children = ((c, [(c, 1), *others], step) for c, _, step, others in tab.child_lookups[i])
-        for f, (j, family, step) in enumerate((own, *children)):
-            offsets[s, f] = starts[j] + step * outcome
-            for m, w in family:
-                if m in at:
-                    multipliers[s, f, at[m]] = w
-                else:
-                    offsets[s, f] += template[m] * w
-        offsets[s, 0, tab.k[i] :] = starts[-1] + 1
-    entries = np.array([*itertools.chain.from_iterable(tab.flat), 1.0, 0.0])
-    return multipliers, offsets, entries
+        nodes.append([(starts[j] + step * outcome + sum(template[m] * w for m, w in fam if m not in slot),
+                       [(slot[m], w) for m, w in fam if m in slot]) for j, fam, step in (own, *children)])
+        nodes[-1][0][0][tab.k[i] :] = starts[-1] + 1
+    rank = np.full(len(free), -1, dtype=np.intp)
+    rank[gathered] = range(len(gathered))
+    shape = (len(gathered), max(map(len, nodes)), max(len(kept) for node in nodes for _, kept in node))
+    members, multipliers = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.intp)
+    offsets = np.full((*shape[:2], len(outcome)), starts[-1])
+    for r, node in enumerate(nodes):
+        for f, (at, kept) in enumerate(node):
+            offsets[r, f] = at
+            members[r, f, : len(kept)], multipliers[r, f, : len(kept)] = zip(*kept) if kept else ((), ())
+    return rank, members, multipliers, offsets, np.array([*itertools.chain(*tab.flat), 1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -395,18 +396,17 @@ class _BlanketTables:
 
     Tabulated free node ``s`` (its slot in ``free``) with free-node values
     ``x`` reads row ``offsets[s] + sum(x[members[s]] * multipliers[s])``;
-    ``members`` and ``multipliers`` are padded to the widest blanket with
-    slot 0 and multiplier 0. The row holds the draw cutoffs of the node's
-    conditional weights (:func:`_draw_cutoffs`): a row ascends and ends in
-    +inf, and the outcome :func:`_resample` chooses with draw u is the
-    first v with ``u < cutoffs[row, v]``, which is the count of cutoffs
-    ``<= u``. A row is linear in the values, so a change d in the value of
-    slot m moves the row of each node whose blanket holds m by d times that
-    node's multiplier for m; the blanket relation is symmetric, so those
-    nodes are m's own blanket members. A gathered node's multipliers are 0,
-    so it reads row 0, whose pick :meth:`_gathered_pick` replaces;
-    ``gathered`` holds the mask of gathered slots and :func:`_factors`,
-    None if no node is gathered.
+    ``members`` and ``multipliers`` are padded to the widest tabulated
+    blanket with slot 0 and multiplier 0. The row holds the draw cutoffs of
+    the node's conditional weights (:func:`_draw_cutoffs`): a row ascends
+    and ends in +inf, and the outcome :func:`_resample` chooses with draw u
+    is the first v with ``u < cutoffs[row, v]``, which is the count of
+    cutoffs ``<= u``. A row is linear in the values, so a change d in the
+    value of slot m moves the row of each node whose blanket holds m by d
+    times that node's multiplier for m; the blanket relation is symmetric,
+    so those nodes are m's own blanket members. A gathered node's
+    multipliers are 0, so it reads row 0, whose pick :meth:`_gathered_pick`
+    replaces; ``gathered`` holds :func:`_factors`, None if none is gathered.
     """
 
     outcomes: np.ndarray  # outcome count of each free node
@@ -437,21 +437,20 @@ class _BlanketTables:
         live = [not dead[a:b].any() for a, b in zip(ends, ends[1:])]
         blocks = {s: block for (s, block), ok in zip(blocks.items(), live) if ok}  # tabulated
         cutoffs = cutoffs[np.repeat(live, np.diff(ends))] if blocks else np.full((1, width), np.inf)
-        member_slots = np.zeros((nfree, max(map(len, blankets))), dtype=np.intp)
+        widest = max((len(blankets[s]) for s in blocks), default=0)
+        member_slots = np.zeros((nfree, widest), dtype=np.intp)
         multipliers = np.zeros_like(member_slots)
         offsets = np.zeros(nfree, dtype=np.intp)
         offsets[list(blocks)] = np.cumsum([0, *map(len, blocks.values())])[:-1]
-        for s, members in enumerate(blankets):
-            step = 1
+        for s in blocks:
+            members, step = blankets[s], 1
             for b in reversed(range(len(members))):  # last member varies fastest
-                member_slots[s, b] = slot[members[b]]
-                multipliers[s, b] = step
+                member_slots[s, b], multipliers[s, b] = slot[members[b]], step
                 step *= tab.k[members[b]]
-        gathered = np.array([s not in blocks for s in range(nfree)])
-        multipliers[gathered] = 0
+        gathered = [s for s in range(nfree) if s not in blocks]
         outcomes = np.array([tab.k[i] for i in free])
-        return cls(outcomes, member_slots, multipliers, offsets, cutoffs, (gathered, *_factors(
-            tab, free, template, gathered, member_slots.shape[1])) if gathered.any() else None)
+        return cls(outcomes, member_slots, multipliers, offsets, cutoffs,
+                   _factors(tab, free, template, gathered) if gathered else None)
 
     def walk(self, t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Final free-node values of the trials on the streams seeded
@@ -477,8 +476,8 @@ class _BlanketTables:
         walkers; the values come back as a (walkers, nfree) view."""
         nfree, walkers = len(self.outcomes), len(seeds)
         neighbours, weights, cutoffs = self._walk_slots
-        gathered = self.gathered and self.gathered[0]
-        met = None if gathered is None else np.full(walkers, -1, dtype=np.intp)
+        rank, member_at = (self.gathered[0], self.gathered[1] * walkers) if self.gathered else (None,) * 2
+        met = None if rank is None else np.full(walkers, -1, dtype=np.intp)
         # slot-major: values[s, w] and rows[s, w] are walker w's at slot s
         restart = counter_draws(seeds, np.arange(1, nfree + 1, dtype=np.uint64)[:, None])
         restart *= self.outcomes[:, None]
@@ -507,11 +506,11 @@ class _BlanketTables:
                 chosen = (u[1] >= picked).astype(np.intp)
             else:
                 chosen = (picked <= u[1, :, None]).sum(axis=1)
-            if gathered is not None and (g := np.flatnonzero(gathered.take(node))).size:
-                s, w = node.take(g), move.take(g)
-                found = flat_values.take(self.members.take(s, axis=0) * walkers + w[:, None])
-                chosen[g], dead = self._gathered_pick(s, found, u[1].take(g), flat_values.take(at.take(g)))
-                met[w] = np.where(dead & (met.take(w) < 0), s, met.take(w))
+            if rank is not None and (g := np.flatnonzero((r := rank.take(node)) >= 0)).size:
+                r, w = r.take(g), move.take(g)
+                found = flat_values.take(member_at.take(r, axis=0) + w[:, None, None])
+                chosen[g], dead = self._gathered_pick(r, found, u[1].take(g), flat_values.take(at.take(g)))
+                met[w] = np.where(dead & (met.take(w) < 0), node.take(g), met.take(w))
             delta = chosen - flat_values.take(at)
             changed = np.flatnonzero(delta)
             if not changed.size:
@@ -522,19 +521,22 @@ class _BlanketTables:
             flat_rows[neighbour_rows] += delta.take(changed)[:, None] * weights.take(node, axis=0)
         return values.T, met
 
-    def _gathered_pick(self, s, values: np.ndarray, u: np.ndarray, current: np.ndarray):
-        """The outcomes :func:`_resample` picks with draws ``u`` for the
-        gathered slot ``s`` (one, or one per column) whose blanket members
-        hold ``values`` ((columns, members)), and the columns whose weights
-        are all zero, which keep ``current``. Factor f reads entry
-        ``sum(values * multipliers) + offset`` for each outcome, and the
-        weights are the factors' product in order, as
-        :func:`_conditional_weights` multiplies them. The pick is the count
-        of running sums ``<= u * total``, capped at the last positive
-        weight, as :func:`_resample` picks."""
-        _, multipliers, offsets, entries = self.gathered
-        at = multipliers[s] @ values[..., None] + offsets[s]
-        weights = np.multiply.reduce(entries.take(at, mode="clip"), axis=-2)
+    def _gathered_weights(self, r, values: np.ndarray) -> np.ndarray:
+        """Each column's weights of the gathered node of rank ``r`` (one, or
+        one per column), whose factors' members hold ``values`` ((columns,
+        factors, members)): the factors' entries multiplied in order, as
+        :func:`_conditional_weights` multiplies them, 0 past its outcomes."""
+        _, _, multipliers, offsets, entries = self.gathered
+        at = values[..., None, :] @ multipliers.take(r, axis=0)[..., None]
+        at = at[..., 0] + offsets.take(r, axis=0)
+        return np.multiply.reduce(entries.take(at, mode="clip"), axis=-2)
+
+    def _gathered_pick(self, r, values: np.ndarray, u: np.ndarray, current: np.ndarray):
+        """The outcomes :func:`_resample` picks with draws ``u`` from these
+        :meth:`_gathered_weights`: the count of running sums ``<= u * total``,
+        capped at the last positive weight; and the dead columns, whose
+        weights are all zero, which keep ``current``."""
+        weights = self._gathered_weights(r, values)
         running = weights.cumsum(axis=-1)
         total = running[:, -1]
         chosen = (running <= (u * total)[:, None]).sum(axis=-1)
@@ -545,21 +547,21 @@ class _BlanketTables:
     @cached_property
     def _walk_slots(self) -> tuple:
         """What :meth:`walk` reads for each slot s: its neighbours, the
-        free members of its blanket, whose rows read s (the blanket
-        relation is symmetric); the multiplier each of those rows gives s;
-        the cutoff columns that can be finite (one column as a vector).
-        The neighbours are padded with s itself and multiplier 0: s is not
-        in its own blanket, so a padded index in the fancy ``+=`` writes
-        back only the row it read."""
-        nfree, widest = self.members.shape
-        neighbours = np.repeat(np.arange(nfree)[:, None], widest, axis=1)
-        weights = np.zeros((nfree, widest), dtype=np.intp)
-        count = [0] * nfree
-        for n, (members, multipliers) in enumerate(zip(self.members, self.multipliers)):
-            for m, w in zip(members.tolist(), multipliers.tolist()):
+        tabulated free members of its blanket, whose rows read s (the
+        blanket relation is symmetric); the multiplier each of those rows
+        gives s; the cutoff columns that can be finite (one column as a
+        vector). The neighbours are padded with s itself and multiplier 0: s
+        is not in its own blanket, so a padded index in the fancy ``+=``
+        writes back only the row it read."""
+        nfree = len(self.outcomes)
+        readers = [[] for _ in range(nfree)]
+        for n, (members, multipliers) in enumerate(zip(self.members.tolist(), self.multipliers.tolist())):
+            for m, w in zip(members, multipliers):
                 if w:  # m is in n's blanket, so n is in m's
-                    neighbours[m, count[m]], weights[m, count[m]] = n, w
-                    count[m] += 1
+                    readers[m].append((n, w))
+        widest = max(map(len, readers))
+        padded = np.array([p + [(m, 0)] * (widest - len(p)) for m, p in enumerate(readers)], dtype=np.intp)
+        neighbours, weights = np.moveaxis(padded.reshape(nfree, widest, 2), -1, 0).copy()
         return neighbours, weights, _finite_columns(self.cutoffs)
 
     @cached_property
@@ -568,14 +570,14 @@ class _BlanketTables:
         the rows lo, ..., hi - 1, counted from a step's first row, that hold
         its members among the last nfree outcomes; the multipliers of those
         rows; the cutoff columns that can be finite (one column as a
-        vector). For a gathered node: the rows that hold its blanket
-        members, and 0, None, None."""
+        vector). For a gathered node: its rank, the rows that hold its
+        factors' members, None, None."""
         nfree = len(self.outcomes)
         slots = []
         for s, (members, multipliers, start) in enumerate(
                 zip(self.members, self.multipliers, self.offsets)):
-            if self.gathered and self.gathered[0][s]:
-                slots.append(((members - s) % nfree, 0, None, None))
+            if self.gathered and (r := self.gathered[0][s]) >= 0:
+                slots.append((r, (self.gathered[1][r] - s) % nfree, None, None))
                 continue
             width = (multipliers > 0).sum()
             at = (members[:width] - s) % nfree
@@ -610,9 +612,9 @@ class _BlanketTables:
         met = np.full(written[0].size, -1) if self.gathered else None
         for i, u in enumerate(draws):
             lo, hi, window, cutoffs = slots[(first + i) % nfree]
-            if window is None:  # gathered: lo holds its members' rows
-                found = outcomes[i + lo].T.astype(np.intp)
-                chosen, dead = self._gathered_pick((first + i) % nfree, found, u.ravel(), outcomes[i])
+            if window is None:  # gathered: lo is its rank, hi its factors' members' rows
+                found = outcomes[i + hi].astype(np.intp).transpose(2, 0, 1)
+                chosen, dead = self._gathered_pick(lo, found, u.ravel(), outcomes[i])
                 written[i] = chosen.reshape(shape)
                 met[dead & (met < 0)] = i
                 continue
@@ -760,10 +762,8 @@ def _cyclic_chunks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], temp
     Where every free node is tabulated, so that no chain can conflict, a
     chunk that holds at least four blocks' steps moves in blocks of
     ``_BLOCK_SWEEPS`` sweeps, until some chunk gives its blocks up, its
-    passes having cost more than half its steps: 30 chains of PATH2, whose
-    runs meet slowly, keep them through 13 to 20 passes of their chunks of
-    1088 steps (seeds 0-29, 10,000 steps), giving them up only in a short
-    last chunk; one chain's chunk of 3000 steps keeps them through six.
+    passes having cost more than half its steps (PATH2's chains, whose runs
+    meet slowly, give them up only in a short last chunk).
     """
     tables = _blanket_tables(tab, free, template)
     chains, nfree = len(rngs), len(free)

@@ -126,6 +126,20 @@ def hub_network(k, seed=0):
     return bnras.BeliefNetwork(f"HUB{k}", tuple(nodes))
 
 
+def star_network(k, seed=0):
+    """One binary root R with k binary children C0, ..., C(k-1), each
+    reading only the root: the root's free blanket has 2^k states, each
+    child's two. Each row's first entry is drawn from [0.05, 0.95] by
+    random.Random(seed), so every table is strictly positive."""
+    rng = random.Random(seed)
+
+    def cpt(count):
+        return bnras.Cpt.from_rows([(p, 1.0 - p) for p in (rng.uniform(0.05, 0.95) for _ in range(count))])
+
+    children = [bnras.Node(f"C{j}", ("t", "f"), ("R",), cpt(2)) for j in range(k)]
+    return bnras.BeliefNetwork(f"STAR{k}", (bnras.Node("R", ("t", "f"), (), cpt(1)), *children))
+
+
 @pytest.fixture(scope="session")
 def hub13():
     """A hub with 13 parents: with no evidence every blanket table would

@@ -9,6 +9,7 @@ gathered node, made without cutoffs, must be ``_resample``'s too.
 """
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import bnras
 from bnras import chain
 
-from conftest import evidence_sets
+from conftest import evidence_sets, layered_network, star_network
 
 LAST_DRAW = 1.0 - 2.0**-53  # the largest draw a stream makes
 
@@ -134,7 +135,8 @@ def test_dead_rows_of_the_and_gate(monkeypatch, and_gate, empty):
     # laid out as fill lays tables out, their rows still pick as _resample,
     # and _draw_cutoffs' dead mask flags exactly the rows on which it raises
     tab, free, template = chain._prepare(and_gate, empty)
-    assert chain._BlanketTables.fill(tab, free, template).gathered[0].tolist() == [True, True, False]
+    rank = chain._BlanketTables.fill(tab, free, template).gathered[0]
+    assert rank.tolist() == [0, 1, -1]
     masks = []
     draw_cutoffs = chain._draw_cutoffs
 
@@ -158,16 +160,54 @@ def test_gathered_pick_as_resample(weights, grid):
     # is _resample's at every draw, and a dead row is a conflict that keeps
     # the current value
     width = len(weights)
+    no_members = np.zeros((1, 1, 0), dtype=np.intp)
     tables = chain._BlanketTables(
         np.array([width]), np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0), dtype=np.intp),
         np.zeros(1, dtype=np.intp), np.full((1, width), np.inf),
-        (np.array([True]), np.zeros((1, 1, 0), dtype=np.intp), np.arange(width)[None, None],
+        (np.array([0]), no_members, no_members, np.arange(width)[None, None],
          np.array([*weights, 1.0, 0.0])))
     draws = probe_draws(chain._draw_cutoffs(np.array([weights]))[0]) + [k * 2.0**-53 for k in grid]
-    found = np.zeros((len(draws), 0), dtype=np.intp)
+    found = np.zeros((len(draws), 1, 0), dtype=np.intp)
     chosen, dead = tables._gathered_pick(0, found, np.array(draws), np.full(len(draws), -1))
     if total_of(weights) <= 0.0:
         assert dead.all() and (chosen == -1).all()
     else:
         assert not dead.any()
         assert chosen.tolist() == [resample_pick(weights, u) for u in draws]
+
+
+@pytest.mark.parametrize("cap", [8, 1])
+def test_gathered_weights_are_conditional_weights(monkeypatch, minialarm, cap):
+    # a gathered node's weights, not only its picks, are _conditional_weights'
+    # bit for bit at random states, the factors multiplied in the same order:
+    # MINIALARM's nodes of 16 and 32 rows gathered, then every node; the
+    # layered network's nodes have three children, the star's root 70
+    monkeypatch.setattr(chain, "_BLANKET_CAP", cap)
+    rng = np.random.default_rng(cap)
+    for net in (minialarm, layered_network(12), star_network(70)):
+        for ev in evidence_sets(net):
+            tab, free, template = chain._prepare(net, ev)
+            tables = chain._BlanketTables.fill(tab, free, template)
+            rank, members = tables.gathered[:2]
+            states = np.array(template) + np.zeros((200, 1), dtype=np.intp)
+            states[:, free] = rng.integers(0, tables.outcomes, size=(200, len(free)))
+            for s in np.flatnonzero(rank >= 0).tolist():
+                weights = tables._gathered_weights(rank[s], states[:, free][:, members[rank[s]]])
+                k = tab.k[free[s]]
+                assert not weights[:, k:].any()
+                for row, state in zip(weights[:, :k].tolist(), states.tolist()):
+                    assert row == chain._conditional_weights(tab, state, free[s])[0]
+
+
+def test_wide_star_fill_memory():
+    # the root of 1000 children is gathered; its factor arrays hold one free
+    # member a factor, so fill allocates little more than the children's
+    # two-row tables (1.2 MB measured)
+    tab, free, template = chain._prepare(star_network(1000), bnras.Evidence.empty())
+    tracemalloc.start()
+    tables = chain._BlanketTables.fill(tab, free, template)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (tables.gathered[0] >= 0).tolist() == [True] + [False] * 1000
+    assert tables.members.shape == (1001, 1) and tables.gathered[1].shape == (1, 1001, 1)
+    assert peak < 4 * 2**20
