@@ -527,9 +527,8 @@ class _BlanketTables:
         factors, members)): the factors' entries multiplied in order, as
         :func:`_conditional_weights` multiplies them, 0 past its outcomes."""
         _, _, multipliers, offsets, entries = self.gathered
-        at = values[..., None, :] @ multipliers.take(r, axis=0)[..., None]
-        at = at[..., 0] + offsets.take(r, axis=0)
-        return np.multiply.reduce(entries.take(at, mode="clip"), axis=-2)
+        at = (values[..., None, :] @ multipliers.take(r, axis=0)[..., None])[..., 0]
+        return np.multiply.reduce(entries.take(at + offsets.take(r, axis=0), mode="clip"), axis=-2)
 
     def _gathered_pick(self, r, values: np.ndarray, u: np.ndarray, current: np.ndarray):
         """The outcomes :func:`_resample` picks with draws ``u`` from these
@@ -554,14 +553,15 @@ class _BlanketTables:
         is not in its own blanket, so a padded index in the fancy ``+=``
         writes back only the row it read."""
         nfree = len(self.outcomes)
-        readers = [[] for _ in range(nfree)]
-        for n, (members, multipliers) in enumerate(zip(self.members.tolist(), self.multipliers.tolist())):
-            for m, w in zip(members, multipliers):
+        widest = np.bincount(self.members[self.multipliers > 0], minlength=nfree).max()  # most readers
+        neighbours = np.repeat(np.arange(nfree)[:, None], widest, axis=1)
+        weights = np.zeros((nfree, widest), dtype=np.intp)
+        count = [0] * nfree
+        for n, (members, multipliers) in enumerate(zip(self.members, self.multipliers)):
+            for m, w in zip(members.tolist(), multipliers.tolist()):
                 if w:  # m is in n's blanket, so n is in m's
-                    readers[m].append((n, w))
-        widest = max(map(len, readers))
-        padded = np.array([p + [(m, 0)] * (widest - len(p)) for m, p in enumerate(readers)], dtype=np.intp)
-        neighbours, weights = np.moveaxis(padded.reshape(nfree, widest, 2), -1, 0).copy()
+                    neighbours[m, count[m]], weights[m, count[m]] = n, w
+                    count[m] += 1
         return neighbours, weights, _finite_columns(self.cutoffs)
 
     @cached_property
