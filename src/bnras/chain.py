@@ -230,11 +230,14 @@ def _resample(tab: _Tables, state: list[int], i: int, rand) -> None:
 def _located(net: BeliefNetwork, i: int, where: str) -> DeterministicConflictError:
     """The refusal of node i, all of whose conditional weights are zero,
     named by the node and by ``where`` it happened ("in the given state",
-    "in trial j of seed s", ...)."""
+    "in trial j of seed s", ...). If no table in i's family has a zero
+    entry, the weights' products underflowed, and the message says so."""
+    if all(net.nodes[j].cpt.min_entry > 0.0 for j in (i, *net.tables.children[i])):
+        cause = "their products of strictly positive table entries underflowed to 0.0"
+    else:
+        cause = "the 0/1 table entries conflict with the current state"
     return DeterministicConflictError(
-        f"all conditional weights of node {net.nodes[i].name} are zero "
-        f"{where}; the 0/1 table entries conflict with the current state",
-        node=i,
+        f"all conditional weights of node {net.nodes[i].name} are zero {where}; {cause}", node=i
     )
 
 

@@ -10,9 +10,8 @@ rows carry the cumulative transition count in the ``checkpoint`` column,
 summary rows leave it empty. The randomized-restart runs of one (trials,
 transitions) and the straight-simulation runs of one total (every seed of
 a ``sweep`` grid point, or of a ``compare``) each run as one batch, in
-lock step unless lock step is refused, and each row's ``cpu_seconds`` and
-``wall_seconds`` are its equal share of the batch's time, so that the rows
-sum to it. The ``BNRAS_ENUM_CAP`` environment variable overrides the
+lock step, and each row's ``cpu_seconds`` and ``wall_seconds`` are its
+equal share of the batch's time, so that the rows sum to it. The ``BNRAS_ENUM_CAP`` environment variable overrides the
 enumeration cap used for oracle computations and exact-mode bounds.
 """
 

@@ -40,8 +40,9 @@ class ImpossibleEvidenceError(BnrasError):
 class DeterministicConflictError(BnrasError):
     """Every candidate outcome of a node has zero conditional weight.
 
-    Only possible when the network contains hard 0/1 table entries. ``node``
-    is the node's index when a sampler step raised it.
+    Either hard 0/1 table entries conflict with the state, or the products
+    of a node with very many children underflow to 0.0; the message says
+    which. ``node`` is the node's index when a sampler step raised it.
     """
 
     def __init__(self, message: str, node: int | None = None):

@@ -15,13 +15,13 @@ parent varying fastest. Probabilities may use scientific notation and are
 read as 64-bit floats.
 
 The parser checks only what needs the document: blocks naming undeclared
-nodes, unknown parent names, repeated ``parents``/``cpt`` blocks, a node
-without a cpt, and each cpt's count of numbers. The network it builds is
-then judged by :func:`bnras.network.validate_network` (outcome counts and
-labels, duplicate nodes, repeated parents, entry range, row sums, cycles),
-whose first issue is raised at the block it names. Rows must sum to 1
-within 1e-9 and are renormalized on load (see
-:func:`bnras.network.normalize_rows`).
+nodes, repeated ``parents``/``cpt`` blocks and a node without a cpt. It
+cuts each cpt's numbers into rows of the node's outcome count; the network
+it builds is then judged by :func:`bnras.network.validate_network` (outcome
+counts and labels, duplicate nodes, unknown and repeated parents, table
+sizes, entry range, row sums, cycles), whose first issue is raised at the
+block it names. Rows must sum to 1 within 1e-9 and are renormalized on
+load (see :func:`bnras.network.normalize_rows`).
 
 Evidence strings are ``Name=outcome`` pairs separated by commas; the empty
 string means no evidence.
@@ -29,7 +29,6 @@ string means no evidence.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -195,32 +194,20 @@ class _Parser:
         return self.resolve(name, node_decls, parent_decls, cpt_decls)
 
     def resolve(self, name, node_decls, parent_decls, cpt_decls) -> BeliefNetwork:
-        outcomes_of = {node_name: outcomes for _, node_name, outcomes in node_decls}
-        for node_name, (tok, plist) in parent_decls.items():
-            if node_name not in outcomes_of:
-                self.fail(f"parents declared for unknown node {node_name}", tok)
-            for p in plist:
-                if p not in outcomes_of:
-                    self.fail(f"parents {node_name}: unknown parent {p}", tok)
-        for node_name, (tok, _) in cpt_decls.items():
-            if node_name not in outcomes_of:
-                self.fail(f"cpt declared for unknown node {node_name}", tok)
+        declared = {node_name for _, node_name, _ in node_decls}
+        for kind, decls in (("parents", parent_decls), ("cpt", cpt_decls)):
+            for node_name, (tok, _) in decls.items():
+                if node_name not in declared:
+                    self.fail(f"{kind} declared for unknown node {node_name}", tok)
 
         nodes = []
         for name_tok, node_name, outcomes in node_decls:
             plist = parent_decls.get(node_name, (None, []))[1]
             if node_name not in cpt_decls:
                 self.fail(f"node {node_name}: no cpt declared", name_tok)
-            cpt_tok, numbers = cpt_decls[node_name]
-            k = len(outcomes)
-            expected_rows = math.prod(len(outcomes_of[p]) for p in plist)
-            if len(numbers) != expected_rows * k:
-                self.fail(
-                    f"cpt {node_name}: {len(numbers)} probabilities, "
-                    f"expected {expected_rows} rows of {k}",
-                    cpt_tok,
-                )
-            rows = [numbers[r * k : (r + 1) * k] for r in range(expected_rows)]
+            numbers, k = cpt_decls[node_name][1], len(outcomes)
+            # rows of k numbers; validate_network judges their count and widths
+            rows = [numbers[r : r + k] for r in range(0, len(numbers), k)]
             nodes.append(Node(node_name, tuple(outcomes), tuple(plist), Cpt.from_rows(rows)))
 
         net = BeliefNetwork(name, tuple(nodes))

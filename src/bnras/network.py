@@ -246,9 +246,10 @@ def validate_network(net: BeliefNetwork) -> ValidationReport:
         seen.add(nd.name)
 
     for nd in net.nodes:
-        if len(nd.outcomes) < 2:
+        k = len(nd.outcomes)
+        if k < 2:
             issues.append(f"node {nd.name}: fewer than 2 outcomes")
-        if len(set(nd.outcomes)) != len(nd.outcomes):
+        if len(set(nd.outcomes)) != k:
             issues.append(f"node {nd.name}: duplicate outcome labels")
         unknown = [p for p in nd.parents if p not in net.node_index]
         for p in unknown:
@@ -256,14 +257,13 @@ def validate_network(net: BeliefNetwork) -> ValidationReport:
         if len(set(nd.parents)) != len(nd.parents):
             issues.append(f"parents {nd.name}: repeated parent reference")
         if not unknown:
-            expected = math.prod(len(net.node(p).outcomes) for p in nd.parents)
-            if len(nd.cpt.rows) != expected:
-                issues.append(f"cpt {nd.name}: {len(nd.cpt.rows)} rows, expected {expected}")
+            rows = math.prod(len(net.node(p).outcomes) for p in nd.parents)
+            if len(nd.cpt.rows) != rows:
+                n = sum(map(len, nd.cpt.rows))
+                issues.append(f"cpt {nd.name}: {n} probabilities, expected {rows} rows of {k}")
         for r, row in enumerate(nd.cpt.rows):
-            if len(row) != len(nd.outcomes):
-                issues.append(
-                    f"cpt {nd.name}: row {r} has {len(row)} entries, expected {len(nd.outcomes)}"
-                )
+            if len(row) != k:
+                issues.append(f"cpt {nd.name}: row {r} has {len(row)} entries, expected {k}")
                 continue
             if any(not (0.0 <= p <= 1.0) for p in row):
                 issues.append(f"cpt {nd.name}: row {r} has entries outside [0, 1]")

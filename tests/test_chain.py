@@ -13,6 +13,7 @@ from conftest import (
     cyclic_scan_flip_probability,
     evidence_sets,
     positive_networks,
+    star_network,
 )
 
 
@@ -112,6 +113,30 @@ def test_full_conditional_zero_weights_raise():
     # A=t forces B=t, and A=f has prior probability 0
     with pytest.raises(bnras.DeterministicConflictError):
         bnras.full_conditional(net, [0, 1], "A")
+
+
+def test_underflow_named_apart_from_conflict():
+    # each child at its value less likely under both root values: R's
+    # weights are products of 1001 entries below 0.5 and reach 0.0,
+    # though every table is strictly positive
+    net = star_network(1000)
+    state = [0] + [
+        next((v for v in (0, 1) if max(nd.cpt.rows[0][v], nd.cpt.rows[1][v]) < 0.5), 0)
+        for nd in net.nodes[1:]
+    ]
+    with pytest.raises(bnras.DeterministicConflictError) as info:
+        bnras.full_conditional(net, state, "R")
+    assert str(info.value) == (
+        "all conditional weights of node R are zero in the given state; "
+        "their products of strictly positive table entries underflowed to 0.0"
+    )
+    # a zero entry in the family keeps the conflict's wording
+    det = bnras.parse_network(
+        "network DET\nnode A { outcomes: t, f }\ncpt A:\n 0.5 0.5\n"
+        "node B { outcomes: t, f }\nparents B: A\ncpt B:\n 1 0\n 1 0\n"
+    )
+    with pytest.raises(bnras.DeterministicConflictError, match="0/1 table entries conflict"):
+        bnras.full_conditional(det, [0, 1], "A")
 
 
 def test_lazy_hold_consumes_one_draw(ab, empty):

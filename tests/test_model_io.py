@@ -105,6 +105,28 @@ def test_wrong_probability_count():
         bnras.parse_network(doc)
 
 
+def test_cpt_sizes_judged_at_the_cpt_line():
+    head = "network X\nnode A { outcomes: t, f }\ncpt A:\n 0.5 0.5\n"  # lines 1-4
+    child = "node B { outcomes: t, f }\nparents B: A\ncpt B:\n"  # cpt B on line 7
+    cases = [
+        (" 0.5 0.5\n", "cpt B: 2 probabilities, expected 2 rows of 2"),  # a whole row missing
+        (" 0.5 0.5\n 1\n", "cpt B: row 1 has 1 entries, expected 2"),  # a short last row
+    ]
+    for numbers, message in cases:
+        with pytest.raises(bnras.NetworkFormatError, match=f"^line 7, column \\d+: {message}$"):
+            bnras.parse_network(head + child + numbers)
+
+
+def test_first_validation_issue_reported():
+    # validate_network lists A's bad row sum before B's unknown parent
+    doc = (
+        "network X\nnode A { outcomes: t, f }\ncpt A:\n 0.6 0.5\n"
+        "node B { outcomes: t, f }\nparents B: Q\ncpt B:\n 0.5 0.5\n 0.5 0.5\n"
+    )
+    with pytest.raises(bnras.NetworkFormatError, match=r"^line 3, column \d+: cpt A: row 0 sums"):
+        bnras.parse_network(doc)
+
+
 def test_duplicate_declarations_rejected():
     base = "network X\nnode A { outcomes: t, f }\n"
     with pytest.raises(bnras.NetworkFormatError, match="duplicate node"):

@@ -65,6 +65,17 @@ def test_wrong_row_count_reported():
     assert not report.ok
 
 
+def test_row_count_reported_as_the_parser_words_it():
+    net = build(
+        "ROWS",
+        [
+            ("A", "tf", [], [(0.5, 0.5)]),
+            ("B", "tf", ["A"], [(0.5, 0.5)] * 3),  # needs 2 rows
+        ],
+    )
+    assert bnras.validate_network(net).issues == ("cpt B: 6 probabilities, expected 2 rows of 2",)
+
+
 def test_repeated_parent_reported():
     net = build(
         "DUP",
