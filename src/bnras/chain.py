@@ -62,18 +62,20 @@ from .network import (
     _is_index,
     _Tables,
 )
-from .rng import _GOLDEN, _MASK64, RandomStream, counter_draws, derive_stream_seeds
+from .rng import _GOLDEN, _MASK64, _MOST_DRAWS, RandomStream, counter_draws, derive_stream_seeds
 
 #: Trials per block of lock-step walkers.
 _BLOCK = 4096
 
 #: Most outcomes (steps x chains) a chunk of straight simulation holds.
-#: At its peak a chunk holds three doubles an outcome: the outcome, its
-#: draw, and one more, a copy of the draw's word while the draws are made
-#: or the outcome's place in the runs of a chunk moved in blocks.
-#: A batch of 30 PATH2 or 8 MINIALARM chains peaks at about 1 MB
-#: (tracemalloc; ``tests/test_straight_lockstep.py`` holds it to 1.5 MB).
-_CHUNK = 1 << 15
+#: At its peak a chunk holds 16 bytes an outcome: the outcome as float32,
+#: its draw as a double, and its place in the runs of a chunk moved in
+#: blocks as float32; the draws are made ``_MOST_DRAWS`` words at a time,
+#: so making them holds no second array of the chunk's size. A batch of 30
+#: PATH2, 8 MINIALARM or 16 LAYERED12 chains peaks at about 1.2 MB (0.9
+#: MB with chunks of 2^15 outcomes held as doubles; tracemalloc,
+#: ``tests/test_straight_lockstep.py`` holds it to 1.5 MB).
+_CHUNK = 1 << 16
 
 #: Sweeps (nfree steps each) in a block of a straight-simulation chunk
 #: moved in blocks (:meth:`_BlanketTables.scan_blocks`), whose warm-up is
@@ -84,6 +86,8 @@ _CHUNK = 1 << 15
 _BLOCK_SWEEPS = 8
 
 #: Most rows a node's blanket table may have; past it the node is gathered.
+#: A scan makes a row as a float32 dot of whole numbers, exact only for
+#: rows below 2^24, which this cap keeps.
 _BLANKET_CAP = 4096
 
 
@@ -585,7 +589,7 @@ class _BlanketTables:
             width = (multipliers > 0).sum()
             at = (members[:width] - s) % nfree
             lo, hi = (at.min(), at.max() + 1) if width else (0, 0)
-            window = np.zeros(hi - lo)
+            window = np.zeros(hi - lo, dtype=np.float32)
             window[at - lo] = multipliers[:width]
             stop = start + math.prod(self.outcomes[members[:width]].tolist())
             slots.append((lo, hi, window, _finite_columns(self.cutoffs[start:stop])))
@@ -594,7 +598,7 @@ class _BlanketTables:
     def scan(self, outcomes: np.ndarray, first: int, draws: np.ndarray) -> np.ndarray:
         """Cyclic-scan steps first + 1, ..., first + L of columns of chains,
         on their sequence of outcomes. The first nfree rows of ``outcomes``
-        ((nfree + L, columns), floats) hold the columns' last nfree
+        ((nfree + L, columns), float32) hold the columns' last nfree
         outcomes, which are their current values: row j holds slot (first +
         j) mod nfree. Step first + i + 1 redraws slot (first + i) mod nfree
         with the columns' draws ``draws[i]``, as :func:`_resample` redraws
@@ -604,8 +608,8 @@ class _BlanketTables:
         read where :func:`bnras.rng.counter_draws` made them. A tabulated
         node's blanket row is one dot of rows i, ..., i + nfree - 1 with its
         multipliers placed where its members stand among them; the
-        outcomes are floats so that BLAS makes the dot, exact on such small
-        whole numbers. A gathered node picks by :meth:`_gathered_pick`.
+        outcomes are float32 so that BLAS makes the dot, which is exact as
+        every row is a whole number below ``_BLANKET_CAP``. A gathered node picks by :meth:`_gathered_pick`.
         Returns the step i of each column's first conflict, -1 if none
         (None if no node is gathered)."""
         nfree = len(self.outcomes)
@@ -750,15 +754,15 @@ def _cyclic_chunks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], temp
     ``rngs``, each stream moved as the chain run step by step moves it, in
     chunks of at most ``_CHUNK`` outcomes, cut to whole blocks where a
     chunk can move in blocks. Each chunk is yielded as (the steps before
-    it, its rows): a view, valid until the next chunk, of floats of shape
+    it, its rows): a view, valid until the next chunk, of float32 of shape
     (nfree + steps, chains), whose first nfree rows are the last outcomes
     before it, the chains' values then, and whose row j holds slot (steps
     before + j) mod nfree.
 
     Each chain claims the nfree + total draws it takes from its stream up
     front (a stream given twice, its two chains' draws one after the
-    other), and a chunk's draws for every chain are made in one call, row
-    i holding the chunk's step i. A chain that meets a conflict keeps its
+    other), and a chunk's draws for every chain are made together, row i
+    holding the chunk's step i, in slices of at most ``_MOST_DRAWS``. A chain that meets a conflict keeps its
     value; after the last chunk the first such chain in order raises,
     named by its first conflicting step ("at step k of seed s").
 
@@ -774,12 +778,16 @@ def _cyclic_chunks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], temp
     most = max(1, _CHUNK // chains)
     if most >= 4 * lb:
         most -= most % lb  # whole blocks
-    outcomes = np.empty((nfree + most, chains))  # floats, for BLAS's dot
+    outcomes = np.empty((nfree + most, chains), dtype=np.float32)  # floats, for BLAS's dot
     starts = np.array([rng._claim(nfree + total) for rng in rngs], dtype=np.uint64)
+    rows = max(1, _MOST_DRAWS // chains)  # a slice of the draws
 
     def draws(first: int, count: int) -> np.ndarray:  # (count, chains)
-        counters = np.arange(first + 1, first + count + 1, dtype=np.uint64)
-        return counter_draws(starts, counters[:, None])
+        made = np.empty((count, chains))
+        counters = np.arange(first + 1, first + count + 1, dtype=np.uint64)[:, None]
+        for at in range(0, count, rows):
+            made[at : at + rows] = counter_draws(starts, counters[at : at + rows])
+        return made
 
     outcomes[:nfree] = (draws(0, nfree) * tables.outcomes[:, None]).astype(np.intp)
     blocked = tables.gathered is None  # whether chunks still move in blocks

@@ -22,7 +22,7 @@ import bnras
 from bnras import Evidence, RandomStream, chain
 from bnras.rng import counter_draws
 
-from conftest import evidence_sets, positive_networks, star_network
+from conftest import evidence_sets, layered_network, positive_networks, star_network
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
 PANEL = (3, 0, 2**63 + 11, 17, 2**32, 5)
@@ -56,15 +56,28 @@ def assert_matches_scalar(net, ev, total, seeds, stride=0):
     return ests
 
 
+class Scans(list):
+    """Each chunk the lock step moves, in order, and ``lock_steps``, the
+    steps of every scan since the last ``clear()``."""
+
+    lock_steps = 0
+
+    def clear(self):
+        super().clear()
+        self.lock_steps = 0
+
+
 @pytest.fixture
 def scans(monkeypatch):
     """Each chunk the lock step moves, in order: (lb, the columns of each
     scan, whether it kept its blocks) for a chunk moved in blocks of lb
-    steps, (None, [chains], None) for a chunk moved by one scan."""
-    chunks, inside = [], []
+    steps, (None, [chains], None) for a chunk moved by one scan; and the
+    lock steps of all scans."""
+    chunks, inside = Scans(), []
     scan, scan_blocks = chain._BlanketTables.scan, chain._BlanketTables.scan_blocks
 
     def spy_scan(self, outcomes, first, draws):
+        chunks.lock_steps += len(draws)
         if inside:
             inside[-1].append(outcomes.shape[1])
         else:
@@ -372,13 +385,17 @@ def test_marks_inside_chunks(monkeypatch, nets, scans, way):
 @pytest.mark.parametrize("name, evidence, total, chains, stride", [
     ("PATH2", "", 10_000, 30, 0),
     ("MINIALARM", "ALARM=t", 40_000, 8, 2000),
+    ("LAYERED12", "X11=t", 5000, 16, 1000),  # SYNMIX's shape
 ])
 def test_batch_memory(nets, name, evidence, total, chains, stride):
-    # a chunk holds its outcomes, its runs and its draws once each: the
-    # tracemalloc peak of a batch stays at most 1.5 MB (0.65 and 0.78 MB
-    # with chunks of 2^13 outcomes; 2.7 MB for PATH2 when chunks of 2^15
-    # in blocks copied their draws twice)
-    net = nets[name]
+    # a chunk holds its outcomes and its runs as float32 and its draws as
+    # doubles, once each, and makes its draws in slices: the tracemalloc
+    # peak of a batch stays at most 1.5 MB. With chunks of 2^16 outcomes the
+    # three batches peak at 1.20, 1.21 and 1.14 MB; with chunks of 2^15
+    # holding doubles, at 0.88, 0.96 and 0.88 MB (0.65 and 0.78 MB for the
+    # first two with chunks of 2^13; 2.7 MB for PATH2 when chunks of 2^15 in
+    # blocks copied their draws twice)
+    net = nets.get(name) or layered_network(12, seed=1)
     ev = bnras.parse_evidence(evidence, net)
     bnras.straight_estimates(net, ev, 10, [RandomStream(0)])  # fills the tables
     rngs = [RandomStream(s) for s in range(chains)]
@@ -389,6 +406,26 @@ def test_batch_memory(nets, name, evidence, total, chains, stride):
     finally:
         tracemalloc.stop()
     assert peak <= 1_500_000
+
+
+def test_lock_steps_of_benchmark_batches(nets, scans):
+    # the straight batches of the benchmark's sessions, on fixed seeds: the
+    # lock steps of all their scans. Chunks of 2^16 outcomes hold twice the
+    # steps of chunks of 2^15 and pay one warm-up each, so they take about
+    # half the lock steps: with chunks of 2^15 the batches took 1808, 1752,
+    # 2896 and 864
+    minialarm, synmix = nets["MINIALARM"], layered_network(12, seed=1)
+    batches = [
+        (minialarm, "ALARM=t", 40_000, 8, 2000, 968),
+        (minialarm, "ALARM=f", 40_000, 8, 2000, 912),
+        (nets["PATH2"], "", 10_000, 30, 0, 1600),
+        (synmix, "X11=t", 5000, 16, 1000, 600),
+    ]
+    for net, evidence, total, chains, stride, lock_steps in batches:
+        scans.clear()
+        bnras.straight_estimates(net, bnras.parse_evidence(evidence, net), total,
+                                 [RandomStream(s) for s in range(chains)], checkpoint_stride=stride)
+        assert scans.lock_steps == lock_steps
 
 
 def test_blocks_over_several_chunks(monkeypatch, nets, scans):
@@ -433,19 +470,19 @@ def test_first_chunk_in_blocks_needs_four(nets, empty, scans):
 def test_path2_gives_up_its_blocks(nets, empty, scans):
     # runs of PATH2 from different states meet in about 50 steps, so some
     # warm-ups of 32 steps have not met the chain, and many re-runs of 16
-    # steps do not meet the run they replace. 30 chains' chunks hold 1088
-    # steps (2^15 // 30 = 1092 outcomes, cut to whole blocks of 16): the
-    # first is a warm-up and 66 blocks (1980 columns), and keeps them after
-    # 18 passes (giving them up would take 33). The last 412 steps make a
-    # warm-up and 23 blocks (690 columns): after eleven passes the passes
+    # steps do not meet the run they replace. 30 chains' chunks hold 2176
+    # steps (2^16 // 30 = 2184 outcomes, cut to whole blocks of 16): the
+    # first is a warm-up and 134 blocks (4020 columns), and keeps them after
+    # 18 passes (giving them up would take 67). The last 320 steps make a
+    # warm-up and 18 blocks (540 columns): after nine passes the passes
     # have taken more lock steps than half of them, so the chunk gives its
     # blocks up and one scan runs its last steps. One chain's chunk of 3000
     # steps, a warm-up and 185 blocks, keeps its blocks through six passes,
     # and one scan runs the last eight steps.
-    assert_matches_scalar(nets["PATH2"], empty, 1500, range(30))
+    assert_matches_scalar(nets["PATH2"], empty, 2496, range(30))
     assert scans == [
-        (16, [1980] * 3 + [138, 92, 69, 52, 35, 28, 17, 12, 9, 5, 4, 1, 1, 1, 1, 1, 1], True),
-        (16, [690] * 3 + [52, 37, 22, 17, 7, 7, 6, 4, 3, 2, 30], False)]
+        (16, [4020] * 3 + [281, 189, 141, 106, 67, 47, 31, 24, 17, 12, 8, 3, 1, 1, 1, 1, 1], True),
+        (16, [540] * 3 + [29, 20, 17, 11, 8, 5, 4, 4, 30], False)]
     scans.clear()
     assert_matches_scalar(nets["PATH2"], empty, 3000, PANEL[:1])
     assert scans == [(16, [185] * 3 + [20, 14, 8, 5, 3, 1], True)]
@@ -464,9 +501,10 @@ def test_blocks_that_rarely_meet(scans):
     # passes re-run four blocks, then three, two and one as each flip's
     # run reaches the next, 418 passes in all, fewer than the 624 that
     # would take the passes' lock steps past half its steps, so it keeps
-    # its blocks. 30 chains' first chunk of 1088 steps (66 blocks each)
-    # keeps them after 21 passes; the second gives them up after 33, one
-    # scan running its last 30 steps, and the third runs in one scan
+    # its blocks. 30 chains' first chunk of 2176 steps (134 blocks each)
+    # still has wrong starts in four chains after 67 passes, the fewest
+    # whose lock steps pass half its steps, so it gives its blocks up, one
+    # scan running its last steps, and the second chunk runs in one scan
     net = coupled("0.9999", "0.0001")
     assert_matches_scalar(net, Evidence.empty(), 20000, [0])
     assert [(lb, runs_of(columns), kept) for lb, columns, kept in scans] == [
@@ -474,8 +512,7 @@ def test_blocks_that_rarely_meet(scans):
     scans.clear()
     assert_matches_scalar(net, Evidence.empty(), 3000, range(30))
     assert [(lb, runs_of(columns), kept) for lb, columns, kept in scans] == [
-        (16, [(1980, 3), (4, 2), (3, 4), (2, 7), (1, 7)], True),
-        (16, [(1980, 3), (4, 16), (3, 1), (2, 4), (1, 11), (30, 1)], False),
+        (16, [(4020, 3), (8, 16), (7, 1), (6, 4), (5, 13), (4, 32), (30, 1)], False),
         (None, [(30, 1)], None)]
 
 
