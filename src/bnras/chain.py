@@ -72,9 +72,8 @@ _BLOCK = 4096
 #: its draw as a double, and its place in the runs of a chunk moved in
 #: blocks as float32; the draws are made ``_MOST_DRAWS`` words at a time,
 #: so making them holds no second array of the chunk's size. A batch of 30
-#: PATH2, 8 MINIALARM or 16 LAYERED12 chains peaks at about 1.2 MB (0.9
-#: MB with chunks of 2^15 outcomes held as doubles; tracemalloc,
-#: ``tests/test_straight_lockstep.py`` holds it to 1.5 MB).
+#: PATH2, 8 MINIALARM or 16 LAYERED12 chains peaks at 1.14-1.21 MB
+#: (tracemalloc; ``tests/test_straight_lockstep.py`` holds it to 1.5 MB).
 _CHUNK = 1 << 16
 
 #: Sweeps (nfree steps each) in a block of a straight-simulation chunk
@@ -609,7 +608,8 @@ class _BlanketTables:
         node's blanket row is one dot of rows i, ..., i + nfree - 1 with its
         multipliers placed where its members stand among them; the
         outcomes are float32 so that BLAS makes the dot, which is exact as
-        every row is a whole number below ``_BLANKET_CAP``. A gathered node picks by :meth:`_gathered_pick`.
+        every row is a whole number below ``_BLANKET_CAP``. A gathered node
+        picks by :meth:`_gathered_pick`.
         Returns the step i of each column's first conflict, -1 if none
         (None if no node is gathered)."""
         nfree = len(self.outcomes)
@@ -762,8 +762,8 @@ def _cyclic_chunks(net: BeliefNetwork, tab: _Tables, free: tuple[int, ...], temp
     Each chain claims the nfree + total draws it takes from its stream up
     front (a stream given twice, its two chains' draws one after the
     other), and a chunk's draws for every chain are made together, row i
-    holding the chunk's step i, in slices of at most ``_MOST_DRAWS``. A chain that meets a conflict keeps its
-    value; after the last chunk the first such chain in order raises,
+    holding the chunk's step i, in slices of at most ``_MOST_DRAWS``. A
+    chain that meets a conflict keeps its value; after the last chunk the first such chain in order raises,
     named by its first conflicting step ("at step k of seed s").
 
     Where every free node is tabulated, so that no chain can conflict, a
