@@ -24,6 +24,8 @@ import io
 import os
 import sys
 
+import numpy as np
+
 from . import exact as exact_mod
 from .bounds import ErrorTolerances, report_bounds
 from .errors import (
@@ -35,7 +37,7 @@ from .errors import (
     NetworkValidationError,
     PositivityError,
 )
-from .estimate import _row_errors, bnras_estimates, error_metrics, straight_estimates
+from .estimate import _bnras_tallies, _row_errors, _straight_tallies
 from .exact import enumerate_posteriors
 from .model_io import builtin_networks, format_evidence, parse_evidence, parse_network
 from .network import BeliefNetwork
@@ -167,24 +169,24 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
-def _estimates(net, ev, runs, stride: int) -> list:
-    """The estimate of each (algorithm, trials, transitions, total, seed),
-    in order. The runs of each group, the bnras runs of one (trials,
-    transitions) or the straight runs of one total, run as one batch, the
-    groups in the order of their first runs."""
+def _batches(net, ev, runs, stride: int) -> list[tuple]:
+    """The tallies of each (algorithm, trials, transitions, total, seed), in
+    order, as (its batch's tallies, its place in the batch). The runs of
+    each group, the bnras runs of one (trials, transitions) or the straight
+    runs of one total, run as one batch, the groups in the order of their
+    first runs."""
     groups: dict[tuple, list[int]] = {}  # group -> the indices of its runs, in order
     for index, run in enumerate(runs):
         groups.setdefault(run[:4], []).append(index)
-    estimates = {}  # run index -> its estimate
+    placed = {}  # run index -> (batch, place)
     for (algorithm, trials, transitions, total), indices in groups.items():
         streams = [RandomStream(runs[i][4]) for i in indices]
         if algorithm == "bnras":
-            batch = bnras_estimates(net, ev, trials, transitions, streams,
-                                    checkpoint_stride=stride)
+            batch = _bnras_tallies(net, ev, trials, transitions, streams, stride)
         else:
-            batch = straight_estimates(net, ev, total, streams, checkpoint_stride=stride)
-        estimates.update(zip(indices, batch))
-    return [estimates[i] for i in range(len(runs))]
+            batch = _straight_tallies(net, ev, total, streams, stride)
+        placed.update((i, (batch, place)) for place, i in enumerate(indices))
+    return [placed[i] for i in range(len(runs))]
 
 
 def _write_runs(net, ev, runs, stride: int, out: str) -> int:
@@ -198,33 +200,38 @@ def _write_runs(net, ev, runs, stride: int, out: str) -> int:
     an equal share of its batch's processor and wall seconds. If a batch
     meets a deterministic conflict, the runs are made again one at a time
     in order, so that the error reported is the one that order meets first.
-    A negative stride is a usage error, refused before any run.
+    Every row of a batch is scored at once, straight off its tallies
+    (:func:`bnras.estimate._row_errors`), with the values
+    :func:`bnras.estimate.error_metrics` gives each run's estimate and
+    checkpoints. A negative stride is a usage error, refused before any run.
     """
     if stride < 0:
         raise UsageError("--stride must be >= 0")
     oracle = enumerate_posteriors(net, ev, cap=_enum_cap())
     try:
-        estimates = _estimates(net, ev, runs, stride)
+        placed = _batches(net, ev, runs, stride)
     except DeterministicConflictError:
-        estimates = [_estimates(net, ev, [run], stride)[0] for run in runs]
+        placed = [_batches(net, ev, [run], stride)[0] for run in runs]
+    exact = np.array([p for row in oracle.probs for p in row], dtype=np.float64)
+    errors = {}  # batch -> the (avg_error, max_error, worst_node) of its rows, run by run
     ev_str = format_evidence(ev, net)
     buffer = io.StringIO()
     buffer.write(CSV_HEADER + "\n")
     writer = csv.writer(buffer, lineterminator="\n")  # quotes a field that holds a comma
-    for (algorithm, trials, transitions, total, seed), est in zip(runs, estimates):
+    for (algorithm, trials, transitions, total, seed), (batch, place) in zip(runs, placed):
+        if batch not in errors:
+            errors[batch] = list(zip(*_row_errors(batch.nodes, batch.edges, batch.probs, exact)))
         if algorithm == "bnras":
             run_id = f"bnras-{net.name}-N{trials}-t{transitions}-s{seed}"
         else:
             run_id = f"straight-{net.name}-T{total}-s{seed}"
-        common = [run_id, seed, algorithm, net.name, ev_str, est.trials,
-                  est.transitions_per_trial, est.total_transitions]  # None is written empty
-        for ck in est.checkpoints:
-            err = _row_errors(est.nodes, ck.probs, oracle.probs)
-            writer.writerow([*common, ck.transitions, f"{err.avg_error:.9g}",
-                             f"{err.max_error:.9g}", err.worst_node, "", ""])
-        err = error_metrics(est, oracle)
-        writer.writerow([*common, "", f"{err.avg_error:.9g}", f"{err.max_error:.9g}",
-                         err.worst_node, f"{est.cpu_seconds:.6f}", f"{est.wall_seconds:.6f}"])
+        common = [run_id, seed, algorithm, net.name, ev_str, batch.trials,
+                  batch.transitions, batch.total_transitions]  # None is written empty
+        marks = batch.marks.tolist()
+        timings = [("", "")] * len(marks) + [(f"{batch.cpu_seconds:.6f}", f"{batch.wall_seconds:.6f}")]
+        rows = errors[batch][place * (len(marks) + 1) : (place + 1) * (len(marks) + 1)]
+        writer.writerows([*common, mark, f"{avg:.9g}", f"{worst_error:.9g}", worst, *timing]
+                         for mark, (avg, worst_error, worst), timing in zip([*marks, ""], rows, timings))
     text = buffer.getvalue()
     if out == "-":
         sys.stdout.write(text)

@@ -160,6 +160,30 @@ def evidence_sets(net):
     return [bnras.Evidence.empty(), bnras.Evidence({last: 0})]
 
 
+def scalar_row_errors(nodes, probs, exact):
+    """Test-side twin of the scorer: (avg_error, max_error, worst_node) of
+    rows of probabilities ``probs``, one per node of ``nodes``, against the
+    oracle's rows ``exact``, by a loop over every (node, outcome) pair in
+    order. The deviations are added one after another, and the first
+    largest names the worst node; with no pair, both errors are 0.0."""
+    total = 0.0
+    count = 0
+    max_err = -1.0
+    worst = nodes[0] if nodes else ""
+    for name, est_row, exact_row in zip(nodes, probs, exact):
+        assert len(est_row) == len(exact_row)
+        for a, b in zip(est_row, exact_row):
+            d = abs(a - b)
+            total += d
+            count += 1
+            if d > max_err:
+                max_err = d
+                worst = name
+    if count == 0:
+        return 0.0, 0.0, worst
+    return total / count, max_err, worst
+
+
 def _joint_weight(net, assignment):
     """Product of raw table entries at a full joint assignment {name: index},
     with row indices accumulated Horner-style over the parent list."""

@@ -1,9 +1,11 @@
 import csv
 import io
+import itertools
 
 import pytest
 
 import bnras
+from bnras import RandomStream, chain, estimate
 from bnras.cli import CSV_HEADER, main
 
 from conftest import layered_network
@@ -226,6 +228,19 @@ def test_run_with_checkpoints(capsys):
     assert checkpoints[0]["cpu_seconds"] == ""
 
 
+def test_run_with_no_free_node(capsys):
+    # every node clamped: nothing is tallied, and the summary row scores
+    # 0 and 0 with no worst node
+    code, out, err = run_cli(
+        capsys, "run", "--network", "AB", "--evidence", "A=t,B=t", "--algorithm", "bnras",
+        "--trials", "3", "--transitions", "0",
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 2
+    assert lines[1].rsplit(",", 2)[0] == 'bnras-AB-N3-t0-s0,0,bnras,AB,"A=t,B=t",3,0,0,,0,0,'
+
+
 def test_bounds_ab_exact(capsys):
     code, out, err = run_cli(
         capsys, "bounds", "--network", "AB", "--alpha", "0.1", "--delta", "0.1",
@@ -367,33 +382,71 @@ def test_sweep_straight_grid(tmp_path, capsys):
     assert len(rows) == 6
 
 
-def test_straight_batches_match_single_runs(tmp_path, capsys):
-    # a sweep runs the seeds of each total as one batch; the rows are the
-    # single runs' rows in the same order, and each summary row's timing is
-    # an equal share of its batch
+def sweep_matches_single_runs(capsys, tmp_path, algorithm, grid, seeds, stride):
+    """Run a sweep over ``grid`` ((flag, values) pairs, outermost first)
+    and ``seeds``, and each of its runs alone with ``run``; assert that the
+    rows agree in every column but the timings, in the same order, and
+    return the sweep's rows."""
+    out_path = tmp_path / "s.csv"
     code, _, _ = run_cli(
-        capsys, "sweep", "--network", "MINIALARM", "--algorithm", "straight",
-        "--total", "300,500", "--seeds", "0:6", "--stride", "70",
-        "--out", str(tmp_path / "s.csv"),
+        capsys, "sweep", "--network", "MINIALARM", "--algorithm", algorithm,
+        *(part for flag, values in grid for part in (flag, ",".join(values))),
+        "--seeds", ",".join(map(str, seeds)), "--stride", str(stride), "--out", str(out_path),
     )
     assert code == 0
-    lines = (tmp_path / "s.csv").read_text().splitlines()
+    lines = out_path.read_text().splitlines()
     single = [CSV_HEADER]
-    for total in ("300", "500"):
-        for seed in range(6):
+    for point in itertools.product(*(values for _, values in grid)):
+        for seed in seeds:
             code, out, _ = run_cli(
-                capsys, "run", "--network", "MINIALARM", "--algorithm", "straight",
-                "--total", total, "--seed", str(seed), "--stride", "70",
+                capsys, "run", "--network", "MINIALARM", "--algorithm", algorithm,
+                *(part for (flag, _), value in zip(grid, point) for part in (flag, value)),
+                "--seed", str(seed), "--stride", str(stride),
             )
             assert code == 0
             single += out.splitlines()[1:]
     assert [line.rsplit(",", 2)[0] for line in lines] == \
         [line.rsplit(",", 2)[0] for line in single]
-    rows = parse_csv("\n".join(lines))
+    return parse_csv("\n".join(lines))
+
+
+def test_straight_batches_match_single_runs(monkeypatch, tmp_path, capsys):
+    # a sweep runs the seeds of each total as one batch; the rows are the
+    # single runs' rows in the same order, and each summary row's timing is
+    # an equal share of its batch
+    rows = sweep_matches_single_runs(capsys, tmp_path, "straight", [("--total", ["300", "500"])],
+                                     range(6), 70)
     for total in ("300", "500"):
         shares = {(r["cpu_seconds"], r["wall_seconds"]) for r in rows
                   if r["checkpoint"] == "" and r["total_transitions"] == total}
         assert len(shares) == 1
+    # a mark at every step, and a stride past the total: no checkpoint row
+    rows = sweep_matches_single_runs(capsys, tmp_path, "straight", [("--total", ["300"])],
+                                     range(3), 1)
+    assert [r["checkpoint"] for r in rows[:301]] == [*map(str, range(1, 301)), ""]
+    rows = sweep_matches_single_runs(capsys, tmp_path, "straight", [("--total", ["300"])],
+                                     range(3), 301)
+    assert [r["checkpoint"] for r in rows] == [""] * 3
+    # marks on the boundaries of the batch's chunks of `size` steps (one
+    # chain runs in a single chunk)
+    starts = []
+
+    def spy(*args):
+        for done, chunk in cyclic_chunks(*args):
+            starts.append(done)
+            yield done, chunk
+
+    cyclic_chunks = estimate._cyclic_chunks
+    monkeypatch.setattr(estimate, "_cyclic_chunks", spy)
+    net = bnras.builtin_networks()["MINIALARM"]
+    bnras.straight_estimates(net, bnras.Evidence.empty(), 25_000, [RandomStream(s) for s in range(6)])
+    size = starts[1]
+    assert starts == [0, size, 2 * size]
+    starts.clear()
+    rows = sweep_matches_single_runs(capsys, tmp_path, "straight", [("--total", ["25000"])],
+                                     range(6), size)
+    assert starts[:3] == [0, size, 2 * size]
+    assert [r["checkpoint"] for r in rows[:3]] == [str(size), str(2 * size), ""]
 
 
 def test_bnras_batches_match_single_runs(tmp_path, capsys):
@@ -401,27 +454,9 @@ def test_bnras_batches_match_single_runs(tmp_path, capsys):
     # duplicated trial count's runs too; the rows are the single runs' rows
     # in the same order, and within each (trials, transitions) the summary
     # rows share one timing
-    code, _, _ = run_cli(
-        capsys, "sweep", "--network", "MINIALARM", "--algorithm", "bnras",
-        "--trials", "30,30,400", "--transitions", "0,7", "--seeds", "0:6", "--stride", "50",
-        "--out", str(tmp_path / "s.csv"),
-    )
-    assert code == 0
-    lines = (tmp_path / "s.csv").read_text().splitlines()
-    single = [CSV_HEADER]
-    for trials in ("30", "30", "400"):
-        for transitions in ("0", "7"):
-            for seed in range(6):
-                code, out, _ = run_cli(
-                    capsys, "run", "--network", "MINIALARM", "--algorithm", "bnras",
-                    "--trials", trials, "--transitions", transitions, "--seed", str(seed),
-                    "--stride", "50",
-                )
-                assert code == 0
-                single += out.splitlines()[1:]
-    assert [line.rsplit(",", 2)[0] for line in lines] == \
-        [line.rsplit(",", 2)[0] for line in single]
-    rows = parse_csv("\n".join(lines))
+    rows = sweep_matches_single_runs(capsys, tmp_path, "bnras",
+                                     [("--trials", ["30", "30", "400"]), ("--transitions", ["0", "7"])],
+                                     range(6), 50)
     assert sum(r["checkpoint"] != "" for r in rows) > 0
     for trials in ("30", "400"):
         for transitions in ("0", "7"):
@@ -429,13 +464,25 @@ def test_bnras_batches_match_single_runs(tmp_path, capsys):
                       if r["checkpoint"] == "" and r["trials"] == trials
                       and r["transitions_per_trial"] == transitions}
             assert len(shares) == 1
+    # a mark at every transition, seven in each trial
+    grid = [("--trials", ["30"]), ("--transitions", ["7"])]
+    rows = sweep_matches_single_runs(capsys, tmp_path, "bnras", grid, range(3), 1)
+    assert [r["checkpoint"] for r in rows[:211]] == [*map(str, range(1, 211)), ""]
+    # a stride past the total: no checkpoint row
+    rows = sweep_matches_single_runs(capsys, tmp_path, "bnras", grid, range(3), 211)
+    assert [r["checkpoint"] for r in rows] == [""] * 3
+    # the third seed's trials straddle two blocks of walkers, and so do its marks
+    assert 2 * 2000 < chain._BLOCK < 3 * 2000
+    grid = [("--trials", ["2000"]), ("--transitions", ["3"])]
+    rows = sweep_matches_single_runs(capsys, tmp_path, "bnras", grid, range(3), 500)
+    assert [r["checkpoint"] for r in rows[-13:]] == [*map(str, range(500, 6001, 500)), ""]
 
 
 def test_negative_stride_is_usage_error(monkeypatch, tmp_path, capsys):
     def unreachable(*args, **kwargs):
         raise AssertionError("a run started")
 
-    for name in ("enumerate_posteriors", "bnras_estimates", "straight_estimates"):
+    for name in ("enumerate_posteriors", "_bnras_tallies", "_straight_tallies"):
         monkeypatch.setattr(bnras.cli, name, unreachable)
     out_path = tmp_path / "x.csv"
     for argv in (

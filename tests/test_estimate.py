@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import bnras
-from bnras import Evidence, RandomStream
+from bnras import Evidence, RandomStream, estimate
 
-from conftest import scalar_transition_matrix
+from conftest import evidence_sets, scalar_row_errors, scalar_transition_matrix
 
 
 def test_single_trial_zero_transitions_is_indicator(ab, empty):
@@ -389,3 +389,95 @@ def test_estimate_rows_sum_to_one(chain5, empty):
     est = bnras.bnras_estimate(chain5, empty, 321, 5, RandomStream(5))
     for row in est.probs:
         assert abs(sum(row) - 1.0) <= 1e-9
+
+
+def _batch(net, ev, sampler, rngs):
+    if sampler == "bnras":  # 50 trials of 7: marks every 40 transitions cut trials
+        return estimate._bnras_tallies(net, ev, 50, 7, rngs, 40)
+    return estimate._straight_tallies(net, ev, 300, rngs, 70)
+
+
+@pytest.mark.parametrize("sampler", ["bnras", "straight"])
+def test_scorer_matches_scalar_loop(nets, uninode, sampler):
+    # each checkpoint row and summary row of a batch, scored at once off its
+    # arrays as the CLI scores them, and each summary scored by
+    # error_metrics, is what the scalar loop gives, to the bit; AB with B=t
+    # and UNI leave one free node
+    cases = [(net, ev) for net in nets.values() for ev in evidence_sets(net)]
+    for net, ev in [*cases, (uninode, Evidence.empty())]:
+        oracle = bnras.enumerate_posteriors(net, ev)
+        exact = np.array([p for row in oracle.probs for p in row])
+        batch = _batch(net, ev, sampler, [RandomStream(s) for s in (0, 7, 2**63 + 11)])
+        scored = list(zip(*estimate._row_errors(batch.nodes, batch.edges, batch.probs, exact)))
+        expected = []
+        for est in estimate._posteriors(batch):
+            assert len(est.checkpoints) > 3
+            expected += [scalar_row_errors(est.nodes, ck.probs, oracle.probs)
+                         for ck in est.checkpoints]
+            expected.append(scalar_row_errors(est.nodes, est.probs, oracle.probs))
+            report = bnras.error_metrics(est, oracle)
+            assert (report.avg_error, report.max_error, report.worst_node) == expected[-1]
+        assert scored == expected
+
+
+def test_scorer_ties_go_to_the_first():
+    # planted ties of the largest deviation (all dyadic, so exact): within
+    # X, within Y, and across X and Y; the first column holding it names
+    # the worst node, as in the scalar loop
+    nodes, labels = ("X", "Y"), (("a", "b", "c"), ("a", "b"))
+    exact = ((0.5, 0.25, 0.25), (0.5, 0.5))
+    rows = [
+        ((0.75, 0.25, 0.0), (0.5, 0.5)),  # X's first and third columns
+        ((0.5, 0.25, 0.25), (0.75, 0.25)),  # both of Y's columns, X exact
+        ((0.75, 0.0, 0.25), (0.75, 0.25)),  # X's first two and both of Y's
+        ((0.5, 0.5, 0.0), (0.25, 0.75)),  # X's last two and both of Y's
+        exact,  # no deviation at all
+    ]
+    flat = np.array([[p for row in probs for p in row] for probs in rows])
+    scored = list(zip(*estimate._row_errors(nodes, np.array([0, 3, 5]), flat, flat[-1])))
+    assert scored == [scalar_row_errors(nodes, probs, exact) for probs in rows]
+    assert [worst for _, _, worst in scored] == ["X", "Y", "X", "X", "X"]
+    assert [worst_error for _, worst_error, _ in scored] == [0.25] * 4 + [0.0]
+    oracle = bnras.PosteriorTable(nodes, labels, exact, 1.0)
+    for probs, expected in zip(rows, scored):
+        est = bnras.PosteriorEstimate(nodes, labels, probs, ((0,) * 3, (0,) * 2), 1, 0, 0, 0.0, 0.0)
+        report = bnras.error_metrics(est, oracle)
+        assert (report.avg_error, report.max_error, report.worst_node) == expected
+
+
+def test_scorer_with_no_free_node(ab):
+    # every node clamped: an empty row, which argmax would refuse, scores
+    # 0.0 and 0.0 with no worst node, as in the scalar loop
+    ev = bnras.parse_evidence("A=t,B=t", ab)
+    oracle = bnras.enumerate_posteriors(ab, ev)
+    batch = estimate._bnras_tallies(ab, ev, 3, 0, [RandomStream(0), RandomStream(1)], 1)
+    assert batch.probs.shape == (2, 1, 0)
+    scored = list(zip(*estimate._row_errors(batch.nodes, batch.edges, batch.probs, np.zeros(0))))
+    assert scored == [scalar_row_errors((), (), ())] * 2 == [(0.0, 0.0, "")] * 2
+    for est in estimate._posteriors(batch):
+        report = bnras.error_metrics(est, oracle)
+        assert (report.avg_error, report.max_error, report.worst_node) == (0.0, 0.0, "")
+
+
+@pytest.mark.parametrize("sampler", ["bnras", "straight"])
+def test_estimates_hold_python_numbers(nets, sampler):
+    # the estimates are made from the batch's arrays by one conversion, and
+    # keep Python's types: no numpy scalar, which numpy 2 prints as np.float64(...)
+    for name, evidence in (("MINIALARM", ""), ("AB", "B=t")):
+        net = nets[name]
+        ev = bnras.parse_evidence(evidence, net)
+        rngs = [RandomStream(s) for s in (3, 4)]
+        if sampler == "bnras":
+            ests = bnras.bnras_estimates(net, ev, 50, 7, rngs, checkpoint_stride=40)
+        else:
+            ests = bnras.straight_estimates(net, ev, 300, rngs, checkpoint_stride=70)
+        for est in ests:
+            assert est.checkpoints
+            for ck in est.checkpoints:
+                assert type(ck.transitions) is int and type(ck.scored) is int
+            for probs in (est.probs, *(ck.probs for ck in est.checkpoints)):
+                assert all(type(p) is float for row in probs for p in row)
+            assert all(type(c) is int for row in est.tallies for c in row)
+            assert {type(est.trials), type(est.total_transitions)} == {int}
+            assert {type(est.cpu_seconds), type(est.wall_seconds)} == {float}
+            assert "np." not in repr(est)
