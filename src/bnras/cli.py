@@ -11,7 +11,9 @@ summary rows leave it empty. The randomized-restart runs of one (trials,
 transitions) and the straight-simulation runs of one total (every seed of
 a ``sweep`` grid point, or of a ``compare``) each run as one batch, in
 lock step, and each row's ``cpu_seconds`` and ``wall_seconds`` are its
-equal share of the batch's time, so that the rows sum to it. The ``BNRAS_ENUM_CAP`` environment variable overrides the
+equal share of the batch's time, so that the rows sum to it. A batch's
+checkpoint and summary rows are scored together, off its tallies held as
+arrays. The ``BNRAS_ENUM_CAP`` environment variable overrides the
 enumeration cap used for oracle computations and exact-mode bounds.
 """
 
@@ -228,10 +230,12 @@ def _write_runs(net, ev, runs, stride: int, out: str) -> int:
         common = [run_id, seed, algorithm, net.name, ev_str, batch.trials,
                   batch.transitions, batch.total_transitions]  # None is written empty
         marks = batch.marks.tolist()
-        timings = [("", "")] * len(marks) + [(f"{batch.cpu_seconds:.6f}", f"{batch.wall_seconds:.6f}")]
         rows = errors[batch][place * (len(marks) + 1) : (place + 1) * (len(marks) + 1)]
+        timings = [("", "")] * len(marks)
+        timings.append((f"{batch.cpu_seconds:.6f}", f"{batch.wall_seconds:.6f}"))
         writer.writerows([*common, mark, f"{avg:.9g}", f"{worst_error:.9g}", worst, *timing]
-                         for mark, (avg, worst_error, worst), timing in zip([*marks, ""], rows, timings))
+                         for mark, (avg, worst_error, worst), timing
+                         in zip([*marks, ""], rows, timings))
     text = buffer.getvalue()
     if out == "-":
         sys.stdout.write(text)

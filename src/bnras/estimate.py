@@ -27,7 +27,6 @@ are those of the runs one by one, bit for bit.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -99,7 +98,7 @@ class _Tallies:
     def total_transitions(self) -> int:
         return self.trials * (1 if self.transitions is None else self.transitions)
 
-    @functools.cached_property
+    @property
     def probs(self) -> np.ndarray:
         """``counts`` over the positions each row scores: as float64 each is
         the correctly rounded quotient that Python's ``c / scored`` is."""
@@ -134,12 +133,18 @@ def _estimates(net: BeliefNetwork, free: tuple[int, ...], edges: np.ndarray, tri
     counts = np.zeros((runs, len(marks) + 1, edges[-1]), dtype=np.int64)
     tally = counts[:, -1]  # a view: each run's flat tally so far
     for first, many, before, positions, count in pieces:
-        lo, hi = np.searchsorted(scored, (before, before + positions), side="right")
-        added = count(np.append(scored[lo:hi] - before, positions))
         piece = slice(first, first + many)
-        counts[piece, lo:hi] = added[:, :-1] + tally[piece, None]
-        tally[piece] += added[:, -1]
-        del count, added  # and the codes count reads, before the next piece is made
+        lo = hi = 0
+        if len(marks):  # the piece holds marks lo, ..., hi - 1
+            lo, hi = before * per // stride, (before + positions) * per // stride
+        if lo == hi:  # no mark in the piece
+            tally[piece] += count(np.array([positions]))[:, 0]
+        else:
+            added = count(np.append(scored[lo:hi] - before, positions))
+            counts[piece, lo:hi] = added[:, :-1] + tally[piece, None]
+            tally[piece] += added[:, -1]
+            del added
+        del count  # and the codes it reads, before the next piece is made
     shares = max(runs, 1)
     return _Tallies(
         nodes=tuple(net.nodes[i].name for i in free),
@@ -181,6 +186,18 @@ def _posteriors(batch: _Tallies) -> list[PosteriorEstimate]:
     ]
 
 
+def _stretch_counts(codes: np.ndarray, ends: np.ndarray, size: int) -> np.ndarray:
+    """The counts of the values (below ``size``) of the rows of ``codes``
+    before each of ``ends``, one row each, the last end being all the rows:
+    one ``bincount``, each row moved to the stretch between ends it falls
+    in, and a ``cumsum`` over the stretches. It moves ``codes`` in place."""
+    if len(ends) == 1:
+        return np.bincount(codes.ravel(), minlength=size)[None]
+    codes += np.repeat(size * np.arange(len(ends)), np.diff(ends, prepend=0))[:, None]
+    stretches = np.bincount(codes.ravel(), minlength=len(ends) * size)
+    return stretches.reshape(len(ends), size).cumsum(axis=0)
+
+
 def _bnras_tallies(net: BeliefNetwork, ev: Evidence, trials: int, transitions: int,
                    rngs: Sequence[RandomStream], checkpoint_stride: int) -> _Tallies:
     """:func:`bnras_estimates` as arrays."""
@@ -195,11 +212,7 @@ def _bnras_tallies(net: BeliefNetwork, ev: Evidence, trials: int, transitions: i
         codes += edges[:-1]  # each value's column in the flat tally, made in place
 
         def count(ends: np.ndarray) -> np.ndarray:
-            if len(ends) > 1:  # each trial's columns moved to the row of the stretch it ends in
-                stretch = np.repeat(width * np.arange(len(ends)), np.diff(ends, prepend=0))
-                np.add(codes, stretch[:, None], out=codes)
-            stretches = np.bincount(codes.ravel(), minlength=len(ends) * width)
-            return stretches.reshape(1, len(ends), width).cumsum(axis=1)
+            return _stretch_counts(codes, ends, width)[None]
 
         return run, 1, lo, len(codes), count
 
@@ -256,22 +269,18 @@ def _window_counts(codes: np.ndarray, ends: np.ndarray, nfree: int, size: int) -
     chunk's steps). The first nfree rows are the last outcomes before step
     1: after step s the chains' values are rows s, ..., s + nfree - 1, so
     up to step e row r counts min(r, e) - max(r - nfree, 0) times. Rows
-    nfree, ..., e count nfree times: one plain ``bincount``, each row moved
-    to the stretch of ends it falls in, and a ``cumsum`` over the
-    stretches. The fewer rows at either end of each e, rows 0, ..., nfree
-    - 1 and those past e, by one weighted ``bincount``. It moves ``codes``
-    in place, so it is asked once."""
-    k, shift = len(ends), nfree - np.arange(1, nfree)
-    past = ends[:, None] + np.arange(1, nfree)  # rows e + 1, ..., e + nfree - 1, each counting nfree - shift
-    rows = np.hstack([np.broadcast_to(np.arange(nfree), (k, nfree)), past])
-    live = np.hstack([np.minimum(np.arange(nfree), ends[:, None]), np.where(past >= nfree, shift, 0)])
+    nfree, ..., e count nfree times (:func:`_stretch_counts`); the fewer
+    rows at either end, rows 0, ..., nfree - 1 and those past e, by one
+    weighted ``bincount`` for all of ends. It moves ``codes`` in place."""
+    k, head = len(ends), np.arange(nfree)
+    past = ends[:, None] + head[1:]  # rows e + 1, ..., e + nfree - 1; e + i counts nfree - i times
+    rows = np.hstack([np.broadcast_to(head, (k, nfree)), past])
+    # a row past e but below nfree is counted among rows 0, ..., nfree - 1
+    live = np.hstack([np.minimum(head, ends[:, None]), (past >= nfree) * (nfree - head[1:])])
     picked = codes[rows] + (size * np.arange(k))[:, None, None]  # (ends, rows, chains)
     weighted = np.bincount(picked.ravel(), np.repeat(live.ravel(), codes.shape[1]), k * size)
-    middle = codes[nfree : ends[-1] + 1]
-    if k > 1:
-        middle += np.repeat(size * np.arange(k), np.diff(np.maximum(ends, nfree - 1), prepend=nfree - 1))[:, None]
-    stretches = np.bincount(middle.ravel(), minlength=k * size).reshape(k, size)
-    return nfree * stretches.cumsum(axis=0) + weighted.reshape(k, size).astype(np.int64)
+    middle = _stretch_counts(codes[nfree : ends[-1] + 1], np.maximum(ends - nfree + 1, 0), size)
+    return nfree * middle + weighted.reshape(k, size).astype(np.int64)
 
 
 def _straight_tallies(net: BeliefNetwork, ev: Evidence, total_transitions: int,

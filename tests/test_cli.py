@@ -439,7 +439,8 @@ def test_straight_batches_match_single_runs(monkeypatch, tmp_path, capsys):
     cyclic_chunks = estimate._cyclic_chunks
     monkeypatch.setattr(estimate, "_cyclic_chunks", spy)
     net = bnras.builtin_networks()["MINIALARM"]
-    bnras.straight_estimates(net, bnras.Evidence.empty(), 25_000, [RandomStream(s) for s in range(6)])
+    bnras.straight_estimates(net, bnras.Evidence.empty(), 25_000,
+                             [RandomStream(s) for s in range(6)])
     size = starts[1]
     assert starts == [0, size, 2 * size]
     starts.clear()
@@ -454,9 +455,8 @@ def test_bnras_batches_match_single_runs(tmp_path, capsys):
     # duplicated trial count's runs too; the rows are the single runs' rows
     # in the same order, and within each (trials, transitions) the summary
     # rows share one timing
-    rows = sweep_matches_single_runs(capsys, tmp_path, "bnras",
-                                     [("--trials", ["30", "30", "400"]), ("--transitions", ["0", "7"])],
-                                     range(6), 50)
+    grid = [("--trials", ["30", "30", "400"]), ("--transitions", ["0", "7"])]
+    rows = sweep_matches_single_runs(capsys, tmp_path, "bnras", grid, range(6), 50)
     assert sum(r["checkpoint"] != "" for r in rows) > 0
     for trials in ("30", "400"):
         for transitions in ("0", "7"):
