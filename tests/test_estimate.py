@@ -391,12 +391,6 @@ def test_estimate_rows_sum_to_one(chain5, empty):
         assert abs(sum(row) - 1.0) <= 1e-9
 
 
-def _batch(net, ev, sampler, rngs):
-    if sampler == "bnras":  # 50 trials of 7: marks every 40 transitions cut trials
-        return estimate._bnras_tallies(net, ev, 50, 7, rngs, 40)
-    return estimate._straight_tallies(net, ev, 300, rngs, 70)
-
-
 @pytest.mark.parametrize("sampler", ["bnras", "straight"])
 def test_scorer_matches_scalar_loop(nets, uninode, sampler):
     # each checkpoint row and summary row of a batch, scored at once off its
@@ -407,7 +401,11 @@ def test_scorer_matches_scalar_loop(nets, uninode, sampler):
     for net, ev in [*cases, (uninode, Evidence.empty())]:
         oracle = bnras.enumerate_posteriors(net, ev)
         exact = np.array([p for row in oracle.probs for p in row])
-        batch = _batch(net, ev, sampler, [RandomStream(s) for s in (0, 7, 2**63 + 11)])
+        rngs = [RandomStream(s) for s in (0, 7, 2**63 + 11)]
+        if sampler == "bnras":  # 50 trials of 7: marks every 40 transitions cut trials
+            batch = estimate._bnras_tallies(net, ev, 50, 7, rngs, 40)
+        else:
+            batch = estimate._straight_tallies(net, ev, 300, rngs, 70)
         scored = list(zip(*estimate._row_errors(batch.nodes, batch.edges, batch.probs, exact)))
         expected = []
         for est in estimate._posteriors(batch):
